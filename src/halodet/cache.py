@@ -2,8 +2,8 @@
 
 Entries are keyed by the digest of a canonicalized :class:`CacheKey` and
 stored as JSON files carrying their own value digest, so tampering is
-detected on read. Writes go through a temp file + rename, making the store
-safe for concurrent workers within one process.
+detected on read. Each write goes through its own temp file + rename, making
+the store safe for concurrent writers of one key.
 """
 
 from __future__ import annotations
@@ -99,7 +99,9 @@ class DiskCache:
             "value_sha256": sha256_json(value),
             "value": value,
         }
-        tmp = path.with_suffix(".tmp")
+        # One writer per thread at a time, so pid + thread id names a temp
+        # file no concurrent writer of this key shares.
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
         tmp.write_text(json.dumps(record, ensure_ascii=False, indent=2) + "\n", "utf-8")
         os.replace(tmp, path)
 

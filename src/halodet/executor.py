@@ -1,10 +1,19 @@
 """End-to-end orchestration of detection runs.
 
-One pair flows through claim handling, query formulation, a concurrent tool
-fan-out, and a single verification call; verification starts only after every
-planned tool call has settled. Evidence merge order is fixed (object, then
+One pair flows through claim handling, query formulation, tool calls, and a
+single verification call. Each call starts as soon as the reply it needs
+lands: object detection and the attribute-query call on the object reply,
+the scene-text read on the scene-text reply, fact searches on the fact reply,
+attribute answers on the attribute reply. Verification starts only after
+every tool call has settled. Evidence merge order is fixed (object, then
 attribute, then scene text, then fact, ordered inside each family by claim
 index then query index), so results are invariant under scheduling.
+
+A run owns two thread pools: one running pairs, ``width`` wide, and one
+shared call pool, ``width`` x 11 wide (3 formulation calls plus 8 tool calls
+per pair), on which every formulation and tool call runs. Pair threads
+submit calls and wait for them; call-pool tasks never submit further tasks,
+so the pools cannot deadlock.
 
 Every backend call is routed through one cache-and-trace choke point:
 identical mock runs are byte-identical whether cache-cold, cache-warm, or at
@@ -18,28 +27,25 @@ import json
 import logging
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Executor, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from .cache import CacheKey, DiskCache
 from .errors import ConfigInvalid
 from .gateway import ModelGateway, ModelRequest, ModelResponse, request_digest
 from .hashing import sha256_json, sha256_text
 from .model import (
-    AttributeEvidence,
     EvidenceBundle,
     FactEvidence,
     ImageTextPair,
-    ObjectEvidence,
-    SceneTextEvidence,
     Verdict,
     evidence_from_json,
     validate_pair,
 )
-from .prompts import template_digests
+from .prompts import TemplateId, template_digests
 from .stages import (
     DetectionMethod,
     SelfCheckDemo,
@@ -47,6 +53,7 @@ from .stages import (
     extract_claims,
     formulate_queries,
     is_degraded,
+    label_union,
     self_check,
     verify,
 )
@@ -61,7 +68,8 @@ from .tools import (
 
 logger = logging.getLogger(__name__)
 
-_TOOL_POOL_WIDTH = 8
+# Call-pool workers per pair: 3 formulation calls plus 8 tool calls in flight.
+_CALLS_PER_PAIR = 11
 
 
 @dataclass(frozen=True)
@@ -161,7 +169,9 @@ class _InstrumentedGateway:
     """Gateway wrapper adding the executor's cache and trace around each call.
 
     Replies are cached only at temperature 0; sampled output must never be
-    replayed as truth.
+    replayed as truth. One instance serves one pair, whose requests are all
+    distinct, so a repeated request is the retry of a reply its stage could
+    not parse: it skips the cache read, and its reply replaces the cached one.
     """
 
     def __init__(self, gateway: ModelGateway, cache: DiskCache | None,
@@ -169,11 +179,16 @@ class _InstrumentedGateway:
         self._gateway = gateway
         self._cache = cache
         self._tracer = tracer
+        self._seen: set[str] = set()
+        self._lock = threading.Lock()
         self.backend = gateway.backend
 
     def complete(self, request: ModelRequest) -> ModelResponse:
         digest = request_digest(request)
         stage = f"model:{request.purpose_tag.value}"
+        with self._lock:
+            retry = digest in self._seen
+            self._seen.add(digest)
         cacheable = self._cache is not None and request.decode_params.temperature == 0
         key = CacheKey(
             tool_kind="model",
@@ -182,7 +197,7 @@ class _InstrumentedGateway:
             backend_id=self._gateway.backend.backend_id,
         )
         started = time.monotonic()
-        if cacheable:
+        if cacheable and not retry:
             hit, value = self._cache.get(key)
             if hit:
                 response = ModelResponse(
@@ -233,106 +248,125 @@ def _cached_tool_call(
     return value
 
 
-# --- tool fan-out ---------------------------------------------------------------
+# --- tool calls -----------------------------------------------------------------
 
 
-def _run_tools(
-    pair: ImageTextPair,
-    plan: ToolPlan,
-    backends: ToolBackendSet,
-    cache: DiskCache | None,
-    tracer: _Tracer,
-    fact_top_k: int,
-) -> EvidenceBundle:
-    """Execute every planned tool call concurrently and merge deterministically."""
-    image = pair.image
+class _ToolCalls:
+    """The tool calls of one pair, each started as soon as its query reply lands.
 
-    def object_task() -> list[ObjectEvidence]:
-        labels = plan.object_label_union()
+    ``start`` is the formulation hook; ``evidence`` merges positionally, never
+    in completion order.
+    """
+
+    def __init__(self, pair: ImageTextPair, backends: ToolBackendSet,
+                 cache: DiskCache | None, tracer: _Tracer, fact_top_k: int,
+                 pool: Executor) -> None:
+        self._image = pair.image
+        self._backends = backends
+        self._cache = cache
+        self._tracer = tracer
+        self._fact_top_k = fact_top_k
+        self._pool = pool
+        self._objects: Future | None = None
+        self._scene_texts: Future | None = None
+        self._attributes: list[Future] = []
+        self._facts: list[Future] = []
+
+    def _submit(self, stage: str, key: CacheKey, compute: Callable[[], Any],
+                encode: Callable[[Any], Any], decode: Callable[[Any], Any]) -> Future:
+        # A closure, not the pair: the call pool runs calls, not pairs.
+        return self._pool.submit(lambda: _cached_tool_call(
+            self._cache, self._tracer, stage, key, compute, encode, decode))
+
+    def start(self, template: TemplateId, queries: Mapping[int, tuple[str, ...]]) -> None:
+        questions = [q for per_claim in queries.values() for q in per_claim]
+        if template is TemplateId.OBJECT_QUERY:
+            labels = label_union(queries.values())
+            if labels:
+                self._objects = self._detect(labels)
+        elif template is TemplateId.SCENE_TEXT_QUERY:
+            if questions:
+                self._scene_texts = self._read()
+        elif template is TemplateId.FACT_QUERY:
+            self._facts = [self._search(q) for q in questions]
+        elif template is TemplateId.ATTRIBUTE_QUERY:
+            self._attributes = [self._answer(q) for q in questions]
+
+    def _detect(self, labels: list[str]) -> Future:
+        image, detector = self._image, self._backends.object_detector
         key = CacheKey("object-detect", ",".join(sorted(labels)), image.digest,
-                       backends.object_detector.backend_id)
-        return _cached_tool_call(
-            cache, tracer, "tool:object-detect", key,
-            lambda: detect_objects(backends.object_detector, image, labels),
+                       detector.backend_id)
+        return self._submit(
+            "tool:object-detect", key,
+            lambda: detect_objects(detector, image, labels),
             lambda items: [e.to_json() for e in items],
             lambda raw: [evidence_from_json(item) for item in raw],
         )
 
-    def scene_task() -> list[SceneTextEvidence]:
-        key = CacheKey("scene-text", "full-image", image.digest,
-                       backends.scene_text_reader.backend_id)
-        return _cached_tool_call(
-            cache, tracer, "tool:scene-text", key,
-            lambda: read_scene_text(backends.scene_text_reader, image),
+    def _read(self) -> Future:
+        image, reader = self._image, self._backends.scene_text_reader
+        key = CacheKey("scene-text", "full-image", image.digest, reader.backend_id)
+        return self._submit(
+            "tool:scene-text", key,
+            lambda: read_scene_text(reader, image),
             lambda items: [e.to_json() for e in items],
             lambda raw: [evidence_from_json(item) for item in raw],
         )
 
-    def attribute_task(question: str) -> AttributeEvidence:
-        key = CacheKey("attribute", question.strip(), image.digest,
-                       backends.attribute_answerer.backend_id)
-        return _cached_tool_call(
-            cache, tracer, "tool:attribute", key,
-            lambda: backends.attribute_answerer.answer(image, question),
+    def _answer(self, question: str) -> Future:
+        image, answerer = self._image, self._backends.attribute_answerer
+        key = CacheKey("attribute", question.strip(), image.digest, answerer.backend_id)
+        return self._submit(
+            "tool:attribute", key,
+            lambda: answerer.answer(image, question),
             lambda item: item.to_json(),
-            lambda raw: evidence_from_json(raw),
+            evidence_from_json,
         )
 
-    def fact_task(question: str) -> FactEvidence:
-        key = CacheKey("fact-search", f"{question.strip()} [top_k={fact_top_k}]", "",
-                       backends.fact_searcher.backend_id)
+    def _search(self, question: str) -> Future:
+        searcher, top_k = self._backends.fact_searcher, self._fact_top_k
+        key = CacheKey("fact-search", f"{question.strip()} [top_k={top_k}]", "",
+                       searcher.backend_id)
 
         def compute() -> FactEvidence:
-            snippets = search_facts(backends.fact_searcher, question, fact_top_k)
+            snippets = search_facts(searcher, question, top_k)
             return FactEvidence(
                 question=question,
                 snippets=tuple(fact_snippet_line(s) for s in snippets),
             )
 
-        return _cached_tool_call(
-            cache, tracer, "tool:fact-search", key,
-            compute,
+        return self._submit(
+            "tool:fact-search", key, compute,
             lambda item: item.to_json(),
-            lambda raw: evidence_from_json(raw),
+            evidence_from_json,
         )
 
-    attribute_questions = [
-        question
-        for queries in plan.per_claim
-        for question in queries.attribute_questions
-    ]
-    fact_questions = [
-        question
-        for queries in plan.per_claim
-        for question in queries.fact_questions
-    ]
+    def settle(self) -> None:
+        """Wait until every started call has returned or raised."""
+        started = [*self._attributes, *self._facts]
+        started += [f for f in (self._objects, self._scene_texts) if f is not None]
+        wait(started)
 
-    with ThreadPoolExecutor(max_workers=_TOOL_POOL_WIDTH,
-                            thread_name_prefix="tools") as pool:
-        object_future: Future | None = None
-        scene_future: Future | None = None
-        if plan.object_label_union():
-            object_future = pool.submit(object_task)
-        if plan.wants_scene_text():
-            scene_future = pool.submit(scene_task)
-        attribute_futures = [pool.submit(attribute_task, q) for q in attribute_questions]
-        fact_futures = [pool.submit(fact_task, q) for q in fact_questions]
-
-        # Merge order is positional, never completion order.
-        objects = tuple(object_future.result()) if object_future is not None else ()
-        attributes = tuple(f.result() for f in attribute_futures)
-        scene_texts = tuple(scene_future.result()) if scene_future is not None else ()
-        facts = tuple(f.result() for f in fact_futures)
-
-    return EvidenceBundle(
-        objects=objects,
-        attributes=attributes,
-        scene_texts=scene_texts,
-        facts=facts,
-    )
+    def evidence(self) -> EvidenceBundle:
+        """Merge results once settled; the first error in merge order is raised."""
+        objects = self._objects.result() if self._objects is not None else ()
+        attributes = tuple(f.result() for f in self._attributes)
+        scene_texts = self._scene_texts.result() if self._scene_texts is not None else ()
+        facts = tuple(f.result() for f in self._facts)
+        return EvidenceBundle(
+            objects=tuple(objects),
+            attributes=attributes,
+            scene_texts=tuple(scene_texts),
+            facts=facts,
+        )
 
 
 # --- single-pair and batch drivers --------------------------------------------------
+
+
+def _call_pool(width: int) -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(max_workers=width * _CALLS_PER_PAIR,
+                              thread_name_prefix="calls")
 
 
 def run_detection(
@@ -350,6 +384,22 @@ def run_detection(
     unannotated pair goes through the extraction stage first. The self-check
     methods never touch tool backends and carry empty evidence.
     """
+    with _call_pool(1) as calls:
+        return _run_pair(pair, method, backends, gateway, cache, fact_top_k,
+                         demonstrations, calls)
+
+
+def _run_pair(
+    pair: ImageTextPair,
+    method: DetectionMethod,
+    backends: ToolBackendSet | None,
+    gateway: ModelGateway,
+    cache: DiskCache | None,
+    fact_top_k: int,
+    demonstrations: Sequence[SelfCheckDemo],
+    calls: Executor,
+) -> DetectionResult:
+    """One pair, its formulation and tool calls run on the ``calls`` pool."""
     report = validate_pair(pair)
     if not report.ok:
         raise ValueError(f"pair {pair.id!r} invalid: " + "; ".join(report.violations))
@@ -365,8 +415,12 @@ def run_detection(
         if method is DetectionMethod.UNIHD:
             if backends is None:
                 raise ConfigInvalid("unihd requires tool backends")
-            plan = formulate_queries(pair, gateway_view)
-            evidence = _run_tools(pair, plan, backends, cache, tracer, fact_top_k)
+            tool_calls = _ToolCalls(pair, backends, cache, tracer, fact_top_k, calls)
+            try:
+                plan = formulate_queries(pair, gateway_view, calls, tool_calls.start)
+            finally:
+                tool_calls.settle()
+            evidence = tool_calls.evidence()
             verdicts = verify(pair, evidence, gateway_view)
         else:
             plan = None
@@ -415,22 +469,24 @@ def run_batch(
 
     slots: list[DetectionResult | PairFailure | None] = [None] * len(pairs)
 
-    def run_one(position: int, pair: ImageTextPair) -> None:
-        try:
-            slots[position] = run_detection(
-                pair, method, backends, gateway, cache,
-                fact_top_k=fact_top_k, demonstrations=demonstrations,
-            )
-        except Exception as exc:  # noqa: BLE001 - isolation boundary
-            logger.warning("pair %s failed: %s", pair.id, exc)
-            slots[position] = PairFailure(
-                pair_id=pair.id,
-                error_type=type(exc).__name__,
-                message=str(exc),
-                trace=getattr(exc, "completed_trace", ()),
-            )
+    with _call_pool(width) as calls, \
+            ThreadPoolExecutor(max_workers=width, thread_name_prefix="pairs") as pool:
 
-    with ThreadPoolExecutor(max_workers=width, thread_name_prefix="pairs") as pool:
+        def run_one(position: int, pair: ImageTextPair) -> None:
+            try:
+                slots[position] = _run_pair(
+                    pair, method, backends, gateway, cache, fact_top_k,
+                    demonstrations, calls,
+                )
+            except Exception as exc:  # noqa: BLE001 - isolation boundary
+                logger.warning("pair %s failed: %s", pair.id, exc)
+                slots[position] = PairFailure(
+                    pair_id=pair.id,
+                    error_type=type(exc).__name__,
+                    message=str(exc),
+                    trace=getattr(exc, "completed_trace", ()),
+                )
+
         futures = [pool.submit(run_one, i, pair) for i, pair in enumerate(pairs)]
         for future in futures:
             future.result()

@@ -15,10 +15,10 @@ explicitly flagged unverified verdicts rather than silently truncating.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, Executor, Future, wait
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     ClaimCountMismatch,
@@ -91,11 +91,7 @@ class ToolPlan:
 
     def object_label_union(self) -> list[str]:
         """Pair-level detection vocabulary: first-seen order, deduplicated."""
-        seen: dict[str, None] = {}
-        for queries in self.per_claim:
-            for label in queries.object_labels:
-                seen.setdefault(label)
-        return list(seen)
+        return label_union(queries.object_labels for queries in self.per_claim)
 
     def wants_scene_text(self) -> bool:
         return any(q.scene_text_questions for q in self.per_claim)
@@ -125,6 +121,15 @@ class ToolPlan:
             )
             for _, v in indexed
         ))
+
+
+def label_union(per_claim_labels: Iterable[Sequence[str]]) -> list[str]:
+    """Union of per-claim object labels, in first-seen order."""
+    seen: dict[str, None] = {}
+    for labels in per_claim_labels:
+        for label in labels:
+            seen.setdefault(label)
+    return list(seen)
 
 
 # --- parsing helpers -----------------------------------------------------------
@@ -259,54 +264,112 @@ def _formulate_one(
         raise _tagged(template, exc)
 
 
-def formulate_queries(pair: ImageTextPair, gateway: ModelGateway) -> ToolPlan:
+# Called with each parsed formulation reply: the template and its queries per
+# claim index, in claim order (object labels already lowercased and deduplicated).
+FormulationHook = Callable[[TemplateId, Mapping[int, tuple[str, ...]]], None]
+
+# Formulation errors surface in this order, whatever order the replies land in.
+_FORMULATION_ORDER = (
+    TemplateId.OBJECT_QUERY,
+    TemplateId.SCENE_TEXT_QUERY,
+    TemplateId.FACT_QUERY,
+    TemplateId.ATTRIBUTE_QUERY,
+)
+
+
+def _run_inline(call: Callable[[], Any]) -> Future:
+    future: Future = Future()
+    try:
+        future.set_result(call())
+    except Exception as exc:  # noqa: BLE001 - surfaced through the future
+        future.set_exception(exc)
+    return future
+
+
+def formulate_queries(
+    pair: ImageTextPair,
+    gateway: ModelGateway,
+    pool: Executor | None = None,
+    on_reply: FormulationHook | None = None,
+) -> ToolPlan:
     """Route every claim to the tools it needs.
 
-    Issues the four query templates; the object, scene-text, and fact calls
-    run concurrently, while the attribute call waits for the object result
-    because its prompt binds the pair-level object vocabulary. Errors carry
-    a ``template_id`` attribute naming the originating template.
+    Issues the four query templates. The object, scene-text, and fact calls
+    start together; the attribute call starts as soon as the object reply
+    lands, because its prompt binds the pair-level object vocabulary. Calls
+    run on ``pool``, or inline one after another when it is None.
+
+    ``on_reply`` is called in the calling thread with each parsed reply as
+    soon as it lands, so a caller can start the tools that reply feeds while
+    the other replies are still out. Once a call has failed, no further call
+    starts and no further reply is handed on. The function returns or raises
+    only after every call it started has settled; errors surface in the fixed
+    order object, scene text, fact, attribute, and carry a ``template_id``
+    attribute naming the originating template.
     """
     if not pair.claims:
         raise ValueError(f"pair {pair.id!r} has no claims")
     n = len(pair.claims)
     claims_text = render_claim_list([c.text for c in pair.claims])
     bindings = {"claims": claims_text}
+    submit = pool.submit if pool is not None else _run_inline
 
-    with ThreadPoolExecutor(max_workers=3, thread_name_prefix="formulate") as pool:
-        object_future = pool.submit(
-            _formulate_one, TemplateId.OBJECT_QUERY, bindings,
-            HallucinationCategory.OBJECT, n, gateway)
-        scene_future = pool.submit(
-            _formulate_one, TemplateId.SCENE_TEXT_QUERY, bindings,
-            HallucinationCategory.SCENE_TEXT, n, gateway)
-        fact_future = pool.submit(
-            _formulate_one, TemplateId.FACT_QUERY, bindings,
-            HallucinationCategory.FACT, n, gateway)
-        # Collect in fixed order so the first error surfaced is deterministic.
-        objects = object_future.result()
-        scene_texts = scene_future.result()
-        facts = fact_future.result()
+    def start(template: TemplateId, bindings: dict[str, str],
+              kind: HallucinationCategory) -> Future:
+        return submit(lambda: _formulate_one(template, bindings, kind, n, gateway))
 
-    object_labels = {i: _dedup_lower(objects[i]) for i in objects}
-    union: dict[str, None] = {}
-    for index in range(1, n + 1):
-        for label in object_labels[index]:
-            union.setdefault(label)
-    attribute_bindings = {
-        "objects": render_object_string(union),
-        "claims": claims_text,
+    futures = {
+        TemplateId.OBJECT_QUERY: start(
+            TemplateId.OBJECT_QUERY, bindings, HallucinationCategory.OBJECT),
+        TemplateId.SCENE_TEXT_QUERY: start(
+            TemplateId.SCENE_TEXT_QUERY, bindings, HallucinationCategory.SCENE_TEXT),
+        TemplateId.FACT_QUERY: start(
+            TemplateId.FACT_QUERY, bindings, HallucinationCategory.FACT),
     }
-    attributes = _formulate_one(
-        TemplateId.ATTRIBUTE_QUERY, attribute_bindings,
-        HallucinationCategory.ATTRIBUTE, n, gateway)
+    replies: dict[TemplateId, dict[int, tuple[str, ...]]] = {}
+    failed = False
+    pending = set(futures.values())
+    try:
+        while pending:
+            done, pending = wait(pending, return_when=FIRST_COMPLETED)
+            for template in [t for t in _FORMULATION_ORDER if futures.get(t) in done]:
+                future = futures[template]
+                if failed or future.exception() is not None:
+                    failed = True
+                    continue
+                if template is TemplateId.OBJECT_QUERY:
+                    queries = {i: _dedup_lower(v) for i, v in future.result().items()}
+                    attribute_bindings = {
+                        "objects": render_object_string(label_union(queries.values())),
+                        "claims": claims_text,
+                    }
+                    futures[TemplateId.ATTRIBUTE_QUERY] = start(
+                        TemplateId.ATTRIBUTE_QUERY, attribute_bindings,
+                        HallucinationCategory.ATTRIBUTE)
+                    pending.add(futures[TemplateId.ATTRIBUTE_QUERY])
+                else:
+                    queries = {i: tuple(v) for i, v in future.result().items()}
+                replies[template] = queries
+                if on_reply is not None:
+                    on_reply(template, queries)
+    finally:
+        wait(futures.values())
 
+    for template in _FORMULATION_ORDER:
+        future = futures.get(template)
+        if future is not None and future.exception() is not None:
+            raise future.exception()  # type: ignore[misc]
+
+    objects = replies[TemplateId.OBJECT_QUERY]
+    attributes = replies[TemplateId.ATTRIBUTE_QUERY]
+    scene_texts = replies[TemplateId.SCENE_TEXT_QUERY]
+    facts = replies[TemplateId.FACT_QUERY]
     return ToolPlan(per_claim=tuple(
         ClaimQueries(
-            object_labels=object_labels[i],
-            attribute_questions=tuple(attributes[i]),
-            scene_text_questions=tuple(scene_texts[i]),
-            fact_questions=tuple(facts[i]),
+            object_labels=objects[i],
+            attribute_questions=attributes[i],
+            scene_text_questions=scene_texts[i],
+            fact_questions=facts[i],
         )
         for i in range(1, n + 1)
     ))

@@ -553,7 +553,10 @@ class HttpFactSearcher:
             raise QuotaExceeded("search quota exhausted")
         if response.status_code != 200:
             raise BackendUnavailable(f"search endpoint returned {response.status_code}")
-        body = response.json()
+        try:
+            body = response.json()
+        except ValueError as exc:
+            raise BackendUnavailable("search endpoint returned non-JSON body") from exc
         snippets = []
         for hit in body.get("organic", [])[:top_k]:
             text = str(hit.get("snippet", "")).strip()

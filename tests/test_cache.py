@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
@@ -84,3 +85,27 @@ class TestDiskCache:
         cache.put(_key(), "new")
         assert cache.get(_key()) == (True, "new")
         assert cache.entry_count() == 1
+
+    def test_concurrent_writers_of_one_key(self, tmp_path):
+        cache = DiskCache(tmp_path)
+        start = threading.Barrier(8)
+        errors = []
+
+        def writer(n):
+            start.wait()
+            try:
+                for i in range(300):
+                    cache.put(_key(), {"writer": n, "round": i})
+                    hit, _ = cache.get(_key())
+                    assert hit
+            except Exception as exc:  # noqa: BLE001 - collected for the assertion
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(n,)) for n in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        assert cache.entry_count() == 1
+        assert not list((tmp_path / "objects").glob("*/*.tmp"))

@@ -1,21 +1,26 @@
-"""Orchestration: fan-out, merge determinism, cache soundness, batch isolation."""
+"""Orchestration: call scheduling, merge determinism, cache soundness, batch isolation."""
 
 from __future__ import annotations
 
 import json
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from conftest import image_ref, table_gateway
 from halodet.cache import DiskCache
-from halodet.errors import ConfigInvalid
+from halodet.errors import ConfigInvalid, UnparseableModelOutput
 from halodet.executor import (
+    BatchOutcome,
     load_result_payload,
     load_run_results,
     run_batch,
     run_detection,
     write_run_dir,
 )
+from halodet.gateway import ModelGateway
 from halodet.model import (
     Claim,
     ImageTextPair,
@@ -23,10 +28,12 @@ from halodet.model import (
     NormBox,
     ObjectEvidence,
     ParseFlag,
+    SceneTextEvidence,
     TaskType,
 )
-from halodet.stages import DetectionMethod
-from halodet.tools import ToolBackendSet
+from halodet.prompts import TemplateId
+from halodet.stages import DetectionMethod, formulate_queries
+from halodet.tools import FactSnippet, ToolBackendSet
 
 
 class CountingDetector:
@@ -406,3 +413,260 @@ class TestRunDir:
         write_run_dir(tmp_path, "dup", outcome, DetectionMethod.UNIHD, {})
         with pytest.raises(FileExistsError):
             write_run_dir(tmp_path, "dup", outcome, DetectionMethod.UNIHD, {})
+
+
+# --- call scheduling ---------------------------------------------------------------
+
+
+class _Clock:
+    """Records each backend call as (name, start, end) and what is in flight."""
+
+    def __init__(self):
+        self.calls = []
+        self.in_flight = 0
+        self._lock = threading.Lock()
+
+    def run(self, name, delay, fn):
+        with self._lock:
+            self.in_flight += 1
+            started = time.monotonic()
+        try:
+            time.sleep(delay)
+            return fn()
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+                self.calls.append((name, started, time.monotonic()))
+
+    def started(self, name):
+        return [s for n, s, _ in self.calls if n == name]
+
+    def ended(self, name):
+        return [e for n, _, e in self.calls if n == name]
+
+
+class _TimedModel:
+    """Routes replies by prompt substring, like TableBackend, with a delay per rule."""
+
+    backend_id = "timed-model"
+
+    def __init__(self, rules, clock):
+        self.rules = rules  # (marker, name, delay, reply)
+        self.clock = clock
+
+    def invoke(self, request):
+        for marker, name, delay, reply in self.rules:
+            if marker in request.prompt.user or marker in request.prompt.system:
+                return self.clock.run(name, delay, lambda reply=reply: reply)
+        raise AssertionError(f"no rule matched prompt: {request.prompt.user[:100]!r}")
+
+
+def _timed_backends(clock, delay=0.02, search_error=None):
+    class Detector(CountingDetector):
+        def detect(self, image, labels):
+            return clock.run("detect", delay, lambda: super(Detector, self).detect(image, labels))
+
+    class Reader(CountingReader):
+        def read(self, image):
+            return clock.run("read", delay, lambda: super(Reader, self).read(image))
+
+    class Searcher(CountingSearcher):
+        def search(self, question, top_k):
+            def run():
+                if search_error is not None:
+                    raise search_error
+                return super(Searcher, self).search(question, top_k)
+            return clock.run("search", delay, run)
+
+    class Answerer(CountingAnswerer):
+        def answer(self, image, question):
+            return clock.run("answer", delay, lambda: super(Answerer, self).answer(image, question))
+
+    return ToolBackendSet(
+        object_detector=Detector(_ATHLETE_DETECTIONS),
+        attribute_answerer=Answerer(),
+        scene_text_reader=Reader([SceneTextEvidence("GO", NormBox(0.1, 0.1, 0.2, 0.2))]),
+        fact_searcher=Searcher([FactSnippet("t", "s", "https://a")]),
+    )
+
+
+_VERDICT = json.dumps([{"claim1": "non-hallucination", "reason": "consistent"}])
+
+
+def _timed_rules(object_q=0.02, scene_q=0.02, attribute_q=0.02,
+                 scene_reply='{"claim1":["What does the sign say?"]}'):
+    return [
+        ("object extractor", "q:object", object_q, '{"claim1":"athlete.uniform"}'),
+        ("questions about attributes", "q:attribute", attribute_q,
+         '{"claim1":["What color is the uniform?"]}'),
+        ("questions about scene text", "q:scene", scene_q, scene_reply),
+        ("search engine questions", "q:fact", 0.02, '{"claim1":["Who makes the uniform?"]}'),
+        ("hallucination judger", "verify", 0.0, _VERDICT),
+    ]
+
+
+def _timed_gateway(rules, clock):
+    return ModelGateway(_TimedModel(rules, clock), sleep=lambda _: None)
+
+
+class TestCallScheduling:
+    def test_each_call_starts_when_its_reply_lands(self):
+        clock = _Clock()
+        result = run_detection(
+            _athlete_pair(), DetectionMethod.UNIHD, _timed_backends(clock),
+            _timed_gateway(_timed_rules(attribute_q=0.3), clock),
+        )
+        assert not result.degraded
+        (attribute_query_end,) = clock.ended("q:attribute")
+        for tool in ("detect", "read", "search"):
+            (started,) = clock.started(tool)
+            assert started < attribute_query_end, tool
+        (answer_start,) = clock.started("answer")
+        assert answer_start >= attribute_query_end
+        tools_end = max(e for n, _, e in clock.calls if n in ("detect", "read", "search", "answer"))
+        (verify_start,) = clock.started("verify")
+        assert verify_start >= tools_end
+
+    def test_merge_is_positional_whatever_lands_first(self):
+        dumps = []
+        for slow in ("q:object", "q:scene", "q:fact", "q:attribute"):
+            clock = _Clock()
+            rules = [(m, n, 0.1 if n == slow else 0.0, r) for m, n, _, r in _timed_rules()]
+            result = run_detection(_athlete_pair(), DetectionMethod.UNIHD,
+                                   _timed_backends(clock, delay=0.0),
+                                   _timed_gateway(rules, clock))
+            dumps.append(json.dumps(result.payload_json(), sort_keys=True))
+        assert len(set(dumps)) == 1
+
+    def test_threads_bounded_by_run_not_by_pairs(self, monkeypatch):
+        started = []
+        original = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread.name)
+            original(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        gateway = table_gateway([
+            ("object extractor", '{"claim1":"thing"}'),
+            ("questions about attributes", '{"claim1":["What color is it?"]}'),
+            ("questions about scene text", '{"claim1":["What does it say?"]}'),
+            ("search engine questions", '{"claim1":["Who made it?"]}'),
+            ("hallucination judger", _VERDICT),
+        ])
+        backends = _backends(detections=_ATHLETE_DETECTIONS)
+        width = 2
+        outcome = run_batch(_simple_pairs(40), DetectionMethod.UNIHD, backends, gateway,
+                            width=width)
+        assert outcome.ok
+        assert _tool_calls(backends) == 40 * 4
+        assert len(started) <= width + width * 11
+
+    def test_pair_settles_every_call_before_raising(self):
+        clock = _Clock()
+        backends = _timed_backends(clock, delay=0.15, search_error=RuntimeError("search down"))
+        with pytest.raises(RuntimeError, match="search down"):
+            run_detection(_athlete_pair(), DetectionMethod.UNIHD, backends,
+                          _timed_gateway(_timed_rules(), clock))
+        assert clock.in_flight == 0
+        assert {n for n, _, _ in clock.calls} >= {"detect", "read", "search", "answer"}
+
+    def test_pair_settles_every_call_after_a_formulation_error(self):
+        clock = _Clock()
+        rules = _timed_rules(object_q=0.0, scene_q=0.15, attribute_q=0.2,
+                             scene_reply="not parseable at all")
+        with pytest.raises(UnparseableModelOutput) as exc_info:
+            run_detection(_athlete_pair(), DetectionMethod.UNIHD,
+                          _timed_backends(clock, delay=0.2), _timed_gateway(rules, clock))
+        assert exc_info.value.template_id is TemplateId.SCENE_TEXT_QUERY
+        assert clock.in_flight == 0
+        # Object detection started on the object reply before scene text failed.
+        assert clock.started("detect")
+        assert not clock.started("verify")
+
+
+class TestFormulationErrorOrder:
+    @pytest.mark.parametrize("failing, surfaced", [
+        (("q:object", "q:scene", "q:fact"), TemplateId.OBJECT_QUERY),
+        (("q:scene", "q:fact", "q:attribute"), TemplateId.SCENE_TEXT_QUERY),
+        (("q:scene", "q:attribute"), TemplateId.SCENE_TEXT_QUERY),
+        (("q:fact", "q:attribute"), TemplateId.FACT_QUERY),
+        (("q:attribute",), TemplateId.ATTRIBUTE_QUERY),
+    ])
+    def test_errors_surface_in_fixed_order(self, failing, surfaced):
+        # Later templates fail first, so completion order is the reverse of
+        # the order errors must surface in.
+        delays = {"q:object": 0.0, "q:scene": 0.12, "q:fact": 0.06, "q:attribute": 0.0}
+        rules = [
+            (marker, name, delays.get(name, 0.0),
+             "not parseable at all" if name in failing else reply)
+            for marker, name, _, reply in _timed_rules()
+        ]
+        clock = _Clock()
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            with pytest.raises(UnparseableModelOutput) as exc_info:
+                formulate_queries(_athlete_pair(), _timed_gateway(rules, clock), pool)
+        assert exc_info.value.template_id is surfaced
+        assert clock.in_flight == 0
+
+    def test_replies_after_a_failure_are_not_handed_on(self):
+        rules = [
+            (marker, name, 0.3 if name == "q:object" else 0.0,
+             "not parseable at all" if name == "q:fact" else reply)
+            for marker, name, _, reply in _timed_rules()
+        ]
+        clock = _Clock()
+        handed = []
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            with pytest.raises(UnparseableModelOutput):
+                formulate_queries(_athlete_pair(), _timed_gateway(rules, clock), pool,
+                                  lambda template, queries: handed.append(template))
+        assert TemplateId.OBJECT_QUERY not in handed
+        assert not clock.started("q:attribute")
+
+
+# --- verification retry with a cache ---------------------------------------------------
+
+
+class _ScriptedVerifier:
+    """Formulation by table; verification replies taken from a script in turn."""
+
+    backend_id = "scripted"
+
+    def __init__(self, script):
+        self.table = table_gateway(_ATHLETE_RULES[:4]).backend
+        self.script = list(script)
+        self.calls = 0
+
+    def invoke(self, request):
+        self.calls += 1
+        if "hallucination judger" in request.prompt.user + request.prompt.system:
+            return self.script.pop(0)
+        return self.table.invoke(request)
+
+
+class TestVerificationRetryWithCache:
+    def _run(self, cache, backend):
+        return run_detection(_athlete_pair(), DetectionMethod.UNIHD,
+                             _backends(detections=_ATHLETE_DETECTIONS),
+                             ModelGateway(backend, sleep=lambda _: None), cache=cache)
+
+    def test_retry_reaches_backend_and_cache_keeps_its_reply(self, tmp_path):
+        cache = DiskCache(tmp_path / "cache")
+        valid = _ATHLETE_RULES[4][1]
+        cold_backend = _ScriptedVerifier(["garbage that never parses", valid])
+        cold = self._run(cache, cold_backend)
+        assert not cold.degraded
+        assert len(cold_backend.script) == 0  # both scripted replies were asked for
+        assert cold_backend.calls == 4 + 2
+
+        warm_backend = _ScriptedVerifier([])
+        warm = self._run(cache, warm_backend)
+        assert warm_backend.calls == 0
+
+        files = []
+        for run_id, result in (("cold", cold), ("warm", warm)):
+            outcome = BatchOutcome(results=[result], failures=[])
+            run_dir = write_run_dir(tmp_path, run_id, outcome, DetectionMethod.UNIHD, {})
+            files.append((run_dir / "athlete.json").read_bytes())
+        assert files[0] == files[1]

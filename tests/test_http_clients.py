@@ -142,6 +142,11 @@ class TestHttpFactSearcher:
         HttpFactSearcher("secret", session=session).search("q", 3)
         assert session.requests[0]["headers"]["X-API-KEY"] == "secret"
 
+    def test_non_json_body_is_backend_unavailable(self):
+        searcher = HttpFactSearcher("key", session=FakeSession(FakeResponse(200)))
+        with pytest.raises(BackendUnavailable):
+            search_facts(searcher, "q", 3)
+
 
 # --- opt-in live contract tests ------------------------------------------------------
 # The same family contracts the mocks satisfy, run against real endpoints.
