@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
 from .cache import CacheKey, DiskCache
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, StoreCorrupt
 from .gateway import ModelGateway, ModelRequest, ModelResponse, request_digest
 from .hashing import sha256_json, sha256_text
 from .model import (
@@ -198,7 +198,7 @@ class _InstrumentedGateway:
         )
         started = time.monotonic()
         if cacheable and not retry:
-            hit, value = self._cache.get(key)
+            hit, value = _cache_get(self._cache, key)
             if hit:
                 response = ModelResponse(
                     text=value["text"],
@@ -221,6 +221,15 @@ def _elapsed_ms(started: float) -> int:
     return max(0, int(round((time.monotonic() - started) * 1000)))
 
 
+def _cache_get(cache: DiskCache, key: CacheKey) -> tuple[bool, Any]:
+    """Read ``key``; a corrupt entry is a miss, which the caller's put overwrites."""
+    try:
+        return cache.get(key)
+    except StoreCorrupt as exc:
+        logger.warning("recomputing: %s", exc)
+        return False, None
+
+
 def _cached_tool_call(
     cache: DiskCache | None,
     tracer: _Tracer,
@@ -233,7 +242,7 @@ def _cached_tool_call(
     started = time.monotonic()
     key_digest = key.digest()
     if cache is not None:
-        hit, raw = cache.get(key)
+        hit, raw = _cache_get(cache, key)
         if hit:
             value = decode(raw)
             tracer.record(stage, key_digest, sha256_json(raw),
@@ -255,7 +264,8 @@ class _ToolCalls:
     """The tool calls of one pair, each started as soon as its query reply lands.
 
     ``start`` is the formulation hook; ``evidence`` merges positionally, never
-    in completion order.
+    in completion order. Calls with one cache key run once per pair: a
+    repeated question shares the first one's future.
     """
 
     def __init__(self, pair: ImageTextPair, backends: ToolBackendSet,
@@ -271,12 +281,16 @@ class _ToolCalls:
         self._scene_texts: Future | None = None
         self._attributes: list[Future] = []
         self._facts: list[Future] = []
+        self._submitted: dict[CacheKey, Future] = {}
 
     def _submit(self, stage: str, key: CacheKey, compute: Callable[[], Any],
                 encode: Callable[[Any], Any], decode: Callable[[Any], Any]) -> Future:
-        # A closure, not the pair: the call pool runs calls, not pairs.
-        return self._pool.submit(lambda: _cached_tool_call(
-            self._cache, self._tracer, stage, key, compute, encode, decode))
+        # Only the pair thread submits, so the lookup needs no lock.
+        if key not in self._submitted:
+            # A closure, not the pair: the call pool runs calls, not pairs.
+            self._submitted[key] = self._pool.submit(lambda: _cached_tool_call(
+                self._cache, self._tracer, stage, key, compute, encode, decode))
+        return self._submitted[key]
 
     def start(self, template: TemplateId, queries: Mapping[int, tuple[str, ...]]) -> None:
         questions = [q for per_claim in queries.values() for q in per_claim]

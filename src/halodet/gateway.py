@@ -17,13 +17,14 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Protocol
-
-import requests
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Protocol
 
 from .errors import AuthFailure, BackendUnavailable, PayloadTooLarge
 from .hashing import sha256_json
 from .prompts import RenderedPrompt
+
+if TYPE_CHECKING:
+    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -302,13 +303,56 @@ class MockModelBackend:
         return digest
 
 
-class HttpModelBackend:
+def _requests():
+    """The HTTP stack, imported on first use so offline runs never load it."""
+    import requests
+
+    return requests
+
+
+class _HttpJsonClient:
+    """Base of the live clients: one JSON POST per call.
+
+    ``requests`` loads on first use, so offline runs never import it. A
+    transport failure or a non-JSON body raises BackendUnavailable; a status
+    other than 200 raises its ``_status_errors`` class, else BackendUnavailable.
+    """
+
+    _status_errors: Mapping[int, type[Exception]] = {401: AuthFailure, 403: AuthFailure}
+
+    def __init__(self, endpoint: str, headers: dict[str, str], timeout: float,
+                 session: requests.Session | None) -> None:
+        self.endpoint = endpoint
+        self._headers = headers
+        self._timeout = timeout
+        self._session = session if session is not None else _requests().Session()
+
+    def _post(self, payload: dict) -> Any:
+        try:
+            response = self._session.post(
+                self.endpoint, json=payload, headers=self._headers, timeout=self._timeout
+            )
+        except _requests().RequestException as exc:  # evaluated only when post raises
+            raise BackendUnavailable(f"{self.endpoint} unreachable: {exc}") from exc
+        status = response.status_code
+        if status != 200:
+            error = self._status_errors.get(status, BackendUnavailable)
+            raise error(f"{self.endpoint} returned {status}")
+        try:
+            return response.json()
+        except ValueError as exc:
+            raise BackendUnavailable(f"{self.endpoint} returned a non-JSON body") from exc
+
+
+class HttpModelBackend(_HttpJsonClient):
     """Live backend spoken over HTTPS as a single JSON POST per request.
 
     Wire shape: ``{"model", "system", "user", "images": [...], "temperature",
     "max_output_tokens"}`` out, ``{"text": ...}`` back. Image attachments are
     passed by path/URL plus digest; uploading bytes is the endpoint's concern.
     """
+
+    _status_errors = {401: AuthFailure, 403: AuthFailure, 413: PayloadTooLarge}
 
     def __init__(
         self,
@@ -321,35 +365,20 @@ class HttpModelBackend:
     ) -> None:
         if not api_key:
             raise AuthFailure("model backend requires an API key")
-        self.endpoint = endpoint
+        super().__init__(endpoint, {"Authorization": f"Bearer {api_key}"}, timeout, session)
         self.model = model
         self.backend_id = backend_id or (model or endpoint)
-        self._timeout = timeout
-        self._session = session or requests.Session()
-        self._headers = {"Authorization": f"Bearer {api_key}"}
 
     def invoke(self, request: ModelRequest) -> str:
-        payload = {
+        body = self._post({
             "model": self.model,
             "system": request.prompt.system,
             "user": request.prompt.user,
             "images": [ref.to_json() for ref in request.prompt.attachments],
             "temperature": request.decode_params.temperature,
             "max_output_tokens": request.decode_params.max_output_tokens,
-        }
+        })
         try:
-            response = self._session.post(
-                self.endpoint, json=payload, headers=self._headers, timeout=self._timeout
-            )
-        except requests.RequestException as exc:
-            raise BackendUnavailable(f"model endpoint unreachable: {exc}") from exc
-        if response.status_code in (401, 403):
-            raise AuthFailure(f"model endpoint rejected credentials ({response.status_code})")
-        if response.status_code == 413:
-            raise PayloadTooLarge("model endpoint rejected request size")
-        if response.status_code != 200:
-            raise BackendUnavailable(f"model endpoint returned {response.status_code}")
-        try:
-            return str(response.json()["text"])
-        except (ValueError, KeyError) as exc:
-            raise BackendUnavailable(f"malformed model endpoint response: {exc}") from exc
+            return str(body["text"])
+        except (KeyError, TypeError) as exc:
+            raise BackendUnavailable(f"malformed model endpoint response: {exc!r}") from exc

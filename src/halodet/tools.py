@@ -18,12 +18,17 @@ import json
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol, Sequence
-
-import requests
+from typing import TYPE_CHECKING, Protocol, Sequence
 
 from .errors import AuthFailure, BackendUnavailable, InvalidImage, QuotaExceeded
-from .gateway import DecodeParams, ModelGateway, ModelRequest, PurposeTag, TokenBucket
+from .gateway import (
+    DecodeParams,
+    ModelGateway,
+    ModelRequest,
+    PurposeTag,
+    TokenBucket,
+    _HttpJsonClient,
+)
 from .hashing import sha256_json
 from .model import (
     AttributeEvidence,
@@ -35,6 +40,9 @@ from .model import (
     validate_norm_box,
 )
 from .prompts import SupplementalId, render
+
+if TYPE_CHECKING:
+    import requests
 
 NONE_INFORMATION = "none information"
 
@@ -424,16 +432,17 @@ def _normalize_box(raw: Sequence[float], width: float | None, height: float | No
     return NormBox(x1=x1, y1=y1, x2=x2, y2=y2)
 
 
-class _HttpToolClient:
+class _HttpToolClient(_HttpJsonClient):
     # Each live client carries its own admission rate limiter.
+    _status_errors = {401: AuthFailure, 403: AuthFailure, 422: InvalidImage,
+                      429: QuotaExceeded}
+
     def __init__(self, endpoint: str, api_key: str | None = None,
                  timeout: float = 30.0,
                  requests_per_minute: float | None = None,
                  session: requests.Session | None = None) -> None:
-        self.endpoint = endpoint
-        self._timeout = timeout
-        self._session = session or requests.Session()
-        self._headers = {"Authorization": f"Bearer {api_key}"} if api_key else {}
+        headers = {"Authorization": f"Bearer {api_key}"} if api_key else {}
+        super().__init__(endpoint, headers, timeout, session)
         self._rate_limiter = (
             TokenBucket(requests_per_minute) if requests_per_minute else None
         )
@@ -441,24 +450,7 @@ class _HttpToolClient:
     def _post(self, payload: dict) -> dict:
         if self._rate_limiter is not None:
             self._rate_limiter.acquire()
-        try:
-            response = self._session.post(
-                self.endpoint, json=payload, headers=self._headers, timeout=self._timeout
-            )
-        except requests.RequestException as exc:
-            raise BackendUnavailable(f"{self.endpoint} unreachable: {exc}") from exc
-        if response.status_code in (401, 403):
-            raise AuthFailure(f"{self.endpoint} rejected credentials")
-        if response.status_code == 422:
-            raise InvalidImage(f"{self.endpoint} rejected the image")
-        if response.status_code == 429:
-            raise QuotaExceeded(f"{self.endpoint} rate/quota limit hit")
-        if response.status_code != 200:
-            raise BackendUnavailable(f"{self.endpoint} returned {response.status_code}")
-        try:
-            return response.json()
-        except ValueError as exc:
-            raise BackendUnavailable(f"{self.endpoint} returned non-JSON body") from exc
+        return super()._post(payload)
 
 
 class HttpObjectDetector(_HttpToolClient):
@@ -519,8 +511,11 @@ class HttpSceneTextReader(_HttpToolClient):
         ]
 
 
-class HttpFactSearcher:
+class HttpFactSearcher(_HttpToolClient):
     """Web-search client speaking the serper.dev request/response shape."""
+
+    # Search sends no image, so a 422 is not InvalidImage.
+    _status_errors = {401: AuthFailure, 403: AuthFailure, 429: QuotaExceeded}
 
     def __init__(self, api_key: str, endpoint: str = "https://google.serper.dev/search",
                  timeout: float = 30.0,
@@ -528,35 +523,12 @@ class HttpFactSearcher:
                  session: requests.Session | None = None) -> None:
         if not api_key:
             raise AuthFailure("fact search requires an API key")
-        self.endpoint = endpoint
-        self.backend_id = f"search:{endpoint}"
-        self._timeout = timeout
-        self._session = session or requests.Session()
+        super().__init__(endpoint, None, timeout, requests_per_minute, session)
         self._headers = {"X-API-KEY": api_key, "Content-Type": "application/json"}
-        self._rate_limiter = (
-            TokenBucket(requests_per_minute) if requests_per_minute else None
-        )
+        self.backend_id = f"search:{endpoint}"
 
     def search(self, question: str, top_k: int) -> list[FactSnippet]:
-        if self._rate_limiter is not None:
-            self._rate_limiter.acquire()
-        try:
-            response = self._session.post(
-                self.endpoint, json={"q": question}, headers=self._headers,
-                timeout=self._timeout,
-            )
-        except requests.RequestException as exc:
-            raise BackendUnavailable(f"search endpoint unreachable: {exc}") from exc
-        if response.status_code in (401, 403):
-            raise AuthFailure("search endpoint rejected credentials")
-        if response.status_code == 429:
-            raise QuotaExceeded("search quota exhausted")
-        if response.status_code != 200:
-            raise BackendUnavailable(f"search endpoint returned {response.status_code}")
-        try:
-            body = response.json()
-        except ValueError as exc:
-            raise BackendUnavailable("search endpoint returned non-JSON body") from exc
+        body = self._post({"q": question})
         snippets = []
         for hit in body.get("organic", [])[:top_k]:
             text = str(hit.get("snippet", "")).strip()

@@ -277,6 +277,68 @@ class TestCacheContract:
         assert all(not r.cache_hit for r in result.trace)
 
 
+    def test_corrupt_entries_are_recomputed(self, tmp_path):
+        cache = DiskCache(tmp_path / "cache")
+
+        def run(run_id):
+            backends = _backends(detections=_ATHLETE_DETECTIONS)
+            gateway = table_gateway(_ATHLETE_RULES)
+            outcome = run_batch([_athlete_pair()], DetectionMethod.UNIHD, backends,
+                                gateway, cache=cache, width=1)
+            run_dir = write_run_dir(tmp_path, run_id, outcome, DetectionMethod.UNIHD, {})
+            calls = gateway.backend.calls + _tool_calls(backends)
+            return outcome, calls, (run_dir / "athlete.json").read_bytes()
+
+        _, _, cold_bytes = run("cold")
+        entries = {}
+        for entry in sorted((tmp_path / "cache" / "objects").glob("*/*.json")):
+            entries.setdefault(json.loads(entry.read_text())["key"]["tool_kind"], entry)
+        for kind in ("model", "object-detect"):
+            record = json.loads(entries[kind].read_text())
+            record["value"] = {"tampered": True}
+            entries[kind].write_text(json.dumps(record))
+
+        outcome, calls, rerun_bytes = run("rerun")
+        assert outcome.failures == []
+        assert calls == 2
+        assert rerun_bytes == cold_bytes
+
+        _, calls, third_bytes = run("third")
+        assert calls == 0
+        assert third_bytes == cold_bytes
+
+
+class TestSingleFlight:
+    def test_repeated_questions_in_a_pair_call_each_backend_once(self):
+        pair = ImageTextPair(
+            id="twins", task=TaskType.IMAGE_CAPTIONING, image=image_ref("twins"),
+            text="Two athletes in red.",
+            claims=(Claim(index=1, text="The first athlete wears red."),
+                    Claim(index=2, text="The second athlete wears red.")),
+        )
+        question, fact = "What color is the uniform?", "Who makes the uniform?"
+        rules = [
+            ("object extractor", '{"claim1":"athlete","claim2":"athlete"}'),
+            ("questions about attributes",
+             json.dumps({"claim1": [question], "claim2": [question]})),
+            ("questions about scene text", '{"claim1":["none"],"claim2":["none"]}'),
+            ("search engine questions", json.dumps({"claim1": [fact], "claim2": [fact]})),
+            ("hallucination judger", json.dumps([
+                {"claim1": "non-hallucination", "reason": "red"},
+                {"claim2": "non-hallucination", "reason": "red"},
+            ])),
+        ]
+        backends = _backends(detections=_ATHLETE_DETECTIONS,
+                             snippets=[FactSnippet("Maker", "A maker.", "https://m")])
+        result = run_detection(pair, DetectionMethod.UNIHD, backends, table_gateway(rules))
+        assert backends.attribute_answerer.calls == 1
+        assert backends.fact_searcher.calls == 1
+        assert backends.object_detector.calls == 1
+        assert [e.question for e in result.evidence.attributes] == [question, question]
+        assert [e.question for e in result.evidence.facts] == [fact, fact]
+        assert len([r for r in result.trace if r.stage.startswith("tool:")]) == 3
+
+
 def _rules_for(pair_id, verdict="non-hallucination"):
     return [
         ("object extractor", '{"claim1":"none"}'),

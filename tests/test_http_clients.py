@@ -6,6 +6,7 @@ from __future__ import annotations
 import os
 
 import pytest
+import requests
 
 from conftest import image_ref
 from halodet.errors import (
@@ -39,12 +40,16 @@ class FakeResponse:
 
 
 class FakeSession:
-    def __init__(self, response: FakeResponse):
+    """Answers every POST with ``response``, or raises it when it is an exception."""
+
+    def __init__(self, response: FakeResponse | Exception):
         self.response = response
         self.requests = []
 
     def post(self, url, json=None, headers=None, timeout=None):
         self.requests.append({"url": url, "json": json, "headers": headers})
+        if isinstance(self.response, Exception):
+            raise self.response
         return self.response
 
 
@@ -146,6 +151,45 @@ class TestHttpFactSearcher:
         searcher = HttpFactSearcher("key", session=FakeSession(FakeResponse(200)))
         with pytest.raises(BackendUnavailable):
             search_facts(searcher, "q", 3)
+
+
+@pytest.mark.parametrize("error", [
+    requests.ConnectionError("connection refused"),
+    requests.Timeout("read timed out"),
+], ids=["connection-error", "timeout"])
+@pytest.mark.parametrize("call", [
+    lambda s: HttpModelBackend("https://model.example", api_key="k", session=s)
+    .invoke(_request()),
+    lambda s: detect_objects(HttpObjectDetector("https://det.example", session=s),
+                             image_ref("a"), ["cat"]),
+    lambda s: read_scene_text(HttpSceneTextReader("https://ocr.example", session=s),
+                              image_ref("a")),
+    lambda s: search_facts(HttpFactSearcher("key", session=s), "q", 3),
+], ids=["model", "detector", "scene-text", "search"])
+def test_transport_error_is_backend_unavailable(call, error):
+    with pytest.raises(BackendUnavailable) as raised:
+        call(FakeSession(error))
+    assert raised.value.__cause__ is error
+
+
+@pytest.mark.parametrize("status, error", [
+    (401, AuthFailure), (422, BackendUnavailable), (500, BackendUnavailable),
+])
+def test_search_status_mapping(status, error):
+    searcher = HttpFactSearcher("key", session=FakeSession(FakeResponse(status)))
+    with pytest.raises(error):
+        search_facts(searcher, "q", 3)
+
+
+@pytest.mark.parametrize("status, error", [
+    (403, AuthFailure), (422, InvalidImage), (429, QuotaExceeded),
+    (413, BackendUnavailable),
+])
+def test_tool_status_mapping(status, error):
+    reader = HttpSceneTextReader("https://ocr.example",
+                                 session=FakeSession(FakeResponse(status)))
+    with pytest.raises(error):
+        read_scene_text(reader, image_ref("a"))
 
 
 # --- opt-in live contract tests ------------------------------------------------------
