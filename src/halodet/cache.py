@@ -13,7 +13,7 @@ import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 from .errors import StoreCorrupt
 from .hashing import sha256_json
@@ -43,6 +43,33 @@ class CacheKey:
         if self.tool_kind in _IMAGE_BOUND_KINDS and not self.image_digest:
             raise ValueError(f"{self.tool_kind} keys require an image digest")
 
+    # One builder per backend family: the executor's cache and the mock
+    # backends address the same call through the same key.
+
+    @classmethod
+    def object_detect(cls, image_digest: str, labels: Iterable[str],
+                      backend_id: str) -> CacheKey:
+        """Detection of a label vocabulary; label case and order do not matter."""
+        vocabulary = ",".join(sorted({label.lower() for label in labels}))
+        return cls("object-detect", vocabulary, image_digest, backend_id)
+
+    @classmethod
+    def scene_text(cls, image_digest: str, backend_id: str) -> CacheKey:
+        return cls("scene-text", "full-image", image_digest, backend_id)
+
+    @classmethod
+    def attribute(cls, image_digest: str, question: str, backend_id: str) -> CacheKey:
+        return cls("attribute", question.strip(), image_digest, backend_id)
+
+    @classmethod
+    def fact_search(cls, question: str, top_k: int, backend_id: str) -> CacheKey:
+        return cls("fact-search", f"{question.strip()} [top_k={top_k}]", "", backend_id)
+
+    @classmethod
+    def model(cls, request_digest: str, backend_id: str) -> CacheKey:
+        """A model request, named by its ``gateway.request_digest``."""
+        return cls("model", request_digest, "", backend_id)
+
     def digest(self) -> str:
         return sha256_json({
             "tool_kind": self.tool_kind,
@@ -68,23 +95,33 @@ class DiskCache:
         return self._objects / digest[:2] / f"{digest}.json"
 
     def get(self, key: CacheKey) -> tuple[bool, Any]:
-        """Look up a key; returns (hit, value). Tampered entries raise."""
+        """Look up a key; returns (hit, value).
+
+        A tampered entry counts as a miss, then raises StoreCorrupt.
+        """
         path = self._path(key)
         if not path.exists():
-            with self._lock:
-                self.misses += 1
+            self._count(hit=False)
             return False, None
         try:
             record = json.loads(path.read_text("utf-8"))
             value = record["value"]
             stored_digest = record["value_sha256"]
         except (ValueError, KeyError) as exc:
+            self._count(hit=False)
             raise StoreCorrupt(f"unreadable cache entry {path.name}: {exc}") from exc
         if sha256_json(value) != stored_digest:
+            self._count(hit=False)
             raise StoreCorrupt(f"cache entry {path.name} failed its integrity check")
-        with self._lock:
-            self.hits += 1
+        self._count(hit=True)
         return True, value
+
+    def _count(self, hit: bool) -> None:
+        with self._lock:
+            if hit:
+                self.hits += 1
+            else:
+                self.misses += 1
 
     def put(self, key: CacheKey, value: Any) -> None:
         path = self._path(key)

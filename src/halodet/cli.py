@@ -212,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="detection method (default unihd)")
     detect.add_argument("--backend", choices=["mock", "live"],
                         help="model/tool backend kind (default mock)")
-    detect.add_argument("--fixtures", help="mock fixture directory")
+    detect.add_argument("--fixtures", help="mock fixture store (a cache directory)")
     detect.add_argument("--out", help="parent directory for run output (default results)")
     detect.add_argument("--run-id", dest="run_id", help="run directory name")
     detect.add_argument("--width", type=int, help="parallel pairs (default 4)")

@@ -14,6 +14,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
 
+from .cache import DiskCache
 from .errors import ConfigInvalid
 from .gateway import HttpModelBackend, MockModelBackend, ModelGateway
 from .model import ImageRef, Label, Verdict
@@ -195,7 +196,7 @@ def build_gateway(config: RunConfig, env: dict[str, str] | None = None) -> Model
     if config.backend == "mock":
         if not Path(config.fixtures).is_dir():
             raise ConfigInvalid(f"fixture directory not found: {config.fixtures}")
-        backend = MockModelBackend(fixture_dir=Path(config.fixtures) / "model")
+        backend = MockModelBackend(DiskCache(config.fixtures))
     else:
         api_key = env.get(MODEL_API_KEY_ENV, "")
         if not api_key:

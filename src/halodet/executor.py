@@ -130,6 +130,7 @@ class PairFailure:
             "pair_id": self.pair_id,
             "error_type": self.error_type,
             "message": self.message,
+            "trace": [record.to_json() for record in self.trace],
         }
 
 
@@ -190,12 +191,7 @@ class _InstrumentedGateway:
             retry = digest in self._seen
             self._seen.add(digest)
         cacheable = self._cache is not None and request.decode_params.temperature == 0
-        key = CacheKey(
-            tool_kind="model",
-            canonical_query=digest,
-            image_digest="",
-            backend_id=self._gateway.backend.backend_id,
-        )
+        key = CacheKey.model(digest, self._gateway.backend.backend_id)
         started = time.monotonic()
         if cacheable and not retry:
             hit, value = _cache_get(self._cache, key)
@@ -308,8 +304,7 @@ class _ToolCalls:
 
     def _detect(self, labels: list[str]) -> Future:
         image, detector = self._image, self._backends.object_detector
-        key = CacheKey("object-detect", ",".join(sorted(labels)), image.digest,
-                       detector.backend_id)
+        key = CacheKey.object_detect(image.digest, labels, detector.backend_id)
         return self._submit(
             "tool:object-detect", key,
             lambda: detect_objects(detector, image, labels),
@@ -319,7 +314,7 @@ class _ToolCalls:
 
     def _read(self) -> Future:
         image, reader = self._image, self._backends.scene_text_reader
-        key = CacheKey("scene-text", "full-image", image.digest, reader.backend_id)
+        key = CacheKey.scene_text(image.digest, reader.backend_id)
         return self._submit(
             "tool:scene-text", key,
             lambda: read_scene_text(reader, image),
@@ -329,7 +324,7 @@ class _ToolCalls:
 
     def _answer(self, question: str) -> Future:
         image, answerer = self._image, self._backends.attribute_answerer
-        key = CacheKey("attribute", question.strip(), image.digest, answerer.backend_id)
+        key = CacheKey.attribute(image.digest, question, answerer.backend_id)
         return self._submit(
             "tool:attribute", key,
             lambda: answerer.answer(image, question),
@@ -339,8 +334,7 @@ class _ToolCalls:
 
     def _search(self, question: str) -> Future:
         searcher, top_k = self._backends.fact_searcher, self._fact_top_k
-        key = CacheKey("fact-search", f"{question.strip()} [top_k={top_k}]", "",
-                       searcher.backend_id)
+        key = CacheKey.fact_search(question, top_k, searcher.backend_id)
 
         def compute() -> FactEvidence:
             snippets = search_facts(searcher, question, top_k)

@@ -1,10 +1,9 @@
 """Uniform client contract for the underlying multimodal model.
 
 One entry point, :meth:`ModelGateway.complete`, fronts whichever backend is
-configured: a live HTTPS endpoint or a deterministic mock keyed by request
-digest. The gateway owns retry (transient failures only) and admission-side
-rate limiting; it never parses model output, which belongs to the pipeline
-stage that issued the request.
+configured: a live HTTPS endpoint or a deterministic mock replaying a cache
+store. The gateway owns retry (transient failures only); it never parses
+model output, which belongs to the pipeline stage that issued the request.
 """
 
 from __future__ import annotations
@@ -19,6 +18,7 @@ from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Protocol
 
+from .cache import CacheKey, DiskCache
 from .errors import AuthFailure, BackendUnavailable, PayloadTooLarge
 from .hashing import sha256_json
 from .prompts import RenderedPrompt
@@ -76,7 +76,7 @@ def request_digest(request: ModelRequest) -> str:
     """Content identity of a request: prompt bytes, image digests, decoding.
 
     The purpose tag is deliberately excluded: two stages sending identical
-    prompts must map to the same mock fixture and cache slot.
+    prompts must map to the same cache entry.
     """
     return sha256_json({
         "system": request.prompt.system,
@@ -109,54 +109,19 @@ class RetryPolicy:
         return base * (1.0 + rng.uniform(-self.jitter, self.jitter))
 
 
-class TokenBucket:
-    """Thread-safe token bucket; serializes admission, not execution."""
-
-    def __init__(
-        self,
-        requests_per_minute: float,
-        burst: int | None = None,
-        clock: Callable[[], float] = time.monotonic,
-        sleep: Callable[[float], None] = time.sleep,
-    ) -> None:
-        if requests_per_minute <= 0:
-            raise ValueError("requests_per_minute must be > 0")
-        self._rate = requests_per_minute / 60.0
-        self._capacity = float(burst if burst is not None else max(1, int(requests_per_minute)))
-        self._tokens = self._capacity
-        self._clock = clock
-        self._sleep = sleep
-        self._updated = clock()
-        self._lock = threading.Lock()
-
-    def acquire(self) -> None:
-        while True:
-            with self._lock:
-                now = self._clock()
-                self._tokens = min(self._capacity, self._tokens + (now - self._updated) * self._rate)
-                self._updated = now
-                if self._tokens >= 1.0:
-                    self._tokens -= 1.0
-                    return
-                wait = (1.0 - self._tokens) / self._rate
-            self._sleep(wait)
-
-
 class ModelGateway:
-    """Retry/rate-limit wrapper around a backend, safe for concurrent calls."""
+    """Retry wrapper around a backend, safe for concurrent calls."""
 
     def __init__(
         self,
         backend: ModelBackend,
         retry: RetryPolicy = RetryPolicy(),
-        rate_limiter: TokenBucket | None = None,
         request_log: str | Path | None = None,
         sleep: Callable[[float], None] = time.sleep,
         rng: random.Random | None = None,
     ) -> None:
         self.backend = backend
         self.retry = retry
-        self.rate_limiter = rate_limiter
         self._request_log = Path(request_log) if request_log is not None else None
         self._sleep = sleep
         self._rng = rng if rng is not None else random.Random()
@@ -169,9 +134,6 @@ class ModelGateway:
         whitespace strip. AuthFailure and PayloadTooLarge are never retried;
         BackendUnavailable is retried up to the policy limit, then re-raised.
         """
-        if self.rate_limiter is not None:
-            self.rate_limiter.acquire()
-
         started = time.monotonic()
         attempt = 0
         while True:
@@ -244,63 +206,28 @@ class ScriptedModelBackend:
 
 
 class MockModelBackend:
-    """Deterministic replay backend keyed by request digest.
+    """Deterministic replay of recorded replies from a read-only cache store.
 
-    Responses come either from an in-memory mapping or from a fixture
-    directory of ``<digest>.json`` files holding ``{"text": ...}``. A request
-    whose digest has no fixture is an error, since a model reply cannot be
-    defaulted.
+    A request is looked up under the executor's own model cache key, so a
+    store recorded by ``run_batch(..., cache=DiskCache(root))`` replays as is.
+    A request with no entry is an error, since a model reply cannot be
+    defaulted; a tampered entry raises StoreCorrupt.
     """
 
-    def __init__(
-        self,
-        fixture_dir: str | Path | None = None,
-        responses: dict[str, str] | None = None,
-        backend_id: str = "mock-model",
-    ) -> None:
-        if fixture_dir is None and responses is None:
-            raise ValueError("need a fixture directory or a response mapping")
-        self._fixture_dir = Path(fixture_dir) if fixture_dir is not None else None
-        self._responses = dict(responses) if responses is not None else {}
-        self.backend_id = backend_id
-        self.calls = 0
-        self._lock = threading.Lock()
+    backend_id = "mock-model"
+
+    def __init__(self, store: DiskCache) -> None:
+        self._store = store
 
     def invoke(self, request: ModelRequest) -> str:
-        with self._lock:
-            self.calls += 1
         digest = request_digest(request)
-        if digest in self._responses:
-            return self._responses[digest]
-        if self._fixture_dir is not None:
-            path = self._fixture_dir / f"{digest}.json"
-            if path.exists():
-                return json.loads(path.read_text("utf-8"))["text"]
-        raise BackendUnavailable(
-            f"no mock fixture for request digest {digest} "
-            f"(purpose {request.purpose_tag.value})"
-        )
-
-    @staticmethod
-    def write_fixture(
-        fixture_dir: str | Path,
-        request: ModelRequest,
-        text: str,
-        note: str = "",
-    ) -> str:
-        """Materialize one fixture file; returns the request digest."""
-        digest = request_digest(request)
-        directory = Path(fixture_dir)
-        directory.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "text": text,
-            "purpose": request.purpose_tag.value,
-            "note": note,
-        }
-        (directory / f"{digest}.json").write_text(
-            json.dumps(payload, ensure_ascii=False, indent=2) + "\n", "utf-8"
-        )
-        return digest
+        hit, value = self._store.get(CacheKey.model(digest, self.backend_id))
+        if not hit:
+            raise BackendUnavailable(
+                f"no mock entry for request digest {digest} "
+                f"(purpose {request.purpose_tag.value})"
+            )
+        return value["text"]
 
 
 def _requests():

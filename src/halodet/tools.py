@@ -2,8 +2,9 @@
 
 Each family (object detection, attribute answering, scene-text reading,
 fact search) has a protocol, a live HTTP client, a deterministic mock
-keyed by request digest, and a null implementation that always returns
-nothing (so ablations are a config change). The module-level operations
+replaying a cache store under the executor's own keys, and a null
+implementation that always returns nothing (so ablations are a config
+change). The module-level operations
 (:func:`detect_objects` etc.) enforce the family's postconditions (label
 vocabulary, box validity, deterministic ordering) regardless of backend.
 
@@ -14,22 +15,13 @@ text blocks the verification prompts bind; empty families render exactly
 
 from __future__ import annotations
 
-import json
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Protocol, Sequence
 
-from .errors import AuthFailure, BackendUnavailable, InvalidImage, QuotaExceeded
-from .gateway import (
-    DecodeParams,
-    ModelGateway,
-    ModelRequest,
-    PurposeTag,
-    TokenBucket,
-    _HttpJsonClient,
-)
-from .hashing import sha256_json
+from .cache import CacheKey, DiskCache
+from .errors import AuthFailure, InvalidImage, QuotaExceeded
+from .gateway import DecodeParams, ModelGateway, ModelRequest, PurposeTag, _HttpJsonClient
 from .model import (
     AttributeEvidence,
     EvidenceBundle,
@@ -37,6 +29,7 @@ from .model import (
     NormBox,
     ObjectEvidence,
     SceneTextEvidence,
+    evidence_from_json,
     validate_norm_box,
 )
 from .prompts import SupplementalId, render
@@ -243,140 +236,58 @@ def format_evidence_sections(evidence: EvidenceBundle) -> dict[str, str]:
 
 # --- mock backends ------------------------------------------------------------
 
-# Mock fixtures may carry {"error": <name>} to script a failure instead of
-# returning evidence.
-_SCRIPTED_ERRORS = {
-    "invalid-image": InvalidImage,
-    "unavailable": BackendUnavailable,
-    "quota": QuotaExceeded,
-}
-
-
-def object_detect_key(image: ImageRef, labels: Sequence[str]) -> str:
-    return sha256_json({
-        "tool": "object-detect",
-        "image": image.digest,
-        "labels": sorted({label.lower() for label in labels}),
-    })
-
-
-def scene_text_key(image: ImageRef) -> str:
-    return sha256_json({"tool": "scene-text", "image": image.digest})
-
-
-def fact_search_key(question: str) -> str:
-    return sha256_json({"tool": "fact-search", "question": question.strip()})
-
-
-def attribute_key(image: ImageRef, question: str) -> str:
-    return sha256_json({
-        "tool": "attribute",
-        "image": image.digest,
-        "question": question.strip(),
-    })
-
 
 class _MockTool:
-    """Shared fixture-lookup behavior: a missing fixture means no evidence."""
+    """Replays a read-only cache store: a missing entry means no evidence.
 
-    def __init__(self, fixture_dir: str | Path | None, table: dict | None,
-                 backend_id: str) -> None:
-        self._fixture_dir = Path(fixture_dir) if fixture_dir is not None else None
-        self._table = dict(table) if table is not None else {}
-        self.backend_id = backend_id
-        self.calls = 0
-        self._lock = threading.Lock()
+    Entries are looked up under the executor's own cache keys, so a store
+    recorded by ``run_batch(..., cache=DiskCache(root))`` replays as is. A
+    tampered entry raises StoreCorrupt.
+    """
 
-    def _lookup(self, digest: str):
-        with self._lock:
-            self.calls += 1
-        if digest in self._table:
-            return self._table[digest]
-        if self._fixture_dir is not None:
-            path = self._fixture_dir / f"{digest}.json"
-            if path.exists():
-                payload = json.loads(path.read_text("utf-8"))
-                error = payload.get("error")
-                if error is not None:
-                    raise _SCRIPTED_ERRORS[error](f"scripted {error} failure")
-                return payload["items"]
-        return None
+    def __init__(self, store: DiskCache) -> None:
+        self._store = store
 
-    @staticmethod
-    def write_fixture(fixture_dir: str | Path, digest: str, items,
-                      note: str = "") -> None:
-        directory = Path(fixture_dir)
-        directory.mkdir(parents=True, exist_ok=True)
-        payload = {"items": items, "note": note}
-        (directory / f"{digest}.json").write_text(
-            json.dumps(payload, ensure_ascii=False, indent=2) + "\n", "utf-8"
-        )
+    def _lookup(self, key: CacheKey):
+        hit, value = self._store.get(key)
+        return value if hit else None
 
 
 class MockObjectDetector(_MockTool):
-    def __init__(self, fixture_dir: str | Path | None = None,
-                 table: dict[str, list[ObjectEvidence]] | None = None) -> None:
-        super().__init__(fixture_dir, table, "mock-object-detector")
+    backend_id = "mock-object-detector"
 
     def detect(self, image: ImageRef, labels: Sequence[str]) -> list[ObjectEvidence]:
-        items = self._lookup(object_detect_key(image, labels))
-        if items is None:
-            return []
-        return [
-            item if isinstance(item, ObjectEvidence)
-            else ObjectEvidence(label=item["label"], box=NormBox.from_json(item["box"]))
-            for item in items
-        ]
+        items = self._lookup(CacheKey.object_detect(image.digest, labels, self.backend_id))
+        return [evidence_from_json(item) for item in items or ()]
 
 
 class MockSceneTextReader(_MockTool):
-    def __init__(self, fixture_dir: str | Path | None = None,
-                 table: dict[str, list[SceneTextEvidence]] | None = None) -> None:
-        super().__init__(fixture_dir, table, "mock-scene-text")
+    backend_id = "mock-scene-text"
 
     def read(self, image: ImageRef) -> list[SceneTextEvidence]:
-        items = self._lookup(scene_text_key(image))
-        if items is None:
-            return []
-        return [
-            item if isinstance(item, SceneTextEvidence)
-            else SceneTextEvidence(text=item["text"], box=NormBox.from_json(item["box"]))
-            for item in items
-        ]
+        items = self._lookup(CacheKey.scene_text(image.digest, self.backend_id))
+        return [evidence_from_json(item) for item in items or ()]
 
 
 class MockFactSearcher(_MockTool):
-    def __init__(self, fixture_dir: str | Path | None = None,
-                 table: dict[str, list[FactSnippet]] | None = None) -> None:
-        super().__init__(fixture_dir, table, "mock-fact-search")
+    """Replays recorded snippet lines; :func:`fact_snippet_line` maps each back."""
+
+    backend_id = "mock-fact-search"
 
     def search(self, question: str, top_k: int) -> list[FactSnippet]:
-        items = self._lookup(fact_search_key(question))
-        if items is None:
+        fact = self._lookup(CacheKey.fact_search(question, top_k, self.backend_id))
+        if fact is None:
             return []
-        snippets = [
-            item if isinstance(item, FactSnippet)
-            else FactSnippet(title=item["title"], snippet=item["snippet"],
-                             source_url=item["source_url"])
-            for item in items
-        ]
-        return snippets[:top_k]
+        return [FactSnippet("", line, "") for line in fact["snippets"]]
 
 
 class MockAttributeAnswerer(_MockTool):
-    def __init__(self, fixture_dir: str | Path | None = None,
-                 table: dict[str, str] | None = None) -> None:
-        super().__init__(fixture_dir, table, "mock-attribute")
+    backend_id = "mock-attribute"
 
     def answer(self, image: ImageRef, question: str) -> AttributeEvidence:
-        answer = self._lookup(attribute_key(image, question))
-        if answer is None:
-            return AttributeEvidence(question=question, answer=NONE_INFORMATION)
-        return AttributeEvidence(question=question, answer=str(answer))
-
-    @staticmethod
-    def write_answer(fixture_dir: str | Path, digest: str, answer: str) -> None:
-        _MockTool.write_fixture(fixture_dir, digest, answer)
+        stored = self._lookup(CacheKey.attribute(image.digest, question, self.backend_id))
+        answer = stored["answer"] if stored is not None else NONE_INFORMATION
+        return AttributeEvidence(question=question, answer=answer)
 
 
 class GatewayAttributeAnswerer:
@@ -433,24 +344,14 @@ def _normalize_box(raw: Sequence[float], width: float | None, height: float | No
 
 
 class _HttpToolClient(_HttpJsonClient):
-    # Each live client carries its own admission rate limiter.
     _status_errors = {401: AuthFailure, 403: AuthFailure, 422: InvalidImage,
                       429: QuotaExceeded}
 
     def __init__(self, endpoint: str, api_key: str | None = None,
                  timeout: float = 30.0,
-                 requests_per_minute: float | None = None,
                  session: requests.Session | None = None) -> None:
         headers = {"Authorization": f"Bearer {api_key}"} if api_key else {}
         super().__init__(endpoint, headers, timeout, session)
-        self._rate_limiter = (
-            TokenBucket(requests_per_minute) if requests_per_minute else None
-        )
-
-    def _post(self, payload: dict) -> dict:
-        if self._rate_limiter is not None:
-            self._rate_limiter.acquire()
-        return super()._post(payload)
 
 
 class HttpObjectDetector(_HttpToolClient):
@@ -464,9 +365,8 @@ class HttpObjectDetector(_HttpToolClient):
     def __init__(self, endpoint: str, api_key: str | None = None,
                  threshold: float = DEFAULT_DETECTOR_THRESHOLD,
                  timeout: float = 30.0,
-                 requests_per_minute: float | None = None,
                  session: requests.Session | None = None) -> None:
-        super().__init__(endpoint, api_key, timeout, requests_per_minute, session)
+        super().__init__(endpoint, api_key, timeout, session)
         self.threshold = threshold
         self.backend_id = f"detector:{endpoint}"
 
@@ -495,9 +395,8 @@ class HttpSceneTextReader(_HttpToolClient):
 
     def __init__(self, endpoint: str, api_key: str | None = None,
                  timeout: float = 30.0,
-                 requests_per_minute: float | None = None,
                  session: requests.Session | None = None) -> None:
-        super().__init__(endpoint, api_key, timeout, requests_per_minute, session)
+        super().__init__(endpoint, api_key, timeout, session)
         self.backend_id = f"scene-text:{endpoint}"
 
     def read(self, image: ImageRef) -> list[SceneTextEvidence]:
@@ -519,11 +418,10 @@ class HttpFactSearcher(_HttpToolClient):
 
     def __init__(self, api_key: str, endpoint: str = "https://google.serper.dev/search",
                  timeout: float = 30.0,
-                 requests_per_minute: float | None = None,
                  session: requests.Session | None = None) -> None:
         if not api_key:
             raise AuthFailure("fact search requires an API key")
-        super().__init__(endpoint, None, timeout, requests_per_minute, session)
+        super().__init__(endpoint, None, timeout, session)
         self._headers = {"X-API-KEY": api_key, "Content-Type": "application/json"}
         self.backend_id = f"search:{endpoint}"
 
@@ -542,12 +440,12 @@ class HttpFactSearcher(_HttpToolClient):
         return snippets
 
 
-def mock_backend_set(fixture_dir: str | Path) -> ToolBackendSet:
-    """All four tools reading from one fixture directory tree."""
-    root = Path(fixture_dir)
+def mock_backend_set(store_dir: str | Path) -> ToolBackendSet:
+    """All four tools replaying one cache store."""
+    store = DiskCache(store_dir)
     return ToolBackendSet(
-        object_detector=MockObjectDetector(fixture_dir=root / "object"),
-        attribute_answerer=MockAttributeAnswerer(fixture_dir=root / "attribute"),
-        scene_text_reader=MockSceneTextReader(fixture_dir=root / "scene_text"),
-        fact_searcher=MockFactSearcher(fixture_dir=root / "facts"),
+        object_detector=MockObjectDetector(store),
+        attribute_answerer=MockAttributeAnswerer(store),
+        scene_text_reader=MockSceneTextReader(store),
+        fact_searcher=MockFactSearcher(store),
     )

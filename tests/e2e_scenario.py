@@ -3,15 +3,15 @@
 Three image-to-text and three text-to-image pairs, including the two
 verification worked examples (the four-people beach scene and the misspelled
 'worlld' car). Every model reply and tool result is scripted here;
-``materialize_fixtures`` replays the pipeline once with recording backends
-and writes the digest-keyed mock fixture tree that ``detect --backend mock``
-consumes.
+``materialize_fixtures`` replays the pipeline once per method with recording
+backends through an ordinary cache, which is the fixture store that
+``detect --backend mock`` replays.
 
 Standalone use:
 
     python3 tests/e2e_scenario.py --out /tmp/halodet-e2e
 
-writes ``bench.json``, ``demos.json``, and the ``mock/`` fixture tree.
+writes ``bench.json``, ``demos.json``, and the ``mock/`` fixture store.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from halodet.bench import BenchmarkFile, save
-from halodet.gateway import ModelGateway, MockModelBackend
+from halodet.cache import DiskCache
+from halodet.gateway import MockModelBackend, ModelGateway
 from halodet.hashing import sha256_text
 from halodet.model import (
     AttributeEvidence,
@@ -46,10 +47,6 @@ from halodet.tools import (
     MockObjectDetector,
     MockSceneTextReader,
     ToolBackendSet,
-    attribute_key,
-    fact_search_key,
-    object_detect_key,
-    scene_text_key,
 )
 
 H = "hallucinatory"
@@ -490,16 +487,17 @@ def demos_json() -> list[dict]:
 
 
 # --- recording backends ------------------------------------------------------------
+# Each carries the backend id of the mock that replays it, so the cache
+# entries a recording run writes are the entries the mocks look up.
 
 
 class RecordingModelBackend:
-    """Answers from the scripts and writes each reply as a mock fixture."""
+    """Answers from the scripts."""
 
-    backend_id = "mock-model"
+    backend_id = MockModelBackend.backend_id
 
-    def __init__(self, scripts: list[PairScript], out_dir: Path) -> None:
+    def __init__(self, scripts: list[PairScript]) -> None:
         self._scripts = scripts
-        self._out = out_dir / "model"
 
     def _script_for(self, user_text: str) -> PairScript:
         # The pair under test is the one whose full rendered claim list sits
@@ -540,101 +538,81 @@ class RecordingModelBackend:
                 raise AssertionError("unrecognized formulation prompt")
         else:
             raise AssertionError(f"unexpected purpose {purpose}")
-        MockModelBackend.write_fixture(self._out, request, reply,
-                                       note=f"{script.pair.id} {purpose}")
         return reply
 
 
 class RecordingDetector:
-    backend_id = "mock-object-detector"
+    backend_id = MockObjectDetector.backend_id
 
-    def __init__(self, scripts: list[PairScript], out_dir: Path) -> None:
+    def __init__(self, scripts: list[PairScript]) -> None:
         self._by_digest = {s.pair.image.digest: s for s in scripts}
-        self._out = out_dir / "object"
 
     def detect(self, image_ref, labels):
-        script = self._by_digest[image_ref.digest]
-        MockObjectDetector.write_fixture(
-            self._out, object_detect_key(image_ref, labels),
-            [e.to_json() for e in script.detections], note=script.pair.id)
-        return list(script.detections)
+        return list(self._by_digest[image_ref.digest].detections)
 
 
 class RecordingReader:
-    backend_id = "mock-scene-text"
+    backend_id = MockSceneTextReader.backend_id
 
-    def __init__(self, scripts: list[PairScript], out_dir: Path) -> None:
+    def __init__(self, scripts: list[PairScript]) -> None:
         self._by_digest = {s.pair.image.digest: s for s in scripts}
-        self._out = out_dir / "scene_text"
 
     def read(self, image_ref):
-        script = self._by_digest[image_ref.digest]
-        MockSceneTextReader.write_fixture(
-            self._out, scene_text_key(image_ref),
-            [e.to_json() for e in script.scene_lines], note=script.pair.id)
-        return list(script.scene_lines)
+        return list(self._by_digest[image_ref.digest].scene_lines)
 
 
 class RecordingAnswerer:
-    backend_id = "mock-attribute"
+    backend_id = MockAttributeAnswerer.backend_id
 
-    def __init__(self, scripts: list[PairScript], out_dir: Path) -> None:
+    def __init__(self, scripts: list[PairScript]) -> None:
         self._by_digest = {s.pair.image.digest: s for s in scripts}
-        self._out = out_dir / "attribute"
 
     def answer(self, image_ref, question):
-        script = self._by_digest[image_ref.digest]
-        answer = script.attribute_answers[question]
-        MockAttributeAnswerer.write_answer(
-            self._out, attribute_key(image_ref, question), answer)
+        answer = self._by_digest[image_ref.digest].attribute_answers[question]
         return AttributeEvidence(question=question, answer=answer)
 
 
 class RecordingSearcher:
-    backend_id = "mock-fact-search"
+    backend_id = MockFactSearcher.backend_id
 
-    def __init__(self, scripts: list[PairScript], out_dir: Path) -> None:
+    def __init__(self, scripts: list[PairScript]) -> None:
         self._questions = {}
         for script in scripts:
             self._questions.update(script.fact_results)
-        self._out = out_dir / "facts"
 
     def search(self, question, top_k):
-        snippets = self._questions[question]
-        MockFactSearcher.write_fixture(
-            self._out, fact_search_key(question),
-            [s.__dict__ for s in snippets])
-        return list(snippets)[:top_k]
+        return list(self._questions[question])[:top_k]
 
 
-def materialize_fixtures(out_dir: str | Path) -> None:
-    """Replay the scenario once per method, writing the mock fixture tree."""
+def materialize_fixtures(out_dir: str | Path) -> int:
+    """Replay the scenario once per method through a cache at ``out_dir``.
+
+    The cache is the mock fixture store; returns its entry count. Fact
+    entries are recorded at the default ``fact_top_k``.
+    """
     from halodet.executor import run_batch
 
-    out_dir = Path(out_dir)
     scripts = build_scripts()
     pairs = [script.pair for script in scripts]
     backends = ToolBackendSet(
-        object_detector=RecordingDetector(scripts, out_dir),
-        attribute_answerer=RecordingAnswerer(scripts, out_dir),
-        scene_text_reader=RecordingReader(scripts, out_dir),
-        fact_searcher=RecordingSearcher(scripts, out_dir),
+        object_detector=RecordingDetector(scripts),
+        attribute_answerer=RecordingAnswerer(scripts),
+        scene_text_reader=RecordingReader(scripts),
+        fact_searcher=RecordingSearcher(scripts),
     )
-    gateway = ModelGateway(RecordingModelBackend(scripts, out_dir),
-                           sleep=lambda _: None)
+    gateway = ModelGateway(RecordingModelBackend(scripts), sleep=lambda _: None)
+    store = DiskCache(out_dir)
     for method, demos in (
         (DetectionMethod.UNIHD, ()),
         (DetectionMethod.SELF_CHECK_0SHOT, ()),
         (DetectionMethod.SELF_CHECK_2SHOT, build_demos()),
     ):
-        outcome = run_batch(pairs, method, backends, gateway, width=1,
+        outcome = run_batch(pairs, method, backends, gateway, cache=store, width=1,
                             demonstrations=demos)
         if not outcome.ok:
             failures = [(f.pair_id, f.message) for f in outcome.failures]
             raise AssertionError(f"scenario replay failed: {failures}")
-    # Ensure the tool fixture directories exist even if a family went unused.
-    for family in ("model", "object", "attribute", "scene_text", "facts"):
-        (out_dir / family).mkdir(parents=True, exist_ok=True)
+    return store.entry_count()
 
 
 def main() -> None:
@@ -646,8 +624,9 @@ def main() -> None:
     save(build_benchmark(), out / "bench.json")
     (out / "demos.json").write_text(
         json.dumps(demos_json(), ensure_ascii=False, indent=2) + "\n", "utf-8")
-    materialize_fixtures(out / "mock")
-    print(f"wrote benchmark, demos, and mock fixtures under {out}")
+    entries = materialize_fixtures(out / "mock")
+    print(f"wrote benchmark, demos, and a mock fixture store of {entries} entries "
+          f"under {out}")
 
 
 if __name__ == "__main__":

@@ -9,6 +9,9 @@ import pytest
 
 from halodet.cache import CacheKey, DiskCache
 from halodet.errors import StoreCorrupt
+from halodet.gateway import ModelRequest, request_digest
+from halodet.hashing import sha256_text
+from halodet.prompts import RenderedPrompt
 
 
 def _key(query: str = "where is it?") -> CacheKey:
@@ -35,6 +38,31 @@ class TestCacheKey:
         with pytest.raises(ValueError):
             CacheKey(tool_kind="", canonical_query="q", image_digest="", backend_id="b")
 
+    def test_family_builders_keep_existing_digests(self):
+        # Digests of keys already on disk: a drift would orphan every cache
+        # and every recorded mock fixture store.
+        def image(name):
+            return sha256_text(f"image-bytes:{name}")
+
+        request = ModelRequest(prompt=RenderedPrompt(system="judge", user="claim1: x"))
+        pinned = {
+            CacheKey.object_detect(image("beach"), ["surfboard", "Chair", "people",
+                                                    "umbrella", "chair"],
+                                   "mock-object-detector"):
+                "0100cc35de78e625323aa23fbbbdada8ca903cf4908d3eb6a05f2690db312703",
+            CacheKey.scene_text(image("car"), "mock-scene-text"):
+                "d5f2bf5eaf2645d4f4399abc2f7b2381f7f7aab4338552f037aeb0e8e8c2b651",
+            CacheKey.attribute(image("huawei"), " What color is the phone? ",
+                               "mock-attribute"):
+                "b90876a5fc1bf6a0d1dfbf7a851482d61a83c33baef326339ea922f8594fd7f8",
+            CacheKey.fact_search("Huawei company", 3, "mock-fact-search"):
+                "e5fc5098126ae451e6fd5adfe4f83e6be936e5154816fb7593a164182878832b",
+            CacheKey.model(request_digest(request), "mock-model"):
+                "ebf71fe3b757038e9fa8dcdc92bb7733c7d3ff389a3981cf4076bc174fca21eb",
+        }
+        for key, digest in pinned.items():
+            assert key.digest() == digest, key
+
 
 class TestDiskCache:
     def test_put_then_get(self, tmp_path):
@@ -57,6 +85,16 @@ class TestDiskCache:
         entry.write_text(json.dumps(record))
         with pytest.raises(StoreCorrupt):
             cache.get(_key())
+
+    def test_corrupt_read_counts_as_a_miss(self, tmp_path):
+        cache = DiskCache(tmp_path)
+        cache.put(_key(), {"x": 1})
+        entry = next((tmp_path / "objects").glob("*/*.json"))
+        entry.write_text("{torn")
+        with pytest.raises(StoreCorrupt):
+            cache.get(_key())
+        cache.flush_stats()
+        assert cache.persisted_stats() == {"hits": 0, "misses": 1}
 
     def test_entry_count_bytes_and_clear(self, tmp_path):
         cache = DiskCache(tmp_path)

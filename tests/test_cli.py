@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 import e2e_scenario
+from halodet.cache import CacheKey, DiskCache
 from halodet.cli import main
+from halodet.tools import MockSceneTextReader
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -107,10 +109,13 @@ class TestDetect:
 
         broken = tmp_path / "broken-fixtures"
         shutil.copytree(scenario_dir / "mock", broken)
+        [huawei] = [s for s in e2e_scenario.build_scripts() if s.pair.id == "i2t-huawei"]
+        replies = {huawei.object_reply, huawei.attribute_reply, huawei.scene_reply,
+                   huawei.fact_reply}
         removed = 0
-        for path in (broken / "model").glob("*.json"):
-            payload = json.loads(path.read_text())
-            if payload["note"].startswith("i2t-huawei query-formulate"):
+        for path in (broken / "objects").glob("*/*.json"):
+            record = json.loads(path.read_text())
+            if record["key"]["tool_kind"] == "model" and record["value"]["text"] in replies:
                 path.unlink()
                 removed += 1
         assert removed == 4
@@ -127,6 +132,37 @@ class TestDetect:
         written = json.loads((tmp_path / "partial" / "errors.json").read_text())
         assert [e["pair_id"] for e in written] == ["i2t-huawei"]
         assert (tmp_path / "partial" / "i2t-beach.json").exists()
+
+
+class TestFixtureStore:
+    def test_one_entry_per_distinct_backend_call(self, scenario_dir, capsys):
+        assert main(["cache", "stat", "--cache-dir", str(scenario_dir / "mock")]) == 0
+        stat = json.loads(capsys.readouterr().out)
+        # Recording missed once per distinct call and wrote one entry for each.
+        assert stat["entries"] == stat["misses"] == 57
+        assert stat["hits"] == 0
+
+    def test_tampered_tool_entry_fails_its_pair(self, scenario_dir, tmp_path, capsys):
+        import shutil
+
+        store_dir = tmp_path / "tampered-fixtures"
+        shutil.copytree(scenario_dir / "mock", store_dir)
+        car = e2e_scenario.image("car")
+        key = CacheKey.scene_text(car.digest, MockSceneTextReader.backend_id)
+        assert DiskCache(store_dir).get(key)[0]
+        entry = store_dir / "objects" / key.digest()[:2] / f"{key.digest()}.json"
+        entry.write_text(entry.read_text().replace("worlld", "world"))
+        code = main([
+            "detect", "--bench", str(FIXTURES / "bench6.json"),
+            "--backend", "mock", "--fixtures", str(store_dir),
+            "--out", str(tmp_path), "--run-id", "tampered", "--no-cache",
+        ])
+        assert code == 2
+        capsys.readouterr()
+        written = json.loads((tmp_path / "tampered" / "errors.json").read_text())
+        assert [(e["pair_id"], e["error_type"]) for e in written] == \
+            [("t2i-car", "StoreCorrupt")]
+        assert not (tmp_path / "tampered" / "t2i-car.json").exists()
 
 
 @pytest.fixture(scope="module")

@@ -470,6 +470,22 @@ class TestRunDir:
         both = load_run_results(run_dir)
         assert [r.pair_id for r in both] == ["pair-0", "pair-1"]
 
+    def test_errors_json_keeps_the_failed_pairs_trace(self, tmp_path):
+        # No verification rule: the pair fails after its formulation calls.
+        gateway = table_gateway([
+            ("object extractor", '{"claim1":"none"}'),
+            ("questions about attributes", '{"claim1":["none"]}'),
+            ("questions about scene text", '{"claim1":["none"]}'),
+            ("search engine questions", '{"claim1":["none"]}'),
+        ])
+        outcome = run_batch(_simple_pairs(1), DetectionMethod.UNIHD, _backends(), gateway)
+        run_dir = write_run_dir(tmp_path, "failed", outcome, DetectionMethod.UNIHD, {})
+        [error] = json.loads((run_dir / "errors.json").read_text())
+        assert error["pair_id"] == "pair-0"
+        assert error["error_type"] == "AssertionError"
+        stages = [record["stage"] for record in error["trace"]]
+        assert stages == ["model:query-formulate"] * 4
+
     def test_existing_run_dir_rejected(self, tmp_path):
         outcome = run_batch([], DetectionMethod.UNIHD, _backends(), table_gateway([]))
         write_run_dir(tmp_path, "dup", outcome, DetectionMethod.UNIHD, {})

@@ -1,11 +1,12 @@
-"""Gateway contract: retry, non-retryable failures, mock determinism, rate gate."""
+"""Gateway contract: retry, non-retryable failures, mock replay, request log."""
 
 from __future__ import annotations
 
 import pytest
 
 from conftest import image_ref
-from halodet.errors import AuthFailure, BackendUnavailable, PayloadTooLarge
+from halodet.cache import CacheKey, DiskCache
+from halodet.errors import AuthFailure, BackendUnavailable, PayloadTooLarge, StoreCorrupt
 from halodet.gateway import (
     DecodeParams,
     MockModelBackend,
@@ -14,7 +15,6 @@ from halodet.gateway import (
     PurposeTag,
     RetryPolicy,
     ScriptedModelBackend,
-    TokenBucket,
     request_digest,
 )
 from halodet.prompts import RenderedPrompt
@@ -77,17 +77,28 @@ class TestVerbatimText:
 class TestMockBackend:
     def test_fixture_lookup_and_determinism(self, tmp_path):
         request = _request("claim1: the fixture case")
-        MockModelBackend.write_fixture(tmp_path, request, "pinned reply")
-        backend = MockModelBackend(fixture_dir=tmp_path)
-        gateway = _gateway(backend)
+        store = DiskCache(tmp_path)
+        store.put(CacheKey.model(request_digest(request), MockModelBackend.backend_id),
+                  {"text": "pinned reply"})
+        gateway = _gateway(MockModelBackend(store))
         first = gateway.complete(request)
         second = gateway.complete(request)
         assert first.text == second.text == "pinned reply"
 
     def test_missing_fixture_is_an_error(self, tmp_path):
-        backend = MockModelBackend(fixture_dir=tmp_path)
+        backend = MockModelBackend(DiskCache(tmp_path))
         with pytest.raises(BackendUnavailable):
             _gateway(backend, attempts=1).complete(_request("nothing recorded"))
+
+    def test_tampered_fixture_raises(self, tmp_path):
+        request = _request("claim1: tampered")
+        store = DiskCache(tmp_path)
+        store.put(CacheKey.model(request_digest(request), MockModelBackend.backend_id),
+                  {"text": "pinned reply"})
+        entry = next((tmp_path / "objects").glob("*/*.json"))
+        entry.write_text(entry.read_text().replace("pinned reply", "forged reply"))
+        with pytest.raises(StoreCorrupt):
+            _gateway(MockModelBackend(store)).complete(request)
 
     def test_digest_depends_on_prompt_images_and_decoding(self):
         base = _request("same")
@@ -123,23 +134,3 @@ class TestRequestLog:
         assert record["system"] == "judge"
         assert record["digest"] == request_digest(request)
         assert record["text"] == "reply"
-
-
-class TestTokenBucket:
-    def test_admission_waits_when_empty(self):
-        clock = {"now": 0.0}
-        waits = []
-
-        def fake_sleep(duration):
-            waits.append(duration)
-            clock["now"] += duration
-
-        bucket = TokenBucket(requests_per_minute=60, burst=1,
-                             clock=lambda: clock["now"], sleep=fake_sleep)
-        bucket.acquire()          # burst token
-        bucket.acquire()          # must wait ~1s at 1 rps
-        assert waits and abs(waits[0] - 1.0) < 1e-6
-
-    def test_rejects_nonpositive_rate(self):
-        with pytest.raises(ValueError):
-            TokenBucket(requests_per_minute=0)

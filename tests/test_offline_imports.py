@@ -27,8 +27,8 @@ from halodet.tools import (NullAttributeAnswerer, NullFactSearcher,
                            NullObjectDetector, NullSceneTextReader, mock_backend_set)
 
 with tempfile.TemporaryDirectory() as tmp:
-    halodet.ModelGateway(MockModelBackend(responses={}))
-    mock_backend_set(tmp)
+    halodet.ModelGateway(MockModelBackend(halodet.DiskCache(tmp + "/store")))
+    assert mock_backend_set(tmp + "/store").fact_searcher.search("q", 3) == []
     halodet.ToolBackendSet(NullObjectDetector(), NullAttributeAnswerer(),
                            NullSceneTextReader(), NullFactSearcher())
     halodet.DiskCache(tmp + "/cache")

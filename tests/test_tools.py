@@ -7,6 +7,7 @@ import random
 import pytest
 
 from conftest import image_ref
+from halodet.cache import CacheKey, DiskCache
 from halodet.errors import InvalidImage
 from halodet.gateway import ModelGateway, ScriptedModelBackend
 from halodet.model import (
@@ -20,6 +21,7 @@ from halodet.model import (
 from halodet.tools import (
     FACT_BLOCK_CHAR_LIMIT,
     FactSnippet,
+    MockAttributeAnswerer,
     MockFactSearcher,
     MockObjectDetector,
     MockSceneTextReader,
@@ -28,14 +30,11 @@ from halodet.tools import (
     NullSceneTextReader,
     answer_attribute,
     detect_objects,
-    fact_search_key,
     fact_snippet_line,
     format_box,
     format_evidence_sections,
     format_float,
-    object_detect_key,
     read_scene_text,
-    scene_text_key,
     search_facts,
 )
 
@@ -109,18 +108,18 @@ class TestSceneText:
         out = read_scene_text(_ListReader(items), image_ref("a"))
         assert [e.text for e in out] == ["left", "right", "below"]
 
-    def test_mock_scripted_invalid_image(self, tmp_path):
-        ref = image_ref("broken")
-        MockSceneTextReader.write_fixture(
-            tmp_path, scene_text_key(ref), None)
-        (tmp_path / f"{scene_text_key(ref)}.json").write_text(
-            '{"error": "invalid-image"}', "utf-8")
-        reader = MockSceneTextReader(fixture_dir=tmp_path)
+    def test_mock_scripted_invalid_image(self):
+        class BrokenReader:
+            backend_id = "broken"
+
+            def read(self, image):
+                raise InvalidImage("unreadable image")
+
         with pytest.raises(InvalidImage):
-            read_scene_text(reader, ref)
+            read_scene_text(BrokenReader(), image_ref("broken"))
 
     def test_mock_no_text_means_empty(self, tmp_path):
-        reader = MockSceneTextReader(fixture_dir=tmp_path)
+        reader = MockSceneTextReader(DiskCache(tmp_path))
         assert read_scene_text(reader, image_ref("blank")) == []
 
 
@@ -144,14 +143,16 @@ class TestFactSearch:
         assert search_facts(provider, "q", 1) == self._snippets(1)
 
     def test_provider_order_preserved(self, tmp_path):
-        items = [s.__dict__ for s in self._snippets(3)]
-        MockFactSearcher.write_fixture(tmp_path, fact_search_key("q"), items)
-        searcher = MockFactSearcher(fixture_dir=tmp_path)
-        out = search_facts(searcher, "q", 3)
-        assert [s.title for s in out] == ["title 0", "title 1", "title 2"]
+        lines = [fact_snippet_line(s) for s in self._snippets(3)]
+        store = DiskCache(tmp_path)
+        store.put(CacheKey.fact_search("q", 3, MockFactSearcher.backend_id),
+                  FactEvidence("q", tuple(lines)).to_json())
+        out = search_facts(MockFactSearcher(store), "q", 3)
+        assert [fact_snippet_line(s) for s in out] == lines
+        assert lines[0] == "title 0: snippet 0 (https://x/0)"
 
     def test_zero_hits(self, tmp_path):
-        searcher = MockFactSearcher(fixture_dir=tmp_path)
+        searcher = MockFactSearcher(DiskCache(tmp_path))
         assert search_facts(searcher, "unknown question", 3) == []
 
     def test_empty_question_rejected(self):
@@ -176,12 +177,12 @@ class TestAttributeAnswer:
             answer_attribute(image_ref("a"), "", gateway=None)
 
     def test_mock_determinism(self, tmp_path):
-        from halodet.tools import MockAttributeAnswerer, attribute_key
-
         ref = image_ref("a")
-        MockAttributeAnswerer.write_answer(
-            tmp_path, attribute_key(ref, "What color?"), "blue")
-        answerer = MockAttributeAnswerer(fixture_dir=tmp_path)
+        store = DiskCache(tmp_path)
+        store.put(CacheKey.attribute(ref.digest, "What color?",
+                                     MockAttributeAnswerer.backend_id),
+                  AttributeEvidence("What color?", "blue").to_json())
+        answerer = MockAttributeAnswerer(store)
         first = answerer.answer(ref, "What color?")
         second = answerer.answer(ref, "What color?")
         assert first == second == AttributeEvidence("What color?", "blue")
@@ -278,15 +279,15 @@ class TestNullTools:
 
 class TestMockKeys:
     def test_detector_key_canonicalizes_labels(self):
-        ref = image_ref("a")
-        assert object_detect_key(ref, ["Man", "cat"]) == \
-               object_detect_key(ref, ["cat", "man", "MAN"])
+        digest = image_ref("a").digest
+        assert CacheKey.object_detect(digest, ["Man", "cat"], "d") == \
+               CacheKey.object_detect(digest, ["cat", "man", "MAN"], "d")
 
     def test_detector_key_depends_on_image(self):
-        assert object_detect_key(image_ref("a"), ["cat"]) != \
-               object_detect_key(image_ref("b"), ["cat"])
+        assert CacheKey.object_detect(image_ref("a").digest, ["cat"], "d") != \
+               CacheKey.object_detect(image_ref("b").digest, ["cat"], "d")
 
     def test_unknown_vocabulary_misses(self, tmp_path):
-        detector = MockObjectDetector(fixture_dir=tmp_path)
+        detector = MockObjectDetector(DiskCache(tmp_path))
         out = detect_objects(detector, image_ref("a"), ["zzz-nonexistent"])
         assert out == []
