@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import collections
 import json
+import random
 import threading
 import time
+import types
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+import e2e_scenario
 from conftest import image_ref, table_gateway
 from halodet.cache import DiskCache
 from halodet.errors import ConfigInvalid, UnparseableModelOutput
@@ -748,3 +752,139 @@ class TestVerificationRetryWithCache:
             run_dir = write_run_dir(tmp_path, run_id, outcome, DetectionMethod.UNIHD, {})
             files.append((run_dir / "athlete.json").read_bytes())
         assert files[0] == files[1]
+
+
+# --- completion-order shaker ---------------------------------------------------------
+
+
+class _Shaker:
+    """Delays every backend call by a seeded 0-5 ms and counts calls per family.
+
+    A call's delay depends only on the seed and the call's arguments, so a
+    seed fixes the delays whatever order the calls start in.
+    """
+
+    def __init__(self, seed):
+        self.seed = seed
+        self.counts = collections.Counter()
+        self._lock = threading.Lock()
+
+    def wrap(self, backend, method):
+        call = getattr(backend, method)
+
+        def shaken(*args):
+            time.sleep(random.Random(f"{self.seed}|{method}|{args!r}").uniform(0, 0.005))
+            with self._lock:
+                self.counts[method] += 1
+            return call(*args)
+
+        return types.SimpleNamespace(backend_id=backend.backend_id, **{method: shaken})
+
+
+class TestCompletionOrderShaker:
+    def _run(self, shaker, cache):
+        scripts = e2e_scenario.build_scripts()
+        backends = ToolBackendSet(
+            object_detector=shaker.wrap(e2e_scenario.RecordingDetector(scripts), "detect"),
+            attribute_answerer=shaker.wrap(e2e_scenario.RecordingAnswerer(scripts), "answer"),
+            scene_text_reader=shaker.wrap(e2e_scenario.RecordingReader(scripts), "read"),
+            fact_searcher=shaker.wrap(e2e_scenario.RecordingSearcher(scripts), "search"),
+        )
+        model = shaker.wrap(e2e_scenario.RecordingModelBackend(scripts), "invoke")
+        outcome = run_batch([s.pair for s in scripts], DetectionMethod.UNIHD, backends,
+                            ModelGateway(model, sleep=lambda _: None), cache=cache, width=4)
+        assert outcome.ok
+        return [json.dumps(r.payload_json(), ensure_ascii=False, indent=2, sort_keys=True)
+                for r in outcome.results]
+
+    def test_payloads_and_call_counts_ignore_completion_order(self, tmp_path):
+        runs = []
+        for seed in range(20):
+            shaker = _Shaker(seed)
+            payloads = self._run(shaker, DiskCache(tmp_path / f"cache-{seed}"))
+            runs.append((payloads, dict(shaker.counts)))
+        payloads, counts = runs[0]
+        assert len(payloads) == 6
+        assert set(counts) == {"invoke", "detect", "answer", "read", "search"}
+        for seed, run in enumerate(runs):
+            assert run == (payloads, counts), f"seed {seed}"
+
+
+# --- trace records --------------------------------------------------------------------
+
+
+class TestTraceRecords:
+    def test_cold_and_warm_records_are_pinned(self, tmp_path):
+        cache = DiskCache(tmp_path / "cache")
+        records = []
+        for _ in ("cold", "warm"):
+            result = run_detection(_athlete_pair(), DetectionMethod.UNIHD,
+                                   _backends(detections=_ATHLETE_DETECTIONS),
+                                   table_gateway(_ATHLETE_RULES), cache=cache)
+            records.append([(r.stage, r.input_digest, r.output_digest, r.cache_hit)
+                            for r in result.trace])
+        assert records == [[(*r, False) for r in _PINNED_TRACE],
+                           [(*r, True) for r in _PINNED_TRACE]]
+
+
+# (stage, input digest, output digest): the request digest and the reply's
+# sha256_text for a model call, the CacheKey digest and the stored value's
+# sha256_json for a tool call.
+_PINNED_TRACE = [
+    ("model:query-formulate",
+     "5560e2e8229486ca6c1e7373a0796a7ecb58ff2744be37a5a9a06a0db8dd7892",
+     "9e33bbe097b83c5562a1d63c251bcfa8a81f3e517f1addab56235100e4eda10d"),
+    ("model:query-formulate",
+     "7a257d00d3c21db02a96ee2b93b7ecb801c7a21fb26dc09fa17fdd60c70909bb",
+     "2edb6cf03f3004ee4105167a1440dadb15e02b45e66b4b4c873aeef3e9844229"),
+    ("model:query-formulate",
+     "91c18f8fea47d718baac8fa13ab5b2377dee413e804abcbbcbdf8e8b15c66c59",
+     "ddbe6cd1379dddebd3b6d121c57634911c3bcd5acb1857c1e6d216aa40331469"),
+    ("model:query-formulate",
+     "a84a33a7b864954b23342958fe07e681a0471896fce2c4cff61df1f699cf2368",
+     "9e33bbe097b83c5562a1d63c251bcfa8a81f3e517f1addab56235100e4eda10d"),
+    ("model:verify",
+     "40f535492afec2ca0b2cbd759088501062a6d69a69d46d83de837b86291b0b27",
+     "75294aa65a0253f920fcd69721c8a23cae98ffb9e1b839841875531bac1deb0d"),
+    ("tool:attribute",
+     "4565dcdfedb465340283e348cf98feee41a7f9876b6da4216bef2f5c3621e5ac",
+     "3e3c755777fe239c0491629fbb1d975da96af9176d83b6b878ed97c9bbb6a323"),
+    ("tool:object-detect",
+     "8f221a5f0752e19b3325a887a2826f54aac2679e1b2d5bc67e0c98858732b1e5",
+     "f9c797fd369e259d0cba1a4aa8b442523fcd630d986aa31b4394e5c20a192732"),
+]
+
+
+# --- pool submissions -------------------------------------------------------------------
+
+
+class TestPoolSubmissions:
+    def test_only_the_pair_pool_is_handed_pairs(self, monkeypatch):
+        # The benchmark attributes a span to a pair by the pair argument of a
+        # submit, so only the pair pool may receive one.
+        original = ThreadPoolExecutor.submit
+        submits = []
+
+        def recording_submit(pool, fn, /, *args, **kwargs):
+            carried = [a for a in (*args, *kwargs.values()) if isinstance(a, ImageTextPair)]
+            submits.append((pool._thread_name_prefix, carried))
+            return original(pool, fn, *args, **kwargs)
+
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", recording_submit)
+        gateway = table_gateway([
+            ("object extractor", '{"claim1":"thing"}'),
+            ("questions about attributes", '{"claim1":["What color is it?"]}'),
+            ("questions about scene text", '{"claim1":["What does it say?"]}'),
+            ("search engine questions", '{"claim1":["Who made it?"]}'),
+            ("hallucination judger", _VERDICT),
+        ])
+        pairs = _simple_pairs(5)
+        outcome = run_batch(pairs, DetectionMethod.UNIHD,
+                            _backends(detections=_ATHLETE_DETECTIONS), gateway, width=2)
+        assert outcome.ok
+        handed = [pair.id for prefix, carried in submits if prefix == "pairs"
+                  for pair in carried]
+        assert sorted(handed) == [pair.id for pair in pairs]
+        calls = [carried for prefix, carried in submits if prefix == "calls"]
+        assert len(calls) == len(pairs) * (4 + 4)
+        assert not any(calls)
