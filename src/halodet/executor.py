@@ -15,10 +15,12 @@ per pair), on which every formulation and tool call runs. Pair threads
 submit calls and wait for them; call-pool tasks never submit further tasks,
 so the pools cannot deadlock.
 
-Every backend call is routed through one cache-and-trace choke point:
-identical mock runs are byte-identical whether cache-cold, cache-warm, or at
-any parallelism width, and the trace records exactly one entry per backend
-invocation.
+Each pair owns one call object, ``_PairCalls``, through which every model
+and tool call of the pair passes. Whatever the family, a call reads the
+cache, calls its backend on a miss, writes the reply back and leaves one
+trace record. Identical mock runs are
+byte-identical whether cache-cold, cache-warm, or at any parallelism width,
+and the trace records exactly one entry per backend invocation.
 """
 
 from __future__ import annotations
@@ -144,228 +146,155 @@ class BatchOutcome:
         return not self.failures
 
 
-class _Tracer:
-    """Collects trace records for one pair; thread-safe, order-stable."""
+class _PairCalls:
+    """Every backend call of one pair, through one cache-and-trace path.
 
-    def __init__(self) -> None:
+    ``complete`` is the gateway face the stages call. ``start`` is the
+    formulation hook: it starts each tool call as soon as the reply it needs
+    lands. ``settle`` waits for every started tool call, and ``evidence``
+    merges them positionally, never in completion order.
+
+    Each call returns the JSON form the cache stores: ``{"text": ...}`` for
+    a model reply, the ``to_json()`` evidence for a tool. Model replies are
+    cached only at temperature 0; sampled output must never be replayed as
+    truth. A pair's model requests are all distinct, so a repeated one is
+    the retry of a reply its stage could not parse: it skips the cache read,
+    and its reply replaces the cached one. A repeated tool key shares the
+    first call's future.
+    """
+
+    def __init__(self, pair: ImageTextPair, backends: ToolBackendSet | None,
+                 gateway: ModelGateway, cache: DiskCache | None, fact_top_k: int,
+                 pool: Executor) -> None:
+        self._image = pair.image
+        self._backends = backends
+        self._gateway = gateway
+        self._cache = cache
+        self._fact_top_k = fact_top_k
+        self._pool = pool
+        self._lock = threading.Lock()  # guards _records and _seen
         self._records: list[TraceRecord] = []
-        self._lock = threading.Lock()
+        self._seen: set[str] = set()
+        # Only the pair thread submits tool calls, so these need no lock.
+        self._submitted: dict[CacheKey, Future] = {}
+        self._objects: Future | None = None
+        self._scene_texts: Future | None = None
+        self._attributes: list[Future] = []
+        self._facts: list[Future] = []
 
-    def record(self, stage: str, input_digest: str, output_digest: str,
-               duration_ms: int, cache_hit: bool) -> None:
+    def _call(self, stage: str, key: CacheKey, compute: Callable[[], Any],
+              read: bool = True, write: bool = True) -> Any:
+        """Serve ``key`` from the cache or ``compute``; record one trace entry.
+
+        A corrupt entry is a miss, which the put then overwrites.
+        """
+        started = time.monotonic()
+        hit, value = False, None
+        if self._cache is not None and read:
+            try:
+                hit, value = self._cache.get(key)
+            except StoreCorrupt as exc:
+                logger.warning("recomputing: %s", exc)
+        if not hit:
+            value = compute()
+            if self._cache is not None and write:
+                self._cache.put(key, value)
+        model = key.tool_kind == "model"
+        record = TraceRecord(
+            stage=stage,
+            input_digest=key.canonical_query if model else key.digest(),
+            output_digest=sha256_text(value["text"]) if model else sha256_json(value),
+            duration_ms=max(0, round((time.monotonic() - started) * 1000)),
+            cache_hit=hit,
+        )
         with self._lock:
-            self._records.append(TraceRecord(
-                stage=stage, input_digest=input_digest, output_digest=output_digest,
-                duration_ms=duration_ms, cache_hit=cache_hit,
-            ))
+            self._records.append(record)
+        return value
 
-    def snapshot(self) -> tuple[TraceRecord, ...]:
+    def trace(self) -> tuple[TraceRecord, ...]:
         with self._lock:
             records = list(self._records)
         # Stable report order regardless of completion interleaving.
         return tuple(sorted(records, key=lambda r: (r.stage, r.input_digest)))
 
-
-class _InstrumentedGateway:
-    """Gateway wrapper adding the executor's cache and trace around each call.
-
-    Replies are cached only at temperature 0; sampled output must never be
-    replayed as truth. One instance serves one pair, whose requests are all
-    distinct, so a repeated request is the retry of a reply its stage could
-    not parse: it skips the cache read, and its reply replaces the cached one.
-    """
-
-    def __init__(self, gateway: ModelGateway, cache: DiskCache | None,
-                 tracer: _Tracer) -> None:
-        self._gateway = gateway
-        self._cache = cache
-        self._tracer = tracer
-        self._seen: set[str] = set()
-        self._lock = threading.Lock()
-        self.backend = gateway.backend
-
     def complete(self, request: ModelRequest) -> ModelResponse:
         digest = request_digest(request)
-        stage = f"model:{request.purpose_tag.value}"
         with self._lock:
             retry = digest in self._seen
             self._seen.add(digest)
-        cacheable = self._cache is not None and request.decode_params.temperature == 0
-        key = CacheKey.model(digest, self._gateway.backend.backend_id)
-        started = time.monotonic()
-        if cacheable and not retry:
-            hit, value = _cache_get(self._cache, key)
-            if hit:
-                response = ModelResponse(
-                    text=value["text"],
-                    backend_id=self._gateway.backend.backend_id,
-                    latency_ms=0,
-                    attempt_count=1,
-                )
-                self._tracer.record(stage, digest, sha256_text(response.text),
-                                    _elapsed_ms(started), cache_hit=True)
-                return response
-        response = self._gateway.complete(request)
-        if cacheable:
-            self._cache.put(key, {"text": response.text})
-        self._tracer.record(stage, digest, sha256_text(response.text),
-                            _elapsed_ms(started), cache_hit=False)
-        return response
+        cacheable = request.decode_params.temperature == 0
+        backend_id = self._gateway.backend.backend_id
+        value = self._call(
+            f"model:{request.purpose_tag.value}", CacheKey.model(digest, backend_id),
+            lambda: {"text": self._gateway.complete(request).text},
+            read=cacheable and not retry, write=cacheable,
+        )
+        # The stages read only the text; timing lives in the trace record.
+        return ModelResponse(text=value["text"], backend_id=backend_id,
+                             latency_ms=0, attempt_count=1)
 
-
-def _elapsed_ms(started: float) -> int:
-    return max(0, int(round((time.monotonic() - started) * 1000)))
-
-
-def _cache_get(cache: DiskCache, key: CacheKey) -> tuple[bool, Any]:
-    """Read ``key``; a corrupt entry is a miss, which the caller's put overwrites."""
-    try:
-        return cache.get(key)
-    except StoreCorrupt as exc:
-        logger.warning("recomputing: %s", exc)
-        return False, None
-
-
-def _cached_tool_call(
-    cache: DiskCache | None,
-    tracer: _Tracer,
-    stage: str,
-    key: CacheKey,
-    compute: Callable[[], Any],
-    encode: Callable[[Any], Any],
-    decode: Callable[[Any], Any],
-) -> Any:
-    started = time.monotonic()
-    key_digest = key.digest()
-    if cache is not None:
-        hit, raw = _cache_get(cache, key)
-        if hit:
-            value = decode(raw)
-            tracer.record(stage, key_digest, sha256_json(raw),
-                          _elapsed_ms(started), cache_hit=True)
-            return value
-    value = compute()
-    encoded = encode(value)
-    if cache is not None:
-        cache.put(key, encoded)
-    tracer.record(stage, key_digest, sha256_json(encoded),
-                  _elapsed_ms(started), cache_hit=False)
-    return value
-
-
-# --- tool calls -----------------------------------------------------------------
-
-
-class _ToolCalls:
-    """The tool calls of one pair, each started as soon as its query reply lands.
-
-    ``start`` is the formulation hook; ``evidence`` merges positionally, never
-    in completion order. Calls with one cache key run once per pair: a
-    repeated question shares the first one's future.
-    """
-
-    def __init__(self, pair: ImageTextPair, backends: ToolBackendSet,
-                 cache: DiskCache | None, tracer: _Tracer, fact_top_k: int,
-                 pool: Executor) -> None:
-        self._image = pair.image
-        self._backends = backends
-        self._cache = cache
-        self._tracer = tracer
-        self._fact_top_k = fact_top_k
-        self._pool = pool
-        self._objects: Future | None = None
-        self._scene_texts: Future | None = None
-        self._attributes: list[Future] = []
-        self._facts: list[Future] = []
-        self._submitted: dict[CacheKey, Future] = {}
-
-    def _submit(self, stage: str, key: CacheKey, compute: Callable[[], Any],
-                encode: Callable[[Any], Any], decode: Callable[[Any], Any]) -> Future:
-        # Only the pair thread submits, so the lookup needs no lock.
+    def _submit(self, stage: str, key: CacheKey, compute: Callable[[], Any]) -> Future:
         if key not in self._submitted:
             # A closure, not the pair: the call pool runs calls, not pairs.
-            self._submitted[key] = self._pool.submit(lambda: _cached_tool_call(
-                self._cache, self._tracer, stage, key, compute, encode, decode))
+            self._submitted[key] = self._pool.submit(
+                lambda: self._call(stage, key, compute))
         return self._submitted[key]
 
     def start(self, template: TemplateId, queries: Mapping[int, tuple[str, ...]]) -> None:
+        image, tools = self._image, self._backends
         questions = [q for per_claim in queries.values() for q in per_claim]
         if template is TemplateId.OBJECT_QUERY:
             labels = label_union(queries.values())
             if labels:
-                self._objects = self._detect(labels)
+                detector = tools.object_detector
+                self._objects = self._submit(
+                    "tool:object-detect",
+                    CacheKey.object_detect(image.digest, labels, detector.backend_id),
+                    lambda: [e.to_json() for e in detect_objects(detector, image, labels)],
+                )
         elif template is TemplateId.SCENE_TEXT_QUERY:
             if questions:
-                self._scene_texts = self._read()
+                reader = tools.scene_text_reader
+                self._scene_texts = self._submit(
+                    "tool:scene-text", CacheKey.scene_text(image.digest, reader.backend_id),
+                    lambda: [e.to_json() for e in read_scene_text(reader, image)],
+                )
         elif template is TemplateId.FACT_QUERY:
             self._facts = [self._search(q) for q in questions]
         elif template is TemplateId.ATTRIBUTE_QUERY:
             self._attributes = [self._answer(q) for q in questions]
 
-    def _detect(self, labels: list[str]) -> Future:
-        image, detector = self._image, self._backends.object_detector
-        key = CacheKey.object_detect(image.digest, labels, detector.backend_id)
-        return self._submit(
-            "tool:object-detect", key,
-            lambda: detect_objects(detector, image, labels),
-            lambda items: [e.to_json() for e in items],
-            lambda raw: [evidence_from_json(item) for item in raw],
-        )
-
-    def _read(self) -> Future:
-        image, reader = self._image, self._backends.scene_text_reader
-        key = CacheKey.scene_text(image.digest, reader.backend_id)
-        return self._submit(
-            "tool:scene-text", key,
-            lambda: read_scene_text(reader, image),
-            lambda items: [e.to_json() for e in items],
-            lambda raw: [evidence_from_json(item) for item in raw],
-        )
-
     def _answer(self, question: str) -> Future:
         image, answerer = self._image, self._backends.attribute_answerer
-        key = CacheKey.attribute(image.digest, question, answerer.backend_id)
         return self._submit(
-            "tool:attribute", key,
-            lambda: answerer.answer(image, question),
-            lambda item: item.to_json(),
-            evidence_from_json,
+            "tool:attribute", CacheKey.attribute(image.digest, question, answerer.backend_id),
+            lambda: answerer.answer(image, question).to_json(),
         )
 
     def _search(self, question: str) -> Future:
         searcher, top_k = self._backends.fact_searcher, self._fact_top_k
-        key = CacheKey.fact_search(question, top_k, searcher.backend_id)
-
-        def compute() -> FactEvidence:
-            snippets = search_facts(searcher, question, top_k)
-            return FactEvidence(
-                question=question,
-                snippets=tuple(fact_snippet_line(s) for s in snippets),
-            )
-
         return self._submit(
-            "tool:fact-search", key, compute,
-            lambda item: item.to_json(),
-            evidence_from_json,
+            "tool:fact-search", CacheKey.fact_search(question, top_k, searcher.backend_id),
+            lambda: FactEvidence(question=question, snippets=tuple(
+                fact_snippet_line(s) for s in search_facts(searcher, question, top_k)
+            )).to_json(),
         )
 
     def settle(self) -> None:
-        """Wait until every started call has returned or raised."""
-        started = [*self._attributes, *self._facts]
-        started += [f for f in (self._objects, self._scene_texts) if f is not None]
-        wait(started)
+        """Wait until every started tool call has returned or raised."""
+        wait(self._submitted.values())
 
     def evidence(self) -> EvidenceBundle:
         """Merge results once settled; the first error in merge order is raised."""
-        objects = self._objects.result() if self._objects is not None else ()
-        attributes = tuple(f.result() for f in self._attributes)
-        scene_texts = self._scene_texts.result() if self._scene_texts is not None else ()
-        facts = tuple(f.result() for f in self._facts)
+        objects = self._objects.result() if self._objects is not None else []
+        attributes = [f.result() for f in self._attributes]
+        scene_texts = self._scene_texts.result() if self._scene_texts is not None else []
+        facts = [f.result() for f in self._facts]
         return EvidenceBundle(
-            objects=tuple(objects),
-            attributes=attributes,
-            scene_texts=tuple(scene_texts),
-            facts=facts,
+            objects=tuple(map(evidence_from_json, objects)),
+            attributes=tuple(map(evidence_from_json, attributes)),
+            scene_texts=tuple(map(evidence_from_json, scene_texts)),
+            facts=tuple(map(evidence_from_json, facts)),
         )
 
 
@@ -392,9 +321,9 @@ def run_detection(
     unannotated pair goes through the extraction stage first. The self-check
     methods never touch tool backends and carry empty evidence.
     """
-    with _call_pool(1) as calls:
+    with _call_pool(1) as pool:
         return _run_pair(pair, method, backends, gateway, cache, fact_top_k,
-                         demonstrations, calls)
+                         demonstrations, pool)
 
 
 def _run_pair(
@@ -405,39 +334,36 @@ def _run_pair(
     cache: DiskCache | None,
     fact_top_k: int,
     demonstrations: Sequence[SelfCheckDemo],
-    calls: Executor,
+    pool: Executor,
 ) -> DetectionResult:
-    """One pair, its formulation and tool calls run on the ``calls`` pool."""
+    """One pair, its formulation and tool calls run on the call ``pool``."""
     report = validate_pair(pair)
     if not report.ok:
         raise ValueError(f"pair {pair.id!r} invalid: " + "; ".join(report.violations))
 
-    tracer = _Tracer()
-    gateway_view = _InstrumentedGateway(gateway, cache, tracer)
-
+    calls = _PairCalls(pair, backends, gateway, cache, fact_top_k, pool)
     try:
         if not pair.claims:
-            claims = extract_claims(pair.text, pair.task, gateway_view)
+            claims = extract_claims(pair.text, pair.task, calls)
             pair = replace(pair, claims=tuple(claims))
 
         if method is DetectionMethod.UNIHD:
             if backends is None:
                 raise ConfigInvalid("unihd requires tool backends")
-            tool_calls = _ToolCalls(pair, backends, cache, tracer, fact_top_k, calls)
             try:
-                plan = formulate_queries(pair, gateway_view, calls, tool_calls.start)
+                plan = formulate_queries(pair, calls, pool, calls.start)
             finally:
-                tool_calls.settle()
-            evidence = tool_calls.evidence()
-            verdicts = verify(pair, evidence, gateway_view)
+                calls.settle()
+            evidence = calls.evidence()
+            verdicts = verify(pair, evidence, calls)
         else:
             plan = None
             evidence = EvidenceBundle()
             shots = 0 if method is DetectionMethod.SELF_CHECK_0SHOT else 2
-            verdicts = self_check(pair, shots, gateway_view, demonstrations)
+            verdicts = self_check(pair, shots, calls, demonstrations)
     except Exception as exc:
         # So batch failure records can show which stages did complete.
-        exc.completed_trace = tracer.snapshot()  # type: ignore[attr-defined]
+        exc.completed_trace = calls.trace()  # type: ignore[attr-defined]
         raise
 
     if len(verdicts) != len(pair.claims):
@@ -450,7 +376,7 @@ def _run_pair(
         plan=plan,
         evidence=evidence,
         degraded=is_degraded(verdicts),
-        trace=tracer.snapshot(),
+        trace=calls.trace(),
     )
 
 

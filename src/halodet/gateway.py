@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Protocol
 
 from .cache import CacheKey, DiskCache
-from .errors import AuthFailure, BackendUnavailable, PayloadTooLarge
+from .errors import AuthFailure, BackendError, BackendUnavailable, PayloadTooLarge
 from .hashing import sha256_json
 from .prompts import RenderedPrompt
 
@@ -210,8 +210,9 @@ class MockModelBackend:
 
     A request is looked up under the executor's own model cache key, so a
     store recorded by ``run_batch(..., cache=DiskCache(root))`` replays as is.
-    A request with no entry is an error, since a model reply cannot be
-    defaulted; a tampered entry raises StoreCorrupt.
+    A request with no entry raises BackendError, since a model reply cannot
+    be defaulted and a missing entry never heals, so the gateway does not
+    retry it; a tampered entry raises StoreCorrupt.
     """
 
     backend_id = "mock-model"
@@ -223,7 +224,7 @@ class MockModelBackend:
         digest = request_digest(request)
         hit, value = self._store.get(CacheKey.model(digest, self.backend_id))
         if not hit:
-            raise BackendUnavailable(
+            raise BackendError(
                 f"no mock entry for request digest {digest} "
                 f"(purpose {request.purpose_tag.value})"
             )

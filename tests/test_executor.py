@@ -219,25 +219,24 @@ class TestRunDetectionUnihd:
         assert len(result.verdicts) == 1
 
     def test_sampled_decoding_is_never_cached(self, tmp_path):
-        from halodet.cache import DiskCache
-        from halodet.executor import _InstrumentedGateway, _Tracer
+        from halodet.executor import _PairCalls
         from halodet.gateway import DecodeParams, ModelRequest, PurposeTag
         from halodet.prompts import RenderedPrompt
 
         cache = DiskCache(tmp_path / "cache")
         gateway = table_gateway([("", "sampled reply")])
-        tracer = _Tracer()
-        instrumented = _InstrumentedGateway(gateway, cache, tracer)
         request = ModelRequest(
             prompt=RenderedPrompt(system="s", user="u"),
             decode_params=DecodeParams(temperature=0.7),
             purpose_tag=PurposeTag.VERIFY,
         )
-        instrumented.complete(request)
-        instrumented.complete(request)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            calls = _PairCalls(_athlete_pair(), None, gateway, cache, 3, pool)
+            calls.complete(request)
+            calls.complete(request)
         assert gateway.backend.calls == 2
         assert cache.entry_count() == 0
-        assert all(not r.cache_hit for r in tracer.snapshot())
+        assert all(not r.cache_hit for r in calls.trace())
 
 
 class TestCacheContract:

@@ -6,7 +6,13 @@ import pytest
 
 from conftest import image_ref
 from halodet.cache import CacheKey, DiskCache
-from halodet.errors import AuthFailure, BackendUnavailable, PayloadTooLarge, StoreCorrupt
+from halodet.errors import (
+    AuthFailure,
+    BackendError,
+    BackendUnavailable,
+    PayloadTooLarge,
+    StoreCorrupt,
+)
 from halodet.gateway import (
     DecodeParams,
     MockModelBackend,
@@ -87,8 +93,25 @@ class TestMockBackend:
 
     def test_missing_fixture_is_an_error(self, tmp_path):
         backend = MockModelBackend(DiskCache(tmp_path))
-        with pytest.raises(BackendUnavailable):
+        with pytest.raises(BackendError) as exc_info:
             _gateway(backend, attempts=1).complete(_request("nothing recorded"))
+        assert type(exc_info.value) is BackendError
+
+    def test_missing_fixture_is_not_retried(self, tmp_path):
+        class CountingMock(MockModelBackend):
+            invocations = 0
+
+            def invoke(self, request):
+                self.invocations += 1
+                return super().invoke(request)
+
+        backend = CountingMock(DiskCache(tmp_path))
+        sleeps = []
+        gateway = ModelGateway(backend, sleep=sleeps.append)
+        with pytest.raises(BackendError):
+            gateway.complete(_request("nothing recorded"))
+        assert backend.invocations == 1
+        assert sleeps == []
 
     def test_tampered_fixture_raises(self, tmp_path):
         request = _request("claim1: tampered")
