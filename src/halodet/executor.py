@@ -321,9 +321,9 @@ def run_detection(
     unannotated pair goes through the extraction stage first. The self-check
     methods never touch tool backends and carry empty evidence.
     """
-    with _call_pool(1) as pool:
+    with _call_pool(1) as calls:
         return _run_pair(pair, method, backends, gateway, cache, fact_top_k,
-                         demonstrations, pool)
+                         demonstrations, calls)
 
 
 def _run_pair(

@@ -210,9 +210,9 @@ class MockModelBackend:
 
     A request is looked up under the executor's own model cache key, so a
     store recorded by ``run_batch(..., cache=DiskCache(root))`` replays as is.
-    A request with no entry raises BackendError, since a model reply cannot
-    be defaulted and a missing entry never heals, so the gateway does not
-    retry it; a tampered entry raises StoreCorrupt.
+    A request with no entry raises BackendError, which the gateway does not
+    retry: a model reply cannot be defaulted, and a missing entry never
+    heals. A tampered entry raises StoreCorrupt.
     """
 
     backend_id = "mock-model"

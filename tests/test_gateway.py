@@ -92,12 +92,6 @@ class TestMockBackend:
         assert first.text == second.text == "pinned reply"
 
     def test_missing_fixture_is_an_error(self, tmp_path):
-        backend = MockModelBackend(DiskCache(tmp_path))
-        with pytest.raises(BackendError) as exc_info:
-            _gateway(backend, attempts=1).complete(_request("nothing recorded"))
-        assert type(exc_info.value) is BackendError
-
-    def test_missing_fixture_is_not_retried(self, tmp_path):
         class CountingMock(MockModelBackend):
             invocations = 0
 
@@ -107,9 +101,9 @@ class TestMockBackend:
 
         backend = CountingMock(DiskCache(tmp_path))
         sleeps = []
-        gateway = ModelGateway(backend, sleep=sleeps.append)
-        with pytest.raises(BackendError):
-            gateway.complete(_request("nothing recorded"))
+        with pytest.raises(BackendError) as exc_info:
+            ModelGateway(backend, sleep=sleeps.append).complete(_request("nothing recorded"))
+        assert type(exc_info.value) is BackendError
         assert backend.invocations == 1
         assert sleeps == []
 
