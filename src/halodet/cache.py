@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -36,12 +36,20 @@ class CacheKey:
     canonical_query: str
     image_digest: str
     backend_id: str
+    # Computed once: the cache read, the put and the trace all name the key.
+    _digest: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.tool_kind or not self.canonical_query or not self.backend_id:
             raise ValueError("tool_kind, canonical_query, backend_id must be non-empty")
         if self.tool_kind in _IMAGE_BOUND_KINDS and not self.image_digest:
             raise ValueError(f"{self.tool_kind} keys require an image digest")
+        object.__setattr__(self, "_digest", sha256_json({
+            "tool_kind": self.tool_kind,
+            "canonical_query": self.canonical_query,
+            "image_digest": self.image_digest,
+            "backend_id": self.backend_id,
+        }))
 
     # One builder per backend family: the executor's cache and the mock
     # backends address the same call through the same key.
@@ -71,12 +79,7 @@ class CacheKey:
         return cls("model", request_digest, "", backend_id)
 
     def digest(self) -> str:
-        return sha256_json({
-            "tool_kind": self.tool_kind,
-            "canonical_query": self.canonical_query,
-            "image_digest": self.image_digest,
-            "backend_id": self.backend_id,
-        })
+        return self._digest
 
 
 class DiskCache:

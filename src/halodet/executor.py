@@ -10,10 +10,10 @@ attribute, then scene text, then fact, ordered inside each family by claim
 index then query index), so results are invariant under scheduling.
 
 A run owns two thread pools: one running pairs, ``width`` wide, and one
-shared call pool, ``width`` x 11 wide (3 formulation calls plus 8 tool calls
-per pair), on which every formulation and tool call runs. Pair threads
-submit calls and wait for them; call-pool tasks never submit further tasks,
-so the pools cannot deadlock.
+shared call pool, ``width`` x 11 wide (3 formulation chains plus 8 tool
+calls per pair), on which every formulation and tool call runs. Pair threads
+submit calls and wait for them. Call-pool tasks may submit calls but never
+wait on one, so the pools cannot deadlock.
 
 Each pair owns one call object, ``_PairCalls``, through which every model
 and tool call of the pair passes. Whatever the family, a call reads the
@@ -70,7 +70,7 @@ from .tools import (
 
 logger = logging.getLogger(__name__)
 
-# Call-pool workers per pair: 3 formulation calls plus 8 tool calls in flight.
+# Call-pool workers per pair: 3 formulation chains plus 8 tool calls in flight.
 _CALLS_PER_PAIR = 11
 
 
@@ -151,16 +151,18 @@ class _PairCalls:
 
     ``complete`` is the gateway face the stages call. ``start`` is the
     formulation hook: it starts each tool call as soon as the reply it needs
-    lands. ``settle`` waits for every started tool call, and ``evidence``
-    merges them positionally, never in completion order.
+    lands, and may run for several replies at once, each filling its own
+    evidence slot. ``settle`` waits for every started tool call, and
+    ``evidence`` merges them positionally, never in completion order.
 
     Each call returns the JSON form the cache stores: ``{"text": ...}`` for
     a model reply, the ``to_json()`` evidence for a tool. Model replies are
     cached only at temperature 0; sampled output must never be replayed as
     truth. A pair's model requests are all distinct, so a repeated one is
     the retry of a reply its stage could not parse: it skips the cache read,
-    and its reply replaces the cached one. A repeated tool key shares the
-    first call's future.
+    and its reply replaces the cached one. A repeated attribute or fact
+    question shares one future within its fan-out; other tool keys cannot
+    repeat, as each reply starts at most one call of its family.
     """
 
     def __init__(self, pair: ImageTextPair, backends: ToolBackendSet | None,
@@ -175,8 +177,8 @@ class _PairCalls:
         self._lock = threading.Lock()  # guards _records and _seen
         self._records: list[TraceRecord] = []
         self._seen: set[str] = set()
-        # Only the pair thread submits tool calls, so these need no lock.
-        self._submitted: dict[CacheKey, Future] = {}
+        # Each slot is filled by the hook of one formulation reply, and read
+        # only after every formulation chain has finished.
         self._objects: Future | None = None
         self._scene_texts: Future | None = None
         self._attributes: list[Future] = []
@@ -234,11 +236,8 @@ class _PairCalls:
                              latency_ms=0, attempt_count=1)
 
     def _submit(self, stage: str, key: CacheKey, compute: Callable[[], Any]) -> Future:
-        if key not in self._submitted:
-            # A closure, not the pair: the call pool runs calls, not pairs.
-            self._submitted[key] = self._pool.submit(
-                lambda: self._call(stage, key, compute))
-        return self._submitted[key]
+        # A closure, not the pair: the call pool runs calls, not pairs.
+        return self._pool.submit(lambda: self._call(stage, key, compute))
 
     def start(self, template: TemplateId, queries: Mapping[int, tuple[str, ...]]) -> None:
         image, tools = self._image, self._backends
@@ -260,9 +259,9 @@ class _PairCalls:
                     lambda: [e.to_json() for e in read_scene_text(reader, image)],
                 )
         elif template is TemplateId.FACT_QUERY:
-            self._facts = [self._search(q) for q in questions]
+            self._facts = _fan_out(questions, self._search)
         elif template is TemplateId.ATTRIBUTE_QUERY:
-            self._attributes = [self._answer(q) for q in questions]
+            self._attributes = _fan_out(questions, self._answer)
 
     def _answer(self, question: str) -> Future:
         image, answerer = self._image, self._backends.attribute_answerer
@@ -282,7 +281,8 @@ class _PairCalls:
 
     def settle(self) -> None:
         """Wait until every started tool call has returned or raised."""
-        wait(self._submitted.values())
+        singles = [f for f in (self._objects, self._scene_texts) if f is not None]
+        wait([*singles, *self._attributes, *self._facts])
 
     def evidence(self) -> EvidenceBundle:
         """Merge results once settled; the first error in merge order is raised."""
@@ -296,6 +296,12 @@ class _PairCalls:
             scene_texts=tuple(map(evidence_from_json, scene_texts)),
             facts=tuple(map(evidence_from_json, facts)),
         )
+
+
+def _fan_out(questions: Sequence[str], submit: Callable[[str], Future]) -> list[Future]:
+    """One call per distinct question, one future per question in order."""
+    futures = {question: submit(question) for question in dict.fromkeys(questions)}
+    return [futures[question] for question in questions]
 
 
 # --- single-pair and batch drivers --------------------------------------------------

@@ -15,7 +15,7 @@ explicitly flagged unverified verdicts rather than silently truncating.
 from __future__ import annotations
 
 import json
-from concurrent.futures import FIRST_COMPLETED, Executor, Future, wait
+from concurrent.futures import Executor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -23,7 +23,6 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 from .errors import (
     ClaimCountMismatch,
     EmptyExtraction,
-    HalodetError,
     MissingDemonstrations,
     ParseError,
     UnknownLabel,
@@ -88,13 +87,6 @@ class ToolPlan:
 
     def for_claim(self, index: int) -> ClaimQueries:
         return self.per_claim[index - 1]
-
-    def object_label_union(self) -> list[str]:
-        """Pair-level detection vocabulary: first-seen order, deduplicated."""
-        return label_union(queries.object_labels for queries in self.per_claim)
-
-    def wants_scene_text(self) -> bool:
-        return any(q.scene_text_questions for q in self.per_claim)
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -241,49 +233,33 @@ def extract_claims(pair_text: str, task: TaskType, gateway: ModelGateway) -> lis
 # --- query formulation -------------------------------------------------------------
 
 
-def _tagged(template: TemplateId, exc: HalodetError) -> HalodetError:
-    exc.template_id = template  # type: ignore[attr-defined]
-    return exc
+# What each template's reply names. Formulation errors surface in this order,
+# whatever order the replies land in.
+_FORMULATION_KINDS = {
+    TemplateId.OBJECT_QUERY: HallucinationCategory.OBJECT,
+    TemplateId.SCENE_TEXT_QUERY: HallucinationCategory.SCENE_TEXT,
+    TemplateId.FACT_QUERY: HallucinationCategory.FACT,
+    TemplateId.ATTRIBUTE_QUERY: HallucinationCategory.ATTRIBUTE,
+}
 
 
 def _formulate_one(
     template: TemplateId,
     bindings: dict[str, str],
-    kind: HallucinationCategory,
     n_claims: int,
     gateway: ModelGateway,
 ) -> dict[int, list[str]]:
-    prompt = render(template, bindings)
-    try:
-        response = gateway.complete(ModelRequest(
-            prompt=prompt, decode_params=DecodeParams(),
-            purpose_tag=PurposeTag.QUERY_FORMULATE,
-        ))
-        return parse_claim_query_map(response.text, n_claims, kind)
-    except HalodetError as exc:
-        raise _tagged(template, exc)
+    response = gateway.complete(ModelRequest(
+        prompt=render(template, bindings), decode_params=DecodeParams(),
+        purpose_tag=PurposeTag.QUERY_FORMULATE,
+    ))
+    return parse_claim_query_map(response.text, n_claims, _FORMULATION_KINDS[template])
 
 
 # Called with each parsed formulation reply: the template and its queries per
 # claim index, in claim order (object labels already lowercased and deduplicated).
+# Hooks may run concurrently in call-pool threads, so they must be thread-safe.
 FormulationHook = Callable[[TemplateId, Mapping[int, tuple[str, ...]]], None]
-
-# Formulation errors surface in this order, whatever order the replies land in.
-_FORMULATION_ORDER = (
-    TemplateId.OBJECT_QUERY,
-    TemplateId.SCENE_TEXT_QUERY,
-    TemplateId.FACT_QUERY,
-    TemplateId.ATTRIBUTE_QUERY,
-)
-
-
-def _run_inline(call: Callable[[], Any]) -> Future:
-    future: Future = Future()
-    try:
-        future.set_result(call())
-    except Exception as exc:  # noqa: BLE001 - surfaced through the future
-        future.set_exception(exc)
-    return future
 
 
 def formulate_queries(
@@ -294,71 +270,65 @@ def formulate_queries(
 ) -> ToolPlan:
     """Route every claim to the tools it needs.
 
-    Issues the four query templates. The object, scene-text, and fact calls
-    start together; the attribute call starts as soon as the object reply
-    lands, because its prompt binds the pair-level object vocabulary. Calls
-    run on ``pool``, or inline one after another when it is None.
+    Issues the four query templates as three chains: object then attribute
+    (the attribute prompt binds the pair-level object vocabulary), scene
+    text, and fact. The chains run together on ``pool``, or inline in that
+    order when it is None. The object, scene-text and fact calls always start.
 
-    ``on_reply`` is called in the calling thread with each parsed reply as
-    soon as it lands, so a caller can start the tools that reply feeds while
-    the other replies are still out. Once a call has failed, no further call
-    starts and no further reply is handed on. The function returns or raises
-    only after every call it started has settled; errors surface in the fixed
-    order object, scene text, fact, attribute, and carry a ``template_id``
-    attribute naming the originating template.
+    ``on_reply`` is called with each parsed reply as soon as it lands, in the
+    thread of the chain that made the call, so a caller can start the tools
+    that reply feeds while the other replies are still out. Hooks may run
+    concurrently and must be thread-safe. Once any call has failed, the
+    attribute call does not start and no further reply is handed on. The
+    function returns or raises only after every chain has finished; errors
+    surface in the fixed order object, scene text, fact, attribute, and carry
+    a ``template_id`` attribute naming the originating template.
     """
     if not pair.claims:
         raise ValueError(f"pair {pair.id!r} has no claims")
     n = len(pair.claims)
     claims_text = render_claim_list([c.text for c in pair.claims])
-    bindings = {"claims": claims_text}
-    submit = pool.submit if pool is not None else _run_inline
-
-    def start(template: TemplateId, bindings: dict[str, str],
-              kind: HallucinationCategory) -> Future:
-        return submit(lambda: _formulate_one(template, bindings, kind, n, gateway))
-
-    futures = {
-        TemplateId.OBJECT_QUERY: start(
-            TemplateId.OBJECT_QUERY, bindings, HallucinationCategory.OBJECT),
-        TemplateId.SCENE_TEXT_QUERY: start(
-            TemplateId.SCENE_TEXT_QUERY, bindings, HallucinationCategory.SCENE_TEXT),
-        TemplateId.FACT_QUERY: start(
-            TemplateId.FACT_QUERY, bindings, HallucinationCategory.FACT),
-    }
+    claim_bindings = {"claims": claims_text}
     replies: dict[TemplateId, dict[int, tuple[str, ...]]] = {}
-    failed = False
-    pending = set(futures.values())
-    try:
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for template in [t for t in _FORMULATION_ORDER if futures.get(t) in done]:
-                future = futures[template]
-                if failed or future.exception() is not None:
-                    failed = True
-                    continue
-                if template is TemplateId.OBJECT_QUERY:
-                    queries = {i: _dedup_lower(v) for i, v in future.result().items()}
-                    attribute_bindings = {
-                        "objects": render_object_string(label_union(queries.values())),
-                        "claims": claims_text,
-                    }
-                    futures[TemplateId.ATTRIBUTE_QUERY] = start(
-                        TemplateId.ATTRIBUTE_QUERY, attribute_bindings,
-                        HallucinationCategory.ATTRIBUTE)
-                    pending.add(futures[TemplateId.ATTRIBUTE_QUERY])
-                else:
-                    queries = {i: tuple(v) for i, v in future.result().items()}
-                replies[template] = queries
-                if on_reply is not None:
-                    on_reply(template, queries)
-    finally:
-        wait(futures.values())
+    failures: dict[TemplateId, Exception] = {}
 
-    for template in _FORMULATION_ORDER:
-        future = futures.get(template)
-        if future is not None and future.exception() is not None:
-            raise future.exception()  # type: ignore[misc]
+    def formulate(template: TemplateId, bindings: dict[str, str]) -> None:
+        normalize = _dedup_lower if template is TemplateId.OBJECT_QUERY else tuple
+        try:
+            parsed = _formulate_one(template, bindings, n, gateway)
+            queries = {i: normalize(v) for i, v in parsed.items()}
+            if failures:
+                return
+            replies[template] = queries
+            if on_reply is not None:
+                on_reply(template, queries)
+        except Exception as exc:  # noqa: BLE001 - raised below, in fixed order
+            failures[template] = exc
+
+    def object_then_attribute() -> None:
+        formulate(TemplateId.OBJECT_QUERY, claim_bindings)
+        if not failures:
+            objects = label_union(replies[TemplateId.OBJECT_QUERY].values())
+            formulate(TemplateId.ATTRIBUTE_QUERY,
+                      {"objects": render_object_string(objects), "claims": claims_text})
+
+    chains = [
+        object_then_attribute,
+        lambda: formulate(TemplateId.SCENE_TEXT_QUERY, claim_bindings),
+        lambda: formulate(TemplateId.FACT_QUERY, claim_bindings),
+    ]
+    if pool is None:
+        for chain in chains:
+            chain()
+    else:
+        for future in [pool.submit(chain) for chain in chains]:
+            future.result()  # a chain records its errors in ``failures``
+
+    for template in _FORMULATION_KINDS:
+        if template in failures:
+            exc = failures[template]
+            exc.template_id = template  # type: ignore[attr-defined]
+            raise exc
 
     objects = replies[TemplateId.OBJECT_QUERY]
     attributes = replies[TemplateId.ATTRIBUTE_QUERY]

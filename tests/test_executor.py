@@ -665,6 +665,30 @@ class TestCallScheduling:
         assert clock.started("detect")
         assert not clock.started("verify")
 
+    def test_a_slow_hook_does_not_hold_back_other_replies(self):
+        # The object reply lands first; its hook waits for the scene-text
+        # hand-on, which only a hook running outside the caller's thread
+        # can reach in time.
+        scene_handed = threading.Event()
+        handed, released = [], []
+
+        def hook(template, queries):
+            if template is TemplateId.OBJECT_QUERY:
+                released.append(scene_handed.wait(timeout=2))
+            elif template is TemplateId.SCENE_TEXT_QUERY:
+                scene_handed.set()
+            handed.append(template)
+
+        clock = _Clock()
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            formulate_queries(_athlete_pair(),
+                              _timed_gateway(_timed_rules(object_q=0.0, scene_q=0.1), clock),
+                              pool, hook)
+        assert released == [True]
+        assert len(handed) == 4
+        assert set(handed) == {TemplateId.OBJECT_QUERY, TemplateId.ATTRIBUTE_QUERY,
+                               TemplateId.SCENE_TEXT_QUERY, TemplateId.FACT_QUERY}
+
 
 class TestFormulationErrorOrder:
     @pytest.mark.parametrize("failing, surfaced", [
@@ -885,5 +909,7 @@ class TestPoolSubmissions:
                   for pair in carried]
         assert sorted(handed) == [pair.id for pair in pairs]
         calls = [carried for prefix, carried in submits if prefix == "calls"]
-        assert len(calls) == len(pairs) * (4 + 4)
+        # Three formulation chains (the attribute call runs in the object
+        # chain) and four tool calls per pair.
+        assert len(calls) == len(pairs) * (3 + 4)
         assert not any(calls)

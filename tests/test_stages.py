@@ -28,6 +28,7 @@ from halodet.stages import (
     SelfCheckDemo,
     extract_claims,
     formulate_queries,
+    label_union,
     parse_claim_query_map,
     parse_verdicts,
     self_check,
@@ -233,7 +234,7 @@ def test_formulate_queries_merges_and_routes():
     assert plan.for_claim(1).scene_text_questions == ()
     assert plan.for_claim(1).fact_questions == ()
     assert plan.for_claim(2) == plan.for_claim(2).__class__()
-    assert plan.object_label_union() == ["athlete", "uniform"]
+    assert label_union(q.object_labels for q in plan.per_claim) == ["athlete", "uniform"]
     assert gateway.backend.calls == 4
 
 
@@ -245,8 +246,8 @@ def test_formulate_queries_all_none_plan():
         ("search engine questions", '{"claim1":["none"]}'),
     ])
     plan = formulate_queries(_pair(1), gateway)
-    assert plan.object_label_union() == []
-    assert not plan.wants_scene_text()
+    assert label_union(q.object_labels for q in plan.per_claim) == []
+    assert not any(q.scene_text_questions for q in plan.per_claim)
     assert all(queries == queries.__class__() for queries in plan.per_claim)
 
 
