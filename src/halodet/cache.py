@@ -3,11 +3,14 @@
 Entries are keyed by the digest of a canonicalized :class:`CacheKey` and
 stored as JSON files carrying their own value digest, so tampering is
 detected on read. Each write goes through its own temp file + rename, making
-the store safe for concurrent writers of one key.
+the store safe for concurrent writers of one key. The hot path keeps its
+system calls few: a read opens the entry directly, and a write creates its
+shard directory only when the first open of its temp file finds none.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import threading
@@ -93,9 +96,9 @@ class DiskCache:
         self.hits = 0
         self.misses = 0
 
-    def _path(self, key: CacheKey) -> Path:
+    def _path(self, key: CacheKey) -> str:
         digest = key.digest()
-        return self._objects / digest[:2] / f"{digest}.json"
+        return os.path.join(self._objects, digest[:2], f"{digest}.json")
 
     def get(self, key: CacheKey) -> tuple[bool, Any]:
         """Look up a key; returns (hit, value).
@@ -103,19 +106,24 @@ class DiskCache:
         A tampered entry counts as a miss, then raises StoreCorrupt.
         """
         path = self._path(key)
-        if not path.exists():
+        try:
+            with open(path, "rb") as entry:
+                data = entry.read()
+        except FileNotFoundError:
             self._count(hit=False)
             return False, None
         try:
-            record = json.loads(path.read_text("utf-8"))
+            record = json.loads(data.decode("utf-8"))
             value = record["value"]
             stored_digest = record["value_sha256"]
         except (ValueError, KeyError) as exc:
             self._count(hit=False)
-            raise StoreCorrupt(f"unreadable cache entry {path.name}: {exc}") from exc
+            raise StoreCorrupt(
+                f"unreadable cache entry {os.path.basename(path)}: {exc}") from exc
         if sha256_json(value) != stored_digest:
             self._count(hit=False)
-            raise StoreCorrupt(f"cache entry {path.name} failed its integrity check")
+            raise StoreCorrupt(
+                f"cache entry {os.path.basename(path)} failed its integrity check")
         self._count(hit=True)
         return True, value
 
@@ -128,7 +136,6 @@ class DiskCache:
 
     def put(self, key: CacheKey, value: Any) -> None:
         path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         record = {
             "key": {
                 "tool_kind": key.tool_kind,
@@ -139,11 +146,30 @@ class DiskCache:
             "value_sha256": sha256_json(value),
             "value": value,
         }
+        data = (json.dumps(record, ensure_ascii=False, indent=2) + "\n").encode("utf-8")
         # One writer per thread at a time, so pid + thread id names a temp
         # file no concurrent writer of this key shares.
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-        tmp.write_text(json.dumps(record, ensure_ascii=False, indent=2) + "\n", "utf-8")
-        os.replace(tmp, path)
+        tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+        flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+        try:
+            fd = os.open(tmp, flags, 0o666)
+        except FileNotFoundError:  # first entry of this shard, or the shard was removed
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            fd = os.open(tmp, flags, 0o666)
+        try:
+            try:
+                view = memoryview(data)
+                while view:
+                    view = view[os.write(fd, view):]
+            finally:
+                os.close(fd)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except FileNotFoundError:
+                pass
+            raise
 
     # --- maintenance and reporting ---------------------------------------
 
@@ -168,23 +194,29 @@ class DiskCache:
         return removed
 
     def flush_stats(self) -> None:
-        """Fold this instance's hit/miss counters into the persisted totals."""
+        """Fold this instance's hit/miss counters into the persisted totals.
+
+        The read-modify-write holds an exclusive ``flock`` on ``stats.lock``,
+        so runs sharing a cache directory neither collide nor lose counts.
+        """
         stats_path = self.directory / "stats.json"
         with self._lock:
             hits, misses = self.hits, self.misses
             self.hits = 0
             self.misses = 0
-        totals = {"hits": 0, "misses": 0}
-        if stats_path.exists():
-            try:
-                totals.update(json.loads(stats_path.read_text("utf-8")))
-            except ValueError:
-                pass
-        totals["hits"] += hits
-        totals["misses"] += misses
-        tmp = stats_path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(totals) + "\n", "utf-8")
-        os.replace(tmp, stats_path)
+        with open(self.directory / "stats.lock", "a") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
+            totals = {"hits": 0, "misses": 0}
+            if stats_path.exists():
+                try:
+                    totals.update(json.loads(stats_path.read_text("utf-8")))
+                except ValueError:
+                    pass
+            totals["hits"] += hits
+            totals["misses"] += misses
+            tmp = stats_path.with_name(f"stats.{os.getpid()}.{threading.get_ident()}.tmp")
+            tmp.write_text(json.dumps(totals) + "\n", "utf-8")
+            os.replace(tmp, stats_path)
 
     def persisted_stats(self) -> dict[str, int]:
         stats_path = self.directory / "stats.json"

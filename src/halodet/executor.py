@@ -10,10 +10,22 @@ attribute, then scene text, then fact, ordered inside each family by claim
 index then query index), so results are invariant under scheduling.
 
 A run owns two thread pools: one running pairs, ``width`` wide, and one
-shared call pool, ``width`` x 11 wide (3 formulation chains plus 8 tool
-calls per pair), on which every formulation and tool call runs. Pair threads
-submit calls and wait for them. Call-pool tasks may submit calls but never
-wait on one, so the pools cannot deadlock.
+shared call pool. A thread that would only wait or exit runs the next call
+itself, so each call runs in a fixed thread:
+
+- the pair thread runs the object and attribute formulation calls, the last
+  distinct attribute answer, and verification;
+- the scene-text chain, on the call pool, runs its formulation call and then
+  the scene-text read;
+- the fact chain, on the call pool, runs its formulation call and then the
+  last distinct fact search;
+- every other tool call (object detection, the other attribute answers and
+  fact searches) is its own call-pool task.
+
+The call pool is ``width`` x 10 wide: per pair it receives the 2 chains and
+the pooled tool calls, sized for at most 8 of those per pair; any beyond
+that queue. Pair threads submit calls and wait for them. Call-pool tasks
+may submit calls but never wait on one, so the pools cannot deadlock.
 
 Each pair owns one call object, ``_PairCalls``, through which every model
 and tool call of the pair passes. Whatever the family, a call reads the
@@ -70,8 +82,8 @@ from .tools import (
 
 logger = logging.getLogger(__name__)
 
-# Call-pool workers per pair: 3 formulation chains plus 8 tool calls in flight.
-_CALLS_PER_PAIR = 11
+# Call-pool workers per pair: 2 formulation chains plus 8 tool calls in flight.
+_CALLS_PER_PAIR = 10
 
 
 @dataclass(frozen=True)
@@ -152,8 +164,11 @@ class _PairCalls:
     ``complete`` is the gateway face the stages call. ``start`` is the
     formulation hook: it starts each tool call as soon as the reply it needs
     lands, and may run for several replies at once, each filling its own
-    evidence slot. ``settle`` waits for every started tool call, and
-    ``evidence`` merges them positionally, never in completion order.
+    evidence slot. The hook runs the scene-text read and the last distinct
+    question of each fan-out in its own thread, since that thread would
+    otherwise only wait or exit; it submits the others. ``settle`` waits for
+    every started tool call, and ``evidence`` merges them positionally,
+    never in completion order.
 
     Each call returns the JSON form the cache stores: ``{"text": ...}`` for
     a model reply, the ``to_json()`` evidence for a tool. Model replies are
@@ -235,48 +250,65 @@ class _PairCalls:
         return ModelResponse(text=value["text"], backend_id=backend_id,
                              latency_ms=0, attempt_count=1)
 
-    def _submit(self, stage: str, key: CacheKey, compute: Callable[[], Any]) -> Future:
-        # A closure, not the pair: the call pool runs calls, not pairs.
-        return self._pool.submit(lambda: self._call(stage, key, compute))
+    def _start(self, stage: str, key: CacheKey, compute: Callable[[], Any],
+               here: bool) -> Future:
+        """Submit a tool call, or with ``here`` run it in this thread.
+
+        Either way its result or error lands in the returned future, so an
+        error surfaces from ``evidence()`` in merge order.
+        """
+        if not here:
+            # A closure, not the pair: the call pool runs calls, not pairs.
+            return self._pool.submit(lambda: self._call(stage, key, compute))
+        future: Future = Future()
+        try:
+            future.set_result(self._call(stage, key, compute))
+        except Exception as exc:  # noqa: BLE001 - re-raised by evidence()
+            future.set_exception(exc)
+        return future
 
     def start(self, template: TemplateId, queries: Mapping[int, tuple[str, ...]]) -> None:
         image, tools = self._image, self._backends
         questions = [q for per_claim in queries.values() for q in per_claim]
         if template is TemplateId.OBJECT_QUERY:
+            # Pooled: this thread goes on to the attribute formulation call.
             labels = label_union(queries.values())
             if labels:
                 detector = tools.object_detector
-                self._objects = self._submit(
+                self._objects = self._start(
                     "tool:object-detect",
                     CacheKey.object_detect(image.digest, labels, detector.backend_id),
                     lambda: [e.to_json() for e in detect_objects(detector, image, labels)],
+                    here=False,
                 )
         elif template is TemplateId.SCENE_TEXT_QUERY:
             if questions:
                 reader = tools.scene_text_reader
-                self._scene_texts = self._submit(
+                self._scene_texts = self._start(
                     "tool:scene-text", CacheKey.scene_text(image.digest, reader.backend_id),
                     lambda: [e.to_json() for e in read_scene_text(reader, image)],
+                    here=True,
                 )
         elif template is TemplateId.FACT_QUERY:
             self._facts = _fan_out(questions, self._search)
         elif template is TemplateId.ATTRIBUTE_QUERY:
             self._attributes = _fan_out(questions, self._answer)
 
-    def _answer(self, question: str) -> Future:
+    def _answer(self, question: str, here: bool) -> Future:
         image, answerer = self._image, self._backends.attribute_answerer
-        return self._submit(
+        return self._start(
             "tool:attribute", CacheKey.attribute(image.digest, question, answerer.backend_id),
-            lambda: answerer.answer(image, question).to_json(),
+            lambda: answerer.answer(image, question).to_json(), here,
         )
 
-    def _search(self, question: str) -> Future:
+    def _search(self, question: str, here: bool) -> Future:
         searcher, top_k = self._backends.fact_searcher, self._fact_top_k
-        return self._submit(
+        return self._start(
             "tool:fact-search", CacheKey.fact_search(question, top_k, searcher.backend_id),
             lambda: FactEvidence(question=question, snippets=tuple(
                 fact_snippet_line(s) for s in search_facts(searcher, question, top_k)
             )).to_json(),
+            here,
         )
 
     def settle(self) -> None:
@@ -298,9 +330,16 @@ class _PairCalls:
         )
 
 
-def _fan_out(questions: Sequence[str], submit: Callable[[str], Future]) -> list[Future]:
-    """One call per distinct question, one future per question in order."""
-    futures = {question: submit(question) for question in dict.fromkeys(questions)}
+def _fan_out(questions: Sequence[str],
+             start: Callable[[str, bool], Future]) -> list[Future]:
+    """One call per distinct question, one future per question in order.
+
+    The last distinct question runs in this thread, after the others are
+    submitted.
+    """
+    distinct = list(dict.fromkeys(questions))
+    last = len(distinct) - 1
+    futures = {question: start(question, i == last) for i, question in enumerate(distinct)}
     return [futures[question] for question in questions]
 
 

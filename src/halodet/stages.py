@@ -272,8 +272,10 @@ def formulate_queries(
 
     Issues the four query templates as three chains: object then attribute
     (the attribute prompt binds the pair-level object vocabulary), scene
-    text, and fact. The chains run together on ``pool``, or inline in that
-    order when it is None. The object, scene-text and fact calls always start.
+    text, and fact. With a ``pool``, the scene-text and fact chains run on it
+    while the object-then-attribute chain runs in the caller, which would
+    otherwise only wait; with None, all three run inline in that order. The
+    object, scene-text and fact calls always start.
 
     ``on_reply`` is called with each parsed reply as soon as it lands, in the
     thread of the chain that made the call, so a caller can start the tools
@@ -321,7 +323,9 @@ def formulate_queries(
         for chain in chains:
             chain()
     else:
-        for future in [pool.submit(chain) for chain in chains]:
+        pooled = [pool.submit(chain) for chain in chains[1:]]
+        object_then_attribute()
+        for future in pooled:
             future.result()  # a chain records its errors in ``failures``
 
     for template in _FORMULATION_KINDS:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import threading
 
 import pytest
@@ -147,3 +148,71 @@ class TestDiskCache:
         assert errors == []
         assert cache.entry_count() == 1
         assert not list((tmp_path / "objects").glob("*/*.tmp"))
+
+    def test_entry_bytes_are_pinned(self, tmp_path):
+        # The on-disk format: existing caches and fixture stores hold it.
+        DiskCache(tmp_path).put(_key(), {"snippets": ["Café · a", "b"], "n": 1})
+        digest = _key().digest()
+        entry = tmp_path / "objects" / digest[:2] / f"{digest}.json"
+        assert entry.read_bytes() == (
+            b'{\n  "key": {\n    "tool_kind": "fact-search",\n'
+            b'    "canonical_query": "where is it?",\n    "image_digest": "",\n'
+            b'    "backend_id": "mock"\n  },\n'
+            b'  "value_sha256": "c44b04ddbe5efc942faa7a295ec53baf18e70ed2556aeca0391e202e16b07487",\n'
+            b'  "value": {\n    "snippets": [\n      "Caf\xc3\xa9 \xc2\xb7 a",\n      "b"\n'
+            b'    ],\n    "n": 1\n  }\n}\n'
+        )
+
+    def test_put_recreates_a_removed_shard(self, tmp_path):
+        cache = DiskCache(tmp_path)
+        cache.put(_key(), "first")
+        shard = tmp_path / "objects" / _key().digest()[:2]
+        for entry in shard.iterdir():
+            entry.unlink()
+        shard.rmdir()
+        cache.put(_key(), "second")
+        assert cache.get(_key()) == (True, "second")
+
+    def test_missing_key_counts_one_miss_and_creates_nothing(self, tmp_path):
+        cache = DiskCache(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        assert cache.get(_key("never stored")) == (False, None)
+        assert (cache.hits, cache.misses) == (0, 1)
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_failed_put_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        cache = DiskCache(tmp_path)
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            cache.put(_key(), {"x": 1})
+        assert not list((tmp_path / "objects").rglob("*.tmp"))
+        assert cache.entry_count() == 0
+
+    def test_concurrent_flushes_keep_every_count(self, tmp_path):
+        # Runs sharing a cache directory flush at the same time; a lost
+        # flush used to fail its whole batch after every pair had finished.
+        start = threading.Barrier(4)
+        errors = []
+
+        def flusher():
+            cache = DiskCache(tmp_path)
+            start.wait()
+            try:
+                for _ in range(300):
+                    cache.hits = 1
+                    cache.flush_stats()
+            except Exception as exc:  # noqa: BLE001 - collected for the assertion
+                errors.append(exc)
+
+        threads = [threading.Thread(target=flusher) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert errors == []
+        assert DiskCache(tmp_path).persisted_stats() == {"hits": 1200, "misses": 0}

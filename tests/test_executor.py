@@ -15,7 +15,7 @@ import pytest
 import e2e_scenario
 from conftest import image_ref, table_gateway
 from halodet.cache import DiskCache
-from halodet.errors import ConfigInvalid, UnparseableModelOutput
+from halodet.errors import ConfigInvalid, InvalidImage, UnparseableModelOutput
 from halodet.executor import (
     BatchOutcome,
     load_result_payload,
@@ -542,14 +542,18 @@ class _TimedModel:
         raise AssertionError(f"no rule matched prompt: {request.prompt.user[:100]!r}")
 
 
-def _timed_backends(clock, delay=0.02, search_error=None):
+def _timed_backends(clock, delay=0.02, search_error=None, read_error=None):
     class Detector(CountingDetector):
         def detect(self, image, labels):
             return clock.run("detect", delay, lambda: super(Detector, self).detect(image, labels))
 
     class Reader(CountingReader):
         def read(self, image):
-            return clock.run("read", delay, lambda: super(Reader, self).read(image))
+            def run():
+                if read_error is not None:
+                    raise read_error
+                return super(Reader, self).read(image)
+            return clock.run("read", delay, run)
 
     class Searcher(CountingSearcher):
         def search(self, question, top_k):
@@ -651,6 +655,24 @@ class TestCallScheduling:
                           _timed_gateway(_timed_rules(), clock))
         assert clock.in_flight == 0
         assert {n for n, _, _ in clock.calls} >= {"detect", "read", "search", "answer"}
+
+    def test_an_in_place_tool_error_fails_the_pair_after_every_call_settles(self):
+        # The scene-text read runs in the scene-text chain's own thread; its
+        # error must land in its evidence slot, not pass for a formulation
+        # error, and surface only once the other tool calls have settled.
+        clock = _Clock()
+        backends = _timed_backends(clock, delay=0.15,
+                                   read_error=InvalidImage("unreadable image"))
+        with pytest.raises(InvalidImage, match="unreadable image") as exc_info:
+            run_detection(_athlete_pair(), DetectionMethod.UNIHD, backends,
+                          _timed_gateway(_timed_rules(scene_q=0.0), clock))
+        assert not hasattr(exc_info.value, "template_id")
+        assert clock.in_flight == 0
+        (read_end,) = clock.ended("read")
+        (answer_end,) = clock.ended("answer")
+        assert answer_end > read_end
+        assert {n for n, _, _ in clock.calls} >= {"detect", "read", "search", "answer"}
+        assert not clock.started("verify")
 
     def test_pair_settles_every_call_after_a_formulation_error(self):
         clock = _Clock()
@@ -909,7 +931,17 @@ class TestPoolSubmissions:
                   for pair in carried]
         assert sorted(handed) == [pair.id for pair in pairs]
         calls = [carried for prefix, carried in submits if prefix == "calls"]
-        # Three formulation chains (the attribute call runs in the object
-        # chain) and four tool calls per pair.
-        assert len(calls) == len(pairs) * (3 + 4)
+        # Per pair: the scene-text and fact chains, object detection, and
+        # every distinct attribute or fact question but the last of its
+        # fan-out. The scene-text read and those last questions run in the
+        # thread that delivered their reply.
+        pooled = 0
+        for result in outcome.results:
+            claims = result.plan.per_claim
+            labels = {label for c in claims for label in c.object_labels}
+            attributes = {q for c in claims for q in c.attribute_questions}
+            facts = {q for c in claims for q in c.fact_questions}
+            pooled += 2 + bool(labels) + max(len(attributes) - 1, 0) + max(len(facts) - 1, 0)
+        assert pooled == len(pairs) * 3
+        assert len(calls) == pooled
         assert not any(calls)
