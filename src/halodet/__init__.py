@@ -20,7 +20,6 @@ from .executor import (
     write_run_dir,
 )
 from .gateway import (
-    DecodeParams,
     ModelGateway,
     ModelRequest,
     ModelResponse,
@@ -86,7 +85,6 @@ __all__ = [
     "CacheKey",
     "Claim",
     "ClaimQueries",
-    "DecodeParams",
     "DetectionMethod",
     "DetectionResult",
     "DiskCache",

@@ -134,8 +134,8 @@ def _validate_pair_json(data: Any, path: str) -> None:
             _validate_segment(segment, f"{path}/segments/{i}")
 
 
-def load(path: str | Path, verify_digests: bool = True) -> BenchmarkFile:
-    """Load and fully validate one benchmark file."""
+def load(path: str | Path) -> BenchmarkFile:
+    """Load and fully validate one benchmark file, and each image file present."""
     path = Path(path)
     try:
         data = json.loads(path.read_text("utf-8"))
@@ -163,15 +163,14 @@ def load(path: str | Path, verify_digests: bool = True) -> BenchmarkFile:
         report = validate_pair(pair)
         if not report.ok:
             raise SchemaViolation(pointer, "; ".join(report.violations))
-        if verify_digests:
-            image_path = path.parent / pair.image.path
-            if image_path.is_file():
-                actual = sha256_file(str(image_path))
-                if actual != pair.image.digest:
-                    raise SchemaViolation(
-                        f"{pointer}/image/digest",
-                        f"file digest {actual} does not match recorded digest",
-                    )
+        image_path = path.parent / pair.image.path
+        if image_path.is_file():
+            actual = sha256_file(str(image_path))
+            if actual != pair.image.digest:
+                raise SchemaViolation(
+                    f"{pointer}/image/digest",
+                    f"file digest {actual} does not match recorded digest",
+                )
         pairs.append(pair)
 
     return BenchmarkFile(version=version, pairs=tuple(pairs), provenance=dict(provenance))
@@ -362,19 +361,17 @@ def convert_predictions(
                 claim_unverified += 1
 
         if pair.segments is not None:
+            seg_pred_labels = []
             seg_gold_labels = []
             for segment in pair.segments:
-                seg_pred = derive_segment_label([pair_pred[i] for i in segment.claim_indices])
-                seg_gold = derive_segment_label([pair_gold[i] for i in segment.claim_indices])
-                segment_preds.append(seg_pred)
-                segment_golds.append(seg_gold)
-                seg_gold_labels.append(seg_gold)
-                if any(pair_unverified[i] for i in segment.claim_indices):
+                indices = segment.claim_indices
+                seg_pred_labels.append(derive_segment_label([pair_pred[i] for i in indices]))
+                seg_gold_labels.append(derive_segment_label([pair_gold[i] for i in indices]))
+                if any(pair_unverified[i] for i in indices):
                     segment_unverified += 1
-            response_preds.append(derive_response_label(
-                [derive_segment_label([pair_pred[i] for i in s.claim_indices])
-                 for s in pair.segments]
-            ))
+            segment_preds.extend(seg_pred_labels)
+            segment_golds.extend(seg_gold_labels)
+            response_preds.append(derive_response_label(seg_pred_labels))
             response_golds.append(derive_response_label(seg_gold_labels))
         else:
             response_preds.append(derive_segment_label(list(pair_pred.values())))

@@ -103,7 +103,8 @@ class DiskCache:
     def get(self, key: CacheKey) -> tuple[bool, Any]:
         """Look up a key; returns (hit, value).
 
-        A tampered entry counts as a miss, then raises StoreCorrupt.
+        A tampered entry, or one of any unreadable shape, counts as a miss,
+        then raises StoreCorrupt.
         """
         path = self._path(key)
         try:
@@ -116,7 +117,7 @@ class DiskCache:
             record = json.loads(data.decode("utf-8"))
             value = record["value"]
             stored_digest = record["value_sha256"]
-        except (ValueError, KeyError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:  # TypeError: not an object
             self._count(hit=False)
             raise StoreCorrupt(
                 f"unreadable cache entry {os.path.basename(path)}: {exc}") from exc
@@ -206,12 +207,7 @@ class DiskCache:
             self.misses = 0
         with open(self.directory / "stats.lock", "a") as lock:
             fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
-            totals = {"hits": 0, "misses": 0}
-            if stats_path.exists():
-                try:
-                    totals.update(json.loads(stats_path.read_text("utf-8")))
-                except ValueError:
-                    pass
+            totals = self.persisted_stats()
             totals["hits"] += hits
             totals["misses"] += misses
             tmp = stats_path.with_name(f"stats.{os.getpid()}.{threading.get_ident()}.tmp")
@@ -219,11 +215,10 @@ class DiskCache:
             os.replace(tmp, stats_path)
 
     def persisted_stats(self) -> dict[str, int]:
-        stats_path = self.directory / "stats.json"
-        if not stats_path.exists():
-            return {"hits": 0, "misses": 0}
+        """The persisted totals; a missing file, or one that is not a mapping
+        of counts, reads as zero."""
         try:
-            data = json.loads(stats_path.read_text("utf-8"))
+            data = json.loads((self.directory / "stats.json").read_text("utf-8"))
             return {"hits": int(data.get("hits", 0)), "misses": int(data.get("misses", 0))}
-        except ValueError:
+        except (FileNotFoundError, ValueError, TypeError, AttributeError):
             return {"hits": 0, "misses": 0}

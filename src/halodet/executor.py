@@ -171,13 +171,12 @@ class _PairCalls:
     never in completion order.
 
     Each call returns the JSON form the cache stores: ``{"text": ...}`` for
-    a model reply, the ``to_json()`` evidence for a tool. Model replies are
-    cached only at temperature 0; sampled output must never be replayed as
-    truth. A pair's model requests are all distinct, so a repeated one is
-    the retry of a reply its stage could not parse: it skips the cache read,
-    and its reply replaces the cached one. A repeated attribute or fact
-    question shares one future within its fan-out; other tool keys cannot
-    repeat, as each reply starts at most one call of its family.
+    a model reply, the ``to_json()`` evidence for a tool. A pair's model
+    requests are all distinct, so a repeated one is the retry of a reply its
+    stage could not parse: it skips the cache read, and its reply replaces
+    the cached one. A repeated attribute or fact question shares one future
+    within its fan-out; other tool keys cannot repeat, as each reply starts
+    at most one call of its family.
     """
 
     def __init__(self, pair: ImageTextPair, backends: ToolBackendSet | None,
@@ -200,10 +199,11 @@ class _PairCalls:
         self._facts: list[Future] = []
 
     def _call(self, stage: str, key: CacheKey, compute: Callable[[], Any],
-              read: bool = True, write: bool = True) -> Any:
+              read: bool = True) -> Any:
         """Serve ``key`` from the cache or ``compute``; record one trace entry.
 
-        A corrupt entry is a miss, which the put then overwrites.
+        A corrupt entry is a miss, which the put then overwrites. With
+        ``read`` false the cache read is skipped; the reply is written anyway.
         """
         started = time.monotonic()
         hit, value = False, None
@@ -214,7 +214,7 @@ class _PairCalls:
                 logger.warning("recomputing: %s", exc)
         if not hit:
             value = compute()
-            if self._cache is not None and write:
+            if self._cache is not None:
                 self._cache.put(key, value)
         model = key.tool_kind == "model"
         record = TraceRecord(
@@ -239,12 +239,11 @@ class _PairCalls:
         with self._lock:
             retry = digest in self._seen
             self._seen.add(digest)
-        cacheable = request.decode_params.temperature == 0
         backend_id = self._gateway.backend.backend_id
         value = self._call(
             f"model:{request.purpose_tag.value}", CacheKey.model(digest, backend_id),
             lambda: {"text": self._gateway.complete(request).text},
-            read=cacheable and not retry, write=cacheable,
+            read=not retry,
         )
         # The stages read only the text; timing lives in the trace record.
         return ModelResponse(text=value["text"], backend_id=backend_id,

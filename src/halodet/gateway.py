@@ -4,6 +4,11 @@ One entry point, :meth:`ModelGateway.complete`, fronts whichever backend is
 configured: a live HTTPS endpoint or a deterministic mock replaying a cache
 store. The gateway owns retry (transient failures only); it never parses
 model output, which belongs to the pipeline stage that issued the request.
+
+Every request decodes greedily, at ``TEMPERATURE`` 0 with at most
+``MAX_OUTPUT_TOKENS`` (1024) tokens: replies are cached and replayed as the
+model's answer, which only a deterministic decoding makes sound. Both values
+still go into the request digest, the wire body and the request log.
 """
 
 from __future__ import annotations
@@ -37,24 +42,15 @@ class PurposeTag(Enum):
     SELF_CHECK = "self-check"
 
 
-@dataclass(frozen=True)
-class DecodeParams:
-    """Sampling controls; temperature 0 everywhere by default for replayability."""
-
-    temperature: float = 0.0
-    max_output_tokens: int = 1024
-
-    def __post_init__(self) -> None:
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-        if self.max_output_tokens < 1:
-            raise ValueError("max_output_tokens must be >= 1")
+TEMPERATURE = 0.0
+MAX_OUTPUT_TOKENS = 1024
 
 
 @dataclass(frozen=True)
 class ModelRequest:
+    """One prompt, decoded greedily, since its reply is cached and replayed."""
+
     prompt: RenderedPrompt
-    decode_params: DecodeParams = DecodeParams()
     purpose_tag: PurposeTag = PurposeTag.VERIFY
 
 
@@ -82,8 +78,8 @@ def request_digest(request: ModelRequest) -> str:
         "system": request.prompt.system,
         "user": request.prompt.user,
         "attachments": [ref.digest for ref in request.prompt.attachments],
-        "temperature": request.decode_params.temperature,
-        "max_output_tokens": request.decode_params.max_output_tokens,
+        "temperature": TEMPERATURE,
+        "max_output_tokens": MAX_OUTPUT_TOKENS,
     })
 
 
@@ -173,8 +169,8 @@ class ModelGateway:
             "system": request.prompt.system,
             "user": request.prompt.user,
             "attachments": [ref.to_json() for ref in request.prompt.attachments],
-            "temperature": request.decode_params.temperature,
-            "max_output_tokens": request.decode_params.max_output_tokens,
+            "temperature": TEMPERATURE,
+            "max_output_tokens": MAX_OUTPUT_TOKENS,
             "backend_id": response.backend_id,
             "text": response.text,
         }
@@ -287,7 +283,6 @@ class HttpModelBackend(_HttpJsonClient):
         endpoint: str,
         api_key: str,
         model: str = "",
-        backend_id: str | None = None,
         timeout: float = 60.0,
         session: requests.Session | None = None,
     ) -> None:
@@ -295,7 +290,7 @@ class HttpModelBackend(_HttpJsonClient):
             raise AuthFailure("model backend requires an API key")
         super().__init__(endpoint, {"Authorization": f"Bearer {api_key}"}, timeout, session)
         self.model = model
-        self.backend_id = backend_id or (model or endpoint)
+        self.backend_id = model or endpoint
 
     def invoke(self, request: ModelRequest) -> str:
         body = self._post({
@@ -303,8 +298,8 @@ class HttpModelBackend(_HttpJsonClient):
             "system": request.prompt.system,
             "user": request.prompt.user,
             "images": [ref.to_json() for ref in request.prompt.attachments],
-            "temperature": request.decode_params.temperature,
-            "max_output_tokens": request.decode_params.max_output_tokens,
+            "temperature": TEMPERATURE,
+            "max_output_tokens": MAX_OUTPUT_TOKENS,
         })
         try:
             return str(body["text"])

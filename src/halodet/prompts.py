@@ -78,7 +78,6 @@ _SLOTS: dict[PromptId, tuple[str, ...]] = {
 _ATTACHMENT_OK: frozenset[PromptId] = frozenset({
     TemplateId.VERIFY_IMAGE_TO_TEXT,
     TemplateId.VERIFY_TEXT_TO_IMAGE,
-    TemplateId.ATTRIBUTE_QUERY,
     SupplementalId.SELF_CHECK_0SHOT,
     SupplementalId.SELF_CHECK_2SHOT,
     SupplementalId.ATTRIBUTE_ANSWER,

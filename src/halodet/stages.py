@@ -28,7 +28,7 @@ from .errors import (
     UnknownLabel,
     UnparseableModelOutput,
 )
-from .gateway import DecodeParams, ModelGateway, ModelRequest, PurposeTag
+from .gateway import ModelGateway, ModelRequest, PurposeTag
 from .json_repair import loads_lenient
 from .model import (
     Claim,
@@ -207,9 +207,7 @@ def extract_claims(pair_text: str, task: TaskType, gateway: ModelGateway) -> lis
     if not pair_text.strip():
         raise EmptyExtraction("cannot extract claims from empty text")
     prompt = render(SupplementalId.EXTRACT_CLAIMS, {"text": pair_text})
-    response = gateway.complete(ModelRequest(
-        prompt=prompt, decode_params=DecodeParams(), purpose_tag=PurposeTag.EXTRACT,
-    ))
+    response = gateway.complete(ModelRequest(prompt=prompt, purpose_tag=PurposeTag.EXTRACT))
     try:
         value, _ = loads_lenient(response.text)
     except ValueError as exc:
@@ -250,8 +248,7 @@ def _formulate_one(
     gateway: ModelGateway,
 ) -> dict[int, list[str]]:
     response = gateway.complete(ModelRequest(
-        prompt=render(template, bindings), decode_params=DecodeParams(),
-        purpose_tag=PurposeTag.QUERY_FORMULATE,
+        prompt=render(template, bindings), purpose_tag=PurposeTag.QUERY_FORMULATE,
     ))
     return parse_claim_query_map(response.text, n_claims, _FORMULATION_KINDS[template])
 
@@ -471,8 +468,7 @@ def verify(
     if not pair.claims:
         raise ValueError(f"pair {pair.id!r} has no claims")
     prompt = build_verification_prompt(pair, evidence)
-    request = ModelRequest(prompt=prompt, decode_params=DecodeParams(),
-                           purpose_tag=PurposeTag.VERIFY)
+    request = ModelRequest(prompt=prompt, purpose_tag=PurposeTag.VERIFY)
     return _judge(request, len(pair.claims), gateway)
 
 
@@ -535,6 +531,5 @@ def self_check(
             {"demonstrations": demo_text, "claims": claims_text},
             images,
         )
-    request = ModelRequest(prompt=prompt, decode_params=DecodeParams(),
-                           purpose_tag=PurposeTag.SELF_CHECK)
+    request = ModelRequest(prompt=prompt, purpose_tag=PurposeTag.SELF_CHECK)
     return _judge(request, len(pair.claims), gateway)

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Protocol, Sequence
 
 from .cache import CacheKey, DiskCache
 from .errors import AuthFailure, InvalidImage, QuotaExceeded
-from .gateway import DecodeParams, ModelGateway, ModelRequest, PurposeTag, _HttpJsonClient
+from .gateway import ModelGateway, ModelRequest, PurposeTag, _HttpJsonClient
 from .model import (
     AttributeEvidence,
     EvidenceBundle,
@@ -136,8 +136,7 @@ def answer_attribute(
         raise ValueError("question must be non-empty")
     prompt = render(SupplementalId.ATTRIBUTE_ANSWER, {"question": question}, [image])
     response = gateway.complete(
-        ModelRequest(prompt=prompt, decode_params=DecodeParams(),
-                     purpose_tag=PurposeTag.ATTRIBUTE_ANSWER)
+        ModelRequest(prompt=prompt, purpose_tag=PurposeTag.ATTRIBUTE_ANSWER)
     )
     return AttributeEvidence(question=question, answer=response.text)
 

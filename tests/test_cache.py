@@ -91,11 +91,14 @@ class TestDiskCache:
         cache = DiskCache(tmp_path)
         cache.put(_key(), {"x": 1})
         entry = next((tmp_path / "objects").glob("*/*.json"))
-        entry.write_text("{torn")
-        with pytest.raises(StoreCorrupt):
-            cache.get(_key())
+        # A torn write, then valid JSON that is not an entry object.
+        bodies = ["{torn", "[]", '"x"', "null"]
+        for body in bodies:
+            entry.write_text(body)
+            with pytest.raises(StoreCorrupt):
+                cache.get(_key())
         cache.flush_stats()
-        assert cache.persisted_stats() == {"hits": 0, "misses": 1}
+        assert cache.persisted_stats() == {"hits": 0, "misses": len(bodies)}
 
     def test_entry_count_bytes_and_clear(self, tmp_path):
         cache = DiskCache(tmp_path)
@@ -117,6 +120,16 @@ class TestDiskCache:
         second.flush_stats()
         stats = second.persisted_stats()
         assert stats == {"hits": 2, "misses": 1}
+
+    @pytest.mark.parametrize("body", ["5", "null", "[]", '{"hits": "a"}', "{torn"])
+    def test_malformed_stats_file_counts_as_zero(self, tmp_path, body):
+        cache = DiskCache(tmp_path)
+        (tmp_path / "stats.json").write_text(body)
+        assert cache.persisted_stats() == {"hits": 0, "misses": 0}
+        cache.put(_key(), {"x": 1})
+        cache.get(_key())
+        cache.flush_stats()
+        assert cache.persisted_stats() == {"hits": 1, "misses": 0}
 
     def test_overwrite_same_key(self, tmp_path):
         cache = DiskCache(tmp_path)

@@ -218,26 +218,6 @@ class TestRunDetectionUnihd:
         assert any(r.stage == "model:extract" for r in result.trace)
         assert len(result.verdicts) == 1
 
-    def test_sampled_decoding_is_never_cached(self, tmp_path):
-        from halodet.executor import _PairCalls
-        from halodet.gateway import DecodeParams, ModelRequest, PurposeTag
-        from halodet.prompts import RenderedPrompt
-
-        cache = DiskCache(tmp_path / "cache")
-        gateway = table_gateway([("", "sampled reply")])
-        request = ModelRequest(
-            prompt=RenderedPrompt(system="s", user="u"),
-            decode_params=DecodeParams(temperature=0.7),
-            purpose_tag=PurposeTag.VERIFY,
-        )
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            calls = _PairCalls(_athlete_pair(), None, gateway, cache, 3, pool)
-            calls.complete(request)
-            calls.complete(request)
-        assert gateway.backend.calls == 2
-        assert cache.entry_count() == 0
-        assert all(not r.cache_hit for r in calls.trace())
-
 
 class TestCacheContract:
     def test_warm_run_hits_everywhere_and_skips_backends(self, tmp_path):
@@ -293,18 +273,26 @@ class TestCacheContract:
             return outcome, calls, (run_dir / "athlete.json").read_bytes()
 
         _, _, cold_bytes = run("cold")
+        paths = sorted((tmp_path / "cache" / "objects").glob("*/*.json"))
+        cold_entries = {path: path.read_bytes() for path in paths}
         entries = {}
-        for entry in sorted((tmp_path / "cache" / "objects").glob("*/*.json")):
+        for entry in paths:
             entries.setdefault(json.loads(entry.read_text())["key"]["tool_kind"], entry)
         for kind in ("model", "object-detect"):
             record = json.loads(entries[kind].read_text())
             record["value"] = {"tampered": True}
             entries[kind].write_text(json.dumps(record))
+        # Valid JSON that is not an entry object is as unreadable as a tamper.
+        bodies = ["[]", '"x"', "null"]
+        others = [path for path in paths if path not in entries.values()]
+        for path, body in zip(others, bodies):
+            path.write_text(body)
 
         outcome, calls, rerun_bytes = run("rerun")
         assert outcome.failures == []
-        assert calls == 2
+        assert calls == 2 + len(bodies)
         assert rerun_bytes == cold_bytes
+        assert {path: path.read_bytes() for path in paths} == cold_entries
 
         _, calls, third_bytes = run("third")
         assert calls == 0

@@ -14,7 +14,6 @@ from halodet.errors import (
     StoreCorrupt,
 )
 from halodet.gateway import (
-    DecodeParams,
     MockModelBackend,
     ModelGateway,
     ModelRequest,
@@ -26,10 +25,9 @@ from halodet.gateway import (
 from halodet.prompts import RenderedPrompt
 
 
-def _request(user: str = "claim1: x", temperature: float = 0.0) -> ModelRequest:
+def _request(user: str = "claim1: x") -> ModelRequest:
     return ModelRequest(
         prompt=RenderedPrompt(system="judge", user=user),
-        decode_params=DecodeParams(temperature=temperature),
         purpose_tag=PurposeTag.VERIFY,
     )
 
@@ -117,23 +115,20 @@ class TestMockBackend:
         with pytest.raises(StoreCorrupt):
             _gateway(MockModelBackend(store)).complete(request)
 
-    def test_digest_depends_on_prompt_images_and_decoding(self):
+    def test_digest_depends_on_prompt_and_images(self):
         base = _request("same")
         assert request_digest(base) == request_digest(_request("same"))
         assert request_digest(base) != request_digest(_request("different"))
-        assert request_digest(base) != request_digest(_request("same", temperature=0.7))
         with_image = ModelRequest(
             prompt=RenderedPrompt(system="judge", user="same",
                                   attachments=(image_ref("a"),)),
-            decode_params=DecodeParams(),
             purpose_tag=PurposeTag.SELF_CHECK,
         )
         assert request_digest(base) != request_digest(with_image)
 
     def test_purpose_tag_not_in_digest(self):
         verify = _request("same")
-        extract = ModelRequest(prompt=verify.prompt, decode_params=verify.decode_params,
-                               purpose_tag=PurposeTag.EXTRACT)
+        extract = ModelRequest(prompt=verify.prompt, purpose_tag=PurposeTag.EXTRACT)
         assert request_digest(verify) == request_digest(extract)
 
 

@@ -16,7 +16,7 @@ from halodet.errors import (
     PayloadTooLarge,
     QuotaExceeded,
 )
-from halodet.gateway import DecodeParams, HttpModelBackend, ModelRequest, PurposeTag
+from halodet.gateway import HttpModelBackend, ModelRequest, PurposeTag
 from halodet.prompts import RenderedPrompt
 from halodet.tools import (
     HttpFactSearcher,
@@ -56,7 +56,6 @@ class FakeSession:
 def _request() -> ModelRequest:
     return ModelRequest(
         prompt=RenderedPrompt(system="s", user="u"),
-        decode_params=DecodeParams(),
         purpose_tag=PurposeTag.VERIFY,
     )
 

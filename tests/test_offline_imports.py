@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from halodet.gateway import DecodeParams, HttpModelBackend, ModelRequest, PurposeTag
+from halodet.gateway import HttpModelBackend, ModelRequest, PurposeTag
 from halodet.prompts import RenderedPrompt
 from halodet.tools import HttpFactSearcher, HttpObjectDetector, HttpSceneTextReader
 
@@ -82,7 +82,7 @@ def test_live_client_without_session_gets_a_working_one(local_endpoint):
 
     backend = HttpModelBackend(local_endpoint, api_key="k", timeout=10.0)
     request = ModelRequest(prompt=RenderedPrompt(system="s", user="hello"),
-                           decode_params=DecodeParams(), purpose_tag=PurposeTag.VERIFY)
+                           purpose_tag=PurposeTag.VERIFY)
     assert backend.invoke(request) == "echo hello"
     for client in (backend, HttpObjectDetector(local_endpoint),
                    HttpSceneTextReader(local_endpoint), HttpFactSearcher("key")):

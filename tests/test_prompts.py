@@ -63,9 +63,16 @@ class TestSlotDiscipline:
             render(TemplateId.OBJECT_QUERY, {"claims": "claim1: x", "mood": "upbeat"})
         assert exc_info.value.name == "mood"
 
-    def test_query_templates_refuse_attachments(self):
-        with pytest.raises(ValueError):
-            render(TemplateId.OBJECT_QUERY, {"claims": "claim1: x"}, [image_ref("a")])
+    @pytest.mark.parametrize("template", [
+        TemplateId.OBJECT_QUERY, TemplateId.ATTRIBUTE_QUERY,
+        TemplateId.SCENE_TEXT_QUERY, TemplateId.FACT_QUERY,
+    ])
+    def test_query_templates_refuse_attachments(self, template):
+        bindings = {"claims": "claim1: x"}
+        if template is TemplateId.ATTRIBUTE_QUERY:
+            bindings["objects"] = "person"
+        with pytest.raises(ValueError, match="does not take image attachments"):
+            render(template, bindings, [image_ref("a")])
 
     def test_verification_accepts_attachments(self):
         bindings = {
