@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -303,3 +304,42 @@ class TestScenarioFixturesStayInSync:
     def test_committed_demos_match_scenario(self):
         committed = json.loads((FIXTURES / "demos.json").read_text())
         assert committed == e2e_scenario.demos_json()
+
+
+class TestPinnedBytes:
+    """The six-pair scenario's per-pair and errors.json bytes, pinned per method.
+
+    Each digest covers every output file but the manifest, in name order, and
+    must not move with the width or the cache state.
+    """
+
+    PINNED = {
+        "unihd": "32bb2f1732506127850cb2759871cec08e155f83fbe3fb9e48a83678a443760d",
+        "selfcheck0": "51ad8a91839884438a7d9e89fc4224b921f8be184e201f342dc0dc3dd27a6878",
+        "selfcheck2": "8c1ec67bfbeb1cf39c14f2fc66558f728e8b46819d31202eb11b5c5a6b6d8af1",
+    }
+
+    @staticmethod
+    def _digest(run_dir: Path) -> str:
+        digest = hashlib.sha256()
+        for path in sorted(run_dir.iterdir()):
+            if path.name != "manifest.json":
+                digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+        return digest.hexdigest()
+
+    @pytest.mark.parametrize("method", sorted(PINNED))
+    def test_outputs_match_the_pinned_digest(self, method, scenario_dir, tmp_path, capsys):
+        extra = ["--demos", str(FIXTURES / "demos.json")] if method == "selfcheck2" else []
+        digests = {}
+        for width in ("1", "4"):
+            for run in ("cold", "warm", "no-cache"):
+                run_id = f"w{width}-{run}"
+                flags = ["--no-cache"] if run == "no-cache" else []
+                args = _detect_args(scenario_dir, tmp_path, run_id, "--method", method,
+                                    "--width", width, *extra, *flags)
+                # The cold and warm runs of a width share its cache directory.
+                args[args.index("--cache-dir") + 1] = str(tmp_path / f"cache-{width}")
+                assert main(args) == 0
+                digests[run_id] = self._digest(tmp_path / run_id)
+        capsys.readouterr()
+        assert digests == {run_id: self.PINNED[method] for run_id in digests}
