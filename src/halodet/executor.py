@@ -1,38 +1,27 @@
 """End-to-end orchestration of detection runs.
 
 One pair flows through claim handling, query formulation, tool calls, and a
-single verification call. Each call starts as soon as the reply it needs
-lands: object detection and the attribute-query call on the object reply,
-the scene-text read on the scene-text reply, fact searches on the fact reply,
-attribute answers on the attribute reply. Verification starts only after
-every tool call has settled. Evidence merge order is fixed (object, then
+single verification call. Evidence merge order is fixed (object, then
 attribute, then scene text, then fact, ordered inside each family by claim
 index then query index), so results are invariant under scheduling.
 
 A run owns two thread pools: one running pairs, ``width`` wide, and one
-shared call pool. A thread that would only wait or exit runs the next call
-itself, so each call runs in a fixed thread:
-
-- the pair thread runs the object and attribute formulation calls, the last
-  distinct attribute answer, and verification;
-- the scene-text chain, on the call pool, runs its formulation call and then
-  the scene-text read;
-- the fact chain, on the call pool, runs its formulation call and then the
-  last distinct fact search;
-- every other tool call (object detection, the other attribute answers and
-  fact searches) is its own call-pool task.
-
-The call pool is ``width`` x 10 wide: per pair it receives the 2 chains and
-the pooled tool calls, sized for at most 8 of those per pair; any beyond
-that queue. Pair threads submit calls and wait for them. Call-pool tasks
-may submit calls but never wait on one, so the pools cannot deadlock.
+shared call pool, ``width`` x 10 wide. A pair's UniHD work is a list of
+tasks, each making one call and returning the tasks its reply makes ready.
+One rule places every task: submit all of a list but the last to the call
+pool, run the last in the thread at hand, and apply the same rule to the
+tasks it returns. The pair thread starts with scene-text, fact and object
+formulation; the object reply makes object detection and the attribute
+formulation ready, and each other reply makes its tool calls ready, one per
+distinct query. Verification starts once no task is left. Pair threads
+wait for call-pool tasks; those never wait, so the pools cannot deadlock.
 
 Each pair owns one call object, ``_PairCalls``, through which every model
 and tool call of the pair passes. Whatever the family, a call reads the
 cache, calls its backend on a miss, writes the reply back and leaves one
-trace record. Identical mock runs are
-byte-identical whether cache-cold, cache-warm, or at any parallelism width,
-and the trace records exactly one entry per backend invocation.
+trace record. Identical mock runs are byte-identical whether cache-cold,
+cache-warm, or at any parallelism width, and the trace records exactly one
+entry per backend invocation.
 """
 
 from __future__ import annotations
@@ -41,11 +30,11 @@ import json
 import logging
 import threading
 import time
-from concurrent.futures import Executor, Future, ThreadPoolExecutor, wait
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Sequence
 
 from .cache import CacheKey, DiskCache
 from .errors import ConfigInvalid, StoreCorrupt
@@ -59,16 +48,18 @@ from .model import (
     evidence_from_json,
     validate_pair,
 )
-from .prompts import TemplateId, template_digests
+from .prompts import TemplateId, render_claim_list, template_digests
 from .stages import (
+    FORMULATION_KINDS,
     DetectionMethod,
     SelfCheckDemo,
     ToolPlan,
     extract_claims,
-    formulate_queries,
+    formulate,
     is_degraded,
     label_union,
     self_check,
+    tool_plan,
     verify,
 )
 from .tools import (
@@ -82,8 +73,12 @@ from .tools import (
 
 logger = logging.getLogger(__name__)
 
-# Call-pool workers per pair: 2 formulation chains plus 8 tool calls in flight.
-_CALLS_PER_PAIR = 10
+# One call; returns the tasks its reply makes ready.
+_Task = Callable[[], list]
+
+# Tool stages, the first half of each tool result's key.
+_DETECT, _READ, _ANSWER, _SEARCH = (
+    "tool:object-detect", "tool:scene-text", "tool:attribute", "tool:fact-search")
 
 
 @dataclass(frozen=True)
@@ -161,22 +156,20 @@ class BatchOutcome:
 class _PairCalls:
     """Every backend call of one pair, through one cache-and-trace path.
 
-    ``complete`` is the gateway face the stages call. ``start`` is the
-    formulation hook: it starts each tool call as soon as the reply it needs
-    lands, and may run for several replies at once, each filling its own
-    evidence slot. The hook runs the scene-text read and the last distinct
-    question of each fan-out in its own thread, since that thread would
-    otherwise only wait or exit; it submits the others. ``settle`` waits for
-    every started tool call, and ``evidence`` merges them positionally,
-    never in completion order.
+    ``complete`` is the gateway face the stages call. ``plan`` runs the
+    pair's UniHD calls as tasks: a task makes one call and returns the tasks
+    its reply makes ready, and ``_run`` places them by the one rule in the
+    module docstring. ``evidence`` then merges the tool results by plan
+    position, never in completion order.
 
     Each call returns the JSON form the cache stores: ``{"text": ...}`` for
     a model reply, the ``to_json()`` evidence for a tool. A pair's model
     requests are all distinct, so a repeated one is the retry of a reply its
     stage could not parse: it skips the cache read, and its reply replaces
-    the cached one. A repeated attribute or fact question shares one future
-    within its fan-out; other tool keys cannot repeat, as each reply starts
-    at most one call of its family.
+    the cached one. Tool results live in one dict keyed by ``(stage,
+    query)``, so a question repeated within a pair is asked once. Only the
+    thread holding a stage's reply claims that stage's keys, so no claim
+    races another; each task then fills in its own key.
     """
 
     def __init__(self, pair: ImageTextPair, backends: ToolBackendSet | None,
@@ -191,19 +184,18 @@ class _PairCalls:
         self._lock = threading.Lock()  # guards _records and _seen
         self._records: list[TraceRecord] = []
         self._seen: set[str] = set()
-        # Each slot is filled by the hook of one formulation reply, and read
-        # only after every formulation chain has finished.
-        self._objects: Future | None = None
-        self._scene_texts: Future | None = None
-        self._attributes: list[Future] = []
-        self._facts: list[Future] = []
+        self._pooled: list[Future] = []
+        self._tools: dict[tuple[str, Any], Any] = {}  # a result or its error
+        self._replies: dict[TemplateId, dict[int, tuple[str, ...]]] = {}
+        self._failures: dict[TemplateId, Exception] = {}
 
     def _call(self, stage: str, key: CacheKey, compute: Callable[[], Any],
               read: bool = True) -> Any:
         """Serve ``key`` from the cache or ``compute``; record one trace entry.
 
-        A corrupt entry is a miss, which the put then overwrites. With
-        ``read`` false the cache read is skipped; the reply is written anyway.
+        A corrupt entry is a miss, which the put then overwrites. A failed
+        put is logged and the reply used. With ``read`` false the cache read
+        is skipped; the reply is written anyway.
         """
         started = time.monotonic()
         hit, value = False, None
@@ -215,7 +207,10 @@ class _PairCalls:
         if not hit:
             value = compute()
             if self._cache is not None:
-                self._cache.put(key, value)
+                try:
+                    self._cache.put(key, value)
+                except OSError as exc:
+                    logger.warning("cache write failed, reply kept: %s", exc)
         model = key.tool_kind == "model"
         record = TraceRecord(
             stage=stage,
@@ -249,78 +244,133 @@ class _PairCalls:
         return ModelResponse(text=value["text"], backend_id=backend_id,
                              latency_ms=0, attempt_count=1)
 
-    def _start(self, stage: str, key: CacheKey, compute: Callable[[], Any],
-               here: bool) -> Future:
-        """Submit a tool call, or with ``here`` run it in this thread.
+    # --- the UniHD schedule
 
-        Either way its result or error lands in the returned future, so an
-        error surfaces from ``evidence()`` in merge order.
+    def _run(self, tasks: list[_Task]) -> None:
+        """Submit all tasks but the last, run the last here, then the same for its tasks."""
+        while tasks:
+            *pooled, last = tasks
+            for task in pooled:
+                # A task list, not the pair: the call pool runs calls, not pairs.
+                self._pooled.append(self._pool.submit(self._run, [task]))
+            tasks = last()
+
+    def plan(self, pair: ImageTextPair) -> ToolPlan:
+        """Make the pair's formulation calls and every tool call they feed.
+
+        Returns once no call is left running; formulation errors are raised
+        in the order of ``FORMULATION_KINDS``, before any tool error.
         """
-        if not here:
-            # A closure, not the pair: the call pool runs calls, not pairs.
-            return self._pool.submit(lambda: self._call(stage, key, compute))
-        future: Future = Future()
+        claim_list = render_claim_list([c.text for c in pair.claims])
+        first = [self._formulation(pair, claim_list, template) for template in (
+            TemplateId.SCENE_TEXT_QUERY, TemplateId.FACT_QUERY, TemplateId.OBJECT_QUERY)]
         try:
-            future.set_result(self._call(stage, key, compute))
-        except Exception as exc:  # noqa: BLE001 - re-raised by evidence()
-            future.set_exception(exc)
-        return future
+            self._run(first)
+        finally:
+            self._settle()
+        for future in self._pooled:
+            future.result()  # raises only if a task itself broke
+        for template in FORMULATION_KINDS:
+            if template in self._failures:
+                raise self._failures[template]
+        return tool_plan(self._replies)
 
-    def start(self, template: TemplateId, queries: Mapping[int, tuple[str, ...]]) -> None:
-        image, tools = self._image, self._backends
-        questions = [q for per_claim in queries.values() for q in per_claim]
-        if template is TemplateId.OBJECT_QUERY:
-            # Pooled: this thread goes on to the attribute formulation call.
-            labels = label_union(queries.values())
-            if labels:
-                detector = tools.object_detector
-                self._objects = self._start(
-                    "tool:object-detect",
-                    CacheKey.object_detect(image.digest, labels, detector.backend_id),
-                    lambda: [e.to_json() for e in detect_objects(detector, image, labels)],
-                    here=False,
-                )
-        elif template is TemplateId.SCENE_TEXT_QUERY:
-            if questions:
-                reader = tools.scene_text_reader
-                self._scene_texts = self._start(
-                    "tool:scene-text", CacheKey.scene_text(image.digest, reader.backend_id),
-                    lambda: [e.to_json() for e in read_scene_text(reader, image)],
-                    here=True,
-                )
-        elif template is TemplateId.FACT_QUERY:
-            self._facts = _fan_out(questions, self._search)
-        elif template is TemplateId.ATTRIBUTE_QUERY:
-            self._attributes = _fan_out(questions, self._answer)
+    def _formulation(self, pair: ImageTextPair, claim_list: str, template: TemplateId,
+                     objects: Sequence[str] = ()) -> _Task:
+        def task() -> list[_Task]:
+            try:
+                queries = formulate(pair, template, self, objects, claim_list)
+            except Exception as exc:  # noqa: BLE001 - raised by plan(), in fixed order
+                self._failures[template] = exc
+                return []
+            if self._failures:
+                return []  # a reply after a failure makes nothing ready
+            self._replies[template] = queries
+            if template is TemplateId.OBJECT_QUERY:
+                labels = tuple(label_union(queries.values()))
+                return [*self._detect(labels), self._formulation(
+                    pair, claim_list, TemplateId.ATTRIBUTE_QUERY, labels)]
+            questions = [q for per_claim in queries.values() for q in per_claim]
+            if template is TemplateId.SCENE_TEXT_QUERY:
+                return self._read() if questions else []
+            ask = self._search if template is TemplateId.FACT_QUERY else self._answer
+            return [ready for q in questions for ready in ask(q)]
+        return task
 
-    def _answer(self, question: str, here: bool) -> Future:
-        image, answerer = self._image, self._backends.attribute_answerer
-        return self._start(
-            "tool:attribute", CacheKey.attribute(image.digest, question, answerer.backend_id),
-            lambda: answerer.answer(image, question).to_json(), here,
+    def _settle(self) -> None:
+        """Wait until every pooled task has finished and none has submitted another."""
+        for future in self._pooled:  # iteration also reaches tasks appended meanwhile
+            future.exception()
+
+    def _tool(self, stage: str, query: Any, key: Callable[[], CacheKey],
+              compute: Callable[[], Any]) -> list[_Task]:
+        """The task for one tool call, or none if the pair already has it.
+
+        The task never raises: its result or error lands in ``_tools``, so
+        an error surfaces from ``evidence`` in merge order.
+        """
+        if (stage, query) in self._tools:
+            return []
+        self._tools[(stage, query)] = None  # claimed; the task fills it in
+
+        def task() -> list[_Task]:
+            try:
+                self._tools[(stage, query)] = self._call(stage, key(), compute)
+            except Exception as exc:  # noqa: BLE001 - re-raised by evidence()
+                self._tools[(stage, query)] = exc
+            return []
+        return [task]
+
+    def _detect(self, labels: tuple[str, ...]) -> list[_Task]:
+        if not labels:
+            return []
+        image, detector = self._image, self._backends.object_detector
+        return self._tool(
+            _DETECT, labels,
+            lambda: CacheKey.object_detect(image.digest, labels, detector.backend_id),
+            lambda: [e.to_json() for e in detect_objects(detector, image, labels)],
         )
 
-    def _search(self, question: str, here: bool) -> Future:
+    def _read(self) -> list[_Task]:
+        image, reader = self._image, self._backends.scene_text_reader
+        return self._tool(
+            _READ, None, lambda: CacheKey.scene_text(image.digest, reader.backend_id),
+            lambda: [e.to_json() for e in read_scene_text(reader, image)],
+        )
+
+    def _answer(self, question: str) -> list[_Task]:
+        image, answerer = self._image, self._backends.attribute_answerer
+        return self._tool(
+            _ANSWER, question,
+            lambda: CacheKey.attribute(image.digest, question, answerer.backend_id),
+            lambda: answerer.answer(image, question).to_json(),
+        )
+
+    def _search(self, question: str) -> list[_Task]:
         searcher, top_k = self._backends.fact_searcher, self._fact_top_k
-        return self._start(
-            "tool:fact-search", CacheKey.fact_search(question, top_k, searcher.backend_id),
+        return self._tool(
+            _SEARCH, question,
+            lambda: CacheKey.fact_search(question, top_k, searcher.backend_id),
             lambda: FactEvidence(question=question, snippets=tuple(
                 fact_snippet_line(s) for s in search_facts(searcher, question, top_k)
             )).to_json(),
-            here,
         )
 
-    def settle(self) -> None:
-        """Wait until every started tool call has returned or raised."""
-        singles = [f for f in (self._objects, self._scene_texts) if f is not None]
-        wait([*singles, *self._attributes, *self._facts])
+    def evidence(self, plan: ToolPlan) -> EvidenceBundle:
+        """Merge the tool results by plan position; the first error in merge order is raised."""
+        def result(stage: str, query: Any) -> Any:
+            value = self._tools[(stage, query)]
+            if isinstance(value, Exception):
+                raise value
+            return value
 
-    def evidence(self) -> EvidenceBundle:
-        """Merge results once settled; the first error in merge order is raised."""
-        objects = self._objects.result() if self._objects is not None else []
-        attributes = [f.result() for f in self._attributes]
-        scene_texts = self._scene_texts.result() if self._scene_texts is not None else []
-        facts = [f.result() for f in self._facts]
+        claims = plan.per_claim
+        labels = tuple(label_union(c.object_labels for c in claims))
+        objects = result(_DETECT, labels) if labels else []
+        attributes = [result(_ANSWER, q) for c in claims for q in c.attribute_questions]
+        read = any(c.scene_text_questions for c in claims)
+        scene_texts = result(_READ, None) if read else []
+        facts = [result(_SEARCH, q) for c in claims for q in c.fact_questions]
         return EvidenceBundle(
             objects=tuple(map(evidence_from_json, objects)),
             attributes=tuple(map(evidence_from_json, attributes)),
@@ -329,25 +379,12 @@ class _PairCalls:
         )
 
 
-def _fan_out(questions: Sequence[str],
-             start: Callable[[str, bool], Future]) -> list[Future]:
-    """One call per distinct question, one future per question in order.
-
-    The last distinct question runs in this thread, after the others are
-    submitted.
-    """
-    distinct = list(dict.fromkeys(questions))
-    last = len(distinct) - 1
-    futures = {question: start(question, i == last) for i, question in enumerate(distinct)}
-    return [futures[question] for question in questions]
-
-
 # --- single-pair and batch drivers --------------------------------------------------
 
 
 def _call_pool(width: int) -> ThreadPoolExecutor:
-    return ThreadPoolExecutor(max_workers=width * _CALLS_PER_PAIR,
-                              thread_name_prefix="calls")
+    # Per pair: the 2 pooled formulation calls plus up to 8 tool calls.
+    return ThreadPoolExecutor(max_workers=width * 10, thread_name_prefix="calls")
 
 
 def run_detection(
@@ -394,11 +431,8 @@ def _run_pair(
         if method is DetectionMethod.UNIHD:
             if backends is None:
                 raise ConfigInvalid("unihd requires tool backends")
-            try:
-                plan = formulate_queries(pair, calls, pool, calls.start)
-            finally:
-                calls.settle()
-            evidence = calls.evidence()
+            plan = calls.plan(pair)
+            evidence = calls.evidence(plan)
             verdicts = verify(pair, evidence, calls)
         else:
             plan = None
@@ -472,7 +506,10 @@ def run_batch(
     results = [slot for slot in slots if isinstance(slot, DetectionResult)]
     failures = [slot for slot in slots if isinstance(slot, PairFailure)]
     if cache is not None:
-        cache.flush_stats()
+        try:
+            cache.flush_stats()
+        except OSError as exc:
+            logger.warning("cache stats not saved: %s", exc)
     return BatchOutcome(results=results, failures=failures)
 
 

@@ -15,10 +15,9 @@ explicitly flagged unverified verdicts rather than silently truncating.
 from __future__ import annotations
 
 import json
-from concurrent.futures import Executor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import (
     ClaimCountMismatch,
@@ -231,9 +230,8 @@ def extract_claims(pair_text: str, task: TaskType, gateway: ModelGateway) -> lis
 # --- query formulation -------------------------------------------------------------
 
 
-# What each template's reply names. Formulation errors surface in this order,
-# whatever order the replies land in.
-_FORMULATION_KINDS = {
+# What each template's reply names, in the order formulation errors surface.
+FORMULATION_KINDS = {
     TemplateId.OBJECT_QUERY: HallucinationCategory.OBJECT,
     TemplateId.SCENE_TEXT_QUERY: HallucinationCategory.SCENE_TEXT,
     TemplateId.FACT_QUERY: HallucinationCategory.FACT,
@@ -241,96 +239,42 @@ _FORMULATION_KINDS = {
 }
 
 
-def _formulate_one(
-    template: TemplateId,
-    bindings: dict[str, str],
-    n_claims: int,
-    gateway: ModelGateway,
-) -> dict[int, list[str]]:
-    response = gateway.complete(ModelRequest(
-        prompt=render(template, bindings), purpose_tag=PurposeTag.QUERY_FORMULATE,
-    ))
-    return parse_claim_query_map(response.text, n_claims, _FORMULATION_KINDS[template])
-
-
-# Called with each parsed formulation reply: the template and its queries per
-# claim index, in claim order (object labels already lowercased and deduplicated).
-# Hooks may run concurrently in call-pool threads, so they must be thread-safe.
-FormulationHook = Callable[[TemplateId, Mapping[int, tuple[str, ...]]], None]
-
-
-def formulate_queries(
+def formulate(
     pair: ImageTextPair,
+    template: TemplateId,
     gateway: ModelGateway,
-    pool: Executor | None = None,
-    on_reply: FormulationHook | None = None,
-) -> ToolPlan:
-    """Route every claim to the tools it needs.
+    objects: Sequence[str] = (),
+    claim_list: str | None = None,
+) -> dict[int, tuple[str, ...]]:
+    """One query-formulation call, parsed and normalized.
 
-    Issues the four query templates as three chains: object then attribute
-    (the attribute prompt binds the pair-level object vocabulary), scene
-    text, and fact. With a ``pool``, the scene-text and fact chains run on it
-    while the object-then-attribute chain runs in the caller, which would
-    otherwise only wait; with None, all three run inline in that order. The
-    object, scene-text and fact calls always start.
-
-    ``on_reply`` is called with each parsed reply as soon as it lands, in the
-    thread of the chain that made the call, so a caller can start the tools
-    that reply feeds while the other replies are still out. Hooks may run
-    concurrently and must be thread-safe. Once any call has failed, the
-    attribute call does not start and no further reply is handed on. The
-    function returns or raises only after every chain has finished; errors
-    surface in the fixed order object, scene text, fact, attribute, and carry
-    a ``template_id`` attribute naming the originating template.
+    ``objects`` is the pair-level object vocabulary the attribute template
+    binds; ``claim_list`` is the rendered claim list, when the caller has it.
+    Object labels come back lowercased and deduplicated. Any error raised
+    carries a ``template_id`` attribute naming ``template``.
     """
     if not pair.claims:
         raise ValueError(f"pair {pair.id!r} has no claims")
-    n = len(pair.claims)
-    claims_text = render_claim_list([c.text for c in pair.claims])
-    claim_bindings = {"claims": claims_text}
-    replies: dict[TemplateId, dict[int, tuple[str, ...]]] = {}
-    failures: dict[TemplateId, Exception] = {}
+    if claim_list is None:
+        claim_list = render_claim_list([c.text for c in pair.claims])
+    bindings = {"claims": claim_list}
+    if template is TemplateId.ATTRIBUTE_QUERY:
+        bindings["objects"] = render_object_string(objects)
+    normalize = _dedup_lower if template is TemplateId.OBJECT_QUERY else tuple
+    try:
+        response = gateway.complete(ModelRequest(
+            prompt=render(template, bindings), purpose_tag=PurposeTag.QUERY_FORMULATE,
+        ))
+        parsed = parse_claim_query_map(response.text, len(pair.claims),
+                                       FORMULATION_KINDS[template])
+    except Exception as exc:
+        exc.template_id = template  # type: ignore[attr-defined]
+        raise
+    return {i: normalize(queries) for i, queries in parsed.items()}
 
-    def formulate(template: TemplateId, bindings: dict[str, str]) -> None:
-        normalize = _dedup_lower if template is TemplateId.OBJECT_QUERY else tuple
-        try:
-            parsed = _formulate_one(template, bindings, n, gateway)
-            queries = {i: normalize(v) for i, v in parsed.items()}
-            if failures:
-                return
-            replies[template] = queries
-            if on_reply is not None:
-                on_reply(template, queries)
-        except Exception as exc:  # noqa: BLE001 - raised below, in fixed order
-            failures[template] = exc
 
-    def object_then_attribute() -> None:
-        formulate(TemplateId.OBJECT_QUERY, claim_bindings)
-        if not failures:
-            objects = label_union(replies[TemplateId.OBJECT_QUERY].values())
-            formulate(TemplateId.ATTRIBUTE_QUERY,
-                      {"objects": render_object_string(objects), "claims": claims_text})
-
-    chains = [
-        object_then_attribute,
-        lambda: formulate(TemplateId.SCENE_TEXT_QUERY, claim_bindings),
-        lambda: formulate(TemplateId.FACT_QUERY, claim_bindings),
-    ]
-    if pool is None:
-        for chain in chains:
-            chain()
-    else:
-        pooled = [pool.submit(chain) for chain in chains[1:]]
-        object_then_attribute()
-        for future in pooled:
-            future.result()  # a chain records its errors in ``failures``
-
-    for template in _FORMULATION_KINDS:
-        if template in failures:
-            exc = failures[template]
-            exc.template_id = template  # type: ignore[attr-defined]
-            raise exc
-
+def tool_plan(replies: Mapping[TemplateId, Mapping[int, tuple[str, ...]]]) -> ToolPlan:
+    """Assemble the four parsed formulation replies into one plan."""
     objects = replies[TemplateId.OBJECT_QUERY]
     attributes = replies[TemplateId.ATTRIBUTE_QUERY]
     scene_texts = replies[TemplateId.SCENE_TEXT_QUERY]
@@ -342,8 +286,25 @@ def formulate_queries(
             scene_text_questions=scene_texts[i],
             fact_questions=facts[i],
         )
-        for i in range(1, n + 1)
+        for i in range(1, len(objects) + 1)
     ))
+
+
+def formulate_queries(pair: ImageTextPair, gateway: ModelGateway) -> ToolPlan:
+    """Route every claim to the tools it needs.
+
+    Makes the four formulation calls one after another, in the order of
+    :data:`FORMULATION_KINDS`; the attribute prompt binds the object
+    vocabulary of the object reply. The first error stops the rest and
+    carries a ``template_id``. The executor makes the same calls
+    concurrently and reaches the same plan.
+    """
+    replies: dict[TemplateId, dict[int, tuple[str, ...]]] = {}
+    for template in FORMULATION_KINDS:
+        objects = (label_union(replies[TemplateId.OBJECT_QUERY].values())
+                   if template is TemplateId.ATTRIBUTE_QUERY else ())
+        replies[template] = formulate(pair, template, gateway, objects)
+    return tool_plan(replies)
 
 
 # --- verdict parsing -----------------------------------------------------------

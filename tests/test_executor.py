@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import collections
+import errno
+import gc
 import json
 import random
+import sys
 import threading
 import time
 import types
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import e2e_scenario
 from conftest import image_ref, table_gateway
@@ -297,6 +302,24 @@ class TestCacheContract:
         _, calls, third_bytes = run("third")
         assert calls == 0
         assert third_bytes == cold_bytes
+
+    def test_a_failed_cache_write_does_not_fail_a_pair(self, tmp_path):
+        class FullDisk(DiskCache):
+            def put(self, key, value):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        full = _scenario_run(FullDisk(tmp_path / "cache"))
+        assert full.failures == []
+        assert _payloads(full) == _payloads(_scenario_run(None))
+
+    def test_a_failed_stats_flush_keeps_the_batch(self, tmp_path):
+        class ReadOnlyStats(DiskCache):
+            def flush_stats(self):
+                raise OSError(errno.EROFS, "Read-only file system")
+
+        outcome = _scenario_run(ReadOnlyStats(tmp_path / "cache"))
+        assert outcome.ok
+        assert len(outcome.results) == 6
 
 
 class TestSingleFlight:
@@ -633,7 +656,19 @@ class TestCallScheduling:
                             width=width)
         assert outcome.ok
         assert _tool_calls(backends) == 40 * 4
-        assert len(started) <= width + width * 11
+        assert len(started) <= width + width * 10
+
+    def test_a_batch_leaves_no_reference_cycles(self):
+        # A cycle keeps each pair's calls, replies and evidence alive until
+        # the collector runs, which costs CPU and memory on every batch.
+        _scenario_run(None)
+        gc.collect()
+        gc.disable()
+        try:
+            assert _scenario_run(None).ok
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_pair_settles_every_call_before_raising(self):
         clock = _Clock()
@@ -675,30 +710,6 @@ class TestCallScheduling:
         assert clock.started("detect")
         assert not clock.started("verify")
 
-    def test_a_slow_hook_does_not_hold_back_other_replies(self):
-        # The object reply lands first; its hook waits for the scene-text
-        # hand-on, which only a hook running outside the caller's thread
-        # can reach in time.
-        scene_handed = threading.Event()
-        handed, released = [], []
-
-        def hook(template, queries):
-            if template is TemplateId.OBJECT_QUERY:
-                released.append(scene_handed.wait(timeout=2))
-            elif template is TemplateId.SCENE_TEXT_QUERY:
-                scene_handed.set()
-            handed.append(template)
-
-        clock = _Clock()
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            formulate_queries(_athlete_pair(),
-                              _timed_gateway(_timed_rules(object_q=0.0, scene_q=0.1), clock),
-                              pool, hook)
-        assert released == [True]
-        assert len(handed) == 4
-        assert set(handed) == {TemplateId.OBJECT_QUERY, TemplateId.ATTRIBUTE_QUERY,
-                               TemplateId.SCENE_TEXT_QUERY, TemplateId.FACT_QUERY}
-
 
 class TestFormulationErrorOrder:
     @pytest.mark.parametrize("failing, surfaced", [
@@ -718,9 +729,9 @@ class TestFormulationErrorOrder:
             for marker, name, _, reply in _timed_rules()
         ]
         clock = _Clock()
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            with pytest.raises(UnparseableModelOutput) as exc_info:
-                formulate_queries(_athlete_pair(), _timed_gateway(rules, clock), pool)
+        with pytest.raises(UnparseableModelOutput) as exc_info:
+            run_detection(_athlete_pair(), DetectionMethod.UNIHD, _timed_backends(clock),
+                          _timed_gateway(rules, clock))
         assert exc_info.value.template_id is surfaced
         assert clock.in_flight == 0
 
@@ -731,12 +742,11 @@ class TestFormulationErrorOrder:
             for marker, name, _, reply in _timed_rules()
         ]
         clock = _Clock()
-        handed = []
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            with pytest.raises(UnparseableModelOutput):
-                formulate_queries(_athlete_pair(), _timed_gateway(rules, clock), pool,
-                                  lambda template, queries: handed.append(template))
-        assert TemplateId.OBJECT_QUERY not in handed
+        with pytest.raises(UnparseableModelOutput):
+            run_detection(_athlete_pair(), DetectionMethod.UNIHD, _timed_backends(clock),
+                          _timed_gateway(rules, clock))
+        assert clock.ended("q:object")
+        assert not clock.started("detect")
         assert not clock.started("q:attribute")
 
 
@@ -814,21 +824,31 @@ class _Shaker:
         return types.SimpleNamespace(backend_id=backend.backend_id, **{method: shaken})
 
 
+def _scenario_run(cache, shaker=None):
+    """The six-pair scenario through ``run_batch`` at width 4, optionally shaken."""
+    wrap = shaker.wrap if shaker is not None else lambda backend, method: backend
+    scripts = e2e_scenario.build_scripts()
+    backends = ToolBackendSet(
+        object_detector=wrap(e2e_scenario.RecordingDetector(scripts), "detect"),
+        attribute_answerer=wrap(e2e_scenario.RecordingAnswerer(scripts), "answer"),
+        scene_text_reader=wrap(e2e_scenario.RecordingReader(scripts), "read"),
+        fact_searcher=wrap(e2e_scenario.RecordingSearcher(scripts), "search"),
+    )
+    model = wrap(e2e_scenario.RecordingModelBackend(scripts), "invoke")
+    return run_batch([s.pair for s in scripts], DetectionMethod.UNIHD, backends,
+                     ModelGateway(model, sleep=lambda _: None), cache=cache, width=4)
+
+
+def _payloads(outcome):
+    return [json.dumps(r.payload_json(), ensure_ascii=False, indent=2, sort_keys=True)
+            for r in outcome.results]
+
+
 class TestCompletionOrderShaker:
     def _run(self, shaker, cache):
-        scripts = e2e_scenario.build_scripts()
-        backends = ToolBackendSet(
-            object_detector=shaker.wrap(e2e_scenario.RecordingDetector(scripts), "detect"),
-            attribute_answerer=shaker.wrap(e2e_scenario.RecordingAnswerer(scripts), "answer"),
-            scene_text_reader=shaker.wrap(e2e_scenario.RecordingReader(scripts), "read"),
-            fact_searcher=shaker.wrap(e2e_scenario.RecordingSearcher(scripts), "search"),
-        )
-        model = shaker.wrap(e2e_scenario.RecordingModelBackend(scripts), "invoke")
-        outcome = run_batch([s.pair for s in scripts], DetectionMethod.UNIHD, backends,
-                            ModelGateway(model, sleep=lambda _: None), cache=cache, width=4)
+        outcome = _scenario_run(cache, shaker)
         assert outcome.ok
-        return [json.dumps(r.payload_json(), ensure_ascii=False, indent=2, sort_keys=True)
-                for r in outcome.results]
+        return _payloads(outcome)
 
     def test_payloads_and_call_counts_ignore_completion_order(self, tmp_path):
         runs = []
@@ -919,10 +939,10 @@ class TestPoolSubmissions:
                   for pair in carried]
         assert sorted(handed) == [pair.id for pair in pairs]
         calls = [carried for prefix, carried in submits if prefix == "calls"]
-        # Per pair: the scene-text and fact chains, object detection, and
-        # every distinct attribute or fact question but the last of its
-        # fan-out. The scene-text read and those last questions run in the
-        # thread that delivered their reply.
+        # Per pair, all of each task list but its last: the scene-text and
+        # fact formulations, object detection (its list ends with the
+        # attribute formulation), and every distinct attribute or fact
+        # question but the last. The scene-text read is alone in its list.
         pooled = 0
         for result in outcome.results:
             claims = result.plan.per_claim
@@ -933,3 +953,133 @@ class TestPoolSubmissions:
         assert pooled == len(pairs) * 3
         assert len(calls) == pooled
         assert not any(calls)
+
+
+# --- generated formulation replies ------------------------------------------------------
+
+_MARKERS = {
+    "object": "object extractor",
+    "attribute": "questions about attributes",
+    "scene": "questions about scene text",
+    "fact": "search engine questions",
+}
+# Mixed-case duplicates of two labels, so deduplication has work to do.
+_LABELS = ("Dog", "dog", "DOG", "cat", "Cat")
+
+
+def _entry(items):
+    # Every shape a claim's entry may take: "none" bare or listed, an empty
+    # list, or a list drawn from a small pool, so items repeat across claims.
+    return st.one_of(st.just("none"), st.just(["none"]), st.just([]),
+                     st.lists(st.sampled_from(items), min_size=1, max_size=3))
+
+
+@st.composite
+def _generated_pair(draw, position):
+    n = draw(st.integers(1, 4))
+    pool = [f"Question {q} about pair-{position}?" for q in range(3)]
+    replies = {}
+    for kind in _MARKERS:
+        entries = [draw(_entry(_LABELS if kind == "object" else pool)) for _ in range(n)]
+        if kind == "object":
+            entries = [e if isinstance(e, str) or e == ["none"] else ".".join(e)
+                       for e in entries]
+        replies[kind] = json.dumps({f"claim{k}": e for k, e in enumerate(entries, 1)})
+    replies["verify"] = json.dumps([{f"claim{k}": "non-hallucination", "reason": "ok"}
+                                    for k in range(1, n + 1)])
+    pair = ImageTextPair(
+        id=f"pair-{position}", task=TaskType.IMAGE_CAPTIONING,
+        image=image_ref(f"pair-{position}"), text=f"Text of pair-{position}.",
+        claims=tuple(Claim(index=k, text=f"Claim {k} of pair-{position}.")
+                     for k in range(1, n + 1)),
+    )
+    return pair, replies
+
+
+class _GeneratedModel:
+    """Replies from the generated table, routed by pair and template."""
+
+    backend_id = "generated-model"
+
+    def __init__(self, generated):
+        self.generated = generated
+
+    def invoke(self, request):
+        prompt = request.prompt.system + request.prompt.user
+        pair, replies = next((p, r) for p, r in self.generated if f"of {p.id}." in prompt)
+        if "hallucination judger" in prompt:
+            return replies["verify"]
+        return next(replies[kind] for kind, marker in _MARKERS.items() if marker in prompt)
+
+
+class _CountingTools:
+    """Tool doubles that count each call by its arguments."""
+
+    backend_id = "counting-tools"
+
+    def __init__(self):
+        self.calls = collections.Counter()
+
+    def detect(self, image, labels):
+        self.calls["detect", image.digest] += 1
+        return [ObjectEvidence(label, NormBox(0.1, 0.1, 0.5, 0.5)) for label in ("dog", "cat")]
+
+    def read(self, image):
+        self.calls["read", image.digest] += 1
+        return [SceneTextEvidence("GO", NormBox(0.1, 0.1, 0.2, 0.2))]
+
+    def answer(self, image, question):
+        from halodet.model import AttributeEvidence
+
+        self.calls["answer", image.digest, question] += 1
+        return AttributeEvidence(question=question, answer=f"Answer to {question}")
+
+    def search(self, question, top_k):
+        self.calls["search", question] += 1
+        return [FactSnippet("Title", f"About {question}", "https://example.org")]
+
+
+class TestGeneratedReplies:
+    @settings(max_examples=25, deadline=None, database=None, derandomize=True)
+    @given(generated=st.integers(1, 3).flatmap(
+               lambda n: st.tuples(*(_generated_pair(i) for i in range(n)))),
+           width=st.integers(1, 4), seed=st.integers(0, 2**16))
+    def test_plans_evidence_and_calls_match_the_sequential_reference(
+            self, generated, width, seed):
+        shaker, tools = _Shaker(seed), _CountingTools()
+        backends = ToolBackendSet(
+            object_detector=shaker.wrap(tools, "detect"),
+            attribute_answerer=shaker.wrap(tools, "answer"),
+            scene_text_reader=shaker.wrap(tools, "read"),
+            fact_searcher=shaker.wrap(tools, "search"),
+        )
+        model = _GeneratedModel(generated)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # more thread switches, so races show
+        try:
+            outcome = run_batch([pair for pair, _ in generated], DetectionMethod.UNIHD,
+                                backends, ModelGateway(shaker.wrap(model, "invoke")),
+                                width=width)
+        finally:
+            sys.setswitchinterval(interval)
+        assert outcome.ok
+
+        expected = collections.Counter()
+        for (pair, _), result in zip(generated, outcome.results):
+            plan = formulate_queries(pair, ModelGateway(model))
+            assert result.plan == plan
+            claims = plan.per_claim
+            attributes = [q for c in claims for q in c.attribute_questions]
+            facts = [q for c in claims for q in c.fact_questions]
+            labels = {label for c in claims for label in c.object_labels}
+            assert [e.question for e in result.evidence.attributes] == attributes
+            assert [e.question for e in result.evidence.facts] == facts
+            assert {e.label for e in result.evidence.objects} == labels
+            reads = any(c.scene_text_questions for c in claims)
+            assert bool(result.evidence.scene_texts) == reads
+            digest = pair.image.digest
+            expected.update({("detect", digest): 1} if labels else {})
+            expected.update({("read", digest): 1} if reads else {})
+            expected.update(("answer", digest, q) for q in set(attributes))
+            expected.update(("search", q) for q in set(facts))
+        assert tools.calls == expected
