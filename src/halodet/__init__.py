@@ -25,7 +25,6 @@ from .gateway import (
     ModelResponse,
     MockModelBackend,
     PurposeTag,
-    RetryPolicy,
 )
 from .metrics import (
     MetricLevel,
@@ -107,7 +106,6 @@ __all__ = [
     "PurposeTag",
     "RatingsMatrix",
     "RenderedPrompt",
-    "RetryPolicy",
     "Segment",
     "SelfCheckDemo",
     "SupplementalId",

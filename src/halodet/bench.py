@@ -13,7 +13,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable
 
 from .errors import (
     IndexMismatch,
@@ -30,12 +30,12 @@ from .model import (
     Label,
     ParseFlag,
     TaskType,
+    pair_id_problem,
     validate_pair,
 )
 
 SCHEMA_VERSION = "mhalubench.v1"
 
-_PAIR_ID_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 _DIGEST_RE = re.compile(r"^[0-9a-f]{64}$")
 _TASK_VALUES = {t.value for t in TaskType}
 _LABEL_VALUES = {label.value for label in Label}
@@ -108,10 +108,9 @@ def _validate_segment(data: Any, path: str) -> None:
 
 def _validate_pair_json(data: Any, path: str) -> None:
     _expect(isinstance(data, dict), path, "expected an object")
-    _expect(isinstance(data.get("id"), str) and data["id"], f"{path}/id",
-            "expected a non-empty string")
-    _expect(bool(_PAIR_ID_RE.match(data["id"])), f"{path}/id",
-            "pair id must match [A-Za-z0-9._-]+")
+    _expect(isinstance(data.get("id"), str), f"{path}/id", "expected a string")
+    id_problem = pair_id_problem(data["id"])
+    _expect(id_problem is None, f"{path}/id", id_problem or "")
     _check_enum(data.get("task"), _TASK_VALUES, f"{path}/task")
     image = data.get("image")
     _expect(isinstance(image, dict), f"{path}/image", "expected an object")
@@ -310,8 +309,7 @@ class ConvertedPredictions:
 
 
 def convert_predictions(
-    results: Iterable[DetectionResult] | Mapping[str, DetectionResult],
-    bench: BenchmarkFile,
+    results: Iterable[DetectionResult], bench: BenchmarkFile
 ) -> ConvertedPredictions:
     """Line up a run's verdicts against the benchmark's gold labels.
 
@@ -319,10 +317,7 @@ def convert_predictions(
     labels derive from segments when present and directly from claims
     otherwise.
     """
-    if isinstance(results, Mapping):
-        by_id = dict(results)
-    else:
-        by_id = {result.pair_id: result for result in results}
+    by_id = {result.pair_id: result for result in results}
 
     claim_preds: list[Label] = []
     claim_golds: list[Label] = []

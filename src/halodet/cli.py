@@ -11,12 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import bench as bench_io
 from .cache import DiskCache
-from .config import build_config, build_gateway, build_tools, load_demos
+from .config import BACKENDS, RunConfig, build_config, build_gateway, build_tools, load_demos
 from .errors import HalodetError, MissingCategoryTags, MissingDemonstrations
 from .executor import load_run_results, run_batch, write_run_dir
 from .metrics import (
@@ -29,18 +30,19 @@ from .metrics import (
     render_table,
     report,
 )
+from .stages import DetectionMethod
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_PARTIAL = 2
 
 
-def _fail(exc: BaseException, code: int = EXIT_CONFIG) -> int:
+def _fail(exc: BaseException) -> int:
     sys.stderr.write(json.dumps({
         "error": type(exc).__name__,
         "message": str(exc),
     }) + "\n")
-    return code
+    return EXIT_CONFIG
 
 
 def _default_run_id() -> str:
@@ -51,20 +53,10 @@ def _default_run_id() -> str:
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
-    flag_values = {
-        "bench": args.bench,
-        "method": args.method,
-        "backend": args.backend,
-        "fixtures": args.fixtures,
-        "out": args.out,
-        "run_id": args.run_id,
-        "width": args.width,
-        "cache_dir": args.cache_dir,
-        "cache": False if args.no_cache else None,
-        "fact_top_k": args.fact_top_k,
-        "demos": args.demos,
-        "request_log": args.request_log,
-    }
+    # Each flag whose dest names a RunConfig field sets that field.
+    names = {f.name for f in fields(RunConfig)}
+    flag_values = {name: value for name, value in vars(args).items() if name in names}
+    flag_values["cache"] = False if args.no_cache else None
     try:
         config = build_config(args.config, flag_values)
         if not config.bench:
@@ -208,19 +200,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     detect = sub.add_parser("detect", help="run detection over a benchmark file")
     detect.add_argument("--bench", help="benchmark JSON file")
-    detect.add_argument("--method", choices=["unihd", "selfcheck0", "selfcheck2"],
-                        help="detection method (default unihd)")
-    detect.add_argument("--backend", choices=["mock", "live"],
-                        help="model/tool backend kind (default mock)")
+    detect.add_argument("--method", choices=[m.value for m in DetectionMethod],
+                        help=f"detection method (default {RunConfig.method})")
+    detect.add_argument("--backend", choices=BACKENDS,
+                        help=f"model/tool backend kind (default {RunConfig.backend})")
     detect.add_argument("--fixtures", help="mock fixture store (a cache directory)")
-    detect.add_argument("--out", help="parent directory for run output (default results)")
+    detect.add_argument("--out",
+                        help=f"parent directory for run output (default {RunConfig.out})")
     detect.add_argument("--run-id", dest="run_id", help="run directory name")
-    detect.add_argument("--width", type=int, help="parallel pairs (default 4)")
+    detect.add_argument("--width", type=int,
+                        help=f"parallel pairs (default {RunConfig.width})")
     detect.add_argument("--no-cache", action="store_true",
                         help="bypass the response cache")
     detect.add_argument("--cache-dir", dest="cache_dir", help="cache directory")
     detect.add_argument("--fact-top-k", dest="fact_top_k", type=int,
-                        help="search snippets per fact question (default 3)")
+                        help="search snippets per fact question "
+                             f"(default {RunConfig.fact_top_k})")
     detect.add_argument("--demos", help="self-check demonstrations JSON file")
     detect.add_argument("--request-log", dest="request_log",
                         help="append every model request/reply to this JSONL file")
@@ -242,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cache = sub.add_parser("cache", help="inspect or clear the response cache")
     cache.add_argument("action", choices=["stat", "clear"])
-    cache.add_argument("--cache-dir", dest="cache_dir", default=".halodet-cache")
+    cache.add_argument("--cache-dir", dest="cache_dir", default=RunConfig.cache_dir)
     cache.set_defaults(func=cmd_cache)
 
     return parser

@@ -22,6 +22,7 @@ from .stages import DetectionMethod, SelfCheckDemo
 from .tools import (
     DEFAULT_DETECTOR_THRESHOLD,
     DEFAULT_FACT_TOP_K,
+    DEFAULT_SEARCH_ENDPOINT,
     GatewayAttributeAnswerer,
     HttpFactSearcher,
     HttpObjectDetector,
@@ -78,6 +79,7 @@ def _parse_scalar(raw: str, where: str) -> Any:
     raise ConfigInvalid(f"{where}: unquoted value {raw!r} (strings need quotes)")
 
 
+BACKENDS = ("mock", "live")
 _TOOL_MODES = ("default", "null")
 
 
@@ -85,7 +87,7 @@ _TOOL_MODES = ("default", "null")
 class RunConfig:
     """Everything one detection run needs, independent of how it was supplied."""
 
-    method: str = "unihd"
+    method: str = DetectionMethod.UNIHD.value
     backend: str = "mock"
     fixtures: str = ""
     bench: str = ""
@@ -102,7 +104,7 @@ class RunConfig:
     model_name: str = ""
     detector_endpoint: str = ""
     ocr_endpoint: str = ""
-    search_endpoint: str = "https://google.serper.dev/search"
+    search_endpoint: str = DEFAULT_SEARCH_ENDPOINT
     object_tool: str = "default"
     attribute_tool: str = "default"
     scene_text_tool: str = "default"
@@ -115,8 +117,8 @@ class RunConfig:
             raise ConfigInvalid(f"fact_top_k must be >= 1, got {self.fact_top_k}")
         if self.method not in {m.value for m in DetectionMethod}:
             raise ConfigInvalid(f"unknown method {self.method!r}")
-        if self.backend not in ("mock", "live"):
-            raise ConfigInvalid(f"backend must be mock or live, got {self.backend!r}")
+        if self.backend not in BACKENDS:
+            raise ConfigInvalid(f"backend must be one of {BACKENDS}, got {self.backend!r}")
         if self.backend == "mock" and not self.fixtures:
             raise ConfigInvalid("mock backend needs --fixtures")
         if self.backend == "live" and not self.model_endpoint:

@@ -2,8 +2,10 @@
 
 One entry point, :meth:`ModelGateway.complete`, fronts whichever backend is
 configured: a live HTTPS endpoint or a deterministic mock replaying a cache
-store. The gateway owns retry (transient failures only); it never parses
-model output, which belongs to the pipeline stage that issued the request.
+store. The gateway owns retry (transient failures only): ``RETRY_ATTEMPTS``
+(3) tries, waiting 1 s and then 2 s between them, each wait jittered by
+±10%. It never parses model output, which belongs to the pipeline stage that
+issued the request.
 
 Every request decodes greedily, at ``TEMPERATURE`` 0 with at most
 ``MAX_OUTPUT_TOKENS`` (1024) tokens: replies are cached and replayed as the
@@ -21,7 +23,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Protocol
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Protocol, TypeVar
 
 from .cache import CacheKey, DiskCache
 from .errors import AuthFailure, BackendError, BackendUnavailable, PayloadTooLarge
@@ -32,6 +34,8 @@ if TYPE_CHECKING:
     import requests
 
 logger = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 
 class PurposeTag(Enum):
@@ -44,6 +48,10 @@ class PurposeTag(Enum):
 
 TEMPERATURE = 0.0
 MAX_OUTPUT_TOKENS = 1024
+
+RETRY_ATTEMPTS = 3
+RETRY_FIRST_DELAY_S = 1.0  # doubled before each later retry
+RETRY_JITTER = 0.1
 
 
 @dataclass(frozen=True)
@@ -91,36 +99,18 @@ class ModelBackend(Protocol):
     def invoke(self, request: ModelRequest) -> str: ...
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Exponential backoff for transient failures: 3 tries at 1s/2s/4s + jitter."""
-
-    attempts: int = 3
-    base_delay: float = 1.0
-    multiplier: float = 2.0
-    jitter: float = 0.1
-
-    def delay(self, attempt: int, rng: random.Random) -> float:
-        base = self.base_delay * self.multiplier ** (attempt - 1)
-        return base * (1.0 + rng.uniform(-self.jitter, self.jitter))
-
-
 class ModelGateway:
     """Retry wrapper around a backend, safe for concurrent calls."""
 
     def __init__(
         self,
         backend: ModelBackend,
-        retry: RetryPolicy = RetryPolicy(),
         request_log: str | Path | None = None,
         sleep: Callable[[float], None] = time.sleep,
-        rng: random.Random | None = None,
     ) -> None:
         self.backend = backend
-        self.retry = retry
         self._request_log = Path(request_log) if request_log is not None else None
         self._sleep = sleep
-        self._rng = rng if rng is not None else random.Random()
         self._log_lock = threading.Lock()
 
     def complete(self, request: ModelRequest) -> ModelResponse:
@@ -128,7 +118,7 @@ class ModelGateway:
 
         The backend's text comes back verbatim apart from a trailing
         whitespace strip. AuthFailure and PayloadTooLarge are never retried;
-        BackendUnavailable is retried up to the policy limit, then re-raised.
+        BackendUnavailable is retried up to ``RETRY_ATTEMPTS``, then re-raised.
         """
         started = time.monotonic()
         attempt = 0
@@ -137,15 +127,14 @@ class ModelGateway:
             try:
                 text = self.backend.invoke(request)
                 break
-            except (AuthFailure, PayloadTooLarge):
-                raise
             except BackendUnavailable as exc:
-                if attempt >= self.retry.attempts:
+                if attempt >= RETRY_ATTEMPTS:
                     raise BackendUnavailable(
                         f"backend {self.backend.backend_id} failed after "
                         f"{attempt} attempts: {exc}"
                     ) from exc
-                delay = self.retry.delay(attempt, self._rng)
+                delay = (RETRY_FIRST_DELAY_S * 2 ** (attempt - 1)
+                         * (1.0 + random.uniform(-RETRY_JITTER, RETRY_JITTER)))
                 logger.debug("transient backend failure (attempt %d), retrying in %.2fs",
                              attempt, delay)
                 self._sleep(delay)
@@ -238,23 +227,25 @@ class _HttpJsonClient:
     """Base of the live clients: one JSON POST per call.
 
     ``requests`` loads on first use, so offline runs never import it. A
-    transport failure or a non-JSON body raises BackendUnavailable; a status
-    other than 200 raises its ``_status_errors`` class, else BackendUnavailable.
+    transport failure, or a body that is not JSON or that ``parse`` cannot
+    read, raises BackendUnavailable; a status other than 200 raises its
+    ``_status_errors`` class, else BackendUnavailable. Each call waits at
+    most ``timeout`` seconds for a reply.
     """
 
+    timeout = 30.0
     _status_errors: Mapping[int, type[Exception]] = {401: AuthFailure, 403: AuthFailure}
 
-    def __init__(self, endpoint: str, headers: dict[str, str], timeout: float,
+    def __init__(self, endpoint: str, headers: dict[str, str],
                  session: requests.Session | None) -> None:
         self.endpoint = endpoint
         self._headers = headers
-        self._timeout = timeout
         self._session = session if session is not None else _requests().Session()
 
-    def _post(self, payload: dict) -> Any:
+    def _post(self, payload: dict, parse: Callable[[Any], T]) -> T:
         try:
             response = self._session.post(
-                self.endpoint, json=payload, headers=self._headers, timeout=self._timeout
+                self.endpoint, json=payload, headers=self._headers, timeout=self.timeout
             )
         except _requests().RequestException as exc:  # evaluated only when post raises
             raise BackendUnavailable(f"{self.endpoint} unreachable: {exc}") from exc
@@ -263,9 +254,11 @@ class _HttpJsonClient:
             error = self._status_errors.get(status, BackendUnavailable)
             raise error(f"{self.endpoint} returned {status}")
         try:
-            return response.json()
-        except ValueError as exc:
-            raise BackendUnavailable(f"{self.endpoint} returned a non-JSON body") from exc
+            return parse(response.json())
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise BackendUnavailable(
+                f"{self.endpoint} returned a malformed body: {exc!r}"
+            ) from exc
 
 
 class HttpModelBackend(_HttpJsonClient):
@@ -276,6 +269,7 @@ class HttpModelBackend(_HttpJsonClient):
     passed by path/URL plus digest; uploading bytes is the endpoint's concern.
     """
 
+    timeout = 60.0
     _status_errors = {401: AuthFailure, 403: AuthFailure, 413: PayloadTooLarge}
 
     def __init__(
@@ -283,25 +277,20 @@ class HttpModelBackend(_HttpJsonClient):
         endpoint: str,
         api_key: str,
         model: str = "",
-        timeout: float = 60.0,
         session: requests.Session | None = None,
     ) -> None:
         if not api_key:
             raise AuthFailure("model backend requires an API key")
-        super().__init__(endpoint, {"Authorization": f"Bearer {api_key}"}, timeout, session)
+        super().__init__(endpoint, {"Authorization": f"Bearer {api_key}"}, session)
         self.model = model
         self.backend_id = model or endpoint
 
     def invoke(self, request: ModelRequest) -> str:
-        body = self._post({
+        return self._post({
             "model": self.model,
             "system": request.prompt.system,
             "user": request.prompt.user,
             "images": [ref.to_json() for ref in request.prompt.attachments],
             "temperature": TEMPERATURE,
             "max_output_tokens": MAX_OUTPUT_TOKENS,
-        })
-        try:
-            return str(body["text"])
-        except (KeyError, TypeError) as exc:
-            raise BackendUnavailable(f"malformed model endpoint response: {exc!r}") from exc
+        }, lambda body: str(body["text"]))

@@ -11,6 +11,7 @@ be surfaced in full.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Union
@@ -367,12 +368,27 @@ class ValidationReport:
         return not self.violations
 
 
+# A pair id names its result file in the run directory, next to these two.
+_PAIR_ID_RE = re.compile(r"[A-Za-z0-9._-]+")
+_RESERVED_PAIR_IDS = frozenset({"manifest", "errors"})
+
+
+def pair_id_problem(pair_id: str) -> str | None:
+    """Why ``pair_id`` cannot name a result file, or None if it can."""
+    if not _PAIR_ID_RE.fullmatch(pair_id):
+        return f"pair id {pair_id!r} must match {_PAIR_ID_RE.pattern}"
+    if pair_id in _RESERVED_PAIR_IDS:
+        return f"pair id {pair_id!r} is reserved for the run's own {pair_id}.json"
+    return None
+
+
 def validate_pair(pair: ImageTextPair) -> ValidationReport:
     """Check every ImageTextPair invariant, reporting violations as data."""
     violations: list[str] = []
 
-    if not pair.id:
-        violations.append("empty pair id")
+    id_problem = pair_id_problem(pair.id)
+    if id_problem:
+        violations.append(id_problem)
     if not pair.text:
         violations.append("empty pair text")
 

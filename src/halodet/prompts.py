@@ -111,7 +111,6 @@ class _Registry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._templates: dict[PromptId, _StoredTemplate] | None = None
-        self._digests: dict[str, str] = {}
 
     def _load(self) -> dict[PromptId, _StoredTemplate]:
         with self._lock:
@@ -131,7 +130,6 @@ class _Registry:
                     )
                 system, user = _split_template(raw.decode("utf-8"), filename)
                 templates[prompt_id] = _StoredTemplate(prompt_id, system, user, digest)
-                self._digests[filename] = digest
             self._templates = templates
             return templates
 
@@ -139,8 +137,8 @@ class _Registry:
         return self._load()[prompt_id]
 
     def digests(self) -> dict[str, str]:
-        self._load()
-        return dict(self._digests)
+        return {f"{prompt_id.value}.txt": stored.sha256
+                for prompt_id, stored in self._load().items()}
 
 
 _REGISTRY = _Registry()

@@ -43,6 +43,7 @@ NONE_INFORMATION = "none information"
 FACT_BLOCK_CHAR_LIMIT = 2000
 DEFAULT_DETECTOR_THRESHOLD = 0.35
 DEFAULT_FACT_TOP_K = 3
+DEFAULT_SEARCH_ENDPOINT = "https://google.serper.dev/search"
 
 
 @dataclass(frozen=True)
@@ -347,10 +348,9 @@ class _HttpToolClient(_HttpJsonClient):
                       429: QuotaExceeded}
 
     def __init__(self, endpoint: str, api_key: str | None = None,
-                 timeout: float = 30.0,
                  session: requests.Session | None = None) -> None:
         headers = {"Authorization": f"Bearer {api_key}"} if api_key else {}
-        super().__init__(endpoint, headers, timeout, session)
+        super().__init__(endpoint, headers, session)
 
 
 class HttpObjectDetector(_HttpToolClient):
@@ -363,18 +363,19 @@ class HttpObjectDetector(_HttpToolClient):
 
     def __init__(self, endpoint: str, api_key: str | None = None,
                  threshold: float = DEFAULT_DETECTOR_THRESHOLD,
-                 timeout: float = 30.0,
                  session: requests.Session | None = None) -> None:
-        super().__init__(endpoint, api_key, timeout, session)
+        super().__init__(endpoint, api_key, session)
         self.threshold = threshold
         self.backend_id = f"detector:{endpoint}"
 
     def detect(self, image: ImageRef, labels: Sequence[str]) -> list[ObjectEvidence]:
-        body = self._post({
+        return self._post({
             "image": image.to_json(),
             "labels": list(labels),
             "threshold": self.threshold,
-        })
+        }, self._detections)
+
+    def _detections(self, body: dict) -> list[ObjectEvidence]:
         width = body.get("image_width")
         height = body.get("image_height")
         results = []
@@ -393,13 +394,14 @@ class HttpSceneTextReader(_HttpToolClient):
     """OCR service client; returns recognized lines with normalized boxes."""
 
     def __init__(self, endpoint: str, api_key: str | None = None,
-                 timeout: float = 30.0,
                  session: requests.Session | None = None) -> None:
-        super().__init__(endpoint, api_key, timeout, session)
+        super().__init__(endpoint, api_key, session)
         self.backend_id = f"scene-text:{endpoint}"
 
     def read(self, image: ImageRef) -> list[SceneTextEvidence]:
-        body = self._post({"image": image.to_json()})
+        return self._post({"image": image.to_json()}, self._lines)
+
+    def _lines(self, body: dict) -> list[SceneTextEvidence]:
         width = body.get("image_width")
         height = body.get("image_height")
         return [
@@ -415,17 +417,18 @@ class HttpFactSearcher(_HttpToolClient):
     # Search sends no image, so a 422 is not InvalidImage.
     _status_errors = {401: AuthFailure, 403: AuthFailure, 429: QuotaExceeded}
 
-    def __init__(self, api_key: str, endpoint: str = "https://google.serper.dev/search",
-                 timeout: float = 30.0,
+    def __init__(self, api_key: str, endpoint: str = DEFAULT_SEARCH_ENDPOINT,
                  session: requests.Session | None = None) -> None:
         if not api_key:
             raise AuthFailure("fact search requires an API key")
-        super().__init__(endpoint, None, timeout, session)
+        super().__init__(endpoint, None, session)
         self._headers = {"X-API-KEY": api_key, "Content-Type": "application/json"}
         self.backend_id = f"search:{endpoint}"
 
     def search(self, question: str, top_k: int) -> list[FactSnippet]:
-        body = self._post({"q": question})
+        return self._post({"q": question}, lambda body: self._snippets(body, top_k))
+
+    def _snippets(self, body: dict, top_k: int) -> list[FactSnippet]:
         snippets = []
         for hit in body.get("organic", [])[:top_k]:
             text = str(hit.get("snippet", "")).strip()

@@ -125,6 +125,16 @@ class TestLoadAndSave:
             load(path)
         assert "duplicate pair id" in str(exc_info.value)
 
+    @pytest.mark.parametrize("pair_id", ["errors", "manifest", "../up", "a b", "a\n", ""])
+    def test_pair_id_must_name_a_result_file(self, tmp_path, pair_id):
+        payload = _bench([_bench_pair("a", [H])]).to_json()
+        payload["pairs"][0]["id"] = pair_id
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaViolation) as exc_info:
+            load(path)
+        assert exc_info.value.path == "/pairs/0/id"
+
     def test_structural_violation_gets_pointer_path(self, tmp_path):
         path = tmp_path / "bench.json"
         path.write_text(json.dumps({
@@ -164,6 +174,14 @@ class TestSchemaDocument:
         bench = _bench([_bench_pair("a", [H])])
         payload = bench.to_json()
         payload["pairs"][0]["claims"][0]["gold_label"] = "sorta"
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(payload, schema_document())
+
+    @pytest.mark.parametrize("pair_id", ["errors", "manifest", "../up"])
+    def test_schema_rejects_what_the_loader_rejects(self, pair_id):
+        jsonschema = pytest.importorskip("jsonschema")
+        payload = _bench([_bench_pair("a", [H])]).to_json()
+        payload["pairs"][0]["id"] = pair_id
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(payload, schema_document())
 

@@ -81,6 +81,37 @@ class TestDetect:
         payload = json.loads((tmp_path / "single" / "i2t-athlete.json").read_text())
         assert payload["verdicts"][0]["label"] == "hallucinatory"
 
+    def test_single_pair_id_cannot_name_a_path(self, scenario_dir, tmp_path, capsys):
+        pair = json.loads((FIXTURES / "bench6.json").read_text())["pairs"][1]
+        pair["id"] = "../escaped"
+        single = tmp_path / "single-pair.json"
+        single.write_text(json.dumps(pair))
+        code = main([
+            "detect", "--bench", str(single),
+            "--backend", "mock", "--fixtures", str(scenario_dir / "mock"),
+            "--out", str(tmp_path / "res"), "--run-id", "single",
+            "--cache-dir", str(tmp_path / "cache"),
+        ])
+        assert code == 1
+        error = json.loads(capsys.readouterr().err.splitlines()[0])
+        assert error["error"] == "SchemaViolation"
+        assert not (tmp_path / "res").exists()
+
+    @pytest.mark.parametrize("reserved", ["errors", "manifest"])
+    def test_pair_id_cannot_name_a_run_file(self, scenario_dir, tmp_path, capsys,
+                                            reserved):
+        bench = json.loads((FIXTURES / "bench6.json").read_text())
+        bench["pairs"][1]["id"] = reserved
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps(bench))
+        args = _detect_args(scenario_dir, tmp_path, "r")
+        args[args.index("--bench") + 1] = str(path)
+        assert main(args) == 1
+        error = json.loads(capsys.readouterr().err.splitlines()[0])
+        assert error["error"] == "SchemaViolation"
+        assert "/pairs/1/id" in error["message"]
+        assert not (tmp_path / "r").exists()
+
     def test_selfcheck2_with_demos(self, scenario_dir, tmp_path, capsys):
         code = main(_detect_args(
             scenario_dir, tmp_path, "sc2", "--method", "selfcheck2",
@@ -271,6 +302,29 @@ class TestHelp:
                      "--run-id", "--width", "--no-cache", "--cache-dir",
                      "--fact-top-k", "--demos", "--request-log", "--config"):
             assert flag in text, flag
+
+    def test_every_detect_flag_reaches_the_run_config(self, scenario_dir, tmp_path):
+        from halodet.cli import build_parser
+
+        dests = set(vars(build_parser().parse_args(["detect"])))
+        assert dests - {"command", "func", "config", "no_cache"} == {
+            "bench", "method", "backend", "fixtures", "out", "run_id", "width",
+            "cache_dir", "fact_top_k", "demos", "request_log",
+        }
+        log = tmp_path / "requests.jsonl"
+        assert main(_detect_args(
+            scenario_dir, tmp_path, "flags", "--method", "selfcheck2",
+            "--width", "2", "--no-cache", "--fact-top-k", "2",
+            "--demos", str(FIXTURES / "demos.json"), "--request-log", str(log))) == 0
+        echo = json.loads((tmp_path / "flags" / "manifest.json").read_text())["config"]
+        assert echo["bench"] == str(FIXTURES / "bench6.json")
+        assert echo["fixtures"] == str(scenario_dir / "mock")
+        assert (echo["method"], echo["backend"], echo["width"], echo["cache"],
+                echo["fact_top_k"]) == ("selfcheck2", "mock", 2, False, 2)
+        assert (echo["out"], echo["run_id"]) == (str(tmp_path), "flags")
+        assert echo["cache_dir"] == str(tmp_path / "cache")
+        assert echo["demos"] == str(FIXTURES / "demos.json")
+        assert echo["request_log"] == str(log) and log.exists()
 
     def test_top_level_help_lists_commands(self, capsys):
         from halodet.cli import build_parser

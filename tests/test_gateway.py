@@ -18,7 +18,6 @@ from halodet.gateway import (
     ModelGateway,
     ModelRequest,
     PurposeTag,
-    RetryPolicy,
     ScriptedModelBackend,
     request_digest,
 )
@@ -32,9 +31,8 @@ def _request(user: str = "claim1: x") -> ModelRequest:
     )
 
 
-def _gateway(backend, attempts: int = 3) -> ModelGateway:
-    return ModelGateway(backend, retry=RetryPolicy(attempts=attempts),
-                        sleep=lambda _: None)
+def _gateway(backend) -> ModelGateway:
+    return ModelGateway(backend, sleep=lambda _: None)
 
 
 class TestRetry:
@@ -59,16 +57,29 @@ class TestRetry:
             _gateway(backend).complete(_request())
         assert backend.calls == 1
 
-    def test_backoff_schedule(self):
+    def test_backoff_schedule(self, monkeypatch):
+        monkeypatch.setattr("halodet.gateway.random.uniform", lambda low, high: 0.0)
         delays = []
         backend = ScriptedModelBackend([BackendUnavailable("x")] * 2 + ["ok"])
-        gateway = ModelGateway(
-            backend,
-            retry=RetryPolicy(attempts=3, base_delay=1.0, multiplier=2.0, jitter=0.0),
-            sleep=delays.append,
-        )
+        gateway = ModelGateway(backend, sleep=delays.append)
         gateway.complete(_request())
         assert delays == [1.0, 2.0]
+
+    def test_jitter_is_ten_percent_either_way(self, monkeypatch):
+        bounds = []
+
+        def extreme(low, high):  # the top of the band first, then the bottom
+            bounds.append((low, high))
+            return (low, high)[len(bounds) % 2]
+
+        monkeypatch.setattr("halodet.gateway.random.uniform", extreme)
+        delays = []
+        backend = ScriptedModelBackend([BackendUnavailable("x")] * 3)
+        with pytest.raises(BackendUnavailable):
+            ModelGateway(backend, sleep=delays.append).complete(_request())
+        assert bounds == [(-0.1, 0.1)] * 2
+        assert delays == pytest.approx([1.1, 1.8])
+        assert backend.calls == 3
 
 
 class TestVerbatimText:

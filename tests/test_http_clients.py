@@ -28,13 +28,16 @@ from halodet.tools import (
 )
 
 
+_NO_BODY = object()
+
+
 class FakeResponse:
-    def __init__(self, status_code: int, payload=None):
+    def __init__(self, status_code: int, payload=_NO_BODY):
         self.status_code = status_code
         self._payload = payload
 
     def json(self):
-        if self._payload is None:
+        if self._payload is _NO_BODY:
             raise ValueError("no body")
         return self._payload
 
@@ -47,7 +50,8 @@ class FakeSession:
         self.requests = []
 
     def post(self, url, json=None, headers=None, timeout=None):
-        self.requests.append({"url": url, "json": json, "headers": headers})
+        self.requests.append({"url": url, "json": json, "headers": headers,
+                              "timeout": timeout})
         if isinstance(self.response, Exception):
             raise self.response
         return self.response
@@ -152,23 +156,54 @@ class TestHttpFactSearcher:
             search_facts(searcher, "q", 3)
 
 
+# One call through each live client, given the session it should use.
+_CALLS = {
+    "model": lambda s: HttpModelBackend("https://model.example", api_key="k", session=s)
+    .invoke(_request()),
+    "detector": lambda s: detect_objects(
+        HttpObjectDetector("https://det.example", session=s), image_ref("a"), ["cat"]),
+    "scene-text": lambda s: read_scene_text(
+        HttpSceneTextReader("https://ocr.example", session=s), image_ref("a")),
+    "search": lambda s: search_facts(HttpFactSearcher("key", session=s), "q", 3),
+}
+
+
 @pytest.mark.parametrize("error", [
     requests.ConnectionError("connection refused"),
     requests.Timeout("read timed out"),
 ], ids=["connection-error", "timeout"])
-@pytest.mark.parametrize("call", [
-    lambda s: HttpModelBackend("https://model.example", api_key="k", session=s)
-    .invoke(_request()),
-    lambda s: detect_objects(HttpObjectDetector("https://det.example", session=s),
-                             image_ref("a"), ["cat"]),
-    lambda s: read_scene_text(HttpSceneTextReader("https://ocr.example", session=s),
-                              image_ref("a")),
-    lambda s: search_facts(HttpFactSearcher("key", session=s), "q", 3),
-], ids=["model", "detector", "scene-text", "search"])
+@pytest.mark.parametrize("call", list(_CALLS.values()), ids=list(_CALLS))
 def test_transport_error_is_backend_unavailable(call, error):
     with pytest.raises(BackendUnavailable) as raised:
         call(FakeSession(error))
     assert raised.value.__cause__ is error
+
+
+# A JSON body each client cannot read: a field it needs is missing or mistyped.
+_WRONG_KEYS = {
+    "model": {"reply": "x"},
+    "detector": {"detections": [{"box": [0, 0, 1, 1], "score": 0.9}]},
+    "scene-text": {"lines": [{"text": "x"}]},
+    "search": {"organic": 5},
+}
+
+
+@pytest.mark.parametrize("shape", ["list", "null", "wrong-keys"])
+@pytest.mark.parametrize("client", list(_CALLS))
+def test_a_wrongly_shaped_body_is_backend_unavailable(client, shape):
+    body = {"list": [], "null": None, "wrong-keys": _WRONG_KEYS[client]}[shape]
+    with pytest.raises(BackendUnavailable):
+        _CALLS[client](FakeSession(FakeResponse(200, body)))
+
+
+@pytest.mark.parametrize("client, seconds", [
+    ("model", 60.0), ("detector", 30.0), ("scene-text", 30.0), ("search", 30.0),
+])
+def test_each_client_posts_with_its_timeout(client, seconds):
+    session = FakeSession(FakeResponse(500))
+    with pytest.raises(BackendUnavailable):
+        _CALLS[client](session)
+    assert session.requests[0]["timeout"] == seconds
 
 
 @pytest.mark.parametrize("status, error", [

@@ -86,6 +86,14 @@ class TestValidatePair:
     def test_well_formed_pair(self, simple_pair):
         assert validate_pair(simple_pair).ok
 
+    @pytest.mark.parametrize("pair_id", ["", "../escaped", "a/b", "errors", "manifest"])
+    def test_id_must_name_a_result_file(self, simple_pair, pair_id):
+        from dataclasses import replace
+
+        report = validate_pair(replace(simple_pair, id=pair_id))
+        assert not report.ok
+        assert any("pair id" in v for v in report.violations)
+
     def test_non_contiguous_indices(self, simple_pair):
         from dataclasses import replace
 

@@ -80,7 +80,7 @@ def local_endpoint(monkeypatch):
 def test_live_client_without_session_gets_a_working_one(local_endpoint):
     import requests
 
-    backend = HttpModelBackend(local_endpoint, api_key="k", timeout=10.0)
+    backend = HttpModelBackend(local_endpoint, api_key="k")
     request = ModelRequest(prompt=RenderedPrompt(system="s", user="hello"),
                            purpose_tag=PurposeTag.VERIFY)
     assert backend.invoke(request) == "echo hello"
