@@ -163,6 +163,186 @@ class TestLoadAndSave:
         assert load(path).pairs[0].image.digest
 
 
+_DELETE = object()
+_DIGEST_A = "fb6c34086303a1420cbe260da742721497efb59b747205d2bafe510e27c4e252"
+
+
+def _edited(edits) -> str:
+    """Pair "a" (claims 1 H and 2 NH, segments S1 and S2) with JSON-pointer edits.
+
+    A pointer ending in ``-`` appends to a list; ``_DELETE`` removes the key.
+    """
+    doc = _bench([_bench_pair("a", [H, NH])]).to_json()
+    for pointer, value in edits:
+        *parents, last = pointer[1:].split("/")
+        node = doc
+        for key in parents:
+            node = node[int(key)] if isinstance(node, list) else node[key]
+        if last == "-":
+            node.append(value)
+        elif value is _DELETE:
+            del node[last]
+        else:
+            node[int(last) if isinstance(node, list) else last] = value
+    return json.dumps(doc)
+
+
+def _case(case_id, document, error, path, message, image=None):
+    return pytest.param(document, error, path, message, image, id=case_id)
+
+
+_P, _C0, _S1 = "/pairs/0", "/pairs/0/claims/0", "/pairs/0/segments/1"
+_EXPECTED_OBJECT, _EXPECTED_STRING = "expected an object", "expected a string"
+_NON_EMPTY_STRING = "expected a non-empty string"
+_TASKS = "['image-captioning', 'text-to-image', 'vqa']"
+
+# One malformed document per check in bench.load and its validators, with the
+# exception class, JSON pointer and message each must produce. A None path
+# means the exception has no pointer and ``message`` is its whole text.
+REJECTIONS = [
+    _case("not-json", "{", SchemaViolation, "/",
+          "not valid JSON: Expecting property name enclosed in double quotes: "
+          "line 1 column 2 (char 1)"),
+    _case("top-not-object", "[]", SchemaViolation, "/", _EXPECTED_OBJECT),
+    _case("wrong-version", _edited([("/version", "mhalubench.v2")]), UnsupportedVersion,
+          None, "unsupported benchmark schema version: 'mhalubench.v2'"),
+    _case("missing-version", _edited([("/version", _DELETE)]), UnsupportedVersion,
+          None, "unsupported benchmark schema version: 'None'"),
+    _case("pairs-not-list", _edited([("/pairs", {})]), SchemaViolation, "/pairs",
+          "expected a list"),
+    _case("pairs-missing", _edited([("/pairs", _DELETE)]), SchemaViolation, "/pairs",
+          "expected a list"),
+    _case("provenance-not-object", _edited([("/provenance", [])]), SchemaViolation,
+          "/provenance", _EXPECTED_OBJECT),
+    _case("pair-not-object", _edited([("/pairs/0", "a")]), SchemaViolation, _P,
+          _EXPECTED_OBJECT),
+    _case("id-not-string", _edited([(f"{_P}/id", 7)]), SchemaViolation, f"{_P}/id",
+          _EXPECTED_STRING),
+    _case("id-missing", _edited([(f"{_P}/id", _DELETE)]), SchemaViolation, f"{_P}/id",
+          _EXPECTED_STRING),
+    _case("id-bad-characters", _edited([(f"{_P}/id", "a b")]), SchemaViolation,
+          f"{_P}/id", "pair id 'a b' must match [A-Za-z0-9._-]+"),
+    _case("id-reserved", _edited([(f"{_P}/id", "errors")]), SchemaViolation, f"{_P}/id",
+          "pair id 'errors' is reserved for the run's own errors.json"),
+    _case("task-missing", _edited([(f"{_P}/task", _DELETE)]), SchemaViolation,
+          f"{_P}/task", _EXPECTED_STRING),
+    _case("task-not-string", _edited([(f"{_P}/task", ["vqa"])]), SchemaViolation,
+          f"{_P}/task", _EXPECTED_STRING),
+    _case("task-unknown", _edited([(f"{_P}/task", "poetry")]), SchemaViolation,
+          f"{_P}/task", f"'poetry' is not one of {_TASKS}"),
+    _case("image-not-object", _edited([(f"{_P}/image", "images/a.jpg")]),
+          SchemaViolation, f"{_P}/image", _EXPECTED_OBJECT),
+    _case("image-path-empty", _edited([(f"{_P}/image/path", "")]), SchemaViolation,
+          f"{_P}/image/path", _NON_EMPTY_STRING),
+    _case("image-path-not-string", _edited([(f"{_P}/image/path", 3)]), SchemaViolation,
+          f"{_P}/image/path", _NON_EMPTY_STRING),
+    _case("digest-missing", _edited([(f"{_P}/image/digest", _DELETE)]), SchemaViolation,
+          f"{_P}/image/digest", "expected a 64-hex sha256 digest"),
+    _case("digest-not-string", _edited([(f"{_P}/image/digest", 64)]), SchemaViolation,
+          f"{_P}/image/digest", "expected a 64-hex sha256 digest"),
+    _case("digest-short", _edited([(f"{_P}/image/digest", _DIGEST_A[:63])]),
+          SchemaViolation, f"{_P}/image/digest", "expected a 64-hex sha256 digest"),
+    _case("digest-uppercase", _edited([(f"{_P}/image/digest", _DIGEST_A.upper())]),
+          SchemaViolation, f"{_P}/image/digest", "expected a 64-hex sha256 digest"),
+    _case("text-empty", _edited([(f"{_P}/text", "")]), SchemaViolation, f"{_P}/text",
+          _NON_EMPTY_STRING),
+    _case("text-not-string", _edited([(f"{_P}/text", None)]), SchemaViolation,
+          f"{_P}/text", _NON_EMPTY_STRING),
+    _case("claims-empty", _edited([(f"{_P}/claims", [])]), SchemaViolation,
+          f"{_P}/claims", "expected a non-empty list"),
+    _case("claims-not-list", _edited([(f"{_P}/claims", {"1": "x"})]), SchemaViolation,
+          f"{_P}/claims", "expected a non-empty list"),
+    _case("claim-not-object", _edited([(_C0, "a claim")]), SchemaViolation, _C0,
+          _EXPECTED_OBJECT),
+    _case("claim-index-string", _edited([(f"{_C0}/index", "1")]), SchemaViolation,
+          f"{_C0}/index", "expected an integer"),
+    _case("claim-index-float", _edited([(f"{_C0}/index", 1.0)]), SchemaViolation,
+          f"{_C0}/index", "expected an integer"),
+    _case("claim-text-empty", _edited([(f"{_C0}/text", "")]), SchemaViolation,
+          f"{_C0}/text", _NON_EMPTY_STRING),
+    _case("claim-text-missing", _edited([(f"{_C0}/text", _DELETE)]), SchemaViolation,
+          f"{_C0}/text", _NON_EMPTY_STRING),
+    _case("gold-label-missing", _edited([(f"{_C0}/gold_label", _DELETE)]),
+          SchemaViolation, f"{_C0}/gold_label", "benchmark claims need a gold label"),
+    _case("gold-label-null", _edited([(f"{_C0}/gold_label", None)]), SchemaViolation,
+          f"{_C0}/gold_label", _EXPECTED_STRING),
+    _case("gold-label-unknown", _edited([(f"{_C0}/gold_label", "sorta")]),
+          SchemaViolation, f"{_C0}/gold_label",
+          "'sorta' is not one of ['hallucinatory', 'non-hallucinatory']"),
+    _case("categories-not-list", _edited([(f"{_C0}/gold_categories", "object")]),
+          SchemaViolation, f"{_C0}/gold_categories", "expected a list"),
+    _case("categories-null", _edited([(f"{_C0}/gold_categories", None)]),
+          SchemaViolation, f"{_C0}/gold_categories", "expected a list"),
+    _case("category-unknown", _edited([(f"{_C0}/gold_categories", ["object", "styles"])]),
+          SchemaViolation, f"{_C0}/gold_categories/1",
+          "'styles' is not one of ['attribute', 'fact', 'object', 'scene-text']"),
+    _case("category-not-string", _edited([(f"{_C0}/gold_categories", [3])]),
+          SchemaViolation, f"{_C0}/gold_categories/0", _EXPECTED_STRING),
+    _case("segment-id-of-claim-not-string", _edited([(f"{_C0}/segment_id", 1)]),
+          SchemaViolation, f"{_C0}/segment_id", _EXPECTED_STRING),
+    _case("segments-not-list", _edited([(f"{_P}/segments", None)]), SchemaViolation,
+          f"{_P}/segments", "expected a list"),
+    _case("segment-not-object", _edited([(_S1, ["S2"])]), SchemaViolation, _S1,
+          _EXPECTED_OBJECT),
+    _case("segment-id-empty", _edited([(f"{_S1}/id", "")]), SchemaViolation,
+          f"{_S1}/id", _NON_EMPTY_STRING),
+    _case("segment-id-not-string", _edited([(f"{_S1}/id", 2)]), SchemaViolation,
+          f"{_S1}/id", _NON_EMPTY_STRING),
+    _case("segment-text-not-string", _edited([(f"{_S1}/text", None)]), SchemaViolation,
+          f"{_S1}/text", _EXPECTED_STRING),
+    _case("segment-indices-empty", _edited([(f"{_S1}/claim_indices", [])]),
+          SchemaViolation, f"{_S1}/claim_indices", "expected a non-empty list"),
+    _case("segment-indices-not-list", _edited([(f"{_S1}/claim_indices", 2)]),
+          SchemaViolation, f"{_S1}/claim_indices", "expected a non-empty list"),
+    _case("segment-index-not-integer", _edited([(f"{_S1}/claim_indices", [2, "x"])]),
+          SchemaViolation, f"{_S1}/claim_indices/1", "expected an integer"),
+    _case("second-pair-pointer",
+          _edited([("/pairs/-", _bench_pair("b", [NH]).to_json()),
+                   ("/pairs/1/claims/0/text", "")]),
+          SchemaViolation, "/pairs/1/claims/0/text", _NON_EMPTY_STRING),
+    _case("duplicate-id", _edited([("/pairs/-", _bench_pair("a", [NH]).to_json())]),
+          SchemaViolation, "/pairs/1/id", "duplicate pair id 'a'"),
+    _case("claim-indices-not-contiguous", _edited([("/pairs/0/claims/1/index", 3)]),
+          SchemaViolation, _P,
+          "non-contiguous claim indices: [1, 3]; "
+          "claim 3: segment_id 'S2' disagrees with owning segment None"),
+    _case("categories-on-non-hallucinatory",
+          _edited([("/pairs/0/claims/1/gold_categories", ["fact"])]),
+          SchemaViolation, _P, "claim 2: category tags on a non-hallucinatory claim"),
+    _case("segment-dangling-reference", _edited([(f"{_S1}/claim_indices", [5])]),
+          SchemaViolation, _P,
+          "segment 'S2': dangling claim reference 5; "
+          "claims not covered by any segment: [2]; "
+          "claim 2: segment_id 'S2' disagrees with owning segment None"),
+    _case("digest-mismatch-of-present-file", _edited([]), SchemaViolation,
+          f"{_P}/image/digest",
+          "file digest 764295ade9b38beb655ffea4b4e145d48dcda8e21c62db48e5274b92e8c075d9"
+          " does not match recorded digest",
+          image=b"actual different bytes"),
+]
+
+
+class TestRejections:
+    @pytest.mark.parametrize("document, error, path, message, image", REJECTIONS)
+    def test_each_check_names_its_pointer(self, tmp_path, document, error, path,
+                                          message, image):
+        if image is not None:
+            (tmp_path / "images").mkdir()
+            (tmp_path / "images" / "a.jpg").write_bytes(image)
+        bench_path = tmp_path / "bench.json"
+        bench_path.write_text(document)
+        with pytest.raises(error) as exc_info:
+            load(bench_path)
+        assert type(exc_info.value) is error
+        assert getattr(exc_info.value, "path", None) == path
+        assert str(exc_info.value) == (message if path is None else f"{path}: {message}")
+
+    def test_the_unedited_document_loads(self, tmp_path):
+        bench_path = tmp_path / "bench.json"
+        bench_path.write_text(_edited([]))
+        assert load(bench_path) == _bench([_bench_pair("a", [H, NH])])
+
+
 class TestSchemaDocument:
     def test_fixture_validates_against_shipped_schema(self, tmp_path):
         jsonschema = pytest.importorskip("jsonschema")

@@ -12,6 +12,7 @@ import threading
 import time
 import types
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -456,16 +457,33 @@ class TestRunBatch:
 
 class TestRunDir:
     def test_layout_and_round_trip(self, tmp_path):
-        pairs = _simple_pairs(2)
+        # Every evidence kind, and a verification reply that fails twice: the
+        # sound entry is kept flagged repaired, the other is flagged unverified.
+        pairs = [
+            replace(pair, claims=(*pair.claims, Claim(index=2, text=f"second {pair.id}",
+                                                      gold_label=Label.HALLUCINATORY)))
+            for pair in _simple_pairs(2)
+        ]
         gateway = table_gateway([
-            ("object extractor", '{"claim1":"none"}'),
-            ("questions about attributes", '{"claim1":["none"]}'),
-            ("questions about scene text", '{"claim1":["none"]}'),
-            ("search engine questions", '{"claim1":["none"]}'),
+            ("object extractor", '{"claim1":"athlete","claim2":"none"}'),
+            ("questions about attributes",
+             '{"claim1":["What color is the uniform?"],"claim2":["none"]}'),
+            ("questions about scene text", '{"claim1":["none"],"claim2":["What is written?"]}'),
+            ("search engine questions", '{"claim1":["none"],"claim2":["Who won?"]}'),
             ("hallucination judger",
-             '[{"claim1":"non-hallucination","reason":"all clear"}]'),
+             '[{"claim1":"non-hallucination","reason":"all clear"},{"claim2":"perhaps"}]'),
         ])
-        outcome = run_batch(pairs, DetectionMethod.UNIHD, _backends(), gateway)
+        backends = _backends(
+            detections=_ATHLETE_DETECTIONS[:2],
+            scene=[SceneTextEvidence("FINISH", NormBox(0.1, 0.1, 0.5, 0.2))],
+            snippets=[FactSnippet("Race", "The red team won.", "https://r")],
+        )
+        outcome = run_batch(pairs, DetectionMethod.UNIHD, backends, gateway)
+        evidence = outcome.results[0].evidence
+        assert all((evidence.objects, evidence.attributes, evidence.scene_texts,
+                    evidence.facts))
+        assert [v.parse_flags for v in outcome.results[0].verdicts] == [
+            frozenset({ParseFlag.REPAIRED}), frozenset({ParseFlag.UNVERIFIED})]
         run_dir = write_run_dir(tmp_path, "run-x", outcome,
                                 method=DetectionMethod.UNIHD,
                                 backend_ids={"model": "table"},
@@ -481,8 +499,11 @@ class TestRunDir:
         assert loaded.pair_id == "pair-0"
         assert loaded.verdicts == outcome.results[0].verdicts
         assert loaded.plan == outcome.results[0].plan
+        assert loaded.evidence == evidence
         both = load_run_results(run_dir)
         assert [r.pair_id for r in both] == ["pair-0", "pair-1"]
+        assert [(r.verdicts, r.plan, r.evidence) for r in both] == [
+            (r.verdicts, r.plan, r.evidence) for r in outcome.results]
 
     def test_errors_json_keeps_the_failed_pairs_trace(self, tmp_path):
         # No verification rule: the pair fails after its formulation calls.
