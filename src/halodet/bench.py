@@ -10,6 +10,7 @@ file just means digest-only mode.
 from __future__ import annotations
 
 import json
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,10 +26,13 @@ from .executor import DetectionResult
 from .hashing import sha256_file
 from .metrics import derive_response_label, derive_segment_label
 from .model import (
+    Claim,
     HallucinationCategory,
+    ImageRef,
     ImageTextPair,
     Label,
     ParseFlag,
+    Segment,
     TaskType,
     pair_id_problem,
     validate_pair,
@@ -36,10 +40,10 @@ from .model import (
 
 SCHEMA_VERSION = "mhalubench.v1"
 
-_DIGEST_RE = re.compile(r"^[0-9a-f]{64}$")
-_TASK_VALUES = {t.value for t in TaskType}
-_LABEL_VALUES = {label.value for label in Label}
-_CATEGORY_VALUES = {c.value for c in HallucinationCategory}
+_DIGEST_RE = re.compile(r"[0-9a-f]{64}")
+_TASKS = {task.value: task for task in TaskType}
+_LABELS = {label.value: label for label in Label}
+_CATEGORIES = {category.value: category for category in HallucinationCategory}
 
 
 @dataclass(frozen=True)
@@ -64,73 +68,92 @@ def schema_document() -> dict[str, Any]:
     return json.loads(path.read_text("utf-8"))
 
 
-# --- structural validation with pointer paths ------------------------------------
+# --- decoding with pointer paths ------------------------------------------------
+# One walk checks each field and builds the pair from it. A failed check raises
+# SchemaViolation at the JSON pointer made of ``at``; none is built otherwise.
 
 
-def _expect(condition: bool, path: str, message: str) -> None:
-    if not condition:
-        raise SchemaViolation(path, message)
+def _violation(message: str, *at: str | int) -> SchemaViolation:
+    return SchemaViolation("/" + "/".join(map(str, at)), message)
 
 
-def _check_enum(value: Any, allowed: set[str], path: str) -> None:
-    _expect(isinstance(value, str), path, "expected a string")
-    _expect(value in allowed, path, f"{value!r} is not one of {sorted(allowed)}")
+def _member(members: dict[str, Any], value: Any, *at: str | int) -> Any:
+    if not isinstance(value, str):
+        raise _violation("expected a string", *at)
+    if value not in members:
+        raise _violation(f"{value!r} is not one of {sorted(members)}", *at)
+    return members[value]
 
 
-def _validate_claim(data: Any, path: str) -> None:
-    _expect(isinstance(data, dict), path, "expected an object")
-    _expect(isinstance(data.get("index"), int), f"{path}/index", "expected an integer")
-    _expect(isinstance(data.get("text"), str) and data["text"],
-            f"{path}/text", "expected a non-empty string")
-    _expect("gold_label" in data, f"{path}/gold_label", "benchmark claims need a gold label")
-    _check_enum(data["gold_label"], _LABEL_VALUES, f"{path}/gold_label")
+def _claim(data: Any, at: tuple[str | int, ...]) -> Claim:
+    if not isinstance(data, dict):
+        raise _violation("expected an object", *at)
+    index, text = data.get("index"), data.get("text")
+    if type(index) is not int:  # a JSON true or false is a bool, not an integer
+        raise _violation("expected an integer", *at, "index")
+    if not (isinstance(text, str) and text):
+        raise _violation("expected a non-empty string", *at, "text")
+    if "gold_label" not in data:
+        raise _violation("benchmark claims need a gold label", *at, "gold_label")
+    label = _member(_LABELS, data["gold_label"], *at, "gold_label")
+    categories = data.get("gold_categories")
     if "gold_categories" in data:
-        cats = data["gold_categories"]
-        _expect(isinstance(cats, list), f"{path}/gold_categories", "expected a list")
-        for j, cat in enumerate(cats):
-            _check_enum(cat, _CATEGORY_VALUES, f"{path}/gold_categories/{j}")
-    if "segment_id" in data:
-        _expect(isinstance(data["segment_id"], str), f"{path}/segment_id",
-                "expected a string")
+        if not isinstance(categories, list):
+            raise _violation("expected a list", *at, "gold_categories")
+        categories = frozenset([_member(_CATEGORIES, name, *at, "gold_categories", k)
+                                for k, name in enumerate(categories)])
+    segment_id = data.get("segment_id")
+    if "segment_id" in data and not isinstance(segment_id, str):
+        raise _violation("expected a string", *at, "segment_id")
+    return Claim(index, text, label, categories, segment_id)
 
 
-def _validate_segment(data: Any, path: str) -> None:
-    _expect(isinstance(data, dict), path, "expected an object")
-    _expect(isinstance(data.get("id"), str) and data["id"], f"{path}/id",
-            "expected a non-empty string")
-    _expect(isinstance(data.get("text"), str), f"{path}/text", "expected a string")
-    indices = data.get("claim_indices")
-    _expect(isinstance(indices, list) and indices, f"{path}/claim_indices",
-            "expected a non-empty list")
-    for j, index in enumerate(indices):
-        _expect(isinstance(index, int), f"{path}/claim_indices/{j}", "expected an integer")
+def _segment(data: Any, at: tuple[str | int, ...]) -> Segment:
+    if not isinstance(data, dict):
+        raise _violation("expected an object", *at)
+    segment_id, text, indices = data.get("id"), data.get("text"), data.get("claim_indices")
+    if not (isinstance(segment_id, str) and segment_id):
+        raise _violation("expected a non-empty string", *at, "id")
+    if not isinstance(text, str):
+        raise _violation("expected a string", *at, "text")
+    if not (isinstance(indices, list) and indices):
+        raise _violation("expected a non-empty list", *at, "claim_indices")
+    for k, index in enumerate(indices):
+        if type(index) is not int:
+            raise _violation("expected an integer", *at, "claim_indices", k)
+    return Segment(segment_id, text, tuple(indices))
 
 
-def _validate_pair_json(data: Any, path: str) -> None:
-    _expect(isinstance(data, dict), path, "expected an object")
-    _expect(isinstance(data.get("id"), str), f"{path}/id", "expected a string")
-    id_problem = pair_id_problem(data["id"])
-    _expect(id_problem is None, f"{path}/id", id_problem or "")
-    _check_enum(data.get("task"), _TASK_VALUES, f"{path}/task")
-    image = data.get("image")
-    _expect(isinstance(image, dict), f"{path}/image", "expected an object")
-    _expect(isinstance(image.get("path"), str) and image["path"],
-            f"{path}/image/path", "expected a non-empty string")
-    _expect(isinstance(image.get("digest"), str)
-            and bool(_DIGEST_RE.match(image.get("digest", ""))),
-            f"{path}/image/digest", "expected a 64-hex sha256 digest")
-    _expect(isinstance(data.get("text"), str) and data["text"], f"{path}/text",
-            "expected a non-empty string")
+def _pair(data: Any, at: tuple[str | int, ...]) -> ImageTextPair:
+    if not isinstance(data, dict):
+        raise _violation("expected an object", *at)
+    pair_id, image, text = data.get("id"), data.get("image"), data.get("text")
+    if not isinstance(pair_id, str):
+        raise _violation("expected a string", *at, "id")
+    id_problem = pair_id_problem(pair_id)
+    if id_problem is not None:
+        raise _violation(id_problem, *at, "id")
+    task = _member(_TASKS, data.get("task"), *at, "task")
+    if not isinstance(image, dict):
+        raise _violation("expected an object", *at, "image")
+    image_path, digest = image.get("path"), image.get("digest")
+    if not (isinstance(image_path, str) and image_path):
+        raise _violation("expected a non-empty string", *at, "image", "path")
+    if not (isinstance(digest, str) and _DIGEST_RE.fullmatch(digest)):
+        raise _violation("expected a 64-hex sha256 digest", *at, "image", "digest")
+    if not (isinstance(text, str) and text):
+        raise _violation("expected a non-empty string", *at, "text")
     claims = data.get("claims")
-    _expect(isinstance(claims, list) and claims, f"{path}/claims",
-            "expected a non-empty list")
-    for i, claim in enumerate(claims):
-        _validate_claim(claim, f"{path}/claims/{i}")
+    if not (isinstance(claims, list) and claims):
+        raise _violation("expected a non-empty list", *at, "claims")
+    claims = tuple([_claim(item, (*at, "claims", j)) for j, item in enumerate(claims)])
+    segments = data.get("segments")
     if "segments" in data:
-        segments = data["segments"]
-        _expect(isinstance(segments, list), f"{path}/segments", "expected a list")
-        for i, segment in enumerate(segments):
-            _validate_segment(segment, f"{path}/segments/{i}")
+        if not isinstance(segments, list):
+            raise _violation("expected a list", *at, "segments")
+        segments = tuple([_segment(item, (*at, "segments", j))
+                          for j, item in enumerate(segments)])
+    return ImageTextPair(pair_id, task, ImageRef(image_path, digest), text, claims, segments)
 
 
 def load(path: str | Path) -> BenchmarkFile:
@@ -141,35 +164,34 @@ def load(path: str | Path) -> BenchmarkFile:
     except ValueError as exc:
         raise SchemaViolation("/", f"not valid JSON: {exc}") from exc
 
-    _expect(isinstance(data, dict), "/", "expected an object")
+    if not isinstance(data, dict):
+        raise _violation("expected an object")
     version = data.get("version")
     if not isinstance(version, str) or version != SCHEMA_VERSION:
         raise UnsupportedVersion(str(version))
     pairs_json = data.get("pairs")
-    _expect(isinstance(pairs_json, list), "/pairs", "expected a list")
+    if not isinstance(pairs_json, list):
+        raise _violation("expected a list", "pairs")
     provenance = data.get("provenance", {})
-    _expect(isinstance(provenance, dict), "/provenance", "expected an object")
+    if not isinstance(provenance, dict):
+        raise _violation("expected an object", "provenance")
 
     pairs = []
     seen_ids: set[str] = set()
     for i, pair_json in enumerate(pairs_json):
-        pointer = f"/pairs/{i}"
-        _validate_pair_json(pair_json, pointer)
-        pair = ImageTextPair.from_json(pair_json)
+        pair = _pair(pair_json, ("pairs", i))
         if pair.id in seen_ids:
-            raise SchemaViolation(f"{pointer}/id", f"duplicate pair id {pair.id!r}")
+            raise _violation(f"duplicate pair id {pair.id!r}", "pairs", i, "id")
         seen_ids.add(pair.id)
         report = validate_pair(pair)
         if not report.ok:
-            raise SchemaViolation(pointer, "; ".join(report.violations))
-        image_path = path.parent / pair.image.path
-        if image_path.is_file():
-            actual = sha256_file(str(image_path))
+            raise _violation("; ".join(report.violations), "pairs", i)
+        image_path = os.path.join(os.path.dirname(path), pair.image.path)
+        if os.path.isfile(image_path):
+            actual = sha256_file(image_path)
             if actual != pair.image.digest:
-                raise SchemaViolation(
-                    f"{pointer}/image/digest",
-                    f"file digest {actual} does not match recorded digest",
-                )
+                raise _violation(f"file digest {actual} does not match recorded digest",
+                                 "pairs", i, "image", "digest")
         pairs.append(pair)
 
     return BenchmarkFile(version=version, pairs=tuple(pairs), provenance=dict(provenance))

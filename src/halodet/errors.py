@@ -161,6 +161,14 @@ class IndexMismatch(HalodetError):
     """Result claim indices do not line up with the benchmark pair."""
 
 
+class ResultFileInvalid(HalodetError):
+    """A per-pair result file cannot be decoded, or holds another pair."""
+
+    def __init__(self, path: str, message: str):
+        super().__init__(f"{path}: {message}")
+        self.path = path
+
+
 # --- configuration -----------------------------------------------------------
 
 

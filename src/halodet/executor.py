@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import threading
 import time
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
@@ -37,7 +38,7 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from .cache import CacheKey, DiskCache
-from .errors import ConfigInvalid, StoreCorrupt
+from .errors import ConfigInvalid, ResultFileInvalid, StoreCorrupt
 from .gateway import ModelGateway, ModelRequest, ModelResponse, request_digest
 from .hashing import sha256_json, sha256_text
 from .model import (
@@ -574,26 +575,38 @@ def _utc_now() -> str:
 
 
 def load_result_payload(path: str | Path) -> DetectionResult:
-    """Read one per-pair result file back into a DetectionResult (no trace)."""
-    data = json.loads(Path(path).read_text("utf-8"))
-    plan = data.get("plan")
-    return DetectionResult(
-        pair_id=str(data["pair_id"]),
-        method=DetectionMethod(data["method"]),
-        verdicts=tuple(Verdict.from_json(v) for v in data["verdicts"]),
-        plan=ToolPlan.from_json(plan) if plan is not None else None,
-        evidence=EvidenceBundle.from_json(data["evidence"]),
-        degraded=bool(data["degraded"]),
-        trace=(),
-    )
+    """Read one per-pair result file back into a DetectionResult (no trace).
+
+    A file that is not JSON, or misses a key or has one of the wrong type,
+    raises ResultFileInvalid naming the file.
+    """
+    try:
+        with open(path, "rb") as file:
+            data = json.loads(file.read())
+        plan = data.get("plan")
+        return DetectionResult(
+            str(data["pair_id"]),
+            DetectionMethod(data["method"]),
+            tuple(map(Verdict.from_json, data["verdicts"])),
+            ToolPlan.from_json(plan) if plan is not None else None,
+            EvidenceBundle.from_json(data["evidence"]),
+            bool(data["degraded"]),
+            (),
+        )
+    except KeyError as exc:
+        raise ResultFileInvalid(str(path), f"missing key {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ResultFileInvalid(str(path), f"cannot decode: {exc}") from exc
 
 
 def load_run_results(run_dir: str | Path) -> list[DetectionResult]:
-    """Load every per-pair result file from a run directory."""
-    run_dir = Path(run_dir)
+    """Load every ``<pair-id>.json`` file; one that holds another pair is invalid."""
     results = []
-    for path in sorted(run_dir.glob("*.json")):
-        if path.name in ("manifest.json", "errors.json"):
-            continue
-        results.append(load_result_payload(path))
+    for name in sorted(os.listdir(run_dir)):
+        if name.endswith(".json") and name not in ("manifest.json", "errors.json"):
+            path = os.path.join(run_dir, name)
+            result = load_result_payload(path)
+            if result.pair_id != name[:-5]:
+                raise ResultFileInvalid(path, f"holds pair {result.pair_id!r}")
+            results.append(result)
     return results

@@ -228,7 +228,8 @@ class _HttpJsonClient:
 
     ``requests`` loads on first use, so offline runs never import it. A
     transport failure, or a body that is not JSON or that ``parse`` cannot
-    read, raises BackendUnavailable; a status other than 200 raises its
+    read (``_string`` rejects a field that is null or not a string), raises
+    BackendUnavailable; a status other than 200 raises its
     ``_status_errors`` class, else BackendUnavailable. Each call waits at
     most ``timeout`` seconds for a reply.
     """
@@ -241,6 +242,13 @@ class _HttpJsonClient:
         self.endpoint = endpoint
         self._headers = headers
         self._session = session if session is not None else _requests().Session()
+
+    @staticmethod
+    def _string(value: Any) -> str:
+        """A string field of a reply body, never ``str(None)``."""
+        if not isinstance(value, str):
+            raise TypeError(f"expected a string, got {value!r}")
+        return value
 
     def _post(self, payload: dict, parse: Callable[[Any], T]) -> T:
         try:
@@ -293,4 +301,4 @@ class HttpModelBackend(_HttpJsonClient):
             "images": [ref.to_json() for ref in request.prompt.attachments],
             "temperature": TEMPERATURE,
             "max_output_tokens": MAX_OUTPUT_TOKENS,
-        }, lambda body: str(body["text"]))
+        }, lambda body: self._string(body["text"]))

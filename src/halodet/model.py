@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Union
+from typing import Any, Callable, Iterable, Union
 
 from .hashing import sha256_file
 
@@ -47,6 +47,10 @@ class Label(Enum):
 class ParseFlag(Enum):
     REPAIRED = "repaired"
     UNVERIFIED = "unverified"
+
+
+# Decoders look a label up here before calling Label, which costs ten times more.
+_LABELS = {label.value: label for label in Label}
 
 
 def claim_key(index: int) -> str:
@@ -89,7 +93,7 @@ class ImageRef:
 
     @classmethod
     def from_json(cls, data: dict[str, Any]) -> "ImageRef":
-        return cls(path=str(data["path"]), digest=str(data["digest"]))
+        return cls(str(data["path"]), str(data["digest"]))
 
 
 @dataclass(frozen=True)
@@ -106,10 +110,7 @@ class NormBox:
 
     @classmethod
     def from_json(cls, data: dict[str, Any]) -> "NormBox":
-        return cls(
-            x1=float(data["x1"]), y1=float(data["y1"]),
-            x2=float(data["x2"]), y2=float(data["y2"]),
-        )
+        return cls(float(data["x1"]), float(data["y1"]), float(data["x2"]), float(data["y2"]))
 
 
 def validate_norm_box(box: NormBox) -> bool:
@@ -139,19 +140,12 @@ class Claim:
 
     @classmethod
     def from_json(cls, data: dict[str, Any]) -> "Claim":
-        gold_label = data.get("gold_label")
-        gold_categories = data.get("gold_categories")
-        return cls(
-            index=int(data["index"]),
-            text=str(data["text"]),
-            gold_label=Label(gold_label) if gold_label is not None else None,
-            gold_categories=(
-                frozenset(HallucinationCategory(c) for c in gold_categories)
-                if gold_categories is not None
-                else None
-            ),
-            segment_id=data.get("segment_id"),
-        )
+        label, categories = data.get("gold_label"), data.get("gold_categories")
+        return cls(int(data["index"]), str(data["text"]),
+                   None if label is None else Label(label),
+                   None if categories is None else frozenset(map(HallucinationCategory,
+                                                                 categories)),
+                   data.get("segment_id"))
 
 
 @dataclass(frozen=True)
@@ -167,11 +161,7 @@ class Segment:
 
     @classmethod
     def from_json(cls, data: dict[str, Any]) -> "Segment":
-        return cls(
-            id=str(data["id"]),
-            text=str(data["text"]),
-            claim_indices=tuple(int(i) for i in data["claim_indices"]),
-        )
+        return cls(str(data["id"]), str(data["text"]), tuple(map(int, data["claim_indices"])))
 
 
 @dataclass(frozen=True)
@@ -204,18 +194,9 @@ class ImageTextPair:
     @classmethod
     def from_json(cls, data: dict[str, Any]) -> "ImageTextPair":
         segments = data.get("segments")
-        return cls(
-            id=str(data["id"]),
-            task=TaskType(data["task"]),
-            image=ImageRef.from_json(data["image"]),
-            text=str(data["text"]),
-            claims=tuple(Claim.from_json(c) for c in data.get("claims", [])),
-            segments=(
-                tuple(Segment.from_json(s) for s in segments)
-                if segments is not None
-                else None
-            ),
-        )
+        return cls(str(data["id"]), TaskType(data["task"]), ImageRef.from_json(data["image"]),
+                   str(data["text"]), tuple(map(Claim.from_json, data.get("claims", []))),
+                   None if segments is None else tuple(map(Segment.from_json, segments)))
 
 
 # --- evidence -------------------------------------------------------------
@@ -261,21 +242,30 @@ class FactEvidence:
 
 Evidence = Union[ObjectEvidence, AttributeEvidence, SceneTextEvidence, FactEvidence]
 
+_EVIDENCE_DECODERS: dict[Any, Callable[[dict[str, Any]], Evidence]] = {
+    "object": lambda d: ObjectEvidence(str(d["label"]), NormBox.from_json(d["box"])),
+    "attribute": lambda d: AttributeEvidence(str(d["question"]), str(d["answer"])),
+    "scene-text": lambda d: SceneTextEvidence(str(d["text"]), NormBox.from_json(d["box"])),
+    "fact": lambda d: FactEvidence(str(d["question"]), tuple(map(str, d["snippets"]))),
+}
+
 
 def evidence_from_json(data: dict[str, Any]) -> Evidence:
-    kind = data.get("kind")
-    if kind == "object":
-        return ObjectEvidence(label=str(data["label"]), box=NormBox.from_json(data["box"]))
-    if kind == "attribute":
-        return AttributeEvidence(question=str(data["question"]), answer=str(data["answer"]))
-    if kind == "scene-text":
-        return SceneTextEvidence(text=str(data["text"]), box=NormBox.from_json(data["box"]))
-    if kind == "fact":
-        return FactEvidence(
-            question=str(data["question"]),
-            snippets=tuple(str(s) for s in data["snippets"]),
-        )
-    raise ValueError(f"unknown evidence kind: {kind!r}")
+    decode = _EVIDENCE_DECODERS.get(data.get("kind"))
+    if decode is None:
+        raise ValueError(f"unknown evidence kind: {data.get('kind')!r}")
+    return decode(data)
+
+
+def _evidence_family(kind: str, items: Iterable[dict[str, Any]]) -> tuple:
+    """Decode one bundle family; an item of another kind is a ValueError."""
+    decode = _EVIDENCE_DECODERS[kind]
+    decoded = []
+    for item in items:
+        if item.get("kind") != kind:
+            raise ValueError(f"expected {kind!r} evidence, got kind {item.get('kind')!r}")
+        decoded.append(decode(item))
+    return tuple(decoded)
 
 
 @dataclass(frozen=True)
@@ -300,19 +290,10 @@ class EvidenceBundle:
 
     @classmethod
     def from_json(cls, data: dict[str, Any]) -> "EvidenceBundle":
-        def typed(items: list[dict[str, Any]], expected: type) -> tuple:
-            decoded = tuple(evidence_from_json(item) for item in items)
-            for item in decoded:
-                if not isinstance(item, expected):
-                    raise ValueError(f"evidence kind mismatch: {item!r}")
-            return decoded
-
-        return cls(
-            objects=typed(data.get("objects", []), ObjectEvidence),
-            attributes=typed(data.get("attributes", []), AttributeEvidence),
-            scene_texts=typed(data.get("scene_texts", []), SceneTextEvidence),
-            facts=typed(data.get("facts", []), FactEvidence),
-        )
+        return cls(_evidence_family("object", data.get("objects", ())),
+                   _evidence_family("attribute", data.get("attributes", ())),
+                   _evidence_family("scene-text", data.get("scene_texts", ())),
+                   _evidence_family("fact", data.get("facts", ())))
 
 
 # --- verdicts ----------------------------------------------------------------
@@ -348,12 +329,9 @@ class Verdict:
 
     @classmethod
     def from_json(cls, data: dict[str, Any]) -> "Verdict":
-        return cls(
-            claim_index=int(data["claim_index"]),
-            label=Label(data["label"]),
-            rationale=str(data["rationale"]),
-            parse_flags=frozenset(ParseFlag(f) for f in data.get("parse_flags", [])),
-        )
+        return cls(int(data["claim_index"]), _LABELS.get(data["label"]) or Label(data["label"]),
+                   str(data["rationale"]),
+                   frozenset(map(ParseFlag, data.get("parse_flags", ()))))
 
 
 # --- validation ----------------------------------------------------------------

@@ -100,18 +100,16 @@ class ToolPlan:
 
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "ToolPlan":
-        indexed = sorted((parse_claim_key(k), v) for k, v in data.items())
-        if [i for i, _ in indexed] != list(range(1, len(indexed) + 1)):
-            raise ValueError("plan does not cover claims 1..n exactly once")
-        return cls(per_claim=tuple(
-            ClaimQueries(
-                object_labels=tuple(v["object_labels"]),
-                attribute_questions=tuple(v["attribute_questions"]),
-                scene_text_questions=tuple(v["scene_text_questions"]),
-                fact_questions=tuple(v["fact_questions"]),
-            )
-            for _, v in indexed
-        ))
+        # n keys that include claim1..claimn are exactly those keys.
+        try:
+            entries = [data[claim_key(i)] for i in range(1, len(data) + 1)]
+        except KeyError:
+            raise ValueError("plan does not cover claims 1..n exactly once") from None
+        return cls(tuple([
+            ClaimQueries(tuple(v["object_labels"]), tuple(v["attribute_questions"]),
+                         tuple(v["scene_text_questions"]), tuple(v["fact_questions"]))
+            for v in entries
+        ]))
 
 
 def label_union(per_claim_labels: Iterable[Sequence[str]]) -> list[str]:

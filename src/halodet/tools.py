@@ -384,7 +384,7 @@ class HttpObjectDetector(_HttpToolClient):
             if score < self.threshold:
                 continue
             results.append(ObjectEvidence(
-                label=str(det["label"]),
+                label=self._string(det["label"]),
                 box=_normalize_box(det["box"], width, height),
             ))
         return results
@@ -405,7 +405,7 @@ class HttpSceneTextReader(_HttpToolClient):
         width = body.get("image_width")
         height = body.get("image_height")
         return [
-            SceneTextEvidence(text=str(line["text"]),
+            SceneTextEvidence(text=self._string(line["text"]),
                               box=_normalize_box(line["box"], width, height))
             for line in body.get("lines", [])
         ]
@@ -431,13 +431,13 @@ class HttpFactSearcher(_HttpToolClient):
     def _snippets(self, body: dict, top_k: int) -> list[FactSnippet]:
         snippets = []
         for hit in body.get("organic", [])[:top_k]:
-            text = str(hit.get("snippet", "")).strip()
+            text = self._string(hit.get("snippet", "")).strip()
             if not text:
                 continue
             snippets.append(FactSnippet(
-                title=str(hit.get("title", "")),
+                title=self._string(hit.get("title", "")),
                 snippet=text,
-                source_url=str(hit.get("link", "")),
+                source_url=self._string(hit.get("link", "")),
             ))
         return snippets
 

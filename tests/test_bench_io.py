@@ -337,6 +337,18 @@ class TestRejections:
         assert getattr(exc_info.value, "path", None) == path
         assert str(exc_info.value) == (message if path is None else f"{path}: {message}")
 
+    @pytest.mark.parametrize("pointer, value, message", [
+        (f"{_P}/image/digest", _DIGEST_A + "\n", "expected a 64-hex sha256 digest"),
+        (f"{_C0}/index", True, "expected an integer"),
+        (f"{_S1}/claim_indices/0", True, "expected an integer"),
+    ], ids=["digest-trailing-newline", "claim-index-boolean", "segment-index-boolean"])
+    def test_what_the_schema_rejects_too(self, tmp_path, pointer, value, message):
+        bench_path = tmp_path / "bench.json"
+        bench_path.write_text(_edited([(pointer, value)]))
+        with pytest.raises(SchemaViolation) as exc_info:
+            load(bench_path)
+        assert str(exc_info.value) == f"{pointer}: {message}"
+
     def test_the_unedited_document_loads(self, tmp_path):
         bench_path = tmp_path / "bench.json"
         bench_path.write_text(_edited([]))
@@ -362,6 +374,15 @@ class TestSchemaDocument:
         jsonschema = pytest.importorskip("jsonschema")
         payload = _bench([_bench_pair("a", [H])]).to_json()
         payload["pairs"][0]["id"] = pair_id
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(payload, schema_document())
+
+    @pytest.mark.parametrize("digest", [_DIGEST_A + "\n", _DIGEST_A[:63], _DIGEST_A + "0"],
+                             ids=["trailing-newline", "short", "long"])
+    def test_schema_rejects_a_digest_the_loader_rejects(self, digest):
+        jsonschema = pytest.importorskip("jsonschema")
+        payload = _bench([_bench_pair("a", [H])]).to_json()
+        payload["pairs"][0]["image"]["digest"] = digest
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(payload, schema_document())
 

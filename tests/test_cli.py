@@ -254,6 +254,48 @@ class TestEvaluate:
         error = json.loads(capsys.readouterr().err.splitlines()[0])
         assert error["error"] == "MissingPrediction"
 
+    @staticmethod
+    def _evaluate_edited(run_dir, tmp_path, capsys, name, edit) -> dict:
+        """Evaluate a copy of the run whose ``name`` holds ``edit`` of i2t-beach.json."""
+        import shutil
+
+        edited = tmp_path / "edited"
+        shutil.copytree(run_dir, edited)
+        payload = json.loads((edited / "i2t-beach.json").read_text())
+        edit(payload)
+        (edited / name).write_text(json.dumps(payload))
+        code = main([
+            "evaluate", "--bench", str(FIXTURES / "bench6.json"),
+            "--results", str(edited),
+        ])
+        assert code == 1
+        [line] = capsys.readouterr().err.splitlines()
+        return json.loads(line)
+
+    @pytest.mark.parametrize("edit", [
+        lambda payload: payload.pop("verdicts"),
+        lambda payload: payload.update(verdicts=None),
+    ], ids=["verdicts-missing", "verdicts-null"])
+    def test_an_undecodable_result_file_is_a_one_line_error(self, run_dir, tmp_path,
+                                                            capsys, edit):
+        error = self._evaluate_edited(run_dir, tmp_path, capsys, "i2t-beach.json", edit)
+        assert error["error"] == "ResultFileInvalid"
+        assert error["message"].startswith(str(tmp_path / "edited" / "i2t-beach.json"))
+
+    def test_a_result_file_naming_another_pair_is_rejected(self, run_dir, tmp_path,
+                                                           capsys):
+        def flip_first_verdict(payload):
+            verdict = payload["verdicts"][0]
+            verdict["label"] = ("non-hallucinatory" if verdict["label"] == "hallucinatory"
+                                else "hallucinatory")
+
+        error = self._evaluate_edited(run_dir, tmp_path, capsys, "zz-extra.json",
+                                      flip_first_verdict)
+        assert error == {
+            "error": "ResultFileInvalid",
+            "message": f"{tmp_path / 'edited' / 'zz-extra.json'}: holds pair 'i2t-beach'",
+        }
+
 
 class TestStatsAndCache:
     def test_stats_text_and_json(self, capsys):

@@ -19,6 +19,7 @@ from halodet.errors import (
 from halodet.gateway import HttpModelBackend, ModelRequest, PurposeTag
 from halodet.prompts import RenderedPrompt
 from halodet.tools import (
+    FactSnippet,
     HttpFactSearcher,
     HttpObjectDetector,
     HttpSceneTextReader,
@@ -188,12 +189,35 @@ _WRONG_KEYS = {
 }
 
 
-@pytest.mark.parametrize("shape", ["list", "null", "wrong-keys"])
+# A JSON body whose field each client needs is null: never the text "None".
+_NULL_FIELDS = {
+    "model": {"text": None},
+    "detector": {"detections": [{"label": None, "box": [0, 0, 1, 1], "score": 0.9}]},
+    "scene-text": {"lines": [{"text": None, "box": [0, 0, 1, 1]}]},
+    "search": {"organic": [{"snippet": None, "title": "t", "link": "https://a"}]},
+}
+
+
+@pytest.mark.parametrize("shape", ["list", "null", "wrong-keys", "null-field"])
 @pytest.mark.parametrize("client", list(_CALLS))
 def test_a_wrongly_shaped_body_is_backend_unavailable(client, shape):
-    body = {"list": [], "null": None, "wrong-keys": _WRONG_KEYS[client]}[shape]
+    body = {"list": [], "null": None, "wrong-keys": _WRONG_KEYS[client],
+            "null-field": _NULL_FIELDS[client]}[shape]
     with pytest.raises(BackendUnavailable):
         _CALLS[client](FakeSession(FakeResponse(200, body)))
+
+
+@pytest.mark.parametrize("field", ["title", "link"])
+def test_a_null_search_hit_field_is_backend_unavailable(field):
+    hit = {"snippet": "s", "title": "t", "link": "https://a", field: None}
+    with pytest.raises(BackendUnavailable):
+        _CALLS["search"](FakeSession(FakeResponse(200, {"organic": [hit]})))
+
+
+def test_absent_search_hit_fields_default_to_empty():
+    session = FakeSession(FakeResponse(200, {"organic": [{"snippet": "s"}]}))
+    assert search_facts(HttpFactSearcher("key", session=session), "q", 3) == [
+        FactSnippet(title="", snippet="s", source_url="")]
 
 
 @pytest.mark.parametrize("client, seconds", [
