@@ -1,10 +1,10 @@
-"""Benchmark file schema, loader, corpus statistics, and result alignment.
+"""Input decoding, corpus statistics, and result alignment.
 
-The on-disk format is the versioned ``mhalubench.v1`` JSON schema shipped
-under ``schema/``. The loader enforces structure with JSON-pointer error
-paths, requires a gold label on every claim, and verifies image digests when
-the image files are actually present; metrics need no pixels, so a missing
-file just means digest-only mode.
+Every JSON file ``detect`` reads is decoded here: benchmark files in the
+versioned ``mhalubench.v1`` schema shipped under ``schema/``, bare single-pair
+files, and self-check demonstration files. Each check fails with a JSON pointer.
+Image digests are verified when the image files are actually present; metrics
+need no pixels, so a missing file just means digest-only mode.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
@@ -34,9 +35,11 @@ from .model import (
     ParseFlag,
     Segment,
     TaskType,
+    Verdict,
     pair_id_problem,
     validate_pair,
 )
+from .stages import SelfCheckDemo
 
 SCHEMA_VERSION = "mhalubench.v1"
 
@@ -69,8 +72,11 @@ def schema_document() -> dict[str, Any]:
 
 
 # --- decoding with pointer paths ------------------------------------------------
-# One walk checks each field and builds the pair from it. A failed check raises
+# One walk checks each field and builds the value from it. A failed check raises
 # SchemaViolation at the JSON pointer made of ``at``; none is built otherwise.
+# ``gold`` is set for benchmark pairs, which need claims and gold labels.
+
+_At = tuple[str | int, ...]
 
 
 def _violation(message: str, *at: str | int) -> SchemaViolation:
@@ -85,17 +91,49 @@ def _member(members: dict[str, Any], value: Any, *at: str | int) -> Any:
     return members[value]
 
 
-def _claim(data: Any, at: tuple[str | int, ...]) -> Claim:
+def _text(value: Any, *at: str | int) -> str:
+    if not (isinstance(value, str) and value):
+        raise _violation("expected a non-empty string", *at)
+    return value
+
+
+def _read(path: Path) -> Any:
+    try:
+        return json.loads(path.read_text("utf-8"))
+    except ValueError as exc:
+        raise SchemaViolation("/", f"not valid JSON: {exc}") from exc
+
+
+def _image(data: Any, at: _At) -> ImageRef:
     if not isinstance(data, dict):
         raise _violation("expected an object", *at)
-    index, text = data.get("index"), data.get("text")
+    path, digest = _text(data.get("path"), *at, "path"), data.get("digest")
+    if not (isinstance(digest, str) and _DIGEST_RE.fullmatch(digest)):
+        raise _violation("expected a 64-hex sha256 digest", *at, "digest")
+    return ImageRef(path, digest)
+
+
+def _check_image_file(image: ImageRef, folder: Path, at: _At) -> None:
+    """Compare the digest with the image file's bytes when the file is present."""
+    image_path = os.path.join(folder, image.path)
+    if os.path.isfile(image_path):
+        actual = sha256_file(image_path)
+        if actual != image.digest:
+            raise _violation(f"file digest {actual} does not match recorded digest",
+                             *at, "digest")
+
+
+def _claim(data: Any, at: _At, gold: bool) -> Claim:
+    if not isinstance(data, dict):
+        raise _violation("expected an object", *at)
+    index = data.get("index")
     if type(index) is not int:  # a JSON true or false is a bool, not an integer
         raise _violation("expected an integer", *at, "index")
-    if not (isinstance(text, str) and text):
-        raise _violation("expected a non-empty string", *at, "text")
-    if "gold_label" not in data:
+    text, label = _text(data.get("text"), *at, "text"), None
+    if "gold_label" in data:
+        label = _member(_LABELS, data["gold_label"], *at, "gold_label")
+    elif gold:
         raise _violation("benchmark claims need a gold label", *at, "gold_label")
-    label = _member(_LABELS, data["gold_label"], *at, "gold_label")
     categories = data.get("gold_categories")
     if "gold_categories" in data:
         if not isinstance(categories, list):
@@ -108,12 +146,11 @@ def _claim(data: Any, at: tuple[str | int, ...]) -> Claim:
     return Claim(index, text, label, categories, segment_id)
 
 
-def _segment(data: Any, at: tuple[str | int, ...]) -> Segment:
+def _segment(data: Any, at: _At) -> Segment:
     if not isinstance(data, dict):
         raise _violation("expected an object", *at)
-    segment_id, text, indices = data.get("id"), data.get("text"), data.get("claim_indices")
-    if not (isinstance(segment_id, str) and segment_id):
-        raise _violation("expected a non-empty string", *at, "id")
+    segment_id = _text(data.get("id"), *at, "id")
+    text, indices = data.get("text"), data.get("claim_indices")
     if not isinstance(text, str):
         raise _violation("expected a string", *at, "text")
     if not (isinstance(indices, list) and indices):
@@ -124,46 +161,42 @@ def _segment(data: Any, at: tuple[str | int, ...]) -> Segment:
     return Segment(segment_id, text, tuple(indices))
 
 
-def _pair(data: Any, at: tuple[str | int, ...]) -> ImageTextPair:
+def _pair(data: Any, at: _At, gold: bool) -> ImageTextPair:
     if not isinstance(data, dict):
         raise _violation("expected an object", *at)
-    pair_id, image, text = data.get("id"), data.get("image"), data.get("text")
+    pair_id = data.get("id")
     if not isinstance(pair_id, str):
         raise _violation("expected a string", *at, "id")
     id_problem = pair_id_problem(pair_id)
     if id_problem is not None:
         raise _violation(id_problem, *at, "id")
     task = _member(_TASKS, data.get("task"), *at, "task")
-    if not isinstance(image, dict):
-        raise _violation("expected an object", *at, "image")
-    image_path, digest = image.get("path"), image.get("digest")
-    if not (isinstance(image_path, str) and image_path):
-        raise _violation("expected a non-empty string", *at, "image", "path")
-    if not (isinstance(digest, str) and _DIGEST_RE.fullmatch(digest)):
-        raise _violation("expected a 64-hex sha256 digest", *at, "image", "digest")
-    if not (isinstance(text, str) and text):
-        raise _violation("expected a non-empty string", *at, "text")
-    claims = data.get("claims")
-    if not (isinstance(claims, list) and claims):
-        raise _violation("expected a non-empty list", *at, "claims")
-    claims = tuple([_claim(item, (*at, "claims", j)) for j, item in enumerate(claims)])
+    image = _image(data.get("image"), (*at, "image"))
+    text, claims = _text(data.get("text"), *at, "text"), data.get("claims", [])
+    if not (isinstance(claims, list) and (claims or not gold)):
+        raise _violation("expected a non-empty list" if gold else "expected a list",
+                         *at, "claims")
+    claims = tuple([_claim(item, (*at, "claims", j), gold) for j, item in enumerate(claims)])
     segments = data.get("segments")
     if "segments" in data:
         if not isinstance(segments, list):
             raise _violation("expected a list", *at, "segments")
         segments = tuple([_segment(item, (*at, "segments", j))
                           for j, item in enumerate(segments)])
-    return ImageTextPair(pair_id, task, ImageRef(image_path, digest), text, claims, segments)
+    return ImageTextPair(pair_id, task, image, text, claims, segments)
 
 
-def load(path: str | Path) -> BenchmarkFile:
-    """Load and fully validate one benchmark file, and each image file present."""
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text("utf-8"))
-    except ValueError as exc:
-        raise SchemaViolation("/", f"not valid JSON: {exc}") from exc
+def _checked_pair(data: Any, at: _At, folder: Path, gold: bool) -> ImageTextPair:
+    """Walk one pair, check its invariants, then its image file if present."""
+    pair = _pair(data, at, gold)
+    report = validate_pair(pair)
+    if not report.ok:
+        raise _violation("; ".join(report.violations), *at)
+    _check_image_file(pair.image, folder, (*at, "image"))
+    return pair
 
+
+def _benchmark(data: Any, folder: Path) -> BenchmarkFile:
     if not isinstance(data, dict):
         raise _violation("expected an object")
     version = data.get("version")
@@ -179,22 +212,19 @@ def load(path: str | Path) -> BenchmarkFile:
     pairs = []
     seen_ids: set[str] = set()
     for i, pair_json in enumerate(pairs_json):
-        pair = _pair(pair_json, ("pairs", i))
+        pair = _checked_pair(pair_json, ("pairs", i), folder, gold=True)
         if pair.id in seen_ids:
             raise _violation(f"duplicate pair id {pair.id!r}", "pairs", i, "id")
         seen_ids.add(pair.id)
-        report = validate_pair(pair)
-        if not report.ok:
-            raise _violation("; ".join(report.violations), "pairs", i)
-        image_path = os.path.join(os.path.dirname(path), pair.image.path)
-        if os.path.isfile(image_path):
-            actual = sha256_file(image_path)
-            if actual != pair.image.digest:
-                raise _violation(f"file digest {actual} does not match recorded digest",
-                                 "pairs", i, "image", "digest")
         pairs.append(pair)
 
     return BenchmarkFile(version=version, pairs=tuple(pairs), provenance=dict(provenance))
+
+
+def load(path: str | Path) -> BenchmarkFile:
+    """Load and fully validate one benchmark file, and each image file present."""
+    path = Path(path)
+    return _benchmark(_read(path), path.parent)
 
 
 def save(bench: BenchmarkFile, path: str | Path) -> None:
@@ -207,24 +237,49 @@ def save(bench: BenchmarkFile, path: str | Path) -> None:
 def load_detection_input(path: str | Path) -> tuple[ImageTextPair, ...]:
     """Read detect's input: a benchmark file or a bare single-pair file.
 
-    Single-pair files hold one pair object (no version envelope) and may omit
-    gold labels, since detection itself never reads them.
+    A single-pair file holds one pair object with no version envelope. It gets
+    every check a benchmark pair gets, but may omit claims and gold labels.
     """
     path = Path(path)
-    try:
-        data = json.loads(path.read_text("utf-8"))
-    except ValueError as exc:
-        raise SchemaViolation("/", f"not valid JSON: {exc}") from exc
+    data = _read(path)
     if isinstance(data, dict) and "version" in data:
-        return load(path).pairs
-    try:
-        pair = ImageTextPair.from_json(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaViolation("/", f"neither a benchmark file nor a pair: {exc}") from exc
-    report = validate_pair(pair)
-    if not report.ok:
-        raise SchemaViolation("/", "; ".join(report.violations))
-    return (pair,)
+        return _benchmark(data, path.parent).pairs
+    return (_checked_pair(data, (), path.parent, gold=False),)
+
+
+def _demo_verdict(data: Any, at: _At, index: int) -> Verdict:
+    if not isinstance(data, dict):
+        raise _violation("expected an object", *at)
+    label = _member(_LABELS, data.get("label"), *at, "label")
+    return Verdict(index, label, _text(data.get("reason"), *at, "reason"))
+
+
+def load_demos(path: str | Path) -> list[SelfCheckDemo]:
+    """Read the two worked demonstrations that 2-shot self-check shows the model.
+
+    The file holds a list of two objects, each an ``image`` reference, a
+    non-empty list of ``claims`` and one ``{"label", "reason"}`` verdict per claim.
+    """
+    path = Path(path)
+    data = _read(path)
+    if not (isinstance(data, list) and len(data) == 2):
+        raise _violation("expected a list of exactly 2 demonstrations")
+    demos = []
+    for i, entry in enumerate(data):
+        if not isinstance(entry, dict):
+            raise _violation("expected an object", i)
+        image = _image(entry.get("image"), (i, "image"))
+        _check_image_file(image, path.parent, (i, "image"))
+        claims, verdicts = entry.get("claims"), entry.get("verdicts")
+        if not (isinstance(claims, list) and claims):
+            raise _violation("expected a non-empty list", i, "claims")
+        claims = tuple([_text(claim, i, "claims", j) for j, claim in enumerate(claims)])
+        if not (isinstance(verdicts, list) and len(verdicts) == len(claims)):
+            raise _violation("expected a list with one verdict per claim", i, "verdicts")
+        verdicts = tuple([_demo_verdict(item, (i, "verdicts", j), j + 1)
+                          for j, item in enumerate(verdicts)])
+        demos.append(SelfCheckDemo(image, claims, verdicts))
+    return demos
 
 
 # --- corpus statistics ---------------------------------------------------------------
@@ -276,37 +331,18 @@ class CorpusStats:
 
 def stats(bench: BenchmarkFile) -> CorpusStats:
     """Exact corpus counts with deterministic report ordering."""
-    task_counts: dict[str, int] = {}
-    claims_per_pair: dict[int, int] = {}
-    label_counts: dict[str, int] = {}
-    category_counts: dict[str, int] = {}
-    n_claims = 0
-    n_segments = 0
-    for pair in bench.pairs:
-        task_counts[pair.task.value] = task_counts.get(pair.task.value, 0) + 1
-        n = len(pair.claims)
-        n_claims += n
-        claims_per_pair[n] = claims_per_pair.get(n, 0) + 1
-        if pair.segments is not None:
-            n_segments += len(pair.segments)
-        for claim in pair.claims:
-            if claim.gold_label is None:
-                continue
-            value = claim.gold_label.value
-            label_counts[value] = label_counts.get(value, 0) + 1
-            if claim.gold_label is Label.HALLUCINATORY and claim.gold_categories:
-                for category in claim.gold_categories:
-                    category_counts[category.value] = (
-                        category_counts.get(category.value, 0) + 1
-                    )
+    labelled = [claim for pair in bench.pairs for claim in pair.claims
+                if claim.gold_label is not None]
     return CorpusStats(
         n_pairs=len(bench.pairs),
-        n_claims=n_claims,
-        n_segments=n_segments,
-        task_counts=task_counts,
-        claims_per_pair=claims_per_pair,
-        label_counts=label_counts,
-        category_counts=category_counts,
+        n_claims=sum(len(pair.claims) for pair in bench.pairs),
+        n_segments=sum(len(pair.segments or ()) for pair in bench.pairs),
+        task_counts=dict(Counter(pair.task.value for pair in bench.pairs)),
+        claims_per_pair=dict(Counter(len(pair.claims) for pair in bench.pairs)),
+        label_counts=dict(Counter(claim.gold_label.value for claim in labelled)),
+        category_counts=dict(Counter(
+            category.value for claim in labelled if claim.gold_label is Label.HALLUCINATORY
+            for category in claim.gold_categories or ())),
     )
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import bench as bench_io
 from .cache import DiskCache
-from .config import BACKENDS, RunConfig, build_config, build_gateway, build_tools, load_demos
+from .config import BACKENDS, RunConfig, build_config, build_gateway, build_tools
 from .errors import HalodetError, MissingCategoryTags, MissingDemonstrations
 from .executor import load_run_results, run_batch, write_run_dir
 from .metrics import (
@@ -68,7 +68,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
         if config.method == "selfcheck2":
             if not config.demos:
                 raise MissingDemonstrations("selfcheck2 needs --demos FILE")
-            demonstrations = load_demos(config.demos)
+            demonstrations = bench_io.load_demos(config.demos)
         cache = DiskCache(config.cache_dir) if config.cache else None
         run_id = config.run_id or _default_run_id()
         run_parent = Path(config.out)

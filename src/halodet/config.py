@@ -17,8 +17,7 @@ from typing import Any
 from .cache import DiskCache
 from .errors import ConfigInvalid
 from .gateway import HttpModelBackend, MockModelBackend, ModelGateway
-from .model import ImageRef, Label, Verdict
-from .stages import DetectionMethod, SelfCheckDemo
+from .stages import DetectionMethod
 from .tools import (
     DEFAULT_DETECTOR_THRESHOLD,
     DEFAULT_FACT_TOP_K,
@@ -247,27 +246,3 @@ def build_tools(
     if config.fact_tool == "null":
         tools.fact_searcher = NullFactSearcher()
     return tools
-
-
-def load_demos(path: str | Path) -> list[SelfCheckDemo]:
-    """Read self-check demonstrations from their JSON file."""
-    data = json.loads(Path(path).read_text("utf-8"))
-    if not isinstance(data, list):
-        raise ConfigInvalid("demos file must hold a list")
-    demos = []
-    for entry in data:
-        claims = tuple(str(c) for c in entry["claims"])
-        verdicts = tuple(
-            Verdict(
-                claim_index=i,
-                label=Label(v["label"]),
-                rationale=str(v["reason"]),
-            )
-            for i, v in enumerate(entry["verdicts"], start=1)
-        )
-        demos.append(SelfCheckDemo(
-            image=ImageRef.from_json(entry["image"]),
-            claims=claims,
-            verdicts=verdicts,
-        ))
-    return demos

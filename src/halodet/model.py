@@ -1,7 +1,9 @@
 """Domain types shared by every pipeline stage.
 
 Pairs, claims, segments, labels, evidence, and verdicts are immutable value
-objects with canonical JSON encodings. Enum vocabularies are closed: decoding
+objects with canonical JSON encodings. The input files that hold pairs are
+decoded and checked by :mod:`halodet.bench`; the decoders here read back what
+a run wrote (verdicts and evidence). Enum vocabularies are closed: decoding
 rejects anything outside them instead of coercing.
 
 Pair-level structural invariants are checked by :func:`validate_pair`, which
@@ -91,10 +93,6 @@ class ImageRef:
     def to_json(self) -> dict[str, Any]:
         return {"path": self.path, "digest": self.digest}
 
-    @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "ImageRef":
-        return cls(str(data["path"]), str(data["digest"]))
-
 
 @dataclass(frozen=True)
 class NormBox:
@@ -138,15 +136,6 @@ class Claim:
             data["segment_id"] = self.segment_id
         return data
 
-    @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "Claim":
-        label, categories = data.get("gold_label"), data.get("gold_categories")
-        return cls(int(data["index"]), str(data["text"]),
-                   None if label is None else Label(label),
-                   None if categories is None else frozenset(map(HallucinationCategory,
-                                                                 categories)),
-                   data.get("segment_id"))
-
 
 @dataclass(frozen=True)
 class Segment:
@@ -158,10 +147,6 @@ class Segment:
 
     def to_json(self) -> dict[str, Any]:
         return {"id": self.id, "text": self.text, "claim_indices": list(self.claim_indices)}
-
-    @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "Segment":
-        return cls(str(data["id"]), str(data["text"]), tuple(map(int, data["claim_indices"])))
 
 
 @dataclass(frozen=True)
@@ -190,13 +175,6 @@ class ImageTextPair:
         if self.segments is not None:
             data["segments"] = [s.to_json() for s in self.segments]
         return data
-
-    @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "ImageTextPair":
-        segments = data.get("segments")
-        return cls(str(data["id"]), TaskType(data["task"]), ImageRef.from_json(data["image"]),
-                   str(data["text"]), tuple(map(Claim.from_json, data.get("claims", []))),
-                   None if segments is None else tuple(map(Segment.from_json, segments)))
 
 
 # --- evidence -------------------------------------------------------------

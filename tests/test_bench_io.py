@@ -11,6 +11,7 @@ from halodet.bench import (
     BenchmarkFile,
     convert_predictions,
     load,
+    load_detection_input,
     save,
     schema_document,
     stats,
@@ -167,12 +168,15 @@ _DELETE = object()
 _DIGEST_A = "fb6c34086303a1420cbe260da742721497efb59b747205d2bafe510e27c4e252"
 
 
-def _edited(edits) -> str:
+def _edited(edits, single: bool = False) -> str:
     """Pair "a" (claims 1 H and 2 NH, segments S1 and S2) with JSON-pointer edits.
 
-    A pointer ending in ``-`` appends to a list; ``_DELETE`` removes the key.
+    The pair sits in a benchmark file, or stands alone as a single-pair file
+    when ``single`` is set. A pointer ending in ``-`` appends to a list;
+    ``_DELETE`` removes the key.
     """
-    doc = _bench([_bench_pair("a", [H, NH])]).to_json()
+    pair = _bench_pair("a", [H, NH])
+    doc = pair.to_json() if single else _bench([pair]).to_json()
     for pointer, value in edits:
         *parents, last = pointer[1:].split("/")
         node = doc
@@ -353,6 +357,76 @@ class TestRejections:
         bench_path = tmp_path / "bench.json"
         bench_path.write_text(_edited([]))
         assert load(bench_path) == _bench([_bench_pair("a", [H, NH])])
+
+
+def _single(case_id, edits, path, message):
+    return pytest.param(_edited(edits, single=True), path, message, id=case_id)
+
+
+# A single-pair file gets every check a benchmark pair gets; its pointers start
+# at the pair itself.
+SINGLE_PAIR_REJECTIONS = [
+    pytest.param("[]", "/", _EXPECTED_OBJECT, id="top-not-object"),
+    _single("text-null", [("/text", None)], "/text", _NON_EMPTY_STRING),
+    _single("claim-text-null", [("/claims/0/text", None)], "/claims/0/text",
+            _NON_EMPTY_STRING),
+    _single("claim-index-boolean", [("/claims/0/index", True)], "/claims/0/index",
+            "expected an integer"),
+    _single("digest-null", [("/image/digest", None)], "/image/digest",
+            "expected a 64-hex sha256 digest"),
+    _single("segment-index-string", [("/segments/0/claim_indices", ["1"])],
+            "/segments/0/claim_indices/0", "expected an integer"),
+    _single("claims-null", [("/claims", None)], "/claims", "expected a list"),
+    _single("gold-label-null", [("/claims/0/gold_label", None)], "/claims/0/gold_label",
+            _EXPECTED_STRING),
+    _single("claim-indices-not-contiguous",
+            [("/claims/1/index", 3), ("/claims/1/segment_id", _DELETE)], "/",
+            "non-contiguous claim indices: [1, 3]"),
+]
+
+
+class TestSinglePairInput:
+    @pytest.mark.parametrize("document, path, message", SINGLE_PAIR_REJECTIONS)
+    def test_each_check_names_its_pointer(self, tmp_path, document, path, message):
+        pair_path = tmp_path / "pair.json"
+        pair_path.write_text(document)
+        with pytest.raises(SchemaViolation) as exc_info:
+            load_detection_input(pair_path)
+        assert str(exc_info.value) == f"{path}: {message}"
+
+    def test_the_unedited_pair_loads(self, tmp_path):
+        pair_path = tmp_path / "pair.json"
+        pair_path.write_text(_edited([], single=True))
+        assert load_detection_input(pair_path) == (_bench_pair("a", [H, NH]),)
+
+    @pytest.mark.parametrize("edits", [
+        [("/claims", _DELETE), ("/segments", _DELETE)],
+        [("/claims", []), ("/segments", _DELETE)],
+    ], ids=["claims-missing", "claims-empty"])
+    def test_claims_may_be_left_out(self, tmp_path, edits):
+        pair_path = tmp_path / "pair.json"
+        pair_path.write_text(_edited(edits, single=True))
+        (pair,) = load_detection_input(pair_path)
+        assert pair.claims == () and pair.segments is None
+
+    def test_gold_labels_may_be_left_out(self, tmp_path):
+        pair_path = tmp_path / "pair.json"
+        pair_path.write_text(_edited([("/claims/0/gold_label", _DELETE),
+                                      ("/claims/0/gold_categories", _DELETE),
+                                      ("/claims/1/gold_label", _DELETE)], single=True))
+        (pair,) = load_detection_input(pair_path)
+        assert [claim.gold_label for claim in pair.claims] == [None, None]
+        assert [claim.text for claim in pair.claims] == ["a claim 1", "a claim 2"]
+
+    def test_image_digest_verified_when_file_present(self, tmp_path):
+        (tmp_path / "images").mkdir()
+        (tmp_path / "images" / "a.jpg").write_bytes(b"actual different bytes")
+        pair_path = tmp_path / "pair.json"
+        pair_path.write_text(_edited([], single=True))
+        with pytest.raises(SchemaViolation) as exc_info:
+            load_detection_input(pair_path)
+        assert exc_info.value.path == "/image/digest"
+        assert "does not match recorded digest" in str(exc_info.value)
 
 
 class TestSchemaDocument:

@@ -36,6 +36,20 @@ def _detect_args(scenario_dir: Path, out: Path, run_id: str, *extra: str) -> lis
     ]
 
 
+def _demos_with(path: tuple, value) -> list[dict]:
+    """The scenario's demos file with one edit; a path ending in "-" appends."""
+    demos = e2e_scenario.demos_json()
+    *parents, last = path
+    node = demos
+    for key in parents:
+        node = node[key]
+    if last == "-":
+        node.append(value)
+    else:
+        node[last] = value
+    return demos
+
+
 class TestDetect:
     def test_full_mock_run_exits_zero(self, scenario_dir, tmp_path, capsys):
         code = main(_detect_args(scenario_dir, tmp_path, "r1"))
@@ -117,6 +131,29 @@ class TestDetect:
             scenario_dir, tmp_path, "sc2", "--method", "selfcheck2",
             "--demos", str(FIXTURES / "demos.json")))
         assert code == 0
+
+    @pytest.mark.parametrize("demos, pointer", [
+        ([{}], "/"),
+        (e2e_scenario.demos_json()[:1], "/"),
+        ([{}, e2e_scenario.demos_json()[1]], "/0/image"),
+        (_demos_with((0, "claims", 0), None), "/0/claims/0"),
+        (_demos_with((1, "verdicts", 0, "reason"), None), "/1/verdicts/0/reason"),
+        (_demos_with((0, "verdicts", 1, "label"), "sorta"), "/0/verdicts/1/label"),
+        (_demos_with((0, "claims", "-"), "The dog sits."), "/0/verdicts"),
+    ], ids=["one-empty-entry", "one-entry", "entry-empty", "claim-null", "reason-null",
+            "label-unknown", "claims-outnumber-verdicts"])
+    def test_bad_demos_file_is_config_error(self, scenario_dir, tmp_path, capsys,
+                                            demos, pointer):
+        path = tmp_path / "demos.json"
+        path.write_text(json.dumps(demos))
+        code = main(_detect_args(scenario_dir, tmp_path / "res", "sc2",
+                                 "--method", "selfcheck2", "--demos", str(path)))
+        assert code == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        error = json.loads(line)
+        assert error["error"] == "SchemaViolation"
+        assert error["message"].startswith(f"{pointer}: ")
+        assert not (tmp_path / "res").exists()
 
     def test_duplicate_run_id_rejected(self, scenario_dir, tmp_path, capsys):
         assert main(_detect_args(scenario_dir, tmp_path, "dup")) == 0

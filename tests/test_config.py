@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from halodet.config import RunConfig, build_config, load_demos, parse_config_file
+from halodet.bench import load_demos
+from halodet.config import RunConfig, build_config, parse_config_file
 from halodet.errors import ConfigInvalid
 
 

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import json
+import tempfile
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import image_ref
+from halodet.bench import SCHEMA_VERSION, load_detection_input
 from halodet.model import (
     AttributeEvidence,
     Claim,
@@ -224,7 +229,13 @@ def pairs(draw) -> ImageTextPair:
 
 @given(pairs())
 def test_pair_json_round_trip(pair):
-    assert ImageTextPair.from_json(pair.to_json()) == pair
+    # Through the checked walk, once in a benchmark file and once as a single-pair file.
+    with tempfile.TemporaryDirectory() as folder:
+        bench_path, pair_path = Path(folder, "bench.json"), Path(folder, "pair.json")
+        bench_path.write_text(json.dumps({"version": SCHEMA_VERSION, "pairs": [pair.to_json()]}))
+        pair_path.write_text(json.dumps(pair.to_json()))
+        assert load_detection_input(bench_path) == (pair,)
+        assert load_detection_input(pair_path) == (pair,)
 
 
 @given(pairs())
