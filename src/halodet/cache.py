@@ -1,11 +1,13 @@
-"""Content-addressed on-disk cache for tool evidence and model replies.
+"""Content-addressed, log-structured on-disk cache for tool evidence and model replies.
 
-Entries are keyed by the digest of a canonicalized :class:`CacheKey` and
-stored as JSON files carrying their own value digest, so tampering is
-detected on read. Each write goes through its own temp file + rename, making
-the store safe for concurrent writers of one key. The hot path keeps its
-system calls few: a read opens the entry directly, and a write creates its
-shard directory only when the first open of its temp file finds none.
+After Bitcask, each :class:`DiskCache` appends to a segment of its own,
+``segments/<time_ns>-<pid>-<random>.log``, opened at its first put. A record
+is one line: a :class:`CacheKey` digest, a space, and compact JSON carrying the
+value and its digest, so tampering is caught on read. Opening a store indexes
+its segments in name (creation) order without parsing JSON; a later record of
+a key wins. A get is a dict lookup plus, on a hit, one ``os.pread``; a put is
+one ``os.write``. A torn tail (no final newline) is never indexed, and a write
+that fails abandons its segment. Other processes' new records show on reopen.
 """
 
 from __future__ import annotations
@@ -14,13 +16,16 @@ import fcntl
 import json
 import os
 import threading
+import time
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
 
-from .errors import StoreCorrupt
+from .errors import ConfigInvalid, StoreCorrupt
 from .hashing import sha256_json
 
+_KEY_FIELDS = ("tool_kind", "canonical_query", "image_digest", "backend_id")
 # Tool kinds whose queries are about an image; their keys must carry one.
 _IMAGE_BOUND_KINDS = frozenset({"object-detect", "scene-text", "attribute"})
 
@@ -47,12 +52,8 @@ class CacheKey:
             raise ValueError("tool_kind, canonical_query, backend_id must be non-empty")
         if self.tool_kind in _IMAGE_BOUND_KINDS and not self.image_digest:
             raise ValueError(f"{self.tool_kind} keys require an image digest")
-        object.__setattr__(self, "_digest", sha256_json({
-            "tool_kind": self.tool_kind,
-            "canonical_query": self.canonical_query,
-            "image_digest": self.image_digest,
-            "backend_id": self.backend_id,
-        }))
+        fields = {name: getattr(self, name) for name in _KEY_FIELDS}
+        object.__setattr__(self, "_digest", sha256_json(fields))
 
     # One builder per backend family: the executor's cache and the mock
     # backends address the same call through the same key.
@@ -90,108 +91,101 @@ class DiskCache:
 
     def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
-        self._objects = self.directory / "objects"
-        self._objects.mkdir(parents=True, exist_ok=True)
+        if (self.directory / "objects").is_dir():
+            raise ConfigInvalid(f"{self.directory} holds a cache in the old one-file-per-entry "
+                                "layout (objects/); delete that directory and run again")
+        self._segments = self.directory / "segments"
+        self._segments.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
+        self._index: dict[str, tuple[str, int, int]] = {}  # digest -> (segment, offset, length)
+        self._fds: dict[str, int] = {}  # segment -> descriptor, opened at first use
+        self._writer: str | None = None  # this instance's segment, until a write fails
+        self._end = 0  # the length of that segment
+        weakref.finalize(self, _close_all, self._fds)
+        self.hits = self.misses = 0
+        for name in self._segment_names():
+            data, start = (self._segments / name).read_bytes(), 0
+            while (end := data.find(b"\n", start)) >= 0:  # a torn tail has no newline
+                self._index[data[start:start + 64].decode("latin-1")] = (name, start, end - start)
+                start = end + 1
 
-    def _path(self, key: CacheKey) -> str:
-        digest = key.digest()
-        return os.path.join(self._objects, digest[:2], f"{digest}.json")
+    def _segment_names(self) -> list[str]:
+        return sorted(path.name for path in self._segments.glob("*.log"))
 
     def get(self, key: CacheKey) -> tuple[bool, Any]:
-        """Look up a key; returns (hit, value).
-
-        A tampered entry, or one of any unreadable shape, counts as a miss,
-        then raises StoreCorrupt.
-        """
-        path = self._path(key)
-        try:
-            with open(path, "rb") as entry:
-                data = entry.read()
-        except FileNotFoundError:
+        """Look up a key; returns (hit, value). A tampered record, or one of any
+        unreadable shape, counts as a miss, then raises StoreCorrupt."""
+        digest = key.digest()
+        entry = self._index.get(digest)
+        if entry is None:
             self._count(hit=False)
             return False, None
+        name, offset, length = entry
         try:
-            record = json.loads(data.decode("utf-8"))
+            if name not in self._fds:  # a segment this instance did not write
+                with self._lock:
+                    if name not in self._fds:
+                        self._fds[name] = os.open(self._segments / name, os.O_RDONLY)
+            line = os.pread(self._fds[name], length, offset)
+            if line[:65] != f"{digest} ".encode():
+                raise ValueError("the record names another key")
+            record = json.loads(line[65:])
             value = record["value"]
-            stored_digest = record["value_sha256"]
-        except (ValueError, KeyError, TypeError) as exc:  # TypeError: not an object
+            if sha256_json(value) != record["value_sha256"]:
+                raise ValueError("the value failed its integrity check")
+        except (OSError, ValueError, KeyError, TypeError) as exc:  # TypeError: not an object
             self._count(hit=False)
-            raise StoreCorrupt(
-                f"unreadable cache entry {os.path.basename(path)}: {exc}") from exc
-        if sha256_json(value) != stored_digest:
-            self._count(hit=False)
-            raise StoreCorrupt(
-                f"cache entry {os.path.basename(path)} failed its integrity check")
+            raise StoreCorrupt(f"unreadable cache record {digest} in {name}: {exc}") from exc
         self._count(hit=True)
         return True, value
 
     def _count(self, hit: bool) -> None:
         with self._lock:
-            if hit:
-                self.hits += 1
-            else:
-                self.misses += 1
+            self.hits += hit
+            self.misses += not hit
 
     def put(self, key: CacheKey, value: Any) -> None:
-        path = self._path(key)
-        record = {
-            "key": {
-                "tool_kind": key.tool_kind,
-                "canonical_query": key.canonical_query,
-                "image_digest": key.image_digest,
-                "backend_id": key.backend_id,
-            },
-            "value_sha256": sha256_json(value),
-            "value": value,
-        }
-        data = (json.dumps(record, ensure_ascii=False, indent=2) + "\n").encode("utf-8")
-        # One writer per thread at a time, so pid + thread id names a temp
-        # file no concurrent writer of this key shares.
-        tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
-        flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
-        try:
-            fd = os.open(tmp, flags, 0o666)
-        except FileNotFoundError:  # first entry of this shard, or the shard was removed
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            fd = os.open(tmp, flags, 0o666)
-        try:
+        encoded = json.dumps({"key": {name: getattr(key, name) for name in _KEY_FIELDS},
+                              "value_sha256": sha256_json(value), "value": value},
+                             ensure_ascii=False, separators=(",", ":"))
+        line = f"{key.digest()} {encoded}\n".encode("utf-8")
+        with self._lock:
+            if self._writer is None:
+                name = f"{time.time_ns()}-{os.getpid()}-{os.urandom(4).hex()}.log"
+                self._segments.mkdir(parents=True, exist_ok=True)  # it may have been removed
+                self._fds[name] = os.open(self._segments / name,
+                                          os.O_RDWR | os.O_APPEND | os.O_CREAT | os.O_EXCL, 0o666)
+                self._writer, self._end = name, 0
             try:
-                view = memoryview(data)
-                while view:
-                    view = view[os.write(fd, view):]
-            finally:
-                os.close(fd)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except FileNotFoundError:
-                pass
-            raise
+                if os.write(self._fds[self._writer], line) != len(line):
+                    raise OSError(f"short write to cache segment {self._writer}")
+            except BaseException:
+                self._writer = None  # its earlier records stay readable
+                raise
+            self._index[key.digest()] = (self._writer, self._end, len(line) - 1)
+            self._end += len(line)
 
     # --- maintenance and reporting ---------------------------------------
 
     def entry_count(self) -> int:
-        return sum(1 for _ in self._objects.glob("*/*.json"))
+        """Distinct keys this instance can read."""
+        return len(self._index)
 
     def total_bytes(self) -> int:
-        return sum(p.stat().st_size for p in self._objects.glob("*/*.json"))
+        """Bytes of every segment, superseded records included."""
+        return sum(os.path.getsize(self._segments / name) for name in self._segment_names())
 
     def clear(self) -> int:
-        """Remove every entry; returns how many were removed."""
-        removed = 0
-        for path in self._objects.glob("*/*.json"):
-            path.unlink()
-            removed += 1
-        stats = self.directory / "stats.json"
-        if stats.exists():
-            stats.unlink()
+        """Remove every segment; returns how many entries were removed."""
         with self._lock:
-            self.hits = 0
-            self.misses = 0
+            removed = len(self._index)
+            _close_all(self._fds)
+            self._index.clear()
+            self._writer = None
+            for name in self._segment_names():
+                os.unlink(self._segments / name)
+            self.hits = self.misses = 0
+        (self.directory / "stats.json").unlink(missing_ok=True)
         return removed
 
     def flush_stats(self) -> None:
@@ -222,3 +216,9 @@ class DiskCache:
             return {"hits": int(data.get("hits", 0)), "misses": int(data.get("misses", 0))}
         except (FileNotFoundError, ValueError, TypeError, AttributeError):
             return {"hits": 0, "misses": 0}
+
+
+def _close_all(fds: dict[str, int]) -> None:
+    for fd in fds.values():
+        os.close(fd)
+    fds.clear()

@@ -172,7 +172,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_cache(args: argparse.Namespace) -> int:
     try:
         cache = DiskCache(args.cache_dir)
-    except OSError as exc:
+    except (HalodetError, OSError) as exc:
         return _fail(exc)
     if args.action == "clear":
         removed = cache.clear()

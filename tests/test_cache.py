@@ -1,15 +1,19 @@
-"""Disk cache: content addressing, integrity, stats, canonical keys."""
+"""Disk cache: content addressing, integrity, stats, canonical keys, the segment log."""
 
 from __future__ import annotations
 
+import errno
 import json
+import multiprocessing
 import os
+import shutil
 import threading
 
 import pytest
 
+import store_records
 from halodet.cache import CacheKey, DiskCache
-from halodet.errors import StoreCorrupt
+from halodet.errors import ConfigInvalid, StoreCorrupt
 from halodet.gateway import ModelRequest, request_digest
 from halodet.hashing import sha256_text
 from halodet.prompts import RenderedPrompt
@@ -80,21 +84,21 @@ class TestDiskCache:
     def test_tampering_detected(self, tmp_path):
         cache = DiskCache(tmp_path)
         cache.put(_key(), {"x": 1})
-        entry = next((tmp_path / "objects").glob("*/*.json"))
-        record = json.loads(entry.read_text())
+        [entry] = store_records.records(tmp_path)
+        record = entry.json()
         record["value"] = {"x": 2}
-        entry.write_text(json.dumps(record))
+        store_records.rewrite(entry, json.dumps(record, separators=(",", ":")))
         with pytest.raises(StoreCorrupt):
             cache.get(_key())
 
     def test_corrupt_read_counts_as_a_miss(self, tmp_path):
         cache = DiskCache(tmp_path)
         cache.put(_key(), {"x": 1})
-        entry = next((tmp_path / "objects").glob("*/*.json"))
+        [entry] = store_records.records(tmp_path)
         # A torn write, then valid JSON that is not an entry object.
         bodies = ["{torn", "[]", '"x"', "null"]
         for body in bodies:
-            entry.write_text(body)
+            store_records.rewrite(entry, body)
             with pytest.raises(StoreCorrupt):
                 cache.get(_key())
         cache.flush_stats()
@@ -160,31 +164,27 @@ class TestDiskCache:
             thread.join()
         assert errors == []
         assert cache.entry_count() == 1
-        assert not list((tmp_path / "objects").glob("*/*.tmp"))
+        assert not list(tmp_path.rglob("*.tmp"))
+        assert len(list((tmp_path / "segments").iterdir())) == 1
 
     def test_entry_bytes_are_pinned(self, tmp_path):
         # The on-disk format: existing caches and fixture stores hold it.
         DiskCache(tmp_path).put(_key(), {"snippets": ["Café · a", "b"], "n": 1})
-        digest = _key().digest()
-        entry = tmp_path / "objects" / digest[:2] / f"{digest}.json"
-        assert entry.read_bytes() == (
-            b'{\n  "key": {\n    "tool_kind": "fact-search",\n'
-            b'    "canonical_query": "where is it?",\n    "image_digest": "",\n'
-            b'    "backend_id": "mock"\n  },\n'
-            b'  "value_sha256": "c44b04ddbe5efc942faa7a295ec53baf18e70ed2556aeca0391e202e16b07487",\n'
-            b'  "value": {\n    "snippets": [\n      "Caf\xc3\xa9 \xc2\xb7 a",\n      "b"\n'
-            b'    ],\n    "n": 1\n  }\n}\n'
+        [segment] = (tmp_path / "segments").iterdir()
+        assert segment.read_bytes() == (
+            b'8d1540832a0e468cc12d5c9fe816879c0c921cf17ed574a14f6cc375c7953721 '
+            b'{"key":{"tool_kind":"fact-search","canonical_query":"where is it?",'
+            b'"image_digest":"","backend_id":"mock"},'
+            b'"value_sha256":"c44b04ddbe5efc942faa7a295ec53baf18e70ed2556aeca0391e202e16b07487",'
+            b'"value":{"snippets":["Caf\xc3\xa9 \xc2\xb7 a","b"],"n":1}}\n'
         )
 
     def test_put_recreates_a_removed_shard(self, tmp_path):
         cache = DiskCache(tmp_path)
-        cache.put(_key(), "first")
-        shard = tmp_path / "objects" / _key().digest()[:2]
-        for entry in shard.iterdir():
-            entry.unlink()
-        shard.rmdir()
+        shutil.rmtree(tmp_path / "segments")
         cache.put(_key(), "second")
         assert cache.get(_key()) == (True, "second")
+        assert DiskCache(tmp_path).get(_key()) == (True, "second")
 
     def test_missing_key_counts_one_miss_and_creates_nothing(self, tmp_path):
         cache = DiskCache(tmp_path)
@@ -196,14 +196,17 @@ class TestDiskCache:
     def test_failed_put_leaves_no_temp_file(self, tmp_path, monkeypatch):
         cache = DiskCache(tmp_path)
 
-        def failing_replace(src, dst):
+        def failing_write(fd, data):
             raise OSError("disk full")
 
-        monkeypatch.setattr(os, "replace", failing_replace)
+        monkeypatch.setattr(os, "write", failing_write)
         with pytest.raises(OSError, match="disk full"):
             cache.put(_key(), {"x": 1})
-        assert not list((tmp_path / "objects").rglob("*.tmp"))
+        monkeypatch.undo()
+        assert not list(tmp_path.rglob("*.tmp"))
         assert cache.entry_count() == 0
+        assert cache.get(_key()) == (False, None)
+        assert DiskCache(tmp_path).entry_count() == 0
 
     def test_concurrent_flushes_keep_every_count(self, tmp_path):
         # Runs sharing a cache directory flush at the same time; a lost
@@ -229,3 +232,89 @@ class TestDiskCache:
             assert not thread.is_alive()
         assert errors == []
         assert DiskCache(tmp_path).persisted_stats() == {"hits": 1200, "misses": 0}
+
+
+class TestSegmentLog:
+    def test_the_old_layout_is_refused(self, tmp_path):
+        (tmp_path / "objects" / "8d").mkdir(parents=True)
+        with pytest.raises(ConfigInvalid) as exc_info:
+            DiskCache(tmp_path)
+        assert str(tmp_path) in str(exc_info.value)
+        assert "delete" in str(exc_info.value)
+
+    def test_a_torn_final_record_misses_after_a_reopen(self, tmp_path):
+        cache = DiskCache(tmp_path)
+        for i in range(3):
+            cache.put(_key(f"q{i}"), [i])
+        [segment] = (tmp_path / "segments").iterdir()
+        segment.write_bytes(segment.read_bytes()[:-10])
+        reopened = DiskCache(tmp_path)
+        assert reopened.get(_key("q2")) == (False, None)
+        assert reopened.get(_key("q0")) == (True, [0])
+        assert reopened.get(_key("q1")) == (True, [1])
+        assert reopened.entry_count() == 2
+
+    def test_a_write_that_fails_halfway_keeps_every_earlier_entry(self, tmp_path, monkeypatch):
+        cache = DiskCache(tmp_path)
+        cache.put(_key("kept"), "old")
+        cache.put(_key("earlier"), 1)
+        real_write = os.write
+
+        def half_then_fail(fd, data):
+            real_write(fd, data[:len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "write", half_then_fail)
+        with pytest.raises(OSError):
+            cache.put(_key("kept"), "new")
+        monkeypatch.undo()
+        for store in (cache, DiskCache(tmp_path)):
+            assert store.get(_key("kept")) == (True, "old")
+            assert store.get(_key("earlier")) == (True, 1)
+        cache.put(_key("next"), 2)
+        for store in (cache, DiskCache(tmp_path)):
+            assert store.get(_key("next")) == (True, 2)
+            assert store.get(_key("kept")) == (True, "old")
+
+    def test_the_last_put_of_a_key_wins_after_a_reopen(self, tmp_path):
+        cache = DiskCache(tmp_path)
+        cache.put(_key(), "first reply")
+        cache.put(_key(), "retried reply")
+        assert DiskCache(tmp_path).get(_key()) == (True, "retried reply")
+        # Two instances in turn: a segment opens at its first put, so the
+        # later writer wins even when its instance was built first.
+        earlier, later = DiskCache(tmp_path), DiskCache(tmp_path)
+        later.put(_key(), "from the instance built later")
+        earlier.put(_key(), "from the instance built earlier")
+        assert DiskCache(tmp_path).get(_key()) == (True, "from the instance built earlier")
+
+    def test_writer_processes_share_one_directory(self, tmp_path):
+        count = 100
+        context = multiprocessing.get_context("spawn")
+        writers = [context.Process(target=store_records.write_keys,
+                                   args=(str(tmp_path), n, count)) for n in range(4)]
+        for writer in writers:
+            writer.start()
+        for writer in writers:
+            writer.join(timeout=60)
+            assert writer.exitcode == 0
+        cache = DiskCache(tmp_path)
+        for n in range(4):
+            for i in range(count):
+                assert cache.get(store_records.key(f"writer{n}-{i}")) == \
+                    (True, {"writer": n, "i": i})
+        for i in range(count):
+            hit, value = cache.get(store_records.key(f"shared-{i}"))
+            assert hit and value["i"] == i
+        assert cache.entry_count() == 5 * count
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_dropped_stores_close_their_segments(self, tmp_path):
+        DiskCache(tmp_path).put(_key("shared"), 0)
+        before = len(os.listdir("/proc/self/fd"))
+        for i in range(50):
+            cache = DiskCache(tmp_path)
+            cache.put(_key(f"q{i}"), i)
+            assert cache.get(_key("shared")) == (True, 0)
+        del cache
+        assert len(os.listdir("/proc/self/fd")) == before

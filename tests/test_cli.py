@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import e2e_scenario
+import store_records
 from halodet.cache import CacheKey, DiskCache
 from halodet.cli import main
 from halodet.tools import MockSceneTextReader
@@ -181,13 +182,12 @@ class TestDetect:
         [huawei] = [s for s in e2e_scenario.build_scripts() if s.pair.id == "i2t-huawei"]
         replies = {huawei.object_reply, huawei.attribute_reply, huawei.scene_reply,
                    huawei.fact_reply}
-        removed = 0
-        for path in (broken / "objects").glob("*/*.json"):
-            record = json.loads(path.read_text())
-            if record["key"]["tool_kind"] == "model" and record["value"]["text"] in replies:
-                path.unlink()
-                removed += 1
-        assert removed == 4
+
+        def formulation(record):
+            entry = record.json()
+            return entry["key"]["tool_kind"] == "model" and entry["value"]["text"] in replies
+
+        assert store_records.drop(broken, formulation) == 4
         code = main([
             "detect", "--bench", str(FIXTURES / "bench6.json"),
             "--backend", "mock", "--fixtures", str(broken),
@@ -219,8 +219,8 @@ class TestFixtureStore:
         car = e2e_scenario.image("car")
         key = CacheKey.scene_text(car.digest, MockSceneTextReader.backend_id)
         assert DiskCache(store_dir).get(key)[0]
-        entry = store_dir / "objects" / key.digest()[:2] / f"{key.digest()}.json"
-        entry.write_text(entry.read_text().replace("worlld", "world"))
+        [entry] = [r for r in store_records.records(store_dir) if r.digest == key.digest()]
+        store_records.rewrite(entry, entry.body.decode().replace("worlld", "world"))
         code = main([
             "detect", "--bench", str(FIXTURES / "bench6.json"),
             "--backend", "mock", "--fixtures", str(store_dir),
@@ -367,6 +367,51 @@ class TestStatsAndCache:
         lines = capsys.readouterr().out
         stat = json.loads(lines[lines.index("{"):])
         assert stat["entries"] == 0
+
+    def test_a_key_written_twice_is_one_entry(self, tmp_path, capsys):
+        cache = DiskCache(tmp_path / "cache")
+        key = CacheKey.fact_search("Huawei company", 3, "mock-fact-search")
+        cache.put(key, {"snippets": ["first"]})
+        cache.put(key, {"snippets": ["second"]})
+        assert main(["cache", "stat", "--cache-dir", str(tmp_path / "cache")]) == 0
+        stat = json.loads(capsys.readouterr().out)
+        # Bytes count the superseded record too.
+        [segment] = (tmp_path / "cache" / "segments").iterdir()
+        assert (stat["entries"], stat["bytes"]) == (1, segment.stat().st_size)
+        assert len(store_records.records(tmp_path / "cache")) == 2
+        assert main(["cache", "clear", "--cache-dir", str(tmp_path / "cache")]) == 0
+        assert capsys.readouterr().out == "cleared 1 entries\n"
+        assert not list((tmp_path / "cache").rglob("*.log"))
+        assert not (tmp_path / "cache" / "stats.json").exists()
+
+
+class TestOldCacheLayout:
+    """A cache directory in the one-file-per-entry layout is refused, not read."""
+
+    @pytest.fixture
+    def old_store(self, tmp_path) -> Path:
+        shard = tmp_path / "old-cache" / "objects" / "8d"
+        shard.mkdir(parents=True)
+        (shard / ("8d" + "0" * 62 + ".json")).write_text("{}")
+        return tmp_path / "old-cache"
+
+    def _one_error_line(self, capsys, old_store: Path) -> None:
+        [line] = capsys.readouterr().err.splitlines()
+        error = json.loads(line)
+        assert error["error"] == "ConfigInvalid"
+        assert str(old_store) in error["message"]
+
+    def test_cache_stat_exits_1(self, old_store, capsys):
+        assert main(["cache", "stat", "--cache-dir", str(old_store)]) == 1
+        self._one_error_line(capsys, old_store)
+
+    def test_detect_exits_1_and_writes_no_run_dir(self, scenario_dir, old_store, tmp_path,
+                                                  capsys):
+        args = _detect_args(scenario_dir, tmp_path, "old-layout")
+        args[args.index("--cache-dir") + 1] = str(old_store)
+        assert main(args) == 1
+        self._one_error_line(capsys, old_store)
+        assert not (tmp_path / "old-layout").exists()
 
 
 class TestHelp:

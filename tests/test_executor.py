@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import e2e_scenario
+import store_records
 from conftest import image_ref, table_gateway
 from halodet.cache import DiskCache
 from halodet.errors import ConfigInvalid, InvalidImage, UnparseableModelOutput
@@ -279,26 +280,30 @@ class TestCacheContract:
             return outcome, calls, (run_dir / "athlete.json").read_bytes()
 
         _, _, cold_bytes = run("cold")
-        paths = sorted((tmp_path / "cache" / "objects").glob("*/*.json"))
-        cold_entries = {path: path.read_bytes() for path in paths}
+        records = store_records.records(tmp_path / "cache")
+        cold_entries = {record.digest: record.body for record in records}
         entries = {}
-        for entry in paths:
-            entries.setdefault(json.loads(entry.read_text())["key"]["tool_kind"], entry)
+        for record in records:
+            entries.setdefault(record.json()["key"]["tool_kind"], record)
         for kind in ("model", "object-detect"):
-            record = json.loads(entries[kind].read_text())
-            record["value"] = {"tampered": True}
-            entries[kind].write_text(json.dumps(record))
+            entry = entries[kind].json()
+            entry["value"] = {"tampered": True}
+            store_records.rewrite(entries[kind], json.dumps(entry, separators=(",", ":")))
         # Valid JSON that is not an entry object is as unreadable as a tamper.
         bodies = ["[]", '"x"', "null"]
-        others = [path for path in paths if path not in entries.values()]
-        for path, body in zip(others, bodies):
-            path.write_text(body)
+        others = [record for record in records if record not in entries.values()]
+        for record, body in zip(others, bodies):
+            store_records.rewrite(record, body)
 
         outcome, calls, rerun_bytes = run("rerun")
         assert outcome.failures == []
         assert calls == 2 + len(bodies)
         assert rerun_bytes == cold_bytes
-        assert {path: path.read_bytes() for path in paths} == cold_entries
+        # Each recomputed reply is appended, and the latest record of every
+        # key holds the cold bytes again.
+        latest = {record.digest: record.body
+                  for record in store_records.records(tmp_path / "cache")}
+        assert latest == cold_entries
 
         _, calls, third_bytes = run("third")
         assert calls == 0

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import store_records
 from conftest import image_ref
 from halodet.cache import CacheKey, DiskCache
 from halodet.errors import (
@@ -121,8 +122,8 @@ class TestMockBackend:
         store = DiskCache(tmp_path)
         store.put(CacheKey.model(request_digest(request), MockModelBackend.backend_id),
                   {"text": "pinned reply"})
-        entry = next((tmp_path / "objects").glob("*/*.json"))
-        entry.write_text(entry.read_text().replace("pinned reply", "forged reply"))
+        [entry] = store_records.records(tmp_path)
+        store_records.rewrite(entry, entry.body.decode().replace("pinned reply", "forged reply"))
         with pytest.raises(StoreCorrupt):
             _gateway(MockModelBackend(store)).complete(request)
 
