@@ -17,6 +17,7 @@ from typing import Any
 from .cache import DiskCache
 from .errors import ConfigInvalid
 from .gateway import HttpModelBackend, MockModelBackend, ModelGateway
+from .model import NAME_RE
 from .stages import DetectionMethod
 from .tools import (
     DEFAULT_DETECTOR_THRESHOLD,
@@ -110,6 +111,9 @@ class RunConfig:
     fact_tool: str = "default"
 
     def validate(self) -> None:
+        if self.run_id and (not NAME_RE.fullmatch(self.run_id) or self.run_id in (".", "..")):
+            raise ConfigInvalid(f"run id {self.run_id!r} must match {NAME_RE.pattern}, "
+                                "other than . and ..")
         if self.width < 1:
             raise ConfigInvalid(f"width must be >= 1, got {self.width}")
         if self.fact_top_k < 1:

@@ -5,16 +5,16 @@ single verification call. Evidence merge order is fixed (object, then
 attribute, then scene text, then fact, ordered inside each family by claim
 index then query index), so results are invariant under scheduling.
 
-A run owns two thread pools: one running pairs, ``width`` wide, and one
-shared call pool, ``width`` x 10 wide. A pair's UniHD work is a list of
-tasks, each making one call and returning the tasks its reply makes ready.
-One rule places every task: submit all of a list but the last to the call
-pool, run the last in the thread at hand, and apply the same rule to the
-tasks it returns. The pair thread starts with scene-text, fact and object
-formulation; the object reply makes object detection and the attribute
-formulation ready, and each other reply makes its tool calls ready, one per
-distinct query. Verification starts once no task is left. Pair threads
-wait for call-pool tasks; those never wait, so the pools cannot deadlock.
+A run owns one thread pool, ``width`` x 11 wide, and keeps ``width`` pairs
+in flight. A pair's UniHD work is a list of tasks, each making one call and
+returning the tasks its reply makes ready. One rule places every task:
+submit all of a list but the last to the pool, run the last in the thread at
+hand, and apply the same rule to the tasks it returns. A pair's first task,
+submitted with the pair, starts scene-text, fact and object formulation; the
+object reply makes object detection and the attribute formulation ready, and
+each other reply makes its tool calls ready, one per distinct query. The task
+that finishes a pair's last call verifies the pair and admits the next one.
+No thread waits on another; the caller waits once, for the whole batch.
 
 Each pair owns one call object, ``_PairCalls``, through which every model
 and tool call of the pair passes. Whatever the family, a call reads the
@@ -31,7 +31,7 @@ import logging
 import os
 import threading
 import time
-from concurrent.futures import Executor, Future, ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -93,13 +93,7 @@ class TraceRecord:
     cache_hit: bool
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "stage": self.stage,
-            "input_digest": self.input_digest,
-            "output_digest": self.output_digest,
-            "duration_ms": self.duration_ms,
-            "cache_hit": self.cache_hit,
-        }
+        return dict(vars(self))  # the fields, in order
 
 
 @dataclass(frozen=True)
@@ -155,13 +149,12 @@ class BatchOutcome:
 
 
 class _PairCalls:
-    """Every backend call of one pair, through one cache-and-trace path.
+    """One pair of a run: every backend call it makes, through one cache-and-trace path.
 
-    ``complete`` is the gateway face the stages call. ``plan`` runs the
-    pair's UniHD calls as tasks: a task makes one call and returns the tasks
-    its reply makes ready, and ``_run`` places them by the one rule in the
-    module docstring. ``evidence`` then merges the tool results by plan
-    position, never in completion order.
+    ``complete`` is the gateway face the stages call. ``run`` is the pair's
+    first task and ``_run`` places the tasks by the rule in the module
+    docstring. ``_finish``, run by the task that finishes last, merges the
+    tool results by plan position, never in completion order, and verifies.
 
     Each call returns the JSON form the cache stores: ``{"text": ...}`` for
     a model reply, the ``to_json()`` evidence for a tool. A pair's model
@@ -173,19 +166,14 @@ class _PairCalls:
     races another; each task then fills in its own key.
     """
 
-    def __init__(self, pair: ImageTextPair, backends: ToolBackendSet | None,
-                 gateway: ModelGateway, cache: DiskCache | None, fact_top_k: int,
-                 pool: Executor) -> None:
-        self._image = pair.image
-        self._backends = backends
-        self._gateway = gateway
-        self._cache = cache
-        self._fact_top_k = fact_top_k
-        self._pool = pool
-        self._lock = threading.Lock()  # guards _records and _seen
+    def __init__(self, pair: ImageTextPair, position: int, batch: _Batch) -> None:
+        self._pair = pair
+        self._position = position
+        self._batch = batch
+        self._lock = threading.Lock()  # guards _records, _seen and _pending
         self._records: list[TraceRecord] = []
         self._seen: set[str] = set()
-        self._pooled: list[Future] = []
+        self._pending = 0  # tasks made and not yet finished
         self._tools: dict[tuple[str, Any], Any] = {}  # a result or its error
         self._replies: dict[TemplateId, dict[int, tuple[str, ...]]] = {}
         self._failures: dict[TemplateId, Exception] = {}
@@ -199,17 +187,17 @@ class _PairCalls:
         is skipped; the reply is written anyway.
         """
         started = time.monotonic()
-        hit, value = False, None
-        if self._cache is not None and read:
+        hit, value, cache = False, None, self._batch.cache
+        if cache is not None and read:
             try:
-                hit, value = self._cache.get(key)
+                hit, value = cache.get(key)
             except StoreCorrupt as exc:
                 logger.warning("recomputing: %s", exc)
         if not hit:
             value = compute()
-            if self._cache is not None:
+            if cache is not None:
                 try:
-                    self._cache.put(key, value)
+                    cache.put(key, value)
                 except OSError as exc:
                     logger.warning("cache write failed, reply kept: %s", exc)
         model = key.tool_kind == "model"
@@ -225,20 +213,18 @@ class _PairCalls:
         return value
 
     def trace(self) -> tuple[TraceRecord, ...]:
-        with self._lock:
-            records = list(self._records)
-        # Stable report order regardless of completion interleaving.
-        return tuple(sorted(records, key=lambda r: (r.stage, r.input_digest)))
+        """The records in a stable order, read once no call of the pair is left running."""
+        return tuple(sorted(self._records, key=lambda r: (r.stage, r.input_digest)))
 
     def complete(self, request: ModelRequest) -> ModelResponse:
         digest = request_digest(request)
         with self._lock:
             retry = digest in self._seen
             self._seen.add(digest)
-        backend_id = self._gateway.backend.backend_id
+        backend_id = self._batch.gateway.backend.backend_id
         value = self._call(
             f"model:{request.purpose_tag.value}", CacheKey.model(digest, backend_id),
-            lambda: {"text": self._gateway.complete(request).text},
+            lambda: {"text": self._batch.gateway.complete(request).text},
             read=not retry,
         )
         # The stages read only the text; timing lives in the trace record.
@@ -248,60 +234,95 @@ class _PairCalls:
     # --- the UniHD schedule
 
     def _run(self, tasks: list[_Task]) -> None:
-        """Submit all tasks but the last, run the last here, then the same for its tasks."""
+        """Submit all tasks but the last, run the last here, then the same for its
+        tasks; the task that leaves none made and unfinished finishes the pair."""
         while tasks:
             *pooled, last = tasks
             for task in pooled:
-                # A task list, not the pair: the call pool runs calls, not pairs.
-                self._pooled.append(self._pool.submit(self._run, [task]))
+                # A task list, not the pair: a submit that carries a pair admits it.
+                self._batch.pool.submit(self._run, [task])
             tasks = last()
+            with self._lock:
+                self._pending += len(tasks) - 1
+                finished = not self._pending
+        if finished:
+            self._finish()
 
-    def plan(self, pair: ImageTextPair) -> ToolPlan:
-        """Make the pair's formulation calls and every tool call they feed.
-
-        Returns once no call is left running; formulation errors are raised
-        in the order of ``FORMULATION_KINDS``, before any tool error.
-        """
-        claim_list = render_claim_list([c.text for c in pair.claims])
-        first = [self._formulation(pair, claim_list, template) for template in (
-            TemplateId.SCENE_TEXT_QUERY, TemplateId.FACT_QUERY, TemplateId.OBJECT_QUERY)]
+    def run(self) -> None:
+        """The pair's first task: its claims, then its UniHD calls, or the whole pair."""
+        pair, batch = self._pair, self._batch
         try:
-            self._run(first)
-        finally:
-            self._settle()
-        for future in self._pooled:
-            future.result()  # raises only if a task itself broke
-        for template in FORMULATION_KINDS:
-            if template in self._failures:
-                raise self._failures[template]
-        return tool_plan(self._replies)
+            report = validate_pair(pair)
+            if not report.ok:
+                raise ValueError(f"pair {pair.id!r} invalid: " + "; ".join(report.violations))
+            if not pair.claims:
+                claims = extract_claims(pair.text, pair.task, self)
+                self._pair = pair = replace(pair, claims=tuple(claims))
+            if batch.method is DetectionMethod.UNIHD:
+                if batch.backends is None:
+                    raise ConfigInvalid("unihd requires tool backends")
+                claim_list = render_claim_list([c.text for c in pair.claims])
+                first = [self._formulation(pair, claim_list, template) for template in (
+                    TemplateId.SCENE_TEXT_QUERY, TemplateId.FACT_QUERY,
+                    TemplateId.OBJECT_QUERY)]
+                self._pending = len(first)
+                return self._run(first)
+        except Exception as exc:  # noqa: BLE001 - the pair's outcome
+            return self._store(exc)
+        self._finish()
+
+    def _finish(self) -> None:
+        """The pair's continuation: formulation errors in the order of
+        ``FORMULATION_KINDS``, then the first tool error in merge order, else
+        the verdicts; either way the outcome goes to the batch."""
+        pair, method = self._pair, self._batch.method
+        try:
+            if method is DetectionMethod.UNIHD:
+                for template in FORMULATION_KINDS:
+                    if template in self._failures:
+                        raise self._failures[template]
+                plan = tool_plan(self._replies)
+                evidence = self.evidence(plan)
+                verdicts = verify(pair, evidence, self)
+            else:
+                plan, evidence = None, EvidenceBundle()
+                shots = 0 if method is DetectionMethod.SELF_CHECK_0SHOT else 2
+                verdicts = self_check(pair, shots, self, self._batch.demonstrations)
+            if len(verdicts) != len(pair.claims):
+                raise AssertionError("verdict count diverged from claim count")
+        except Exception as exc:  # noqa: BLE001 - the pair's outcome
+            return self._store(exc)
+        self._store(DetectionResult(pair.id, method, tuple(verdicts), plan, evidence,
+                                    is_degraded(verdicts), self.trace()))
+
+    def _store(self, outcome: DetectionResult | Exception) -> None:
+        if isinstance(outcome, Exception):
+            # So failure records can show which stages did complete.
+            outcome.completed_trace = self.trace()  # type: ignore[attr-defined]
+        self._batch.store(self._position, outcome)
 
     def _formulation(self, pair: ImageTextPair, claim_list: str, template: TemplateId,
                      objects: Sequence[str] = ()) -> _Task:
         def task() -> list[_Task]:
+            # A task never raises: an error it let out would leave the pair unfinished.
             try:
                 queries = formulate(pair, template, self, objects, claim_list)
-            except Exception as exc:  # noqa: BLE001 - raised by plan(), in fixed order
+                if self._failures:
+                    return []  # a reply after a failure makes nothing ready
+                self._replies[template] = queries
+                if template is TemplateId.OBJECT_QUERY:
+                    labels = tuple(label_union(queries.values()))
+                    return [*self._detect(labels), self._formulation(
+                        pair, claim_list, TemplateId.ATTRIBUTE_QUERY, labels)]
+                questions = [q for per_claim in queries.values() for q in per_claim]
+                if template is TemplateId.SCENE_TEXT_QUERY:
+                    return self._read() if questions else []
+                ask = self._search if template is TemplateId.FACT_QUERY else self._answer
+                return [ready for q in questions for ready in ask(q)]
+            except Exception as exc:  # noqa: BLE001 - raised by _finish(), in fixed order
                 self._failures[template] = exc
                 return []
-            if self._failures:
-                return []  # a reply after a failure makes nothing ready
-            self._replies[template] = queries
-            if template is TemplateId.OBJECT_QUERY:
-                labels = tuple(label_union(queries.values()))
-                return [*self._detect(labels), self._formulation(
-                    pair, claim_list, TemplateId.ATTRIBUTE_QUERY, labels)]
-            questions = [q for per_claim in queries.values() for q in per_claim]
-            if template is TemplateId.SCENE_TEXT_QUERY:
-                return self._read() if questions else []
-            ask = self._search if template is TemplateId.FACT_QUERY else self._answer
-            return [ready for q in questions for ready in ask(q)]
         return task
-
-    def _settle(self) -> None:
-        """Wait until every pooled task has finished and none has submitted another."""
-        for future in self._pooled:  # iteration also reaches tasks appended meanwhile
-            future.exception()
 
     def _tool(self, stage: str, query: Any, key: Callable[[], CacheKey],
               compute: Callable[[], Any]) -> list[_Task]:
@@ -325,7 +346,7 @@ class _PairCalls:
     def _detect(self, labels: tuple[str, ...]) -> list[_Task]:
         if not labels:
             return []
-        image, detector = self._image, self._backends.object_detector
+        image, detector = self._pair.image, self._batch.backends.object_detector
         return self._tool(
             _DETECT, labels,
             lambda: CacheKey.object_detect(image.digest, labels, detector.backend_id),
@@ -333,14 +354,14 @@ class _PairCalls:
         )
 
     def _read(self) -> list[_Task]:
-        image, reader = self._image, self._backends.scene_text_reader
+        image, reader = self._pair.image, self._batch.backends.scene_text_reader
         return self._tool(
             _READ, None, lambda: CacheKey.scene_text(image.digest, reader.backend_id),
             lambda: [e.to_json() for e in read_scene_text(reader, image)],
         )
 
     def _answer(self, question: str) -> list[_Task]:
-        image, answerer = self._image, self._backends.attribute_answerer
+        image, answerer = self._pair.image, self._batch.backends.attribute_answerer
         return self._tool(
             _ANSWER, question,
             lambda: CacheKey.attribute(image.digest, question, answerer.backend_id),
@@ -348,7 +369,7 @@ class _PairCalls:
         )
 
     def _search(self, question: str) -> list[_Task]:
-        searcher, top_k = self._backends.fact_searcher, self._fact_top_k
+        searcher, top_k = self._batch.backends.fact_searcher, self._batch.fact_top_k
         return self._tool(
             _SEARCH, question,
             lambda: CacheKey.fact_search(question, top_k, searcher.backend_id),
@@ -383,9 +404,57 @@ class _PairCalls:
 # --- single-pair and batch drivers --------------------------------------------------
 
 
-def _call_pool(width: int) -> ThreadPoolExecutor:
-    # Per pair: the 2 pooled formulation calls plus up to 8 tool calls.
-    return ThreadPoolExecutor(max_workers=width * 10, thread_name_prefix="calls")
+@dataclass
+class _Batch:
+    """One run: one pool, ``width`` x 11 threads, and at most ``width`` pairs in flight.
+
+    A pair is admitted by submitting its first task with the pair as its
+    argument; the task that finishes a pair admits the next. ``outcomes``
+    holds each pair's result or exception, in input order.
+    """
+
+    pairs: Sequence[ImageTextPair]
+    method: DetectionMethod
+    backends: ToolBackendSet | None
+    gateway: ModelGateway
+    cache: DiskCache | None
+    fact_top_k: int
+    demonstrations: Sequence[SelfCheckDemo]
+
+    def __post_init__(self) -> None:
+        self.outcomes: list[DetectionResult | Exception | None] = [None] * len(self.pairs)
+        self.pool: Executor | None = None
+        self._lock = threading.Lock()  # guards _admitted and _finished
+        self._admitted = self._finished = 0
+        self._done = threading.Event()
+
+    def run(self, width: int) -> list[DetectionResult | Exception | None]:
+        if self.pairs:
+            # Per pair in flight: its first task, the 2 pooled formulation
+            # calls and up to 8 tool calls.
+            with ThreadPoolExecutor(max_workers=width * 11,
+                                    thread_name_prefix="halodet") as self.pool:
+                for _ in range(width):
+                    self._admit()
+                self._done.wait()
+        return self.outcomes
+
+    def _admit(self) -> None:
+        with self._lock:
+            position, self._admitted = self._admitted, self._admitted + 1
+        if position < len(self.pairs):
+            self.pool.submit(self._start, position, self.pairs[position])
+
+    def _start(self, position: int, pair: ImageTextPair) -> None:
+        _PairCalls(pair, position, self).run()
+
+    def store(self, position: int, outcome: DetectionResult | Exception) -> None:
+        self.outcomes[position] = outcome
+        self._admit()  # a submit, so the stack does not grow from pair to pair
+        with self._lock:
+            self._finished += 1
+            if self._finished == len(self.pairs):
+                self._done.set()
 
 
 def run_detection(
@@ -397,66 +466,17 @@ def run_detection(
     fact_top_k: int = DEFAULT_FACT_TOP_K,
     demonstrations: Sequence[SelfCheckDemo] = (),
 ) -> DetectionResult:
-    """Run one pair through the selected detection method.
+    """Run one pair through the selected detection method, raising its error.
 
     With pre-annotated claims (benchmark mode) extraction is skipped; an
     unannotated pair goes through the extraction stage first. The self-check
     methods never touch tool backends and carry empty evidence.
     """
-    with _call_pool(1) as calls:
-        return _run_pair(pair, method, backends, gateway, cache, fact_top_k,
-                         demonstrations, calls)
-
-
-def _run_pair(
-    pair: ImageTextPair,
-    method: DetectionMethod,
-    backends: ToolBackendSet | None,
-    gateway: ModelGateway,
-    cache: DiskCache | None,
-    fact_top_k: int,
-    demonstrations: Sequence[SelfCheckDemo],
-    pool: Executor,
-) -> DetectionResult:
-    """One pair, its formulation and tool calls run on the call ``pool``."""
-    report = validate_pair(pair)
-    if not report.ok:
-        raise ValueError(f"pair {pair.id!r} invalid: " + "; ".join(report.violations))
-
-    calls = _PairCalls(pair, backends, gateway, cache, fact_top_k, pool)
-    try:
-        if not pair.claims:
-            claims = extract_claims(pair.text, pair.task, calls)
-            pair = replace(pair, claims=tuple(claims))
-
-        if method is DetectionMethod.UNIHD:
-            if backends is None:
-                raise ConfigInvalid("unihd requires tool backends")
-            plan = calls.plan(pair)
-            evidence = calls.evidence(plan)
-            verdicts = verify(pair, evidence, calls)
-        else:
-            plan = None
-            evidence = EvidenceBundle()
-            shots = 0 if method is DetectionMethod.SELF_CHECK_0SHOT else 2
-            verdicts = self_check(pair, shots, calls, demonstrations)
-    except Exception as exc:
-        # So batch failure records can show which stages did complete.
-        exc.completed_trace = calls.trace()  # type: ignore[attr-defined]
-        raise
-
-    if len(verdicts) != len(pair.claims):
-        raise AssertionError("verdict count diverged from claim count")
-
-    return DetectionResult(
-        pair_id=pair.id,
-        method=method,
-        verdicts=tuple(verdicts),
-        plan=plan,
-        evidence=evidence,
-        degraded=is_degraded(verdicts),
-        trace=calls.trace(),
-    )
+    [outcome] = _Batch([pair], method, backends, gateway, cache, fact_top_k,
+                       demonstrations).run(width=1)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def run_batch(
@@ -469,7 +489,7 @@ def run_batch(
     fact_top_k: int = DEFAULT_FACT_TOP_K,
     demonstrations: Sequence[SelfCheckDemo] = (),
 ) -> BatchOutcome:
-    """Drive a batch with bounded parallelism and per-pair failure isolation.
+    """Drive a batch with ``width`` pairs in flight and per-pair failure isolation.
 
     Results come back in input order regardless of completion order; a
     failing pair becomes a failure record and never halts its neighbors.
@@ -480,32 +500,13 @@ def run_batch(
     if len(set(ids)) != len(ids):
         raise ConfigInvalid("pair ids must be unique within a batch")
 
-    slots: list[DetectionResult | PairFailure | None] = [None] * len(pairs)
-
-    with _call_pool(width) as calls, \
-            ThreadPoolExecutor(max_workers=width, thread_name_prefix="pairs") as pool:
-
-        def run_one(position: int, pair: ImageTextPair) -> None:
-            try:
-                slots[position] = _run_pair(
-                    pair, method, backends, gateway, cache, fact_top_k,
-                    demonstrations, calls,
-                )
-            except Exception as exc:  # noqa: BLE001 - isolation boundary
-                logger.warning("pair %s failed: %s", pair.id, exc)
-                slots[position] = PairFailure(
-                    pair_id=pair.id,
-                    error_type=type(exc).__name__,
-                    message=str(exc),
-                    trace=getattr(exc, "completed_trace", ()),
-                )
-
-        futures = [pool.submit(run_one, i, pair) for i, pair in enumerate(pairs)]
-        for future in futures:
-            future.result()
-
-    results = [slot for slot in slots if isinstance(slot, DetectionResult)]
-    failures = [slot for slot in slots if isinstance(slot, PairFailure)]
+    outcomes = _Batch(pairs, method, backends, gateway, cache, fact_top_k,
+                      demonstrations).run(width)
+    results = [outcome for outcome in outcomes if isinstance(outcome, DetectionResult)]
+    failures = [PairFailure(pair.id, type(exc).__name__, str(exc), exc.completed_trace)
+                for pair, exc in zip(pairs, outcomes) if isinstance(exc, Exception)]
+    for failure in failures:
+        logger.warning("pair %s failed: %s", failure.pair_id, failure.message)
     if cache is not None:
         try:
             cache.flush_stats()
@@ -536,18 +537,8 @@ def write_run_dir(
     run_dir.mkdir(parents=True, exist_ok=False)
 
     for result in outcome.results:
-        path = run_dir / f"{result.pair_id}.json"
-        path.write_text(
-            json.dumps(result.payload_json(), ensure_ascii=False, indent=2,
-                       sort_keys=True) + "\n",
-            "utf-8",
-        )
-
-    (run_dir / "errors.json").write_text(
-        json.dumps([f.to_json() for f in outcome.failures], ensure_ascii=False,
-                   indent=2, sort_keys=True) + "\n",
-        "utf-8",
-    )
+        _write_json(run_dir / f"{result.pair_id}.json", result.payload_json())
+    _write_json(run_dir / "errors.json", [f.to_json() for f in outcome.failures])
 
     manifest = {
         "run_id": run_id,
@@ -563,11 +554,13 @@ def write_run_dir(
             for r in outcome.results
         },
     }
-    (run_dir / "manifest.json").write_text(
-        json.dumps(manifest, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-        "utf-8",
-    )
+    _write_json(run_dir / "manifest.json", manifest)
     return run_dir
+
+
+def _write_json(path: Path, value: Any) -> None:
+    path.write_text(json.dumps(value, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
+                    "utf-8")
 
 
 def _utc_now() -> str:

@@ -163,6 +163,17 @@ class TestDetect:
         error = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert "already exists" in error["message"]
 
+    @pytest.mark.parametrize("run_id", ["../escaped", "..", ".", "a/b", "/absolute"])
+    def test_run_id_must_name_a_directory_under_out(self, scenario_dir, tmp_path, capsys,
+                                                    run_id):
+        if run_id == "/absolute":
+            run_id = str(tmp_path / "absolute")
+        code = main(_detect_args(scenario_dir, tmp_path / "out", run_id))
+        assert code == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"] == "ConfigInvalid"
+        assert list(tmp_path.iterdir()) == []
+
     def test_no_cache_matches_cached_run(self, scenario_dir, tmp_path):
         assert main(_detect_args(scenario_dir, tmp_path, "cached")) == 0
         assert main(_detect_args(scenario_dir, tmp_path, "plain", "--no-cache")) == 0

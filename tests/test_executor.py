@@ -7,6 +7,7 @@ import errno
 import gc
 import json
 import random
+import re
 import sys
 import threading
 import time
@@ -737,6 +738,91 @@ class TestCallScheduling:
         assert not clock.started("verify")
 
 
+class _PairsInFlight:
+    """Backend doubles that record the most pairs ever with a call in flight.
+
+    A model call is told to its pair by the claim text in its prompt, a
+    detection by its image.
+    """
+
+    backend_id = "pairs-in-flight"
+
+    def __init__(self, pairs, rules, delay=0.01):
+        self.rules, self.delay = rules, delay
+        self.ids = {pair.image.digest: pair.id for pair in pairs}
+        self.calls = collections.Counter()
+        self.peak = 0
+        self._lock = threading.Lock()
+
+    def _run(self, pair_id, reply):
+        with self._lock:
+            self.calls[pair_id] += 1
+            self.peak = max(self.peak, len(+self.calls))
+        try:
+            time.sleep(self.delay)
+            return reply
+        finally:
+            with self._lock:
+                self.calls[pair_id] -= 1
+
+    def invoke(self, request):
+        prompt = request.prompt.system + request.prompt.user
+        [number] = set(re.findall(r"claimable thing (\d+)", prompt))
+        return self._run(f"pair-{number}",
+                         next(reply for marker, reply in self.rules if marker in prompt))
+
+    def detect(self, image, labels):
+        return self._run(self.ids[image.digest], list(_ATHLETE_DETECTIONS))
+
+
+class TestPairsInFlight:
+    @pytest.mark.parametrize("width", [1, 2, 4])
+    def test_width_caps_the_pairs_in_flight(self, width):
+        pairs = _simple_pairs(10)
+        flight = _PairsInFlight(pairs, [
+            ("object extractor", '{"claim1":"athlete"}'),
+            ("questions about attributes", '{"claim1":["none"]}'),
+            ("questions about scene text", '{"claim1":["none"]}'),
+            ("search engine questions", '{"claim1":["none"]}'),
+            ("hallucination judger", _VERDICT),
+        ])
+        backends = _backends()
+        backends.object_detector = flight
+        outcome = run_batch(pairs, DetectionMethod.UNIHD, backends,
+                            ModelGateway(flight, sleep=lambda _: None), width=width)
+        assert outcome.ok
+        assert not +flight.calls
+        assert flight.peak == width
+
+    def test_a_wide_batch_finishes_under_frequent_thread_switches(self):
+        # A lost update to a pair's task count or the batch's count of
+        # finished pairs would hang the batch or return it early.
+        pairs = _simple_pairs(40)
+        backends = _backends(detections=_ATHLETE_DETECTIONS)
+        gateway = table_gateway([
+            ("object extractor", '{"claim1":"thing"}'),
+            ("questions about attributes", '{"claim1":["What color is it?"]}'),
+            ("questions about scene text", '{"claim1":["What does it say?"]}'),
+            ("search engine questions", '{"claim1":["Who made it?"]}'),
+            ("hallucination judger", _VERDICT),
+        ])
+        outcomes = []
+        worker = threading.Thread(daemon=True, target=lambda: outcomes.append(
+            run_batch(pairs, DetectionMethod.UNIHD, backends, gateway, width=8)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker.start()
+            worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive()
+        [outcome] = outcomes
+        assert outcome.ok
+        assert [r.pair_id for r in outcome.results] == [pair.id for pair in pairs]
+        assert _tool_calls(backends) == 40 * 4
+
+
 class TestFormulationErrorOrder:
     @pytest.mark.parametrize("failing, surfaced", [
         (("q:object", "q:scene", "q:fact"), TemplateId.OBJECT_QUERY),
@@ -938,15 +1024,15 @@ _PINNED_TRACE = [
 
 
 class TestPoolSubmissions:
-    def test_only_the_pair_pool_is_handed_pairs(self, monkeypatch):
+    def test_each_pair_is_submitted_once_and_no_call_carries_one(self, monkeypatch):
         # The benchmark attributes a span to a pair by the pair argument of a
-        # submit, so only the pair pool may receive one.
+        # submit, so a pair's first task carries it and no call task may.
         original = ThreadPoolExecutor.submit
         submits = []
 
         def recording_submit(pool, fn, /, *args, **kwargs):
-            carried = [a for a in (*args, *kwargs.values()) if isinstance(a, ImageTextPair)]
-            submits.append((pool._thread_name_prefix, carried))
+            submits.append([a for a in (*args, *kwargs.values())
+                            if isinstance(a, ImageTextPair)])
             return original(pool, fn, *args, **kwargs)
 
         monkeypatch.setattr(ThreadPoolExecutor, "submit", recording_submit)
@@ -961,10 +1047,11 @@ class TestPoolSubmissions:
         outcome = run_batch(pairs, DetectionMethod.UNIHD,
                             _backends(detections=_ATHLETE_DETECTIONS), gateway, width=2)
         assert outcome.ok
-        handed = [pair.id for prefix, carried in submits if prefix == "pairs"
-                  for pair in carried]
-        assert sorted(handed) == [pair.id for pair in pairs]
-        calls = [carried for prefix, carried in submits if prefix == "calls"]
+        # Each pair once, alone in its submit; a call task that carried a
+        # pair would show up here as a second submit of it.
+        handed = [carried for carried in submits if carried]
+        assert sorted(pair.id for [pair] in handed) == [pair.id for pair in pairs]
+        calls = [carried for carried in submits if not carried]
         # Per pair, all of each task list but its last: the scene-text and
         # fact formulations, object detection (its list ends with the
         # attribute formulation), and every distinct attribute or fact
@@ -978,7 +1065,6 @@ class TestPoolSubmissions:
             pooled += 2 + bool(labels) + max(len(attributes) - 1, 0) + max(len(facts) - 1, 0)
         assert pooled == len(pairs) * 3
         assert len(calls) == pooled
-        assert not any(calls)
 
 
 # --- generated formulation replies ------------------------------------------------------
