@@ -4,10 +4,11 @@ After Bitcask, each :class:`DiskCache` appends to a segment of its own,
 ``segments/<time_ns>-<pid>-<random>.log``, opened at its first put. A record
 is one line: a :class:`CacheKey` digest, a space, and compact JSON carrying the
 value and its digest, so tampering is caught on read. Opening a store indexes
-its segments in name (creation) order without parsing JSON; a later record of
-a key wins. A get is a dict lookup plus, on a hit, one ``os.pread``; a put is
-one ``os.write``. A torn tail (no final newline) is never indexed, and a write
-that fails abandons its segment. Other processes' new records show on reopen.
+its segments in name (creation) order without parsing JSON, and creates
+nothing; a later record of a key wins. A get is a dict lookup plus, on a hit,
+one ``os.pread``; a put is one ``os.write``. A torn tail (no final newline) is
+never indexed, and a write that fails abandons its segment. Other processes'
+new records show on reopen.
 """
 
 from __future__ import annotations
@@ -94,8 +95,7 @@ class DiskCache:
         if (self.directory / "objects").is_dir():
             raise ConfigInvalid(f"{self.directory} holds a cache in the old one-file-per-entry "
                                 "layout (objects/); delete that directory and run again")
-        self._segments = self.directory / "segments"
-        self._segments.mkdir(parents=True, exist_ok=True)
+        self._segments = self.directory / "segments"  # made by the first put
         self._lock = threading.Lock()
         self._index: dict[str, tuple[str, int, int]] = {}  # digest -> (segment, offset, length)
         self._fds: dict[str, int] = {}  # segment -> descriptor, opened at first use
@@ -152,7 +152,7 @@ class DiskCache:
         with self._lock:
             if self._writer is None:
                 name = f"{time.time_ns()}-{os.getpid()}-{os.urandom(4).hex()}.log"
-                self._segments.mkdir(parents=True, exist_ok=True)  # it may have been removed
+                self._segments.mkdir(parents=True, exist_ok=True)
                 self._fds[name] = os.open(self._segments / name,
                                           os.O_RDWR | os.O_APPEND | os.O_CREAT | os.O_EXCL, 0o666)
                 self._writer, self._end = name, 0
@@ -199,6 +199,7 @@ class DiskCache:
             hits, misses = self.hits, self.misses
             self.hits = 0
             self.misses = 0
+        self.directory.mkdir(parents=True, exist_ok=True)
         with open(self.directory / "stats.lock", "a") as lock:
             fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
             totals = self.persisted_stats()

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import bench as bench_io
 from .cache import DiskCache
-from .config import BACKENDS, RunConfig, build_config, build_gateway, build_tools
+from .config import BACKENDS, RunConfig, build_backends, build_config
 from .errors import HalodetError, MissingCategoryTags, MissingDemonstrations
 from .executor import load_run_results, run_batch, write_run_dir
 from .metrics import (
@@ -62,8 +62,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
         if not config.bench:
             raise HalodetError("detect needs --bench")
         pairs = bench_io.load_detection_input(config.bench)
-        gateway = build_gateway(config)
-        tools = build_tools(config, gateway)
+        gateway, tools = build_backends(config)
         demonstrations = ()
         if config.method == "selfcheck2":
             if not config.demos:

@@ -27,10 +27,7 @@ from .tools import (
     HttpFactSearcher,
     HttpObjectDetector,
     HttpSceneTextReader,
-    NullAttributeAnswerer,
-    NullFactSearcher,
-    NullObjectDetector,
-    NullSceneTextReader,
+    NullTool,
     ToolBackendSet,
     mock_backend_set,
 )
@@ -81,6 +78,13 @@ def _parse_scalar(raw: str, where: str) -> Any:
 
 BACKENDS = ("mock", "live")
 _TOOL_MODES = ("default", "null")
+# Each tool switch and the ToolBackendSet slot that its "null" empties.
+TOOL_SWITCHES = {
+    "object_tool": "object_detector",
+    "attribute_tool": "attribute_answerer",
+    "scene_text_tool": "scene_text_reader",
+    "fact_tool": "fact_searcher",
+}
 
 
 @dataclass
@@ -126,7 +130,7 @@ class RunConfig:
             raise ConfigInvalid("mock backend needs --fixtures")
         if self.backend == "live" and not self.model_endpoint:
             raise ConfigInvalid("live backend needs model_endpoint")
-        for name in ("object_tool", "attribute_tool", "scene_text_tool", "fact_tool"):
+        for name in TOOL_SWITCHES:
             if getattr(self, name) not in _TOOL_MODES:
                 raise ConfigInvalid(f"{name} must be one of {_TOOL_MODES}")
 
@@ -196,42 +200,31 @@ def _coerce(name: str, value: Any) -> Any:
 # --- wiring ----------------------------------------------------------------------
 
 
-def build_gateway(config: RunConfig, env: dict[str, str] | None = None) -> ModelGateway:
+def build_backends(config: RunConfig, env: dict[str, str] | None = None
+                   ) -> tuple[ModelGateway, ToolBackendSet]:
+    """The model gateway and the four tools; mock ones replay one fixture store, opened once."""
     env = dict(os.environ) if env is None else env
+    request_log = config.request_log or None
     if config.backend == "mock":
         if not Path(config.fixtures).is_dir():
             raise ConfigInvalid(f"fixture directory not found: {config.fixtures}")
-        backend = MockModelBackend(DiskCache(config.fixtures))
+        store = DiskCache(config.fixtures)
+        gateway = ModelGateway(MockModelBackend(store), request_log=request_log)
+        tools = mock_backend_set(store)
     else:
         api_key = env.get(MODEL_API_KEY_ENV, "")
+        search_key = env.get(SEARCH_API_KEY_ENV, "")
+        tool_key = env.get(TOOL_API_KEY_ENV) or None
         if not api_key:
             raise ConfigInvalid(f"live backend needs {MODEL_API_KEY_ENV} set")
-        backend = HttpModelBackend(
-            endpoint=config.model_endpoint,
-            api_key=api_key,
-            model=config.model_name,
-        )
-    return ModelGateway(
-        backend,
-        request_log=config.request_log or None,
-    )
-
-
-def build_tools(
-    config: RunConfig,
-    gateway: ModelGateway,
-    env: dict[str, str] | None = None,
-) -> ToolBackendSet:
-    env = dict(os.environ) if env is None else env
-    if config.backend == "mock":
-        tools = mock_backend_set(config.fixtures)
-    else:
-        tool_key = env.get(TOOL_API_KEY_ENV) or None
-        search_key = env.get(SEARCH_API_KEY_ENV, "")
         if not config.detector_endpoint or not config.ocr_endpoint:
             raise ConfigInvalid("live tools need detector_endpoint and ocr_endpoint")
         if not search_key:
             raise ConfigInvalid(f"live fact search needs {SEARCH_API_KEY_ENV} set")
+        gateway = ModelGateway(
+            HttpModelBackend(config.model_endpoint, api_key=api_key, model=config.model_name),
+            request_log=request_log,
+        )
         tools = ToolBackendSet(
             object_detector=HttpObjectDetector(
                 config.detector_endpoint, api_key=tool_key,
@@ -241,12 +234,7 @@ def build_tools(
             scene_text_reader=HttpSceneTextReader(config.ocr_endpoint, api_key=tool_key),
             fact_searcher=HttpFactSearcher(search_key, endpoint=config.search_endpoint),
         )
-    if config.object_tool == "null":
-        tools.object_detector = NullObjectDetector()
-    if config.attribute_tool == "null":
-        tools.attribute_answerer = NullAttributeAnswerer()
-    if config.scene_text_tool == "null":
-        tools.scene_text_reader = NullSceneTextReader()
-    if config.fact_tool == "null":
-        tools.fact_searcher = NullFactSearcher()
-    return tools
+    for switch, slot in TOOL_SWITCHES.items():
+        if getattr(config, switch) == "null":
+            setattr(tools, slot, NullTool())
+    return gateway, tools

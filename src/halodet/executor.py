@@ -47,6 +47,7 @@ from .model import (
     ImageTextPair,
     Verdict,
     evidence_from_json,
+    of_type,
     validate_pair,
 )
 from .prompts import TemplateId, render_claim_list, template_digests
@@ -299,6 +300,8 @@ class _PairCalls:
         if isinstance(outcome, Exception):
             # So failure records can show which stages did complete.
             outcome.completed_trace = self.trace()  # type: ignore[attr-defined]
+        # No call is left; an error kept here would tie a cycle through its traceback.
+        self._tools, self._failures, self._replies = {}, {}, {}
         self._batch.store(self._position, outcome)
 
     def _formulation(self, pair: ImageTextPair, claim_list: str, template: TemplateId,
@@ -505,6 +508,14 @@ def run_batch(
     results = [outcome for outcome in outcomes if isinstance(outcome, DetectionResult)]
     failures = [PairFailure(pair.id, type(exc).__name__, str(exc), exc.completed_trace)
                 for pair, exc in zip(pairs, outcomes) if isinstance(exc, Exception)]
+    # A failure keeps its type, message and trace. Tracebacks go, along each
+    # cause and context: their frames hold the pair's calls, which hold them.
+    chain = [exc for exc in outcomes if isinstance(exc, Exception)]
+    while chain:
+        exc = chain.pop()
+        if exc is not None and exc.__traceback__ is not None:
+            exc.__traceback__ = None
+            chain += (exc.__cause__, exc.__context__)
     for failure in failures:
         logger.warning("pair %s failed: %s", failure.pair_id, failure.message)
     if cache is not None:
@@ -578,12 +589,12 @@ def load_result_payload(path: str | Path) -> DetectionResult:
             data = json.loads(file.read())
         plan = data.get("plan")
         return DetectionResult(
-            str(data["pair_id"]),
+            of_type(data["pair_id"], str),
             DetectionMethod(data["method"]),
             tuple(map(Verdict.from_json, data["verdicts"])),
             ToolPlan.from_json(plan) if plan is not None else None,
             EvidenceBundle.from_json(data["evidence"]),
-            bool(data["degraded"]),
+            of_type(data["degraded"], bool),
             (),
         )
     except KeyError as exc:

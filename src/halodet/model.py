@@ -3,8 +3,8 @@
 Pairs, claims, segments, labels, evidence, and verdicts are immutable value
 objects with canonical JSON encodings. The input files that hold pairs are
 decoded and checked by :mod:`halodet.bench`; the decoders here read back what
-a run wrote (verdicts and evidence). Enum vocabularies are closed: decoding
-rejects anything outside them instead of coercing.
+a run wrote (verdicts and evidence). Enum vocabularies and JSON types are
+closed: decoding rejects anything outside them instead of coercing.
 
 Pair-level structural invariants are checked by :func:`validate_pair`, which
 reports violations as data rather than raising, so that malformed inputs can
@@ -75,6 +75,23 @@ def parse_claim_key(key: str) -> int:
     return index
 
 
+_NUMBER, _STRING = frozenset({float, int}), frozenset({str})
+
+
+def of_type(value: Any, kind: type) -> Any:
+    """``value`` if its type is exactly ``kind``, as in decoded JSON (true is no int)."""
+    if type(value) is not kind:
+        raise TypeError(f"expected {kind.__name__}, got {value!r}")
+    return value
+
+
+def string_tuple(value: Any) -> tuple[str, ...]:
+    """A JSON list of strings, as a tuple."""
+    if type(value) is not list or not _STRING.issuperset(map(type, value)):
+        raise TypeError(f"expected a list of strings, got {value!r}")
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class ImageRef:
     """Reference to an image: presentation path/URL plus content identity.
@@ -108,7 +125,10 @@ class NormBox:
 
     @classmethod
     def from_json(cls, data: dict[str, Any]) -> "NormBox":
-        return cls(float(data["x1"]), float(data["y1"]), float(data["x2"]), float(data["y2"]))
+        coords = (data["x1"], data["y1"], data["x2"], data["y2"])
+        if not _NUMBER.issuperset(map(type, coords)):
+            raise TypeError(f"expected numbers, got {coords!r}")
+        return cls(*map(float, coords))
 
 
 def validate_norm_box(box: NormBox) -> bool:
@@ -221,10 +241,12 @@ class FactEvidence:
 Evidence = Union[ObjectEvidence, AttributeEvidence, SceneTextEvidence, FactEvidence]
 
 _EVIDENCE_DECODERS: dict[Any, Callable[[dict[str, Any]], Evidence]] = {
-    "object": lambda d: ObjectEvidence(str(d["label"]), NormBox.from_json(d["box"])),
-    "attribute": lambda d: AttributeEvidence(str(d["question"]), str(d["answer"])),
-    "scene-text": lambda d: SceneTextEvidence(str(d["text"]), NormBox.from_json(d["box"])),
-    "fact": lambda d: FactEvidence(str(d["question"]), tuple(map(str, d["snippets"]))),
+    "object": lambda d: ObjectEvidence(of_type(d["label"], str), NormBox.from_json(d["box"])),
+    "attribute": lambda d: AttributeEvidence(of_type(d["question"], str),
+                                             of_type(d["answer"], str)),
+    "scene-text": lambda d: SceneTextEvidence(of_type(d["text"], str),
+                                              NormBox.from_json(d["box"])),
+    "fact": lambda d: FactEvidence(of_type(d["question"], str), string_tuple(d["snippets"])),
 }
 
 
@@ -307,8 +329,9 @@ class Verdict:
 
     @classmethod
     def from_json(cls, data: dict[str, Any]) -> "Verdict":
-        return cls(int(data["claim_index"]), _LABELS.get(data["label"]) or Label(data["label"]),
-                   str(data["rationale"]),
+        return cls(of_type(data["claim_index"], int),
+                   _LABELS.get(data["label"]) or Label(data["label"]),
+                   of_type(data["rationale"], str),
                    frozenset(map(ParseFlag, data.get("parse_flags", ()))))
 
 

@@ -41,6 +41,7 @@ from .model import (
     Verdict,
     claim_key,
     parse_claim_key,
+    string_tuple,
 )
 from .prompts import (
     RenderedPrompt,
@@ -106,8 +107,10 @@ class ToolPlan:
         except KeyError:
             raise ValueError("plan does not cover claims 1..n exactly once") from None
         return cls(tuple([
-            ClaimQueries(tuple(v["object_labels"]), tuple(v["attribute_questions"]),
-                         tuple(v["scene_text_questions"]), tuple(v["fact_questions"]))
+            ClaimQueries(string_tuple(v["object_labels"]),
+                         string_tuple(v["attribute_questions"]),
+                         string_tuple(v["scene_text_questions"]),
+                         string_tuple(v["fact_questions"]))
             for v in entries
         ]))
 
@@ -315,7 +318,10 @@ def _parse_verdict_entry(entry: Any, n_claims: int, repaired: bool) -> Verdict:
     if len(claim_keys) != 1:
         raise UnparseableModelOutput(f"verdict entry needs exactly one claim key: {entry!r}")
     key = str(claim_keys[0])
-    index = parse_claim_key(key)
+    try:
+        index = parse_claim_key(key)
+    except ValueError as exc:
+        raise UnparseableModelOutput(str(exc)) from exc
     if not 1 <= index <= n_claims:
         raise ClaimCountMismatch(n_claims, index)
     raw_label = entry[claim_keys[0]]

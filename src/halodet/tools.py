@@ -1,12 +1,12 @@
 """The four aspect-oriented evidence tools and their shared contracts.
 
 Each family (object detection, attribute answering, scene-text reading,
-fact search) has a protocol, a live HTTP client, a deterministic mock
-replaying a cache store under the executor's own keys, and a null
-implementation that always returns nothing (so ablations are a config
-change). The module-level operations
-(:func:`detect_objects` etc.) enforce the family's postconditions (label
-vocabulary, box validity, deterministic ordering) regardless of backend.
+fact search) has a protocol, a live HTTP client, and a deterministic mock
+replaying a cache store under the executor's own keys. One null tool,
+which finds nothing, stands in for any family (so ablations are a config
+change). The module-level operations (:func:`detect_objects` etc.) enforce
+the family's postconditions (label vocabulary, box validity, deterministic
+ordering) regardless of backend.
 
 :func:`format_evidence_sections` turns a collected bundle into the four
 text blocks the verification prompts bind; empty families render exactly
@@ -15,8 +15,7 @@ text blocks the verification prompts bind; empty families render exactly
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Protocol, Sequence
 
 from .cache import CacheKey, DiskCache
@@ -85,7 +84,7 @@ class FactSearcher(Protocol):
 
 @dataclass
 class ToolBackendSet:
-    """The four tool slots; every slot must be populated (null tools count)."""
+    """The four tool slots; every slot must be populated (the null tool counts)."""
 
     object_detector: ObjectDetector
     attribute_answerer: AttributeAnswerer
@@ -93,12 +92,7 @@ class ToolBackendSet:
     fact_searcher: FactSearcher
 
     def backend_ids(self) -> dict[str, str]:
-        return {
-            "object_detector": self.object_detector.backend_id,
-            "attribute_answerer": self.attribute_answerer.backend_id,
-            "scene_text_reader": self.scene_text_reader.backend_id,
-            "fact_searcher": self.fact_searcher.backend_id,
-        }
+        return {slot.name: getattr(self, slot.name).backend_id for slot in fields(self)}
 
 
 # --- family operations (backend-independent postconditions) -----------------
@@ -189,48 +183,27 @@ def format_evidence_sections(evidence: EvidenceBundle) -> dict[str, str]:
     Keys match the verification templates' slot names. Any family with no
     evidence renders exactly ``none information``.
     """
-    if evidence.objects:
-        object_block = "\n".join(
-            f"{e.label} {format_box(e.box)}" for e in evidence.objects
-        )
-    else:
-        object_block = NONE_INFORMATION
-
-    if evidence.attributes:
-        attribute_block = "\n".join(
-            f"question: {e.question}\nanswer: {e.answer}" for e in evidence.attributes
-        )
-    else:
-        attribute_block = NONE_INFORMATION
-
-    if evidence.scene_texts:
-        scene_block = "\n".join(
-            f"{e.text} {format_box(e.box)}" for e in evidence.scene_texts
-        )
-    else:
-        scene_block = NONE_INFORMATION
-
-    if evidence.facts:
-        blocks = []
-        for fact in evidence.facts:
-            lines = [f"question: {fact.question}"]
-            if fact.snippets:
-                lines.extend(f"{i}. {text}" for i, text in enumerate(fact.snippets, start=1))
-            else:
-                lines.append("(no results)")
-            block = "\n".join(lines)
-            if len(block) > FACT_BLOCK_CHAR_LIMIT:
-                block = block[:FACT_BLOCK_CHAR_LIMIT] + " ..."
-            blocks.append(block)
-        fact_block = "\n".join(blocks)
-    else:
-        fact_block = NONE_INFORMATION
-
+    facts = []
+    for fact in evidence.facts:
+        lines = [f"question: {fact.question}"]
+        if fact.snippets:
+            lines.extend(f"{i}. {text}" for i, text in enumerate(fact.snippets, start=1))
+        else:
+            lines.append("(no results)")
+        block = "\n".join(lines)
+        if len(block) > FACT_BLOCK_CHAR_LIMIT:
+            block = block[:FACT_BLOCK_CHAR_LIMIT] + " ..."
+        facts.append(block)
+    # Every line is non-empty, so a block is empty only for a family with no evidence.
     return {
-        "object_evidence": object_block,
-        "attribute_evidence": attribute_block,
-        "scene_text_evidence": scene_block,
-        "fact_evidence": fact_block,
+        "object_evidence": "\n".join(
+            f"{e.label} {format_box(e.box)}" for e in evidence.objects) or NONE_INFORMATION,
+        "attribute_evidence": "\n".join(
+            f"question: {e.question}\nanswer: {e.answer}" for e in evidence.attributes
+        ) or NONE_INFORMATION,
+        "scene_text_evidence": "\n".join(
+            f"{e.text} {format_box(e.box)}" for e in evidence.scene_texts) or NONE_INFORMATION,
+        "fact_evidence": "\n".join(facts) or NONE_INFORMATION,
     }
 
 
@@ -301,32 +274,22 @@ class GatewayAttributeAnswerer:
         return answer_attribute(image, question, self._gateway)
 
 
-# --- null tools -----------------------------------------------------------------
+# --- null tool ---------------------------------------------------------------------
 
 
-class NullObjectDetector:
+class NullTool:
+    """Finds nothing, in every family: a tool slot switched off holds one."""
+
     backend_id = "null"
 
     def detect(self, image: ImageRef, labels: Sequence[str]) -> list[ObjectEvidence]:
         return []
 
-
-class NullSceneTextReader:
-    backend_id = "null"
-
     def read(self, image: ImageRef) -> list[SceneTextEvidence]:
         return []
 
-
-class NullFactSearcher:
-    backend_id = "null"
-
     def search(self, question: str, top_k: int) -> list[FactSnippet]:
         return []
-
-
-class NullAttributeAnswerer:
-    backend_id = "null"
 
     def answer(self, image: ImageRef, question: str) -> AttributeEvidence:
         return AttributeEvidence(question=question, answer=NONE_INFORMATION)
@@ -442,9 +405,8 @@ class HttpFactSearcher(_HttpToolClient):
         return snippets
 
 
-def mock_backend_set(store_dir: str | Path) -> ToolBackendSet:
+def mock_backend_set(store: DiskCache) -> ToolBackendSet:
     """All four tools replaying one cache store."""
-    store = DiskCache(store_dir)
     return ToolBackendSet(
         object_detector=MockObjectDetector(store),
         attribute_answerer=MockAttributeAnswerer(store),

@@ -180,11 +180,19 @@ class TestDiskCache:
         )
 
     def test_put_recreates_a_removed_shard(self, tmp_path):
+        DiskCache(tmp_path).put(_key("other"), "first")  # opening alone creates nothing
         cache = DiskCache(tmp_path)
         shutil.rmtree(tmp_path / "segments")
         cache.put(_key(), "second")
         assert cache.get(_key()) == (True, "second")
         assert DiskCache(tmp_path).get(_key()) == (True, "second")
+
+    def test_flush_stats_creates_the_directory(self, tmp_path):
+        cache = DiskCache(tmp_path / "new")
+        assert not (tmp_path / "new").exists()
+        cache.get(_key())
+        cache.flush_stats()
+        assert DiskCache(tmp_path / "new").persisted_stats() == {"hits": 0, "misses": 1}
 
     def test_missing_key_counts_one_miss_and_creates_nothing(self, tmp_path):
         cache = DiskCache(tmp_path)

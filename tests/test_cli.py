@@ -61,6 +61,19 @@ class TestDetect:
         assert "manifest.json" in names and "errors.json" in names
         assert sum(1 for n in names if n not in ("manifest.json", "errors.json")) == 6
 
+    def test_a_mock_run_opens_its_fixture_store_once(self, scenario_dir, tmp_path,
+                                                    monkeypatch):
+        opened = []
+        init = DiskCache.__init__
+
+        def counting_init(self, directory):
+            opened.append(Path(directory))
+            init(self, directory)
+
+        monkeypatch.setattr(DiskCache, "__init__", counting_init)
+        assert main(_detect_args(scenario_dir, tmp_path, "r1")) == 0
+        assert opened == [scenario_dir / "mock", tmp_path / "cache"]
+
     def test_missing_bench_is_config_error(self, scenario_dir, tmp_path, capsys):
         code = main([
             "detect", "--backend", "mock",
@@ -369,6 +382,13 @@ class TestStatsAndCache:
         )
         assert stat["entries"] == backend_calls
         assert stat["misses"] >= stat["entries"]
+
+    def test_cache_stat_on_a_missing_directory_creates_nothing(self, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        assert main(["cache", "stat", "--cache-dir", str(missing)]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "entries": 0, "bytes": 0, "hits": 0, "misses": 0}
+        assert not missing.exists()
 
     def test_cache_clear(self, scenario_dir, tmp_path, capsys):
         assert main(_detect_args(scenario_dir, tmp_path, "clear-run")) == 0

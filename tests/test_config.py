@@ -5,8 +5,21 @@ from __future__ import annotations
 import pytest
 
 from halodet.bench import load_demos
-from halodet.config import RunConfig, build_config, parse_config_file
+from halodet.config import (
+    TOOL_SWITCHES,
+    RunConfig,
+    build_backends,
+    build_config,
+    parse_config_file,
+)
 from halodet.errors import ConfigInvalid
+from halodet.tools import (
+    MockAttributeAnswerer,
+    MockFactSearcher,
+    MockObjectDetector,
+    MockSceneTextReader,
+    NullTool,
+)
 
 
 def test_parse_flat_file(tmp_path):
@@ -80,24 +93,27 @@ def test_validation_rules():
 
 
 def test_live_mode_requires_credentials(tmp_path):
-    from halodet.config import build_gateway
-
     config = RunConfig(backend="live", model_endpoint="https://model.example")
     with pytest.raises(ConfigInvalid) as exc_info:
-        build_gateway(config, env={})
+        build_backends(config, env={})
     assert "HALODET_MODEL_API_KEY" in str(exc_info.value)
 
 
-def test_null_tool_selection(tmp_path):
-    from halodet.config import build_tools
-    from halodet.tools import NullFactSearcher
+_MOCK_IDS = {
+    "object_detector": MockObjectDetector.backend_id,
+    "attribute_answerer": MockAttributeAnswerer.backend_id,
+    "scene_text_reader": MockSceneTextReader.backend_id,
+    "fact_searcher": MockFactSearcher.backend_id,
+}
 
-    for family in ("model", "object", "attribute", "scene_text", "facts"):
-        (tmp_path / family).mkdir()
-    config = RunConfig(backend="mock", fixtures=str(tmp_path), fact_tool="null")
-    tools = build_tools(config, gateway=None)
-    assert isinstance(tools.fact_searcher, NullFactSearcher)
-    assert tools.object_detector.backend_id == "mock-object-detector"
+
+@pytest.mark.parametrize("switch", list(TOOL_SWITCHES))
+def test_null_tool_selection(tmp_path, switch):
+    config = RunConfig(backend="mock", fixtures=str(tmp_path), **{switch: "null"})
+    _, tools = build_backends(config, env={})
+    slot = TOOL_SWITCHES[switch]
+    assert isinstance(getattr(tools, slot), NullTool)
+    assert tools.backend_ids() == {**_MOCK_IDS, slot: "null"}
 
 
 def test_load_demos(tmp_path):

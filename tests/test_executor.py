@@ -23,9 +23,15 @@ import e2e_scenario
 import store_records
 from conftest import image_ref, table_gateway
 from halodet.cache import DiskCache
-from halodet.errors import ConfigInvalid, InvalidImage, UnparseableModelOutput
+from halodet.errors import (
+    ConfigInvalid,
+    InvalidImage,
+    ResultFileInvalid,
+    UnparseableModelOutput,
+)
 from halodet.executor import (
     BatchOutcome,
+    DetectionResult,
     load_result_payload,
     load_run_results,
     run_batch,
@@ -35,6 +41,8 @@ from halodet.executor import (
 from halodet.gateway import ModelGateway
 from halodet.model import (
     Claim,
+    EvidenceBundle,
+    FactEvidence,
     ImageTextPair,
     Label,
     NormBox,
@@ -42,9 +50,10 @@ from halodet.model import (
     ParseFlag,
     SceneTextEvidence,
     TaskType,
+    Verdict,
 )
 from halodet.prompts import TemplateId
-from halodet.stages import DetectionMethod, formulate_queries
+from halodet.stages import ClaimQueries, DetectionMethod, ToolPlan, formulate_queries
 from halodet.tools import FactSnippet, ToolBackendSet
 
 
@@ -533,6 +542,39 @@ class TestRunDir:
         with pytest.raises(FileExistsError):
             write_run_dir(tmp_path, "dup", outcome, DetectionMethod.UNIHD, {})
 
+    def _edge_case_result(self):
+        box = NormBox(0.1, 0.2, 0.5, 0.6)
+        return DetectionResult(
+            "p1", DetectionMethod.UNIHD, (Verdict(1, Label.HALLUCINATORY, "r"),),
+            ToolPlan((ClaimQueries(object_labels=("dog",),
+                                   fact_questions=("Where is Huawei based?",)),)),
+            EvidenceBundle(objects=(ObjectEvidence("dog", box),),
+                           facts=(FactEvidence("Where is Huawei based?", ("Shenzhen",)),)),
+            False, ())
+
+    @pytest.mark.parametrize("edit", [
+        lambda p: p["verdicts"][0].update(claim_index=True),
+        lambda p: p["verdicts"][0].update(rationale=None),
+        lambda p: p.update(degraded="no"),
+        lambda p: p["evidence"]["objects"][0].update(label=None),
+        lambda p: p["evidence"]["objects"][0]["box"].update(x1=True),
+        lambda p: p["evidence"]["facts"][0].update(snippets="Shenzhen"),
+        lambda p: p["plan"]["claim1"].update(object_labels="dog"),
+    ], ids=["claim-index-true", "rationale-null", "degraded-string", "label-null",
+            "box-coordinate-true", "snippets-string", "plan-labels-string"])
+    def test_a_value_of_the_wrong_type_is_rejected(self, tmp_path, edit):
+        result = self._edge_case_result()
+        run_dir = write_run_dir(tmp_path, "run", BatchOutcome([result], []),
+                                DetectionMethod.UNIHD, {})
+        assert load_run_results(run_dir) == [result]
+        path = run_dir / "p1.json"
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ResultFileInvalid) as exc_info:
+            load_run_results(run_dir)
+        assert exc_info.value.path == str(path)
+
 
 # --- call scheduling ---------------------------------------------------------------
 
@@ -687,22 +729,26 @@ class TestCallScheduling:
 
     def test_a_batch_leaves_no_reference_cycles(self):
         # A cycle keeps each pair's calls, replies and evidence alive until
-        # the collector runs, which costs CPU and memory on every batch.
-        _scenario_run(None)
-        gc.collect()
-        gc.disable()
-        try:
-            assert _scenario_run(None).ok
-            assert gc.collect() == 0
-        finally:
-            gc.enable()
+        # the collector runs, which costs CPU and memory on every batch. A
+        # failed pair's error, whose traceback holds its calls, ties none.
+        for shaker, failed in ((None, 0), (_SearchDown(), 2)):
+            _scenario_run(None, shaker)
+            gc.collect()
+            gc.disable()
+            try:
+                assert len(_scenario_run(None, shaker).failures) == failed
+                assert gc.collect() == 0
+            finally:
+                gc.enable()
 
     def test_pair_settles_every_call_before_raising(self):
         clock = _Clock()
         backends = _timed_backends(clock, delay=0.15, search_error=RuntimeError("search down"))
-        with pytest.raises(RuntimeError, match="search down"):
+        with pytest.raises(RuntimeError, match="search down") as exc_info:
             run_detection(_athlete_pair(), DetectionMethod.UNIHD, backends,
                           _timed_gateway(_timed_rules(), clock))
+        # The pair's own error, traceback and all.
+        assert "evidence" in {entry.name for entry in exc_info.traceback}
         assert clock.in_flight == 0
         assert {n for n, _, _ in clock.calls} >= {"detect", "read", "search", "answer"}
 
@@ -934,6 +980,20 @@ class _Shaker:
             return call(*args)
 
         return types.SimpleNamespace(backend_id=backend.backend_id, **{method: shaken})
+
+
+class _SearchDown:
+    """Fails every fact search, and so the scenario's two pairs that search."""
+
+    @staticmethod
+    def wrap(backend, method):
+        if method != "search":
+            return backend
+
+        def search(question, top_k):
+            raise RuntimeError("search down")
+
+        return types.SimpleNamespace(backend_id=backend.backend_id, search=search)
 
 
 def _scenario_run(cache, shaker=None):

@@ -23,14 +23,13 @@ import sys, tempfile
 import halodet
 from halodet import cli
 from halodet.gateway import MockModelBackend
-from halodet.tools import (NullAttributeAnswerer, NullFactSearcher,
-                           NullObjectDetector, NullSceneTextReader, mock_backend_set)
+from halodet.tools import NullTool, mock_backend_set
 
 with tempfile.TemporaryDirectory() as tmp:
-    halodet.ModelGateway(MockModelBackend(halodet.DiskCache(tmp + "/store")))
-    assert mock_backend_set(tmp + "/store").fact_searcher.search("q", 3) == []
-    halodet.ToolBackendSet(NullObjectDetector(), NullAttributeAnswerer(),
-                           NullSceneTextReader(), NullFactSearcher())
+    store = halodet.DiskCache(tmp + "/store")
+    halodet.ModelGateway(MockModelBackend(store))
+    assert mock_backend_set(store).fact_searcher.search("q", 3) == []
+    halodet.ToolBackendSet(NullTool(), NullTool(), NullTool(), NullTool())
     halodet.DiskCache(tmp + "/cache")
     code = cli.main(["stats", "--bench", "tests/fixtures/bench6.json"])
 assert code == 0, code

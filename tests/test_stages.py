@@ -357,3 +357,19 @@ def test_self_check_2shot_binds_demos_and_images():
 def test_self_check_rejects_other_shot_counts():
     with pytest.raises(ValueError):
         self_check(_pair(1), 1, gateway=None)
+
+
+@pytest.mark.parametrize("key", ["claims", "claim01", "claim_1"])
+def test_a_malformed_claim_key_degrades_the_pair(key):
+    # A key that starts with "claim" but is not a claim key is unparseable
+    # output: retried once, then salvaged, never the pair's error.
+    from halodet.executor import run_batch
+    from halodet.stages import DetectionMethod
+
+    gateway = table_gateway([("", json.dumps([{key: "hallucination", "reason": "r"}]))])
+    outcome = run_batch([_pair(1)], DetectionMethod.SELF_CHECK_0SHOT, None, gateway)
+    assert outcome.ok
+    assert gateway.backend.calls == 2
+    [result] = outcome.results
+    assert result.degraded
+    assert all(ParseFlag.UNVERIFIED in v.parse_flags for v in result.verdicts)

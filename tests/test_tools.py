@@ -25,9 +25,8 @@ from halodet.tools import (
     MockFactSearcher,
     MockObjectDetector,
     MockSceneTextReader,
-    NullFactSearcher,
-    NullObjectDetector,
-    NullSceneTextReader,
+    NONE_INFORMATION,
+    NullTool,
     answer_attribute,
     detect_objects,
     fact_snippet_line,
@@ -157,7 +156,7 @@ class TestFactSearch:
 
     def test_empty_question_rejected(self):
         with pytest.raises(ValueError):
-            search_facts(NullFactSearcher(), "", 3)
+            search_facts(NullTool(), "", 3)
 
 
 class TestAttributeAnswer:
@@ -272,9 +271,12 @@ class TestFactSnippetLine:
 
 class TestNullTools:
     def test_null_tools_return_empty(self):
-        assert NullObjectDetector().detect(image_ref("a"), ["x"]) == []
-        assert NullSceneTextReader().read(image_ref("a")) == []
-        assert NullFactSearcher().search("q", 3) == []
+        tool = NullTool()
+        assert tool.backend_id == "null"
+        assert tool.detect(image_ref("a"), ["x"]) == []
+        assert tool.read(image_ref("a")) == []
+        assert tool.search("q", 3) == []
+        assert tool.answer(image_ref("a"), "red?") == AttributeEvidence("red?", NONE_INFORMATION)
 
 
 class TestMockKeys:
