@@ -83,7 +83,6 @@ def cmd_detect(args: argparse.Namespace) -> int:
         gateway,
         cache=cache,
         width=config.width,
-        fact_top_k=config.fact_top_k,
         demonstrations=demonstrations,
     )
     run_dir = write_run_dir(
@@ -212,9 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     detect.add_argument("--no-cache", action="store_true",
                         help="bypass the response cache")
     detect.add_argument("--cache-dir", dest="cache_dir", help="cache directory")
-    detect.add_argument("--fact-top-k", dest="fact_top_k", type=int,
-                        help="search snippets per fact question "
-                             f"(default {RunConfig.fact_top_k})")
     detect.add_argument("--demos", help="self-check demonstrations JSON file")
     detect.add_argument("--request-log", dest="request_log",
                         help="append every model request/reply to this JSONL file")

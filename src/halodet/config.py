@@ -20,8 +20,6 @@ from .gateway import HttpModelBackend, MockModelBackend, ModelGateway
 from .model import NAME_RE
 from .stages import DetectionMethod
 from .tools import (
-    DEFAULT_DETECTOR_THRESHOLD,
-    DEFAULT_FACT_TOP_K,
     DEFAULT_SEARCH_ENDPOINT,
     GatewayAttributeAnswerer,
     HttpFactSearcher,
@@ -100,8 +98,6 @@ class RunConfig:
     width: int = 4
     cache_dir: str = ".halodet-cache"
     cache: bool = True
-    fact_top_k: int = DEFAULT_FACT_TOP_K
-    detector_threshold: float = DEFAULT_DETECTOR_THRESHOLD
     demos: str = ""
     request_log: str = ""
     model_endpoint: str = ""
@@ -120,8 +116,6 @@ class RunConfig:
                                 "other than . and ..")
         if self.width < 1:
             raise ConfigInvalid(f"width must be >= 1, got {self.width}")
-        if self.fact_top_k < 1:
-            raise ConfigInvalid(f"fact_top_k must be >= 1, got {self.fact_top_k}")
         if self.method not in {m.value for m in DetectionMethod}:
             raise ConfigInvalid(f"unknown method {self.method!r}")
         if self.backend not in BACKENDS:
@@ -143,7 +137,9 @@ class RunConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+# Every field's default has the field's type: str, int or bool.
+_FIELD_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
+_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
 def build_config(
@@ -151,50 +147,51 @@ def build_config(
     flag_values: dict[str, Any] | None = None,
     env: dict[str, str] | None = None,
 ) -> RunConfig:
-    """Layer file, environment, and flags into one validated RunConfig."""
+    """Layer file, environment, and flags into one validated RunConfig.
+
+    A file or flag value must already have its field's type (a bool is no
+    int); an environment string is parsed by it. Anything else is
+    ConfigInvalid, naming the key or the variable.
+    """
     env = dict(os.environ) if env is None else env
     merged: dict[str, Any] = {}
 
     if file_path is not None:
-        file_values = parse_config_file(file_path)
-        for key in file_values:
+        for key, value in parse_config_file(file_path).items():
             if key.endswith("api_key"):
                 raise ConfigInvalid(
                     f"{key}: secrets must come from the environment, not config files"
                 )
-            if key not in _FIELD_TYPES:
-                raise ConfigInvalid(f"unknown config key {key!r}")
-        merged.update(file_values)
+            merged[key] = _checked(key, value, f"{file_path}: ")
 
-    for name in _FIELD_TYPES:
+    for name, kind in _FIELD_TYPES.items():
         env_key = ENV_PREFIX + name.upper()
         if env_key in env:
-            merged[name] = _coerce(name, env[env_key])
+            merged[name] = _parsed(env_key, env[env_key], kind)
 
     for key, value in (flag_values or {}).items():
-        if value is None:
-            continue
-        if key not in _FIELD_TYPES:
-            raise ConfigInvalid(f"unknown config key {key!r}")
-        merged[key] = value
+        if value is not None:
+            merged[key] = _checked(key, value)
 
-    config = RunConfig(**{k: _coerce(k, v) for k, v in merged.items()})
+    config = RunConfig(**merged)
     config.validate()
     return config
 
 
-def _coerce(name: str, value: Any) -> Any:
-    target = _FIELD_TYPES[name]
-    if isinstance(value, str):
-        if target in (int, "int"):
-            return int(value)
-        if target in (float, "float"):
-            return float(value)
-        if target in (bool, "bool"):
-            return value.lower() in ("1", "true", "yes")
-    if target in (float, "float") and isinstance(value, int):
-        return float(value)
+def _checked(key: str, value: Any, where: str = "") -> Any:
+    kind = _FIELD_TYPES.get(key)
+    if kind is None:
+        raise ConfigInvalid(f"{where}unknown config key {key!r}")
+    if type(value) is not kind:
+        raise ConfigInvalid(f"{where}{key} must be {kind.__name__}, got {value!r}")
     return value
+
+
+def _parsed(variable: str, raw: str, kind: type) -> Any:
+    try:
+        return _BOOLS[raw.lower()] if kind is bool else kind(raw)
+    except (KeyError, ValueError):
+        raise ConfigInvalid(f"{variable} must be {kind.__name__}, got {raw!r}") from None
 
 
 # --- wiring ----------------------------------------------------------------------
@@ -226,10 +223,7 @@ def build_backends(config: RunConfig, env: dict[str, str] | None = None
             request_log=request_log,
         )
         tools = ToolBackendSet(
-            object_detector=HttpObjectDetector(
-                config.detector_endpoint, api_key=tool_key,
-                threshold=config.detector_threshold,
-            ),
+            object_detector=HttpObjectDetector(config.detector_endpoint, api_key=tool_key),
             attribute_answerer=GatewayAttributeAnswerer(gateway),
             scene_text_reader=HttpSceneTextReader(config.ocr_endpoint, api_key=tool_key),
             fact_searcher=HttpFactSearcher(search_key, endpoint=config.search_endpoint),

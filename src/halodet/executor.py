@@ -49,6 +49,7 @@ from .model import (
     evidence_from_json,
     of_type,
     validate_pair,
+    with_keys,
 )
 from .prompts import TemplateId, render_claim_list, template_digests
 from .stages import (
@@ -65,7 +66,7 @@ from .stages import (
     verify,
 )
 from .tools import (
-    DEFAULT_FACT_TOP_K,
+    FACT_TOP_K,
     ToolBackendSet,
     detect_objects,
     fact_snippet_line,
@@ -372,12 +373,12 @@ class _PairCalls:
         )
 
     def _search(self, question: str) -> list[_Task]:
-        searcher, top_k = self._batch.backends.fact_searcher, self._batch.fact_top_k
+        searcher = self._batch.backends.fact_searcher
         return self._tool(
             _SEARCH, question,
-            lambda: CacheKey.fact_search(question, top_k, searcher.backend_id),
+            lambda: CacheKey.fact_search(question, FACT_TOP_K, searcher.backend_id),
             lambda: FactEvidence(question=question, snippets=tuple(
-                fact_snippet_line(s) for s in search_facts(searcher, question, top_k)
+                fact_snippet_line(s) for s in search_facts(searcher, question, FACT_TOP_K)
             )).to_json(),
         )
 
@@ -421,7 +422,6 @@ class _Batch:
     backends: ToolBackendSet | None
     gateway: ModelGateway
     cache: DiskCache | None
-    fact_top_k: int
     demonstrations: Sequence[SelfCheckDemo]
 
     def __post_init__(self) -> None:
@@ -466,7 +466,6 @@ def run_detection(
     backends: ToolBackendSet | None,
     gateway: ModelGateway,
     cache: DiskCache | None = None,
-    fact_top_k: int = DEFAULT_FACT_TOP_K,
     demonstrations: Sequence[SelfCheckDemo] = (),
 ) -> DetectionResult:
     """Run one pair through the selected detection method, raising its error.
@@ -475,8 +474,7 @@ def run_detection(
     unannotated pair goes through the extraction stage first. The self-check
     methods never touch tool backends and carry empty evidence.
     """
-    [outcome] = _Batch([pair], method, backends, gateway, cache, fact_top_k,
-                       demonstrations).run(width=1)
+    [outcome] = _Batch([pair], method, backends, gateway, cache, demonstrations).run(width=1)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -489,7 +487,6 @@ def run_batch(
     gateway: ModelGateway,
     cache: DiskCache | None = None,
     width: int = 4,
-    fact_top_k: int = DEFAULT_FACT_TOP_K,
     demonstrations: Sequence[SelfCheckDemo] = (),
 ) -> BatchOutcome:
     """Drive a batch with ``width`` pairs in flight and per-pair failure isolation.
@@ -503,8 +500,7 @@ def run_batch(
     if len(set(ids)) != len(ids):
         raise ConfigInvalid("pair ids must be unique within a batch")
 
-    outcomes = _Batch(pairs, method, backends, gateway, cache, fact_top_k,
-                      demonstrations).run(width)
+    outcomes = _Batch(pairs, method, backends, gateway, cache, demonstrations).run(width)
     results = [outcome for outcome in outcomes if isinstance(outcome, DetectionResult)]
     failures = [PairFailure(pair.id, type(exc).__name__, str(exc), exc.completed_trace)
                 for pair, exc in zip(pairs, outcomes) if isinstance(exc, Exception)]
@@ -581,13 +577,14 @@ def _utc_now() -> str:
 def load_result_payload(path: str | Path) -> DetectionResult:
     """Read one per-pair result file back into a DetectionResult (no trace).
 
-    A file that is not JSON, or misses a key or has one of the wrong type,
-    raises ResultFileInvalid naming the file.
+    Every record is read by its exact keys. A file that is not JSON, or has
+    a record with a key missing, an unknown key or a value of the wrong
+    type, raises ResultFileInvalid naming the file.
     """
     try:
         with open(path, "rb") as file:
-            data = json.loads(file.read())
-        plan = data.get("plan")
+            data = with_keys(json.loads(file.read()), _RESULT_KEYS)
+        plan = data["plan"]
         return DetectionResult(
             of_type(data["pair_id"], str),
             DetectionMethod(data["method"]),
@@ -601,6 +598,9 @@ def load_result_payload(path: str | Path) -> DetectionResult:
         raise ResultFileInvalid(str(path), f"missing key {exc}") from exc
     except (AttributeError, TypeError, ValueError) as exc:
         raise ResultFileInvalid(str(path), f"cannot decode: {exc}") from exc
+
+
+_RESULT_KEYS = frozenset({"pair_id", "method", "plan", "evidence", "verdicts", "degraded"})
 
 
 def load_run_results(run_dir: str | Path) -> list[DetectionResult]:

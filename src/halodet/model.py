@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Iterable, Union
+from typing import Any, Callable, Union
 
 from .hashing import sha256_file
 
@@ -85,6 +85,14 @@ def of_type(value: Any, kind: type) -> Any:
     return value
 
 
+def with_keys(data: Any, keys: frozenset[str]) -> dict[str, Any]:
+    """``data`` if it is a JSON object with exactly ``keys``, none missing and none more."""
+    if type(data) is not dict or data.keys() != keys:
+        got = sorted(data) if type(data) is dict else data
+        raise ValueError(f"expected an object with keys {sorted(keys)}, got {got!r}")
+    return data
+
+
 def string_tuple(value: Any) -> tuple[str, ...]:
     """A JSON list of strings, as a tuple."""
     if type(value) is not list or not _STRING.issuperset(map(type, value)):
@@ -125,10 +133,14 @@ class NormBox:
 
     @classmethod
     def from_json(cls, data: dict[str, Any]) -> "NormBox":
+        with_keys(data, _BOX_KEYS)
         coords = (data["x1"], data["y1"], data["x2"], data["y2"])
         if not _NUMBER.issuperset(map(type, coords)):
             raise TypeError(f"expected numbers, got {coords!r}")
         return cls(*map(float, coords))
+
+
+_BOX_KEYS = frozenset({"x1", "y1", "x2", "y2"})
 
 
 def validate_norm_box(box: NormBox) -> bool:
@@ -240,30 +252,35 @@ class FactEvidence:
 
 Evidence = Union[ObjectEvidence, AttributeEvidence, SceneTextEvidence, FactEvidence]
 
-_EVIDENCE_DECODERS: dict[Any, Callable[[dict[str, Any]], Evidence]] = {
-    "object": lambda d: ObjectEvidence(of_type(d["label"], str), NormBox.from_json(d["box"])),
-    "attribute": lambda d: AttributeEvidence(of_type(d["question"], str),
-                                             of_type(d["answer"], str)),
-    "scene-text": lambda d: SceneTextEvidence(of_type(d["text"], str),
-                                              NormBox.from_json(d["box"])),
-    "fact": lambda d: FactEvidence(of_type(d["question"], str), string_tuple(d["snippets"])),
+# Per kind: the item's exact keys, and its decoder once they are checked.
+_EVIDENCE_DECODERS: dict[Any, tuple[frozenset[str], Callable[[dict[str, Any]], Evidence]]] = {
+    "object": (frozenset({"kind", "label", "box"}), lambda d: ObjectEvidence(
+        of_type(d["label"], str), NormBox.from_json(d["box"]))),
+    "attribute": (frozenset({"kind", "question", "answer"}), lambda d: AttributeEvidence(
+        of_type(d["question"], str), of_type(d["answer"], str))),
+    "scene-text": (frozenset({"kind", "text", "box"}), lambda d: SceneTextEvidence(
+        of_type(d["text"], str), NormBox.from_json(d["box"]))),
+    "fact": (frozenset({"kind", "question", "snippets"}), lambda d: FactEvidence(
+        of_type(d["question"], str), string_tuple(d["snippets"]))),
 }
 
 
 def evidence_from_json(data: dict[str, Any]) -> Evidence:
-    decode = _EVIDENCE_DECODERS.get(data.get("kind"))
-    if decode is None:
+    """Decode one evidence item by the exact keys of its kind."""
+    decoder = _EVIDENCE_DECODERS.get(data.get("kind"))
+    if decoder is None:
         raise ValueError(f"unknown evidence kind: {data.get('kind')!r}")
-    return decode(data)
+    keys, decode = decoder
+    return decode(with_keys(data, keys))
 
 
-def _evidence_family(kind: str, items: Iterable[dict[str, Any]]) -> tuple:
+def _evidence_family(kind: str, items: Any) -> tuple:
     """Decode one bundle family; an item of another kind is a ValueError."""
-    decode = _EVIDENCE_DECODERS[kind]
+    keys, decode = _EVIDENCE_DECODERS[kind]
     decoded = []
-    for item in items:
-        if item.get("kind") != kind:
-            raise ValueError(f"expected {kind!r} evidence, got kind {item.get('kind')!r}")
+    for item in of_type(items, list):
+        if with_keys(item, keys)["kind"] != kind:
+            raise ValueError(f"expected {kind!r} evidence, got kind {item['kind']!r}")
         decoded.append(decode(item))
     return tuple(decoded)
 
@@ -290,10 +307,14 @@ class EvidenceBundle:
 
     @classmethod
     def from_json(cls, data: dict[str, Any]) -> "EvidenceBundle":
-        return cls(_evidence_family("object", data.get("objects", ())),
-                   _evidence_family("attribute", data.get("attributes", ())),
-                   _evidence_family("scene-text", data.get("scene_texts", ())),
-                   _evidence_family("fact", data.get("facts", ())))
+        with_keys(data, _BUNDLE_KEYS)
+        return cls(_evidence_family("object", data["objects"]),
+                   _evidence_family("attribute", data["attributes"]),
+                   _evidence_family("scene-text", data["scene_texts"]),
+                   _evidence_family("fact", data["facts"]))
+
+
+_BUNDLE_KEYS = frozenset({"objects", "attributes", "scene_texts", "facts"})
 
 
 # --- verdicts ----------------------------------------------------------------
@@ -329,10 +350,14 @@ class Verdict:
 
     @classmethod
     def from_json(cls, data: dict[str, Any]) -> "Verdict":
+        with_keys(data, _VERDICT_KEYS)
         return cls(of_type(data["claim_index"], int),
                    _LABELS.get(data["label"]) or Label(data["label"]),
                    of_type(data["rationale"], str),
-                   frozenset(map(ParseFlag, data.get("parse_flags", ()))))
+                   frozenset(map(ParseFlag, string_tuple(data["parse_flags"]))))
+
+
+_VERDICT_KEYS = frozenset({"claim_index", "label", "rationale", "parse_flags"})
 
 
 # --- validation ----------------------------------------------------------------

@@ -15,7 +15,7 @@ explicitly flagged unverified verdicts rather than silently truncating.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -42,6 +42,7 @@ from .model import (
     claim_key,
     parse_claim_key,
     string_tuple,
+    with_keys,
 )
 from .prompts import (
     RenderedPrompt,
@@ -103,7 +104,8 @@ class ToolPlan:
     def from_json(cls, data: Mapping[str, Any]) -> "ToolPlan":
         # n keys that include claim1..claimn are exactly those keys.
         try:
-            entries = [data[claim_key(i)] for i in range(1, len(data) + 1)]
+            entries = [with_keys(data[claim_key(i)], _QUERY_KEYS)
+                       for i in range(1, len(data) + 1)]
         except KeyError:
             raise ValueError("plan does not cover claims 1..n exactly once") from None
         return cls(tuple([
@@ -113,6 +115,9 @@ class ToolPlan:
                          string_tuple(v["fact_questions"]))
             for v in entries
         ]))
+
+
+_QUERY_KEYS = frozenset(f.name for f in fields(ClaimQueries))
 
 
 def label_union(per_claim_labels: Iterable[Sequence[str]]) -> list[str]:

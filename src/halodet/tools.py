@@ -40,8 +40,10 @@ NONE_INFORMATION = "none information"
 
 # One fact block is clipped here after formatting; a marker shows the cut.
 FACT_BLOCK_CHAR_LIMIT = 2000
-DEFAULT_DETECTOR_THRESHOLD = 0.35
-DEFAULT_FACT_TOP_K = 3
+# Fixed for every run: the live detector drops detections scored below this, and each
+# fact question keeps at most this many snippets (the fact-search key carries it).
+DETECTOR_THRESHOLD = 0.35
+FACT_TOP_K = 3
 DEFAULT_SEARCH_ENDPOINT = "https://google.serper.dev/search"
 
 
@@ -320,22 +322,20 @@ class HttpObjectDetector(_HttpToolClient):
     """Open-set detector service client.
 
     Sends the requested label vocabulary with the image reference; drops
-    detections scored below the confidence threshold; normalizes pixel
+    detections scored below :data:`DETECTOR_THRESHOLD`; normalizes pixel
     boxes to fractions when the service reports image dimensions.
     """
 
     def __init__(self, endpoint: str, api_key: str | None = None,
-                 threshold: float = DEFAULT_DETECTOR_THRESHOLD,
                  session: requests.Session | None = None) -> None:
         super().__init__(endpoint, api_key, session)
-        self.threshold = threshold
         self.backend_id = f"detector:{endpoint}"
 
     def detect(self, image: ImageRef, labels: Sequence[str]) -> list[ObjectEvidence]:
         return self._post({
             "image": image.to_json(),
             "labels": list(labels),
-            "threshold": self.threshold,
+            "threshold": DETECTOR_THRESHOLD,
         }, self._detections)
 
     def _detections(self, body: dict) -> list[ObjectEvidence]:
@@ -344,7 +344,7 @@ class HttpObjectDetector(_HttpToolClient):
         results = []
         for det in body.get("detections", []):
             score = float(det.get("score", 1.0))
-            if score < self.threshold:
+            if score < DETECTOR_THRESHOLD:
                 continue
             results.append(ObjectEvidence(
                 label=self._string(det["label"]),

@@ -3,9 +3,9 @@
 Three image-to-text and three text-to-image pairs, including the two
 verification worked examples (the four-people beach scene and the misspelled
 'worlld' car). Every model reply and tool result is scripted here;
-``materialize_fixtures`` replays the pipeline once per method with recording
-backends through an ordinary cache, which is the fixture store that
-``detect --backend mock`` replays.
+``materialize_fixtures`` replays the pipeline once per method, and once per
+tool switched off, with recording backends through an ordinary cache, which
+is the fixture store that ``detect --backend mock`` replays.
 
 Standalone use:
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from halodet.bench import BenchmarkFile, save
@@ -46,6 +46,7 @@ from halodet.tools import (
     MockFactSearcher,
     MockObjectDetector,
     MockSceneTextReader,
+    NullTool,
     ToolBackendSet,
 )
 
@@ -587,9 +588,12 @@ class RecordingSearcher:
 def materialize_fixtures(out_dir: str | Path) -> int:
     """Replay the scenario once per method through a cache at ``out_dir``.
 
-    The cache is the mock fixture store; returns its entry count. Fact
-    entries are recorded at the default ``fact_top_k``.
+    The cache is the mock fixture store; returns its entry count. A UniHD
+    pass per tool switch, with that switch's slot holding the null tool,
+    records the verification prompts an ablation run sends; their replies
+    are the full-tool ones.
     """
+    from halodet.config import TOOL_SWITCHES
     from halodet.executor import run_batch
 
     scripts = build_scripts()
@@ -602,12 +606,14 @@ def materialize_fixtures(out_dir: str | Path) -> int:
     )
     gateway = ModelGateway(RecordingModelBackend(scripts), sleep=lambda _: None)
     store = DiskCache(out_dir)
-    for method, demos in (
-        (DetectionMethod.UNIHD, ()),
-        (DetectionMethod.SELF_CHECK_0SHOT, ()),
-        (DetectionMethod.SELF_CHECK_2SHOT, build_demos()),
+    for method, tools, demos in (
+        (DetectionMethod.UNIHD, backends, ()),
+        (DetectionMethod.SELF_CHECK_0SHOT, backends, ()),
+        (DetectionMethod.SELF_CHECK_2SHOT, backends, build_demos()),
+        *[(DetectionMethod.UNIHD, replace(backends, **{slot: NullTool()}), ())
+          for slot in TOOL_SWITCHES.values()],
     ):
-        outcome = run_batch(pairs, method, backends, gateway, cache=store, width=1,
+        outcome = run_batch(pairs, method, tools, gateway, cache=store, width=1,
                             demonstrations=demos)
         if not outcome.ok:
             failures = [(f.pair_id, f.message) for f in outcome.failures]

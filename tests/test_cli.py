@@ -12,6 +12,7 @@ import e2e_scenario
 import store_records
 from halodet.cache import CacheKey, DiskCache
 from halodet.cli import main
+from halodet.config import TOOL_SWITCHES
 from halodet.tools import MockSceneTextReader
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -83,6 +84,17 @@ class TestDetect:
         assert code == 1
         error = json.loads(capsys.readouterr().err.splitlines()[0])
         assert "bench" in error["message"]
+
+    def test_a_config_value_of_the_wrong_type_is_one_json_error(self, scenario_dir,
+                                                                tmp_path, capsys):
+        config_file = tmp_path / "run.cfg"
+        config_file.write_text("width = 2.5\n")
+        code = main(_detect_args(scenario_dir, tmp_path, "x", "--config", str(config_file)))
+        assert code == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert json.loads(line) == {"error": "ConfigInvalid",
+                                    "message": f"{config_file}: width must be int, got 2.5"}
+        assert not (tmp_path / "x").exists()
 
     def test_selfcheck2_without_demos(self, scenario_dir, tmp_path, capsys):
         code = main(_detect_args(scenario_dir, tmp_path, "x",
@@ -231,9 +243,23 @@ class TestFixtureStore:
     def test_one_entry_per_distinct_backend_call(self, scenario_dir, capsys):
         assert main(["cache", "stat", "--cache-dir", str(scenario_dir / "mock")]) == 0
         stat = json.loads(capsys.readouterr().out)
-        # Recording missed once per distinct call and wrote one entry for each.
-        assert stat["entries"] == stat["misses"] == 57
-        assert stat["hits"] == 0
+        # Recording missed once per distinct call and wrote one entry for each:
+        # 57 for the three methods, then per switched-off tool its verification
+        # prompts (13) and the null tool's empty results (15). The ablation
+        # passes read every other call back.
+        assert stat["entries"] == stat["misses"] == 57 + 13 + 15
+        assert stat["hits"] == 152
+
+    @pytest.mark.parametrize("switch", list(TOOL_SWITCHES))
+    def test_it_replays_each_tool_ablation(self, scenario_dir, tmp_path, capsys,
+                                           monkeypatch, switch):
+        monkeypatch.setenv(f"HALODET_{switch.upper()}", "null")
+        assert main(_detect_args(scenario_dir, tmp_path, "ablation", "--no-cache")) == 0
+        assert "6 pairs ok, 0 failed" in capsys.readouterr().out
+        manifest = json.loads((tmp_path / "ablation" / "manifest.json").read_text())
+        assert manifest["backend_ids"][TOOL_SWITCHES[switch]] == "null"
+        assert main(["evaluate", "--bench", str(FIXTURES / "bench6.json"),
+                     "--results", str(tmp_path / "ablation")]) == 0
 
     def test_tampered_tool_entry_fails_its_pair(self, scenario_dir, tmp_path, capsys):
         import shutil
@@ -455,7 +481,7 @@ class TestHelp:
         text = capsys.readouterr().out
         for flag in ("--bench", "--method", "--backend", "--fixtures", "--out",
                      "--run-id", "--width", "--no-cache", "--cache-dir",
-                     "--fact-top-k", "--demos", "--request-log", "--config"):
+                     "--demos", "--request-log", "--config"):
             assert flag in text, flag
 
     def test_every_detect_flag_reaches_the_run_config(self, scenario_dir, tmp_path):
@@ -464,18 +490,18 @@ class TestHelp:
         dests = set(vars(build_parser().parse_args(["detect"])))
         assert dests - {"command", "func", "config", "no_cache"} == {
             "bench", "method", "backend", "fixtures", "out", "run_id", "width",
-            "cache_dir", "fact_top_k", "demos", "request_log",
+            "cache_dir", "demos", "request_log",
         }
         log = tmp_path / "requests.jsonl"
         assert main(_detect_args(
             scenario_dir, tmp_path, "flags", "--method", "selfcheck2",
-            "--width", "2", "--no-cache", "--fact-top-k", "2",
+            "--width", "2", "--no-cache",
             "--demos", str(FIXTURES / "demos.json"), "--request-log", str(log))) == 0
         echo = json.loads((tmp_path / "flags" / "manifest.json").read_text())["config"]
         assert echo["bench"] == str(FIXTURES / "bench6.json")
         assert echo["fixtures"] == str(scenario_dir / "mock")
-        assert (echo["method"], echo["backend"], echo["width"], echo["cache"],
-                echo["fact_top_k"]) == ("selfcheck2", "mock", 2, False, 2)
+        assert (echo["method"], echo["backend"], echo["width"], echo["cache"]) == (
+            "selfcheck2", "mock", 2, False)
         assert (echo["out"], echo["run_id"]) == (str(tmp_path), "flags")
         assert echo["cache_dir"] == str(tmp_path / "cache")
         assert echo["demos"] == str(FIXTURES / "demos.json")

@@ -80,6 +80,33 @@ def test_unknown_key_rejected(tmp_path):
         build_config(config_file, env={})
 
 
+@pytest.mark.parametrize("line", ["width = 2.5", "out = 3", "width = true", "cache = 1"])
+def test_a_file_value_of_the_wrong_type_is_rejected(tmp_path, line):
+    config_file = tmp_path / "run.cfg"
+    config_file.write_text(f'fixtures = "{tmp_path}"\n{line}\n')
+    with pytest.raises(ConfigInvalid) as exc_info:
+        build_config(config_file, env={})
+    key = line.split()[0]
+    assert str(exc_info.value).startswith(f"{config_file}: {key} must be ")
+
+
+@pytest.mark.parametrize("variable, raw", [
+    ("HALODET_WIDTH", "2.5"), ("HALODET_CACHE", "flase"), ("HALODET_CACHE", ""),
+])
+def test_an_environment_value_of_the_wrong_type_is_rejected(tmp_path, variable, raw):
+    with pytest.raises(ConfigInvalid) as exc_info:
+        build_config(env={variable: raw, "HALODET_FIXTURES": str(tmp_path)})
+    assert str(exc_info.value).startswith(f"{variable} must be ")
+
+
+@pytest.mark.parametrize("raw, value", [
+    ("true", True), ("yes", True), ("1", True), ("false", False), ("no", False), ("0", False),
+])
+def test_an_environment_bool_takes_six_spellings(tmp_path, raw, value):
+    config = build_config(env={"HALODET_CACHE": raw, "HALODET_FIXTURES": str(tmp_path)})
+    assert config.cache is value
+
+
 def test_validation_rules():
     with pytest.raises(ConfigInvalid):
         RunConfig(width=0).validate()

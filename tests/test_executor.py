@@ -560,8 +560,20 @@ class TestRunDir:
         lambda p: p["evidence"]["objects"][0]["box"].update(x1=True),
         lambda p: p["evidence"]["facts"][0].update(snippets="Shenzhen"),
         lambda p: p["plan"]["claim1"].update(object_labels="dog"),
+        lambda p: p["evidence"].pop("objects"),
+        lambda p: p.pop("plan"),
+        lambda p: p["verdicts"][0].pop("parse_flags"),
+        lambda p: p.update(extra=1),
+        lambda p: p["plan"]["claim1"].update(extra=1),
+        lambda p: p["evidence"]["objects"][0].update(extra=1),
+        lambda p: p["evidence"]["objects"][0]["box"].update(x3=0.9),
+        lambda p: p["evidence"].update(extra=[]),
+        lambda p: p["verdicts"][0].update(extra=1),
     ], ids=["claim-index-true", "rationale-null", "degraded-string", "label-null",
-            "box-coordinate-true", "snippets-string", "plan-labels-string"])
+            "box-coordinate-true", "snippets-string", "plan-labels-string",
+            "objects-missing", "plan-missing", "parse-flags-missing", "result-extra-key",
+            "plan-claim-extra-key", "object-extra-key", "box-extra-key",
+            "evidence-extra-key", "verdict-extra-key"])
     def test_a_value_of_the_wrong_type_is_rejected(self, tmp_path, edit):
         result = self._edge_case_result()
         run_dir = write_run_dir(tmp_path, "run", BatchOutcome([result], []),

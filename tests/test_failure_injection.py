@@ -1,7 +1,8 @@
 """Failure injection: one call of the six-pair scenario fails, the rest of the run holds.
 
 Each case wraps every backend family and the cache's ``get`` and ``put``, and
-raises one error class at one chosen call of one of them. The failing pair
+raises one error class at one chosen call of one of them: the first, the
+middle or the last call of that site in a clean run. The failing pair
 must report the injected class, or pass where the contract absorbs the
 failure; every other pair's result file must keep the clean run's bytes;
 ``errors.json`` must carry the failing pair's completed calls; and the run
@@ -20,7 +21,7 @@ import pytest
 
 import e2e_scenario
 from halodet.cache import DiskCache
-from halodet.errors import BackendUnavailable, InvalidImage, StoreCorrupt
+from halodet.errors import BackendUnavailable, InvalidImage, QuotaExceeded, StoreCorrupt
 from halodet.executor import run_batch, write_run_dir
 from halodet.gateway import ModelGateway
 from halodet.stages import DetectionMethod
@@ -111,13 +112,15 @@ def _records(trace):
 
 
 # (name, site, error, persistent, absorbed): the gateway retries a model call
-# that heals; a corrupt read is recomputed and a failed put logged.
+# that heals; a corrupt read is recomputed and a failed put logged. A tool
+# error is never retried, so a search over quota fails its pair.
 _CASES = [
     *[(f"{site}-{kind}", site, error, persistent, site == "invoke" and kind == "heals")
       for site in _BACKENDS
       for kind, error, persistent in (("persistent", BackendUnavailable, True),
                                       ("heals", BackendUnavailable, False),
                                       ("invalid-image", InvalidImage, True))],
+    ("search-quota", "search", QuotaExceeded, False, False),
     ("get-corrupt", "get", StoreCorrupt, False, True),
     ("put-enospc", "put", _enospc, False, True),
 ]
@@ -133,8 +136,9 @@ class TestFailureInjection:
         assert set(clean_injector.counts) == {*_BACKENDS, "get", "put"}
 
         for name, site, error, persistent, absorbed in _CASES:
-            # The first call of the site, and its last in the clean run.
-            for at in sorted({1, clean_injector.counts[site]}):
+            # The first, the middle and the last call of the site in the clean run.
+            calls = clean_injector.counts[site]
+            for at in sorted({1, (calls + 1) // 2, calls}):
                 case = f"{name}-{at}"
                 injector = _Injector(site, at, error, persistent)
                 _, run_dir = _run(tmp_path, case, width, injector)

@@ -19,6 +19,7 @@ from halodet.errors import (
 from halodet.gateway import HttpModelBackend, ModelRequest, PurposeTag
 from halodet.prompts import RenderedPrompt
 from halodet.tools import (
+    DETECTOR_THRESHOLD,
     FactSnippet,
     HttpFactSearcher,
     HttpObjectDetector,
@@ -99,9 +100,10 @@ class TestHttpObjectDetector:
                 {"label": "cat", "box": [0, 0, 10, 10], "score": 0.2},
             ],
         }
-        detector = HttpObjectDetector("https://det.example", threshold=0.35,
-                                      session=FakeSession(FakeResponse(200, payload)))
+        session = FakeSession(FakeResponse(200, payload))
+        detector = HttpObjectDetector("https://det.example", session=session)
         out = detect_objects(detector, image_ref("a"), ["cat"])
+        assert session.requests[0]["json"]["threshold"] == DETECTOR_THRESHOLD == 0.35
         assert len(out) == 1
         box = out[0].box
         assert (box.x1, box.y1, box.x2, box.y2) == (0.1, 0.1, 0.4, 0.5)
