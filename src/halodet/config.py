@@ -37,12 +37,16 @@ MODEL_API_KEY_ENV = "HALODET_MODEL_API_KEY"
 SEARCH_API_KEY_ENV = "HALODET_SEARCH_API_KEY"
 TOOL_API_KEY_ENV = "HALODET_TOOL_API_KEY"
 
-_LINE_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.+?)\s*$")
+# A value is a quoted string or an unquoted run; a "#" outside quotes starts a comment.
+_LINE_RE = re.compile(
+    r'^\s*([A-Za-z_][A-Za-z0-9_]*)\s*=\s*("(?:[^"\\]|\\.)*"|[^"#\s][^"#]*?)\s*(?:#.*)?$'
+)
 
 
 def parse_config_file(path: str | Path) -> dict[str, Any]:
-    """Read a flat ``key = value`` file (TOML-style scalars, # comments)."""
+    """Read a flat ``key = value`` file (TOML-style scalars, # comments, no repeated keys)."""
     values: dict[str, Any] = {}
+    first_seen: dict[str, int] = {}
     for lineno, raw_line in enumerate(Path(path).read_text("utf-8").splitlines(), 1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
@@ -51,6 +55,10 @@ def parse_config_file(path: str | Path) -> dict[str, Any]:
         if not match:
             raise ConfigInvalid(f"{path}:{lineno}: expected key = value")
         key, raw_value = match.group(1), match.group(2)
+        if key in first_seen:
+            raise ConfigInvalid(
+                f"{path}:{lineno}: key {key!r} already set on line {first_seen[key]}")
+        first_seen[key] = lineno
         values[key] = _parse_scalar(raw_value, f"{path}:{lineno}")
     return values
 

@@ -17,9 +17,9 @@ canonical set.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -97,51 +97,30 @@ class RenderedPrompt:
             raise ValueError("system and user text must be non-empty")
 
 
-@dataclass(frozen=True)
-class _StoredTemplate:
-    prompt_id: PromptId
-    system: str
-    user: str
-    sha256: str
+@functools.cache
+def _templates() -> dict[PromptId, tuple[str, str, str]]:
+    """Every template as (system, user, sha256), read and verified on first call.
 
-
-class _Registry:
-    """Loads all template files once and verifies them against the manifest."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._templates: dict[PromptId, _StoredTemplate] | None = None
-
-    def _load(self) -> dict[PromptId, _StoredTemplate]:
-        with self._lock:
-            if self._templates is not None:
-                return self._templates
-            root = resources.files("halodet") / "templates"
-            manifest = json.loads((root / "manifest.json").read_text("utf-8"))
-            templates: dict[PromptId, _StoredTemplate] = {}
-            for prompt_id in list(TemplateId) + list(SupplementalId):
-                filename = prompt_id.value + ".txt"
-                raw = (root / filename).read_bytes()
-                digest = sha256_bytes(raw)
-                pinned = manifest.get(filename, {}).get("sha256")
-                if digest != pinned:
-                    raise TemplateIntegrityError(
-                        f"{filename}: digest {digest} does not match manifest {pinned}"
-                    )
-                system, user = _split_template(raw.decode("utf-8"), filename)
-                templates[prompt_id] = _StoredTemplate(prompt_id, system, user, digest)
-            self._templates = templates
-            return templates
-
-    def get(self, prompt_id: PromptId) -> _StoredTemplate:
-        return self._load()[prompt_id]
-
-    def digests(self) -> dict[str, str]:
-        return {f"{prompt_id.value}.txt": stored.sha256
-                for prompt_id, stored in self._load().items()}
-
-
-_REGISTRY = _Registry()
+    Raises TemplateIntegrityError, and caches nothing, if a file's digest
+    differs from the manifest or its headers are malformed. Two threads that
+    call this first at the same moment may both load; each builds the same
+    complete table, and the cache keeps one. No caller sees a partial table.
+    """
+    root = resources.files("halodet") / "templates"
+    manifest = json.loads((root / "manifest.json").read_text("utf-8"))
+    templates: dict[PromptId, tuple[str, str, str]] = {}
+    for prompt_id in list(TemplateId) + list(SupplementalId):
+        filename = prompt_id.value + ".txt"
+        raw = (root / filename).read_bytes()
+        digest = sha256_bytes(raw)
+        pinned = manifest.get(filename, {}).get("sha256")
+        if digest != pinned:
+            raise TemplateIntegrityError(
+                f"{filename}: digest {digest} does not match manifest {pinned}"
+            )
+        system, user = _split_template(raw.decode("utf-8"), filename)
+        templates[prompt_id] = (system, user, digest)
+    return templates
 
 
 def _split_template(text: str, filename: str) -> tuple[str, str]:
@@ -161,13 +140,14 @@ def _split_template(text: str, filename: str) -> tuple[str, str]:
 
 def template_digests() -> dict[str, str]:
     """Pinned SHA-256 per template file, for run manifests and audits."""
-    return _REGISTRY.digests()
+    return {f"{prompt_id.value}.txt": digest
+            for prompt_id, (_, _, digest) in _templates().items()}
 
 
 def template_text(prompt_id: PromptId) -> tuple[str, str]:
     """(system, user) text of a stored template, slots unbound."""
-    stored = _REGISTRY.get(prompt_id)
-    return stored.system, stored.user
+    system, user, _ = _templates()[prompt_id]
+    return system, user
 
 
 def render_claim_list(claims: Sequence[str]) -> str:
@@ -195,7 +175,7 @@ def render(
     :class:`UnknownSlot`. Substitution is one pass over the stored text, so
     bound values are inserted verbatim and never re-scanned.
     """
-    stored = _REGISTRY.get(prompt_id)
+    system, template, _ = _templates()[prompt_id]
     slots = _SLOTS[prompt_id]
     for slot in slots:
         if slot not in bindings:
@@ -207,5 +187,5 @@ def render(
         raise ValueError(f"template {prompt_id.value} does not take image attachments")
 
     pattern = re.compile(r"\{(" + "|".join(re.escape(s) for s in slots) + r")\}")
-    user = pattern.sub(lambda match: bindings[match.group(1)], stored.user)
-    return RenderedPrompt(system=stored.system, user=user, attachments=tuple(images))
+    user = pattern.sub(lambda match: bindings[match.group(1)], template)
+    return RenderedPrompt(system=system, user=user, attachments=tuple(images))

@@ -52,6 +52,33 @@ def test_unquoted_string_rejected(tmp_path):
         build_config(config_file, env={})
 
 
+def test_comment_after_value(tmp_path):
+    config_file = tmp_path / "run.cfg"
+    config_file.write_text(
+        'width = 3  # pairs in flight\n'
+        'out = "res # x"  # the hash above is data\n'
+        'cache = false# no space\n'
+    )
+    assert parse_config_file(config_file) == {"width": 3, "out": "res # x", "cache": False}
+
+
+def test_comment_does_not_quote_a_bare_string(tmp_path):
+    config_file = tmp_path / "run.cfg"
+    config_file.write_text("run_id = abc # x\n")
+    with pytest.raises(ConfigInvalid, match="unquoted value 'abc'"):
+        parse_config_file(config_file)
+
+
+def test_repeated_key_rejected(tmp_path):
+    config_file = tmp_path / "run.cfg"
+    config_file.write_text('width = 2\nfixtures = "f"\nwidth = 8\n')
+    with pytest.raises(ConfigInvalid) as exc_info:
+        build_config(config_file, env={})
+    message = str(exc_info.value)
+    assert "'width'" in message
+    assert ":3:" in message and "line 1" in message
+
+
 def test_precedence_flags_over_env_over_file(tmp_path):
     config_file = tmp_path / "run.cfg"
     config_file.write_text('width = 2\nfixtures = "from-file"\nbench = "b.json"\n')

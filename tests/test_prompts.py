@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -11,7 +15,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import image_ref
-from halodet.errors import EmptyClaims, MissingSlot, UnknownSlot
+from halodet import prompts
+from halodet.errors import EmptyClaims, MissingSlot, TemplateIntegrityError, UnknownSlot
 from halodet.hashing import sha256_bytes
 from halodet.prompts import (
     SupplementalId,
@@ -24,6 +29,7 @@ from halodet.prompts import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures" / "rendered"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestClaimList:
@@ -109,6 +115,31 @@ class TestTemplateIntegrity:
             assert sha256_bytes((root / filename).read_bytes()) == digest
             assert manifest[filename]["sha256"] == digest
 
+    @pytest.fixture
+    def template_copy(self, tmp_path, monkeypatch):
+        """A writable copy of the package's templates that the table loads from."""
+        shutil.copytree(resources.files("halodet") / "templates", tmp_path / "templates")
+        monkeypatch.setattr(prompts.resources, "files", lambda package: tmp_path)
+        prompts._templates.cache_clear()
+        yield tmp_path / "templates"
+        prompts._templates.cache_clear()
+
+    def test_tampered_template_bytes_rejected(self, template_copy):
+        path = template_copy / "query_object.txt"
+        raw = bytearray(path.read_bytes())
+        raw[-2] ^= 0x01
+        path.write_bytes(bytes(raw))
+        with pytest.raises(TemplateIntegrityError, match="query_object.txt"):
+            render(TemplateId.OBJECT_QUERY, {"claims": "claim1: x"})
+
+    def test_template_missing_from_manifest_rejected(self, template_copy):
+        manifest_path = template_copy / "manifest.json"
+        manifest = json.loads(manifest_path.read_text("utf-8"))
+        del manifest["query_object.txt"]
+        manifest_path.write_text(json.dumps(manifest), "utf-8")
+        with pytest.raises(TemplateIntegrityError, match="query_object.txt"):
+            render(TemplateId.OBJECT_QUERY, {"claims": "claim1: x"})
+
     def test_canonical_vs_supplemental_marking(self):
         root = resources.files("halodet") / "templates"
         manifest = json.loads((root / "manifest.json").read_text("utf-8"))
@@ -116,6 +147,28 @@ class TestTemplateIntegrity:
             assert manifest[template.value + ".txt"]["origin"] == "canonical"
         for supplemental in SupplementalId:
             assert manifest[supplemental.value + ".txt"]["origin"] == "supplemental"
+
+
+_LOAD_ONCE_SCRIPT = """
+import halodet
+from halodet import prompts
+
+assert prompts._templates.cache_info().currsize == 0, "import read the templates"
+halodet.render(halodet.TemplateId.OBJECT_QUERY, {"claims": "claim1: x"})
+info = prompts._templates.cache_info()
+assert (info.currsize, info.misses) == (1, 1), info
+halodet.render(halodet.TemplateId.FACT_QUERY, {"claims": "claim1: x"})
+assert prompts._templates.cache_info().misses == 1, prompts._templates.cache_info()
+print("loaded once")
+"""
+
+
+def test_templates_load_on_first_render_and_once():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", _LOAD_ONCE_SCRIPT], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "loaded once"
 
 
 class TestRenderingContent:
