@@ -57,10 +57,6 @@ class PayloadTooLarge(BackendError):
     """Request exceeds what the backend accepts; never retried."""
 
 
-class QuotaExceeded(BackendError):
-    """Search provider quota exhausted."""
-
-
 class InvalidImage(BackendError):
     """Image bytes missing or unreadable where a tool needs them."""
 

@@ -19,9 +19,12 @@ No thread waits on another; the caller waits once, for the whole batch.
 Each pair owns one call object, ``_PairCalls``, through which every model
 and tool call of the pair passes. Whatever the family, a call reads the
 cache, calls its backend on a miss, writes the reply back and leaves one
-trace record. Identical mock runs are byte-identical whether cache-cold,
-cache-warm, or at any parallelism width, and the trace records exactly one
-entry per backend invocation.
+trace record. A backend call that raises BackendUnavailable is tried up to
+``RETRY_ATTEMPTS`` (3) times, waiting 1 s and then 2 s, each wait jittered
+by ±10%: full exponential backoff with jitter, after M. Brooker,
+"Exponential Backoff And Jitter" (2015). Identical mock runs are
+byte-identical whether cache-cold, cache-warm, or at any parallelism width,
+and the trace records exactly one entry, with its attempt count, per call.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import random
 import threading
 import time
 from concurrent.futures import Executor, ThreadPoolExecutor
@@ -38,7 +42,7 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from .cache import CacheKey, DiskCache
-from .errors import ConfigInvalid, ResultFileInvalid, StoreCorrupt
+from .errors import BackendUnavailable, ConfigInvalid, ResultFileInvalid, StoreCorrupt
 from .gateway import ModelGateway, ModelRequest, ModelResponse, request_digest
 from .hashing import sha256_json, sha256_text
 from .model import (
@@ -83,16 +87,22 @@ _Task = Callable[[], list]
 _DETECT, _READ, _ANSWER, _SEARCH = (
     "tool:object-detect", "tool:scene-text", "tool:attribute", "tool:fact-search")
 
+RETRY_ATTEMPTS = 3
+RETRY_FIRST_DELAY_S = 1.0  # doubled before each later retry
+RETRY_JITTER = 0.1
+
 
 @dataclass(frozen=True)
 class TraceRecord:
-    """One executed stage: what went in, what came out, and whether it was cached."""
+    """One executed stage: what went in, what came out, whether it was cached,
+    and how many backend calls it took (0 for a cache hit)."""
 
     stage: str
     input_digest: str
     output_digest: str
     duration_ms: int
     cache_hit: bool
+    attempts: int
 
     def to_json(self) -> dict[str, Any]:
         return dict(vars(self))  # the fields, in order
@@ -184,19 +194,35 @@ class _PairCalls:
               read: bool = True) -> Any:
         """Serve ``key`` from the cache or ``compute``; record one trace entry.
 
-        A corrupt entry is a miss, which the put then overwrites. A failed
-        put is logged and the reply used. With ``read`` false the cache read
-        is skipped; the reply is written anyway.
+        A corrupt entry is a miss, which the put then overwrites. A miss
+        retries ``compute`` while it raises BackendUnavailable, waiting
+        through the gateway's ``sleep``; any other error is final. The reply
+        is put once, after the attempt that succeeded; a failed put is
+        logged and the reply used. With ``read`` false the cache read is
+        skipped; the reply is written anyway.
         """
         started = time.monotonic()
-        hit, value, cache = False, None, self._batch.cache
+        hit, value, cache, attempts = False, None, self._batch.cache, 0
         if cache is not None and read:
             try:
                 hit, value = cache.get(key)
             except StoreCorrupt as exc:
                 logger.warning("recomputing: %s", exc)
         if not hit:
-            value = compute()
+            while True:
+                attempts += 1
+                try:
+                    value = compute()
+                    break
+                except BackendUnavailable as exc:
+                    if attempts == RETRY_ATTEMPTS:
+                        raise BackendUnavailable(f"{key.backend_id} failed after "
+                                                 f"{attempts} attempts: {exc}") from exc
+                    delay = (RETRY_FIRST_DELAY_S * 2 ** (attempts - 1)
+                             * (1.0 + random.uniform(-RETRY_JITTER, RETRY_JITTER)))
+                    logger.debug("%s unavailable (attempt %d), retrying in %.2fs",
+                                 key.backend_id, attempts, delay)
+                    self._batch.gateway.sleep(delay)
             if cache is not None:
                 try:
                     cache.put(key, value)
@@ -209,6 +235,7 @@ class _PairCalls:
             output_digest=sha256_text(value["text"]) if model else sha256_json(value),
             duration_ms=max(0, round((time.monotonic() - started) * 1000)),
             cache_hit=hit,
+            attempts=attempts,
         )
         with self._lock:
             self._records.append(record)
@@ -229,9 +256,7 @@ class _PairCalls:
             lambda: {"text": self._batch.gateway.complete(request).text},
             read=not retry,
         )
-        # The stages read only the text; timing lives in the trace record.
-        return ModelResponse(text=value["text"], backend_id=backend_id,
-                             latency_ms=0, attempt_count=1)
+        return ModelResponse(value["text"], backend_id)
 
     # --- the UniHD schedule
 

@@ -2,10 +2,10 @@
 
 One entry point, :meth:`ModelGateway.complete`, fronts whichever backend is
 configured: a live HTTPS endpoint or a deterministic mock replaying a cache
-store. The gateway owns retry (transient failures only): ``RETRY_ATTEMPTS``
-(3) tries, waiting 1 s and then 2 s between them, each wait jittered by
-±10%. It never parses model output, which belongs to the pipeline stage that
-issued the request.
+store. It makes one backend call per request; retries belong to the
+executor's call path, which every backend call of a run goes through. It
+never parses model output, which belongs to the pipeline stage that issued
+the request.
 
 Every request decodes greedily, at ``TEMPERATURE`` 0 with at most
 ``MAX_OUTPUT_TOKENS`` (1024) tokens: replies are cached and replayed as the
@@ -16,8 +16,6 @@ still go into the request digest, the wire body and the request log.
 from __future__ import annotations
 
 import json
-import logging
-import random
 import threading
 import time
 from dataclasses import dataclass
@@ -33,8 +31,6 @@ from .prompts import RenderedPrompt
 if TYPE_CHECKING:
     import requests
 
-logger = logging.getLogger(__name__)
-
 T = TypeVar("T")
 
 
@@ -49,10 +45,6 @@ class PurposeTag(Enum):
 TEMPERATURE = 0.0
 MAX_OUTPUT_TOKENS = 1024
 
-RETRY_ATTEMPTS = 3
-RETRY_FIRST_DELAY_S = 1.0  # doubled before each later retry
-RETRY_JITTER = 0.1
-
 
 @dataclass(frozen=True)
 class ModelRequest:
@@ -66,14 +58,6 @@ class ModelRequest:
 class ModelResponse:
     text: str
     backend_id: str
-    latency_ms: int
-    attempt_count: int
-
-    def __post_init__(self) -> None:
-        if self.latency_ms < 0:
-            raise ValueError("latency_ms must be >= 0")
-        if self.attempt_count < 1:
-            raise ValueError("attempt_count must be >= 1")
 
 
 def request_digest(request: ModelRequest) -> str:
@@ -99,8 +83,20 @@ class ModelBackend(Protocol):
     def invoke(self, request: ModelRequest) -> str: ...
 
 
+class Completer(Protocol):
+    """What a stage needs to make its model calls. The executor hands it a
+    pair's call object, which caches, retries and traces each call; a bare
+    ModelGateway makes one backend call and retries nothing."""
+
+    def complete(self, request: ModelRequest) -> ModelResponse: ...
+
+
 class ModelGateway:
-    """Retry wrapper around a backend, safe for concurrent calls."""
+    """One backend and its request log, safe for concurrent calls.
+
+    ``sleep`` is how the executor waits between retries of a call, so a test
+    can skip the waits.
+    """
 
     def __init__(
         self,
@@ -110,42 +106,13 @@ class ModelGateway:
     ) -> None:
         self.backend = backend
         self._request_log = Path(request_log) if request_log is not None else None
-        self._sleep = sleep
+        self.sleep = sleep
         self._log_lock = threading.Lock()
 
     def complete(self, request: ModelRequest) -> ModelResponse:
-        """Run one request to completion, retrying transient failures.
-
-        The backend's text comes back verbatim apart from a trailing
-        whitespace strip. AuthFailure and PayloadTooLarge are never retried;
-        BackendUnavailable is retried up to ``RETRY_ATTEMPTS``, then re-raised.
-        """
-        started = time.monotonic()
-        attempt = 0
-        while True:
-            attempt += 1
-            try:
-                text = self.backend.invoke(request)
-                break
-            except BackendUnavailable as exc:
-                if attempt >= RETRY_ATTEMPTS:
-                    raise BackendUnavailable(
-                        f"backend {self.backend.backend_id} failed after "
-                        f"{attempt} attempts: {exc}"
-                    ) from exc
-                delay = (RETRY_FIRST_DELAY_S * 2 ** (attempt - 1)
-                         * (1.0 + random.uniform(-RETRY_JITTER, RETRY_JITTER)))
-                logger.debug("transient backend failure (attempt %d), retrying in %.2fs",
-                             attempt, delay)
-                self._sleep(delay)
-
-        latency_ms = max(0, int(round((time.monotonic() - started) * 1000)))
-        response = ModelResponse(
-            text=text.rstrip(),
-            backend_id=self.backend.backend_id,
-            latency_ms=latency_ms,
-            attempt_count=attempt,
-        )
+        """One backend call; its text comes back verbatim apart from a trailing
+        whitespace strip."""
+        response = ModelResponse(self.backend.invoke(request).rstrip(), self.backend.backend_id)
         self._log(request, response)
         return response
 
@@ -172,32 +139,14 @@ class ModelGateway:
 # --- backends -----------------------------------------------------------------
 
 
-@dataclass
-class ScriptedModelBackend:
-    """Unit-test backend: replays a fixed script of texts and exceptions."""
-
-    script: list[str | Exception]
-    backend_id: str = "scripted"
-    calls: int = 0
-
-    def invoke(self, request: ModelRequest) -> str:
-        self.calls += 1
-        if not self.script:
-            raise BackendUnavailable("scripted backend exhausted")
-        item = self.script.pop(0)
-        if isinstance(item, Exception):
-            raise item
-        return item
-
-
 class MockModelBackend:
     """Deterministic replay of recorded replies from a read-only cache store.
 
     A request is looked up under the executor's own model cache key, so a
     store recorded by ``run_batch(..., cache=DiskCache(root))`` replays as is.
-    A request with no entry raises BackendError, which the gateway does not
-    retry: a model reply cannot be defaulted, and a missing entry never
-    heals. A tampered entry raises StoreCorrupt.
+    A request with no entry raises BackendError, which is never retried: a
+    model reply cannot be defaulted, and a missing entry never heals. A
+    tampered entry raises StoreCorrupt.
     """
 
     backend_id = "mock-model"
@@ -230,8 +179,9 @@ class _HttpJsonClient:
     transport failure, or a body that is not JSON or that ``parse`` cannot
     read (``_string`` rejects a field that is null or not a string), raises
     BackendUnavailable; a status other than 200 raises its
-    ``_status_errors`` class, else BackendUnavailable. Each call waits at
-    most ``timeout`` seconds for a reply.
+    ``_status_errors`` class, else BackendUnavailable (a 429 rate limit
+    among them, since it heals). Each call waits at most ``timeout``
+    seconds for a reply.
     """
 
     timeout = 30.0

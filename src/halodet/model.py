@@ -294,9 +294,6 @@ class EvidenceBundle:
     scene_texts: tuple[SceneTextEvidence, ...] = ()
     facts: tuple[FactEvidence, ...] = ()
 
-    def is_empty(self) -> bool:
-        return not (self.objects or self.attributes or self.scene_texts or self.facts)
-
     def to_json(self) -> dict[str, Any]:
         return {
             "objects": [e.to_json() for e in self.objects],

@@ -27,7 +27,7 @@ from .errors import (
     UnknownLabel,
     UnparseableModelOutput,
 )
-from .gateway import ModelGateway, ModelRequest, PurposeTag
+from .gateway import Completer, ModelRequest, PurposeTag
 from .json_repair import loads_lenient
 from .model import (
     Claim,
@@ -85,9 +85,6 @@ class ToolPlan:
     @property
     def n_claims(self) -> int:
         return len(self.per_claim)
-
-    def for_claim(self, index: int) -> ClaimQueries:
-        return self.per_claim[index - 1]
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -203,7 +200,7 @@ def _dedup_lower(labels: Sequence[str]) -> tuple[str, ...]:
 # --- claim extraction ------------------------------------------------------------
 
 
-def extract_claims(pair_text: str, task: TaskType, gateway: ModelGateway) -> list[Claim]:
+def extract_claims(pair_text: str, task: TaskType, gateway: Completer) -> list[Claim]:
     """Derive ordered claims from a response (or, for text-to-image, a query).
 
     Benchmark runs skip this stage entirely: pre-annotated claims pass
@@ -248,7 +245,7 @@ FORMULATION_KINDS = {
 def formulate(
     pair: ImageTextPair,
     template: TemplateId,
-    gateway: ModelGateway,
+    gateway: Completer,
     objects: Sequence[str] = (),
     claim_list: str | None = None,
 ) -> dict[int, tuple[str, ...]]:
@@ -296,7 +293,7 @@ def tool_plan(replies: Mapping[TemplateId, Mapping[int, tuple[str, ...]]]) -> To
     ))
 
 
-def formulate_queries(pair: ImageTextPair, gateway: ModelGateway) -> ToolPlan:
+def formulate_queries(pair: ImageTextPair, gateway: Completer) -> ToolPlan:
     """Route every claim to the tools it needs.
 
     Makes the four formulation calls one after another, in the order of
@@ -397,7 +394,7 @@ def _salvage_verdicts(raw: str, n_claims: int) -> list[Verdict]:
     ]
 
 
-def _judge(request: ModelRequest, n_claims: int, gateway: ModelGateway) -> list[Verdict]:
+def _judge(request: ModelRequest, n_claims: int, gateway: Completer) -> list[Verdict]:
     """One verdict-producing model call with one retry, then flagged fallback."""
     response = gateway.complete(request)
     try:
@@ -432,7 +429,7 @@ def build_verification_prompt(
 
 
 def verify(
-    pair: ImageTextPair, evidence: EvidenceBundle, gateway: ModelGateway
+    pair: ImageTextPair, evidence: EvidenceBundle, gateway: Completer
 ) -> list[Verdict]:
     """Judge the whole claim list in a single model call over pooled evidence."""
     if not pair.claims:
@@ -477,7 +474,7 @@ def _render_demo(demo: SelfCheckDemo) -> str:
 def self_check(
     pair: ImageTextPair,
     shots: int,
-    gateway: ModelGateway,
+    gateway: Completer,
     demonstrations: Sequence[SelfCheckDemo] = (),
 ) -> list[Verdict]:
     """Baseline detection with no tool evidence, 0-shot or 2-shot."""

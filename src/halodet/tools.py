@@ -19,8 +19,8 @@ from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Protocol, Sequence
 
 from .cache import CacheKey, DiskCache
-from .errors import AuthFailure, InvalidImage, QuotaExceeded
-from .gateway import ModelGateway, ModelRequest, PurposeTag, _HttpJsonClient
+from .errors import AuthFailure, InvalidImage
+from .gateway import Completer, ModelGateway, ModelRequest, PurposeTag, _HttpJsonClient
 from .model import (
     AttributeEvidence,
     EvidenceBundle,
@@ -126,7 +126,7 @@ def detect_objects(
 
 
 def answer_attribute(
-    image: ImageRef, question: str, gateway: ModelGateway
+    image: ImageRef, question: str, gateway: Completer
 ) -> AttributeEvidence:
     """Ask the underlying model one attribute question about the image."""
     if not question:
@@ -309,8 +309,7 @@ def _normalize_box(raw: Sequence[float], width: float | None, height: float | No
 
 
 class _HttpToolClient(_HttpJsonClient):
-    _status_errors = {401: AuthFailure, 403: AuthFailure, 422: InvalidImage,
-                      429: QuotaExceeded}
+    _status_errors = {401: AuthFailure, 403: AuthFailure, 422: InvalidImage}
 
     def __init__(self, endpoint: str, api_key: str | None = None,
                  session: requests.Session | None = None) -> None:
@@ -378,7 +377,7 @@ class HttpFactSearcher(_HttpToolClient):
     """Web-search client speaking the serper.dev request/response shape."""
 
     # Search sends no image, so a 422 is not InvalidImage.
-    _status_errors = {401: AuthFailure, 403: AuthFailure, 429: QuotaExceeded}
+    _status_errors = {401: AuthFailure, 403: AuthFailure}
 
     def __init__(self, api_key: str, endpoint: str = DEFAULT_SEARCH_ENDPOINT,
                  session: requests.Session | None = None) -> None:

@@ -73,6 +73,27 @@ class TableBackend:
         raise AssertionError(f"no rule matched prompt: {request.prompt.user[:100]!r}")
 
 
+class ScriptedModelBackend:
+    """Model backend double: replays a fixed script of texts and exceptions."""
+
+    backend_id = "scripted"
+
+    def __init__(self, script):
+        self.script = list(script)
+        self.calls = 0
+
+    def invoke(self, request):
+        from halodet.errors import BackendUnavailable
+
+        self.calls += 1
+        if not self.script:
+            raise BackendUnavailable("scripted backend exhausted")
+        item = self.script.pop(0)
+        if isinstance(item, Exception):
+            raise item
+        return item
+
+
 def table_gateway(rules):
     from halodet.gateway import ModelGateway
 

@@ -21,9 +21,10 @@ from hypothesis import strategies as st
 
 import e2e_scenario
 import store_records
-from conftest import image_ref, table_gateway
+from conftest import TableBackend, image_ref, table_gateway
 from halodet.cache import DiskCache
 from halodet.errors import (
+    BackendUnavailable,
     ConfigInvalid,
     InvalidImage,
     ResultFileInvalid,
@@ -38,7 +39,7 @@ from halodet.executor import (
     run_detection,
     write_run_dir,
 )
-from halodet.gateway import ModelGateway
+from halodet.gateway import ModelGateway, PurposeTag
 from halodet.model import (
     Claim,
     EvidenceBundle,
@@ -162,8 +163,8 @@ class TestRunDetectionUnihd:
             table_gateway(_ATHLETE_RULES),
         )
         assert result.plan is not None
-        assert result.plan.for_claim(1).object_labels == ("athlete", "uniform")
-        assert result.plan.for_claim(1).attribute_questions == (
+        assert result.plan.per_claim[0].object_labels == ("athlete", "uniform")
+        assert result.plan.per_claim[0].attribute_questions == (
             "What color is the uniform of the athlete on the right side?",
         )
         assert len(result.evidence.objects) == 4
@@ -209,7 +210,7 @@ class TestRunDetectionUnihd:
             table_gateway(rules),
         )
         assert result.plan is None
-        assert result.evidence.is_empty()
+        assert result.evidence == EvidenceBundle()
         assert _tool_calls(backends) == 0
 
     def test_preannotated_claims_skip_extraction(self):
@@ -1090,6 +1091,86 @@ _PINNED_TRACE = [
      "8f221a5f0752e19b3325a887a2826f54aac2679e1b2d5bc67e0c98858732b1e5",
      "f9c797fd369e259d0cba1a4aa8b442523fcd630d986aa31b4394e5c20a192732"),
 ]
+
+
+# --- retries on every family ---------------------------------------------------------
+
+
+class _FlakyDetector(CountingDetector):
+    """Raises BackendUnavailable the given number of times per pair, then detects."""
+
+    def __init__(self, items, failures):
+        super().__init__(items)
+        self.failures = {image_ref(pair_id).digest: n for pair_id, n in failures.items()}
+
+    def detect(self, image, labels):
+        if self.failures.get(image.digest):
+            self.failures[image.digest] -= 1
+            self.calls += 1
+            raise BackendUnavailable("detector blip")
+        return super().detect(image, labels)
+
+
+class _FlakyVerifier(TableBackend):
+    """Raises BackendUnavailable at the first ``failures`` verification requests."""
+
+    def __init__(self, rules, failures):
+        super().__init__(rules)
+        self.failures = failures
+
+    def invoke(self, request):
+        if request.purpose_tag is PurposeTag.VERIFY and self.failures:
+            self.failures -= 1
+            raise BackendUnavailable("model blip")
+        return super().invoke(request)
+
+
+class TestRetryOnEveryFamily:
+    def test_a_tool_call_heals_on_the_model_schedule(self, monkeypatch):
+        monkeypatch.setattr("halodet.executor.random.uniform", lambda low, high: 0.0)
+        clean = run_detection(_athlete_pair(), DetectionMethod.UNIHD,
+                              _backends(detections=_ATHLETE_DETECTIONS),
+                              table_gateway(_ATHLETE_RULES))
+        delays = []
+        backends = _backends()
+        backends.object_detector = _FlakyDetector(_ATHLETE_DETECTIONS, {"athlete": 2})
+        result = run_detection(_athlete_pair(), DetectionMethod.UNIHD, backends,
+                               ModelGateway(TableBackend(_ATHLETE_RULES), sleep=delays.append))
+        assert delays == [1.0, 2.0]
+        assert backends.object_detector.calls == 3
+        assert result.payload_json() == clean.payload_json()
+
+    def test_run_files_pin_the_attempts_of_every_call(self, tmp_path):
+        # athlete: its verification is retried once and its detection twice.
+        # down: the same text on another image, so its formulation replies
+        # are cache hits; its detection never heals, so the pair fails.
+        cache = DiskCache(tmp_path / "cache")
+        pairs = [_athlete_pair(), _athlete_pair("down")]
+        runs = []
+        for name in ("cold", "warm"):
+            backends = _backends()
+            backends.object_detector = _FlakyDetector(_ATHLETE_DETECTIONS,
+                                                      {"athlete": 2, "down": 3})
+            gateway = ModelGateway(_FlakyVerifier(_ATHLETE_RULES, failures=1),
+                                   sleep=lambda _: None)
+            outcome = run_batch(pairs, DetectionMethod.UNIHD, backends, gateway,
+                                cache=cache, width=1)
+            run_dir = write_run_dir(tmp_path, name, outcome, DetectionMethod.UNIHD, {})
+            traces = json.loads((run_dir / "manifest.json").read_text())["traces"]
+            [error] = json.loads((run_dir / "errors.json").read_text())
+            assert (error["pair_id"], error["error_type"]) == ("down", "BackendUnavailable")
+            assert error["message"] == ("counting-detector failed after 3 attempts: "
+                                        "detector blip")
+            runs.append([[(r["stage"], r["cache_hit"], r["attempts"]) for r in trace]
+                         for trace in (traces["athlete"], error["trace"])])
+        assert runs[0] == [
+            [*[("model:query-formulate", False, 1)] * 4, ("model:verify", False, 2),
+             ("tool:attribute", False, 1), ("tool:object-detect", False, 3)],
+            [*[("model:query-formulate", True, 0)] * 4, ("tool:attribute", False, 1)],
+        ]
+        assert runs[1] == [[(stage, True, 0) for stage, _, _ in trace] for trace in runs[0]]
+        # One put per reply, after the attempt that succeeded.
+        assert len(store_records.records(tmp_path / "cache")) == 7 + 1
 
 
 # --- pool submissions -------------------------------------------------------------------

@@ -4,7 +4,9 @@ Each case wraps every backend family and the cache's ``get`` and ``put``, and
 raises one error class at one chosen call of one of them: the first, the
 middle or the last call of that site in a clean run. The failing pair
 must report the injected class, or pass where the contract absorbs the
-failure; every other pair's result file must keep the clean run's bytes;
+failure: the executor retries every backend call that raises
+BackendUnavailable, so an error that heals is absorbed at all five backend
+sites. Every other pair's result file must keep the clean run's bytes;
 ``errors.json`` must carry the failing pair's completed calls; and the run
 must leave no thread behind.
 """
@@ -21,7 +23,7 @@ import pytest
 
 import e2e_scenario
 from halodet.cache import DiskCache
-from halodet.errors import BackendUnavailable, InvalidImage, QuotaExceeded, StoreCorrupt
+from halodet.errors import AuthFailure, BackendUnavailable, InvalidImage, StoreCorrupt
 from halodet.executor import run_batch, write_run_dir
 from halodet.gateway import ModelGateway
 from halodet.stages import DetectionMethod
@@ -45,7 +47,7 @@ class _Injector:
     """Counts the calls of one site and raises ``error`` at the ``at``-th.
 
     A persistent error also fails every later call with the same arguments,
-    so the model gateway's retries of that request fail too.
+    so the executor's retries of that call fail too.
     """
 
     def __init__(self, site, at, error, persistent):
@@ -111,16 +113,16 @@ def _records(trace):
     return {(r["stage"], r["input_digest"], r["output_digest"]) for r in trace}
 
 
-# (name, site, error, persistent, absorbed): the gateway retries a model call
-# that heals; a corrupt read is recomputed and a failed put logged. A tool
-# error is never retried, so a search over quota fails its pair.
+# (name, site, error, persistent, absorbed): the executor retries any backend
+# call that heals; a corrupt read is recomputed and a failed put logged. Only
+# BackendUnavailable is retried, so a rejected search key fails its pair.
 _CASES = [
-    *[(f"{site}-{kind}", site, error, persistent, site == "invoke" and kind == "heals")
+    *[(f"{site}-{kind}", site, error, persistent, kind == "heals")
       for site in _BACKENDS
       for kind, error, persistent in (("persistent", BackendUnavailable, True),
                                       ("heals", BackendUnavailable, False),
                                       ("invalid-image", InvalidImage, True))],
-    ("search-quota", "search", QuotaExceeded, False, False),
+    ("search-auth", "search", AuthFailure, False, False),
     ("get-corrupt", "get", StoreCorrupt, False, True),
     ("put-enospc", "put", _enospc, False, True),
 ]

@@ -1,11 +1,12 @@
-"""Gateway contract: retry, non-retryable failures, mock replay, request log."""
+"""Model calls: retry on the executor's call path, non-retryable failures,
+mock replay, request log."""
 
 from __future__ import annotations
 
 import pytest
 
 import store_records
-from conftest import image_ref
+from conftest import ScriptedModelBackend, image_ref
 from halodet.cache import CacheKey, DiskCache
 from halodet.errors import (
     AuthFailure,
@@ -14,15 +15,19 @@ from halodet.errors import (
     PayloadTooLarge,
     StoreCorrupt,
 )
+from halodet.executor import run_detection
 from halodet.gateway import (
     MockModelBackend,
     ModelGateway,
     ModelRequest,
     PurposeTag,
-    ScriptedModelBackend,
     request_digest,
 )
+from halodet.model import Claim, ImageTextPair, TaskType
 from halodet.prompts import RenderedPrompt
+from halodet.stages import DetectionMethod
+
+_VERDICT = '[{"claim1":"non-hallucination","reason":"ok"}]'
 
 
 def _request(user: str = "claim1: x") -> ModelRequest:
@@ -36,34 +41,42 @@ def _gateway(backend) -> ModelGateway:
     return ModelGateway(backend, sleep=lambda _: None)
 
 
+def _self_check(backend, sleep=lambda _: None):
+    """One zero-shot self-check of a one-claim pair: exactly one model call."""
+    pair = ImageTextPair(id="retry", task=TaskType.VQA, image=image_ref("retry"),
+                         text="A cat.", claims=(Claim(index=1, text="There is a cat."),))
+    return run_detection(pair, DetectionMethod.SELF_CHECK_0SHOT, None,
+                         ModelGateway(backend, sleep=sleep))
+
+
 class TestRetry:
     def test_two_failures_then_success(self):
         backend = ScriptedModelBackend([
-            BackendUnavailable("blip"), BackendUnavailable("blip"), "ok",
+            BackendUnavailable("blip"), BackendUnavailable("blip"), _VERDICT,
         ])
-        response = _gateway(backend).complete(_request())
-        assert response.text == "ok"
-        assert response.attempt_count == 3
+        result = _self_check(backend)
+        assert [v.rationale for v in result.verdicts] == ["ok"]
+        [record] = result.trace
+        assert (record.stage, record.attempts) == ("model:self-check", 3)
 
     def test_exhaustion_raises(self):
         backend = ScriptedModelBackend([BackendUnavailable("down")] * 3)
-        with pytest.raises(BackendUnavailable):
-            _gateway(backend).complete(_request())
+        with pytest.raises(BackendUnavailable, match="^scripted failed after 3 attempts: down$"):
+            _self_check(backend)
         assert backend.calls == 3
 
     @pytest.mark.parametrize("error", [AuthFailure("bad key"), PayloadTooLarge("big")])
     def test_non_retryable(self, error):
-        backend = ScriptedModelBackend([error, "never reached"])
+        backend = ScriptedModelBackend([error, _VERDICT])
         with pytest.raises(type(error)):
-            _gateway(backend).complete(_request())
+            _self_check(backend)
         assert backend.calls == 1
 
     def test_backoff_schedule(self, monkeypatch):
-        monkeypatch.setattr("halodet.gateway.random.uniform", lambda low, high: 0.0)
+        monkeypatch.setattr("halodet.executor.random.uniform", lambda low, high: 0.0)
         delays = []
-        backend = ScriptedModelBackend([BackendUnavailable("x")] * 2 + ["ok"])
-        gateway = ModelGateway(backend, sleep=delays.append)
-        gateway.complete(_request())
+        backend = ScriptedModelBackend([BackendUnavailable("x")] * 2 + [_VERDICT])
+        _self_check(backend, sleep=delays.append)
         assert delays == [1.0, 2.0]
 
     def test_jitter_is_ten_percent_either_way(self, monkeypatch):
@@ -73,11 +86,11 @@ class TestRetry:
             bounds.append((low, high))
             return (low, high)[len(bounds) % 2]
 
-        monkeypatch.setattr("halodet.gateway.random.uniform", extreme)
+        monkeypatch.setattr("halodet.executor.random.uniform", extreme)
         delays = []
         backend = ScriptedModelBackend([BackendUnavailable("x")] * 3)
         with pytest.raises(BackendUnavailable):
-            ModelGateway(backend, sleep=delays.append).complete(_request())
+            _self_check(backend, sleep=delays.append)
         assert bounds == [(-0.1, 0.1)] * 2
         assert delays == pytest.approx([1.1, 1.8])
         assert backend.calls == 3
@@ -112,7 +125,7 @@ class TestMockBackend:
         backend = CountingMock(DiskCache(tmp_path))
         sleeps = []
         with pytest.raises(BackendError) as exc_info:
-            ModelGateway(backend, sleep=sleeps.append).complete(_request("nothing recorded"))
+            _self_check(backend, sleep=sleeps.append)
         assert type(exc_info.value) is BackendError
         assert backend.invocations == 1
         assert sleeps == []

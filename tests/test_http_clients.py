@@ -14,7 +14,6 @@ from halodet.errors import (
     BackendUnavailable,
     InvalidImage,
     PayloadTooLarge,
-    QuotaExceeded,
 )
 from halodet.gateway import HttpModelBackend, ModelRequest, PurposeTag
 from halodet.prompts import RenderedPrompt
@@ -144,8 +143,9 @@ class TestHttpFactSearcher:
         assert out[0].source_url == "https://a"
 
     def test_quota_mapping(self):
+        # A rate limit heals, so it maps to the class the executor retries.
         searcher = HttpFactSearcher("key", session=FakeSession(FakeResponse(429)))
-        with pytest.raises(QuotaExceeded):
+        with pytest.raises(BackendUnavailable):
             search_facts(searcher, "q", 3)
 
     def test_api_key_header(self):
@@ -242,7 +242,7 @@ def test_search_status_mapping(status, error):
 
 
 @pytest.mark.parametrize("status, error", [
-    (403, AuthFailure), (422, InvalidImage), (429, QuotaExceeded),
+    (403, AuthFailure), (422, InvalidImage), (429, BackendUnavailable),
     (413, BackendUnavailable),
 ])
 def test_tool_status_mapping(status, error):

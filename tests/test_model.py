@@ -188,8 +188,7 @@ class TestEvidence:
             facts=(FactEvidence("q", ("s1", "s2")),),
         )
         assert EvidenceBundle.from_json(bundle.to_json()) == bundle
-        assert not bundle.is_empty()
-        assert EvidenceBundle().is_empty()
+        assert bundle != EvidenceBundle()
 
 
 # --- property tests ------------------------------------------------------------------

@@ -227,13 +227,13 @@ def test_formulate_queries_merges_and_routes():
     ])
     plan = formulate_queries(_pair(2), gateway)
     assert plan.n_claims == 2
-    assert plan.for_claim(1).object_labels == ("athlete", "uniform")
-    assert plan.for_claim(1).attribute_questions == (
+    assert plan.per_claim[0].object_labels == ("athlete", "uniform")
+    assert plan.per_claim[0].attribute_questions == (
         "What color is the uniform of the athlete on the right side?",
     )
-    assert plan.for_claim(1).scene_text_questions == ()
-    assert plan.for_claim(1).fact_questions == ()
-    assert plan.for_claim(2) == plan.for_claim(2).__class__()
+    assert plan.per_claim[0].scene_text_questions == ()
+    assert plan.per_claim[0].fact_questions == ()
+    assert plan.per_claim[1] == plan.per_claim[1].__class__()
     assert label_union(q.object_labels for q in plan.per_claim) == ["athlete", "uniform"]
     assert gateway.backend.calls == 4
 
@@ -259,7 +259,7 @@ def test_formulate_queries_object_labels_lowercased_and_deduped():
         ("search engine questions", '{"claim1":["none"]}'),
     ])
     plan = formulate_queries(_pair(1), gateway)
-    assert plan.for_claim(1).object_labels == ("man", "motorcycle")
+    assert plan.per_claim[0].object_labels == ("man", "motorcycle")
 
 
 def test_formulate_queries_tags_failing_template():

@@ -6,10 +6,10 @@ import random
 
 import pytest
 
-from conftest import image_ref
+from conftest import ScriptedModelBackend, image_ref
 from halodet.cache import CacheKey, DiskCache
 from halodet.errors import InvalidImage
-from halodet.gateway import ModelGateway, ScriptedModelBackend
+from halodet.gateway import ModelGateway
 from halodet.model import (
     AttributeEvidence,
     EvidenceBundle,
