@@ -189,9 +189,9 @@ def _pair(data: Any, at: _At, gold: bool) -> ImageTextPair:
 def _checked_pair(data: Any, at: _At, folder: Path, gold: bool) -> ImageTextPair:
     """Walk one pair, check its invariants, then its image file if present."""
     pair = _pair(data, at, gold)
-    report = validate_pair(pair)
-    if not report.ok:
-        raise _violation("; ".join(report.violations), *at)
+    violations = validate_pair(pair)
+    if violations:
+        raise _violation("; ".join(violations), *at)
     _check_image_file(pair.image, folder, (*at, "image"))
     return pair
 

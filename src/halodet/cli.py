@@ -1,9 +1,9 @@
 """Operator entry points: detect, evaluate, stats, cache.
 
-Exit codes: 0 full success, 1 configuration or usage error, 2 partial
-success (some pairs failed but results were written). Failures also emit a
-machine-readable JSON line on stderr so batch drivers can branch without
-scraping messages.
+Exit codes: 0 full success, 1 configuration or usage error or an output
+that cannot be written, 2 partial success (some pairs failed but results were
+written). Failures also emit a machine-readable JSON line on stderr so batch
+drivers can branch without scraping messages.
 """
 
 from __future__ import annotations
@@ -57,24 +57,22 @@ def cmd_detect(args: argparse.Namespace) -> int:
     names = {f.name for f in fields(RunConfig)}
     flag_values = {name: value for name, value in vars(args).items() if name in names}
     flag_values["cache"] = False if args.no_cache else None
-    try:
-        config = build_config(args.config, flag_values)
-        if not config.bench:
-            raise HalodetError("detect needs --bench")
-        pairs = bench_io.load_detection_input(config.bench)
-        gateway, tools = build_backends(config)
-        demonstrations = ()
-        if config.method == "selfcheck2":
-            if not config.demos:
-                raise MissingDemonstrations("selfcheck2 needs --demos FILE")
-            demonstrations = bench_io.load_demos(config.demos)
-        cache = DiskCache(config.cache_dir) if config.cache else None
-        run_id = config.run_id or _default_run_id()
-        run_parent = Path(config.out)
-        if (run_parent / run_id).exists():
-            raise HalodetError(f"run directory {run_parent / run_id} already exists")
-    except (HalodetError, OSError, ValueError) as exc:
-        return _fail(exc)
+    config = build_config(args.config, flag_values)
+    if not config.bench:
+        raise HalodetError("detect needs --bench")
+    pairs = bench_io.load_detection_input(config.bench)
+    gateway, tools = build_backends(config)
+    demonstrations = ()
+    if config.method == "selfcheck2":
+        if not config.demos:
+            raise MissingDemonstrations("selfcheck2 needs --demos FILE")
+        demonstrations = bench_io.load_demos(config.demos)
+    cache = DiskCache(config.cache_dir) if config.cache else None
+    run_id = config.run_id or _default_run_id()
+    run_parent = Path(config.out)
+    run_parent.mkdir(parents=True, exist_ok=True)  # a bad --out fails before any call
+    if (run_parent / run_id).exists():
+        raise HalodetError(f"run directory {run_parent / run_id} already exists")
 
     outcome = run_batch(
         pairs,
@@ -115,20 +113,17 @@ def _reports(converted: bench_io.ConvertedPredictions) -> list[MetricsReport]:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    benchmark = bench_io.load(args.bench)
+    results = load_run_results(args.results)
+    converted = bench_io.convert_predictions(results, benchmark)
+    reports = _reports(converted)
     try:
-        benchmark = bench_io.load(args.bench)
-        results = load_run_results(args.results)
-        converted = bench_io.convert_predictions(results, benchmark)
-        reports = _reports(converted)
-        try:
-            recall = per_category_recall(
-                converted.claim.preds, converted.claim.golds,
-                converted.claim_categories,
-            )
-        except MissingCategoryTags:
-            recall = None
-    except (HalodetError, OSError, ValueError) as exc:
-        return _fail(exc)
+        recall = per_category_recall(
+            converted.claim.preds, converted.claim.golds,
+            converted.claim_categories,
+        )
+    except MissingCategoryTags:
+        recall = None
 
     if args.format == "table":
         output = render_table(reports)
@@ -155,10 +150,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    try:
-        benchmark = bench_io.load(args.bench)
-    except (HalodetError, OSError) as exc:
-        return _fail(exc)
+    benchmark = bench_io.load(args.bench)
     corpus = bench_io.stats(benchmark)
     if args.format == "json":
         print(json.dumps(corpus.to_json(), indent=2))
@@ -168,10 +160,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
-    try:
-        cache = DiskCache(args.cache_dir)
-    except (HalodetError, OSError) as exc:
-        return _fail(exc)
+    cache = DiskCache(args.cache_dir)
     if args.action == "clear":
         removed = cache.clear()
         print(f"cleared {removed} entries")
@@ -240,7 +229,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (HalodetError, OSError, ValueError) as exc:
+        return _fail(exc)
 
 
 if __name__ == "__main__":

@@ -279,9 +279,9 @@ class _PairCalls:
         """The pair's first task: its claims, then its UniHD calls, or the whole pair."""
         pair, batch = self._pair, self._batch
         try:
-            report = validate_pair(pair)
-            if not report.ok:
-                raise ValueError(f"pair {pair.id!r} invalid: " + "; ".join(report.violations))
+            violations = validate_pair(pair)
+            if violations:
+                raise ValueError(f"pair {pair.id!r} invalid: " + "; ".join(violations))
             if not pair.claims:
                 claims = extract_claims(pair.text, pair.task, self)
                 self._pair = pair = replace(pair, claims=tuple(claims))
@@ -557,7 +557,6 @@ def write_run_dir(
     method: DetectionMethod,
     backend_ids: dict[str, str],
     config_echo: dict[str, Any] | None = None,
-    created_at: str | None = None,
 ) -> Path:
     """Write ``results/<run-id>/{manifest.json, <pair-id>.json, errors.json}``.
 
@@ -574,7 +573,7 @@ def write_run_dir(
 
     manifest = {
         "run_id": run_id,
-        "created_at": created_at if created_at is not None else _utc_now(),
+        "created_at": _utc_now(),
         "method": method.value,
         "backend_ids": backend_ids,
         "template_digests": template_digests(),

@@ -7,8 +7,8 @@ a run wrote (verdicts and evidence). Enum vocabularies and JSON types are
 closed: decoding rejects anything outside them instead of coercing.
 
 Pair-level structural invariants are checked by :func:`validate_pair`, which
-reports violations as data rather than raising, so that malformed inputs can
-be surfaced in full.
+returns the violations as data rather than raising, so that malformed inputs
+can be surfaced in full.
 """
 
 from __future__ import annotations
@@ -25,13 +25,6 @@ class TaskType(Enum):
     IMAGE_CAPTIONING = "image-captioning"
     VQA = "vqa"
     TEXT_TO_IMAGE = "text-to-image"
-
-    @property
-    def direction(self) -> str:
-        """"image-to-text" for captioning/VQA, "text-to-image" otherwise."""
-        if self is TaskType.TEXT_TO_IMAGE:
-            return "text-to-image"
-        return "image-to-text"
 
 
 class HallucinationCategory(Enum):
@@ -360,15 +353,6 @@ _VERDICT_KEYS = frozenset({"claim_index", "label", "rationale", "parse_flags"})
 # --- validation ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 # A pair id names its result file in the run directory, next to these two;
 # a run id, checked by ``RunConfig``, names the run directory.
 NAME_RE = re.compile(r"[A-Za-z0-9._-]+")
@@ -384,8 +368,8 @@ def pair_id_problem(pair_id: str) -> str | None:
     return None
 
 
-def validate_pair(pair: ImageTextPair) -> ValidationReport:
-    """Check every ImageTextPair invariant, reporting violations as data."""
+def validate_pair(pair: ImageTextPair) -> tuple[str, ...]:
+    """Every ImageTextPair invariant the pair breaks; empty when it is sound."""
     violations: list[str] = []
 
     id_problem = pair_id_problem(pair.id)
@@ -443,4 +427,4 @@ def validate_pair(pair: ImageTextPair) -> ValidationReport:
                     f"disagrees with owning segment {owner_of.get(claim.index)!r}"
                 )
 
-    return ValidationReport(violations=tuple(violations))
+    return tuple(violations)

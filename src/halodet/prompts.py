@@ -2,11 +2,12 @@
 
 Templates live as UTF-8 text fixtures under ``templates/``; a manifest pins
 each file's SHA-256 and the whole set is verified once, on first use. Each
-file holds a ``SYSTEM:`` block and a ``USER:`` block; the user block declares
-``{slot}`` placeholders. Rendering is a pure, single-pass substitution of
-exactly the declared slots; surrounding template bytes are never touched, so
-the braces that appear inside the templates' own response-format examples
-survive verbatim.
+file holds a ``SYSTEM:`` block and a ``USER:`` block. A template's slots are
+read from its USER block, once, with the rest of the table: each ``{name}``
+placeholder is a slot. Rendering is a pure, single-pass substitution of
+exactly those slots; surrounding template bytes are never touched, so the
+braces that appear inside the templates' own response-format examples
+(``{"claim1": ...}``) survive verbatim.
 
 Canonical templates are the four query-formulation prompts and the two
 verification prompts. Supplemental templates (claim extraction, the two
@@ -52,26 +53,10 @@ class SupplementalId(Enum):
 
 PromptId = TemplateId | SupplementalId
 
-_VERIFY_SLOTS = (
-    "object_evidence",
-    "attribute_evidence",
-    "scene_text_evidence",
-    "fact_evidence",
-    "claims",
-)
-
-_SLOTS: dict[PromptId, tuple[str, ...]] = {
-    TemplateId.OBJECT_QUERY: ("claims",),
-    TemplateId.ATTRIBUTE_QUERY: ("objects", "claims"),
-    TemplateId.SCENE_TEXT_QUERY: ("claims",),
-    TemplateId.FACT_QUERY: ("claims",),
-    TemplateId.VERIFY_IMAGE_TO_TEXT: _VERIFY_SLOTS,
-    TemplateId.VERIFY_TEXT_TO_IMAGE: _VERIFY_SLOTS,
-    SupplementalId.EXTRACT_CLAIMS: ("text",),
-    SupplementalId.SELF_CHECK_0SHOT: ("claims",),
-    SupplementalId.SELF_CHECK_2SHOT: ("demonstrations", "claims"),
-    SupplementalId.ATTRIBUTE_ANSWER: ("question",),
-}
+# A slot is a ``{name}`` in a template's USER block; a template's slots are
+# kept in order of first appearance. The quote that opens every key of the
+# templates' JSON examples keeps their braces from matching.
+_SLOT_RE = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
 
 # Templates allowed to carry image attachments: verification, self-check,
 # and the attribute-answer prompt. Query formulation is text-only.
@@ -98,8 +83,8 @@ class RenderedPrompt:
 
 
 @functools.cache
-def _templates() -> dict[PromptId, tuple[str, str, str]]:
-    """Every template as (system, user, sha256), read and verified on first call.
+def _templates() -> dict[PromptId, tuple[str, str, str, tuple[str, ...]]]:
+    """Every template as (system, user, sha256, slots), read and verified on first call.
 
     Raises TemplateIntegrityError, and caches nothing, if a file's digest
     differs from the manifest or its headers are malformed. Two threads that
@@ -108,7 +93,7 @@ def _templates() -> dict[PromptId, tuple[str, str, str]]:
     """
     root = resources.files("halodet") / "templates"
     manifest = json.loads((root / "manifest.json").read_text("utf-8"))
-    templates: dict[PromptId, tuple[str, str, str]] = {}
+    templates: dict[PromptId, tuple[str, str, str, tuple[str, ...]]] = {}
     for prompt_id in list(TemplateId) + list(SupplementalId):
         filename = prompt_id.value + ".txt"
         raw = (root / filename).read_bytes()
@@ -119,7 +104,8 @@ def _templates() -> dict[PromptId, tuple[str, str, str]]:
                 f"{filename}: digest {digest} does not match manifest {pinned}"
             )
         system, user = _split_template(raw.decode("utf-8"), filename)
-        templates[prompt_id] = (system, user, digest)
+        slots = tuple(dict.fromkeys(_SLOT_RE.findall(user)))
+        templates[prompt_id] = (system, user, digest, slots)
     return templates
 
 
@@ -141,12 +127,12 @@ def _split_template(text: str, filename: str) -> tuple[str, str]:
 def template_digests() -> dict[str, str]:
     """Pinned SHA-256 per template file, for run manifests and audits."""
     return {f"{prompt_id.value}.txt": digest
-            for prompt_id, (_, _, digest) in _templates().items()}
+            for prompt_id, (_, _, digest, _) in _templates().items()}
 
 
 def template_text(prompt_id: PromptId) -> tuple[str, str]:
     """(system, user) text of a stored template, slots unbound."""
-    system, user, _ = _templates()[prompt_id]
+    system, user, _, _ = _templates()[prompt_id]
     return system, user
 
 
@@ -175,8 +161,7 @@ def render(
     :class:`UnknownSlot`. Substitution is one pass over the stored text, so
     bound values are inserted verbatim and never re-scanned.
     """
-    system, template, _ = _templates()[prompt_id]
-    slots = _SLOTS[prompt_id]
+    system, template, _, slots = _templates()[prompt_id]
     for slot in slots:
         if slot not in bindings:
             raise MissingSlot(slot)
@@ -186,6 +171,5 @@ def render(
     if images and prompt_id not in _ATTACHMENT_OK:
         raise ValueError(f"template {prompt_id.value} does not take image attachments")
 
-    pattern = re.compile(r"\{(" + "|".join(re.escape(s) for s in slots) + r")\}")
-    user = pattern.sub(lambda match: bindings[match.group(1)], template)
+    user = _SLOT_RE.sub(lambda match: bindings[match.group(1)], template)
     return RenderedPrompt(system=system, user=user, attachments=tuple(images))

@@ -82,10 +82,6 @@ class ToolPlan:
 
     per_claim: tuple[ClaimQueries, ...]
 
-    @property
-    def n_claims(self) -> int:
-        return len(self.per_claim)
-
     def to_json(self) -> dict[str, Any]:
         return {
             claim_key(i): {

@@ -199,6 +199,16 @@ class TestDetect:
         assert json.loads(line)["error"] == "ConfigInvalid"
         assert list(tmp_path.iterdir()) == []
 
+    def test_a_file_as_out_fails_before_any_call(self, scenario_dir, tmp_path, capsys):
+        out = tmp_path / "not-a-directory"
+        out.write_text("")
+        args = _detect_args(scenario_dir, out, "r1")
+        args[args.index("--cache-dir") + 1] = str(tmp_path / "cache")
+        assert main(args) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"] == "FileExistsError"
+        assert not (tmp_path / "cache").exists()  # no reply was put, so no call made
+
     def test_no_cache_matches_cached_run(self, scenario_dir, tmp_path):
         assert main(_detect_args(scenario_dir, tmp_path, "cached")) == 0
         assert main(_detect_args(scenario_dir, tmp_path, "plain", "--no-cache")) == 0
@@ -340,6 +350,15 @@ class TestEvaluate:
         assert code == 1
         error = json.loads(capsys.readouterr().err.splitlines()[0])
         assert error["error"] == "MissingPrediction"
+
+    def test_a_directory_as_out_is_a_one_line_error(self, run_dir, tmp_path, capsys):
+        code = main([
+            "evaluate", "--bench", str(FIXTURES / "bench6.json"),
+            "--results", str(run_dir), "--out", str(tmp_path),
+        ])
+        assert code == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"] == "IsADirectoryError"
 
     @staticmethod
     def _evaluate_edited(run_dir, tmp_path, capsys, name, edit) -> dict:

@@ -502,8 +502,7 @@ class TestRunDir:
             frozenset({ParseFlag.REPAIRED}), frozenset({ParseFlag.UNVERIFIED})]
         run_dir = write_run_dir(tmp_path, "run-x", outcome,
                                 method=DetectionMethod.UNIHD,
-                                backend_ids={"model": "table"},
-                                created_at="2026-01-01T00:00:00+00:00")
+                                backend_ids={"model": "table"})
         names = sorted(p.name for p in run_dir.iterdir())
         assert names == ["errors.json", "manifest.json", "pair-0.json", "pair-1.json"]
         manifest = json.loads((run_dir / "manifest.json").read_text())

@@ -58,6 +58,64 @@ class TestClaimList:
             assert line.startswith(f"claim{i}: ")
 
 
+_VERIFY_SLOTS = ("object_evidence", "attribute_evidence", "scene_text_evidence",
+                 "fact_evidence", "claims")
+
+# The slots each template's USER block declares, in order of first appearance.
+SLOTS = {
+    TemplateId.OBJECT_QUERY: ("claims",),
+    TemplateId.ATTRIBUTE_QUERY: ("objects", "claims"),
+    TemplateId.SCENE_TEXT_QUERY: ("claims",),
+    TemplateId.FACT_QUERY: ("claims",),
+    TemplateId.VERIFY_IMAGE_TO_TEXT: _VERIFY_SLOTS,
+    TemplateId.VERIFY_TEXT_TO_IMAGE: _VERIFY_SLOTS,
+    SupplementalId.EXTRACT_CLAIMS: ("text",),
+    SupplementalId.SELF_CHECK_0SHOT: ("claims",),
+    SupplementalId.SELF_CHECK_2SHOT: ("demonstrations", "claims"),
+    SupplementalId.ATTRIBUTE_ANSWER: ("question",),
+}
+
+
+class TestSlotContract:
+    """Every template takes exactly its pinned slots, read from its USER block."""
+
+    @pytest.fixture(params=list(SLOTS.items()), ids=lambda item: item[0].value)
+    def template(self, request):
+        return request.param
+
+    def test_every_template_is_pinned(self):
+        assert set(SLOTS) == set(TemplateId) | set(SupplementalId)
+
+    def test_renders_with_exactly_its_slots(self, template):
+        prompt_id, slots = template
+        assert prompts._templates()[prompt_id][3] == slots
+        bindings = {slot: f"<{slot} value>" for slot in slots}
+        _, stored_user = template_text(prompt_id)
+        expected = stored_user
+        for slot in slots:
+            expected = expected.replace("{" + slot + "}", bindings[slot])
+        assert render(prompt_id, bindings).user == expected
+
+    def test_an_extra_binding_is_unknown(self, template):
+        prompt_id, slots = template
+        bindings = {slot: "x" for slot in slots}
+        with pytest.raises(UnknownSlot) as exc_info:
+            render(prompt_id, {**bindings, "mood": "upbeat"})
+        assert exc_info.value.name == "mood"
+
+    def test_each_missing_binding_is_named(self, template):
+        prompt_id, slots = template
+        for missing in slots:
+            bindings = {slot: "x" for slot in slots if slot != missing}
+            with pytest.raises(MissingSlot) as exc_info:
+                render(prompt_id, bindings)
+            assert exc_info.value.name == missing
+
+    def test_no_system_block_has_a_slot(self, template):
+        system, _ = template_text(template[0])
+        assert prompts._SLOT_RE.search(system) is None
+
+
 class TestSlotDiscipline:
     def test_missing_slot(self):
         with pytest.raises(MissingSlot) as exc_info:

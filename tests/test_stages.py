@@ -226,7 +226,7 @@ def test_formulate_queries_merges_and_routes():
         ("search engine questions", '{"claim1":["none"],"claim2":["none"]}'),
     ])
     plan = formulate_queries(_pair(2), gateway)
-    assert plan.n_claims == 2
+    assert len(plan.per_claim) == 2
     assert plan.per_claim[0].object_labels == ("athlete", "uniform")
     assert plan.per_claim[0].attribute_questions == (
         "What color is the uniform of the athlete on the right side?",
