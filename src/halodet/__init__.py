@@ -23,7 +23,6 @@ from .gateway import (
     ModelGateway,
     ModelRequest,
     ModelResponse,
-    MockModelBackend,
     PurposeTag,
 )
 from .metrics import (
@@ -97,7 +96,6 @@ __all__ = [
     "Label",
     "MetricLevel",
     "MetricsReport",
-    "MockModelBackend",
     "ModelGateway",
     "ModelRequest",
     "ModelResponse",

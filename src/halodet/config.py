@@ -16,16 +16,17 @@ from typing import Any
 
 from .cache import DiskCache
 from .errors import ConfigInvalid
-from .gateway import HttpModelBackend, MockModelBackend, ModelGateway
+from .gateway import HttpModelBackend, ModelGateway
 from .model import NAME_RE
 from .stages import DetectionMethod
 from .tools import (
     DEFAULT_SEARCH_ENDPOINT,
+    REPLAY_IDS,
     GatewayAttributeAnswerer,
     HttpFactSearcher,
     HttpObjectDetector,
     HttpSceneTextReader,
-    NullTool,
+    Replay,
     ToolBackendSet,
     mock_backend_set,
 )
@@ -207,14 +208,19 @@ def _parsed(variable: str, raw: str, kind: type) -> Any:
 
 def build_backends(config: RunConfig, env: dict[str, str] | None = None
                    ) -> tuple[ModelGateway, ToolBackendSet]:
-    """The model gateway and the four tools; mock ones replay one fixture store, opened once."""
+    """The model gateway and the four tools.
+
+    In mock mode each is a ``Replay`` of one fixture store, opened once, under
+    its id in ``REPLAY_IDS``. A tool switched off holds ``Replay(None, "null")``,
+    which finds nothing.
+    """
     env = dict(os.environ) if env is None else env
     request_log = config.request_log or None
     if config.backend == "mock":
         if not Path(config.fixtures).is_dir():
             raise ConfigInvalid(f"fixture directory not found: {config.fixtures}")
         store = DiskCache(config.fixtures)
-        gateway = ModelGateway(MockModelBackend(store), request_log=request_log)
+        gateway = ModelGateway(Replay(store, REPLAY_IDS["model"]), request_log=request_log)
         tools = mock_backend_set(store)
     else:
         api_key = env.get(MODEL_API_KEY_ENV, "")
@@ -238,5 +244,5 @@ def build_backends(config: RunConfig, env: dict[str, str] | None = None
         )
     for switch, slot in TOOL_SWITCHES.items():
         if getattr(config, switch) == "null":
-            setattr(tools, slot, NullTool())
+            setattr(tools, slot, Replay(None, "null"))
     return gateway, tools

@@ -1,8 +1,8 @@
 """Uniform client contract for the underlying multimodal model.
 
 One entry point, :meth:`ModelGateway.complete`, fronts whichever backend is
-configured: a live HTTPS endpoint or a deterministic mock replaying a cache
-store. It makes one backend call per request; retries belong to the
+configured: a live HTTPS endpoint or a ``tools.Replay`` of recorded
+replies. It makes one backend call per request; retries belong to the
 executor's call path, which every backend call of a run goes through. It
 never parses model output, which belongs to the pipeline stage that issued
 the request.
@@ -23,8 +23,7 @@ from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Protocol, TypeVar
 
-from .cache import CacheKey, DiskCache
-from .errors import AuthFailure, BackendError, BackendUnavailable, PayloadTooLarge
+from .errors import AuthFailure, BackendUnavailable, PayloadTooLarge
 from .hashing import sha256_json
 from .prompts import RenderedPrompt
 
@@ -136,33 +135,7 @@ class ModelGateway:
                 handle.write(line + "\n")
 
 
-# --- backends -----------------------------------------------------------------
-
-
-class MockModelBackend:
-    """Deterministic replay of recorded replies from a read-only cache store.
-
-    A request is looked up under the executor's own model cache key, so a
-    store recorded by ``run_batch(..., cache=DiskCache(root))`` replays as is.
-    A request with no entry raises BackendError, which is never retried: a
-    model reply cannot be defaulted, and a missing entry never heals. A
-    tampered entry raises StoreCorrupt.
-    """
-
-    backend_id = "mock-model"
-
-    def __init__(self, store: DiskCache) -> None:
-        self._store = store
-
-    def invoke(self, request: ModelRequest) -> str:
-        digest = request_digest(request)
-        hit, value = self._store.get(CacheKey.model(digest, self.backend_id))
-        if not hit:
-            raise BackendError(
-                f"no mock entry for request digest {digest} "
-                f"(purpose {request.purpose_tag.value})"
-            )
-        return value["text"]
+# --- live backend ----------------------------------------------------------------
 
 
 def _requests():

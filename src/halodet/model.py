@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Union
 
-from .hashing import sha256_file
 
 
 class TaskType(Enum):
@@ -103,10 +102,6 @@ class ImageRef:
 
     path: str
     digest: str
-
-    @classmethod
-    def from_file(cls, path: str) -> "ImageRef":
-        return cls(path=path, digest=sha256_file(path))
 
     def to_json(self) -> dict[str, Any]:
         return {"path": self.path, "digest": self.digest}

@@ -1,12 +1,12 @@
 """The four aspect-oriented evidence tools and their shared contracts.
 
 Each family (object detection, attribute answering, scene-text reading,
-fact search) has a protocol, a live HTTP client, and a deterministic mock
-replaying a cache store under the executor's own keys. One null tool,
-which finds nothing, stands in for any family (so ablations are a config
-change). The module-level operations (:func:`detect_objects` etc.) enforce
-the family's postconditions (label vocabulary, box validity, deterministic
-ordering) regardless of backend.
+fact search) has a protocol and a live client. One :class:`Replay` plays
+back a cache store under the executor's own keys, as the model or as any
+tool; with no store it finds nothing, and so stands in for any family
+switched off (ablations are a config change). The module-level operations
+(:func:`detect_objects` etc.) enforce the family's postconditions (label
+vocabulary, box validity, deterministic ordering) regardless of backend.
 
 :func:`format_evidence_sections` turns a collected bundle into the four
 text blocks the verification prompts bind; empty families render exactly
@@ -16,11 +16,18 @@ text blocks the verification prompts bind; empty families render exactly
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Protocol, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Protocol, Sequence
 
 from .cache import CacheKey, DiskCache
-from .errors import AuthFailure, InvalidImage
-from .gateway import Completer, ModelGateway, ModelRequest, PurposeTag, _HttpJsonClient
+from .errors import AuthFailure, BackendError, InvalidImage
+from .gateway import (
+    Completer,
+    ModelGateway,
+    ModelRequest,
+    PurposeTag,
+    _HttpJsonClient,
+    request_digest,
+)
 from .model import (
     AttributeEvidence,
     EvidenceBundle,
@@ -86,7 +93,7 @@ class FactSearcher(Protocol):
 
 @dataclass
 class ToolBackendSet:
-    """The four tool slots; every slot must be populated (the null tool counts)."""
+    """The four tool slots; every slot must be populated (a store-less Replay counts)."""
 
     object_detector: ObjectDetector
     attribute_answerer: AttributeAnswerer
@@ -209,60 +216,78 @@ def format_evidence_sections(evidence: EvidenceBundle) -> dict[str, str]:
     }
 
 
-# --- mock backends ------------------------------------------------------------
+# --- replay ------------------------------------------------------------------------
+
+# The backend id each replay answers under, keyed like a run manifest's backend_ids.
+REPLAY_IDS = {
+    "model": "mock-model",
+    "object_detector": "mock-object-detector",
+    "attribute_answerer": "mock-attribute",
+    "scene_text_reader": "mock-scene-text",
+    "fact_searcher": "mock-fact-search",
+}
 
 
-class _MockTool:
-    """Replays a read-only cache store: a missing entry means no evidence.
+class Replay:
+    """Replays a read-only cache store, as the model or as any tool.
 
-    Entries are looked up under the executor's own cache keys, so a store
-    recorded by ``run_batch(..., cache=DiskCache(root))`` replays as is. A
-    tampered entry raises StoreCorrupt.
+    Entries are looked up under the executor's own cache keys and this
+    replay's backend id, so a store recorded by
+    ``run_batch(..., cache=DiskCache(root))`` replays as is. A tool call
+    with no entry, or with no store at all, finds nothing: a tool slot
+    switched off holds ``Replay(None, "null")``. A model request with no
+    entry raises BackendError, which is never retried: a model reply cannot
+    be defaulted, and a missing entry never heals. A tampered entry raises
+    StoreCorrupt.
     """
 
-    def __init__(self, store: DiskCache) -> None:
+    def __init__(self, store: DiskCache | None, backend_id: str) -> None:
         self._store = store
+        self.backend_id = backend_id
 
-    def _lookup(self, key: CacheKey):
-        hit, value = self._store.get(key)
+    def _lookup(self, key: Callable[..., CacheKey], *query: Any) -> Any:
+        """The value stored under ``key(*query, backend_id)``, else None; no store builds no key."""
+        if self._store is None:
+            return None
+        hit, value = self._store.get(key(*query, self.backend_id))
         return value if hit else None
 
-
-class MockObjectDetector(_MockTool):
-    backend_id = "mock-object-detector"
+    def invoke(self, request: ModelRequest) -> str:
+        digest = request_digest(request)
+        stored = self._lookup(CacheKey.model, digest)
+        if stored is None:
+            raise BackendError(
+                f"no mock entry for request digest {digest} "
+                f"(purpose {request.purpose_tag.value})"
+            )
+        return stored["text"]
 
     def detect(self, image: ImageRef, labels: Sequence[str]) -> list[ObjectEvidence]:
-        items = self._lookup(CacheKey.object_detect(image.digest, labels, self.backend_id))
+        items = self._lookup(CacheKey.object_detect, image.digest, labels)
         return [evidence_from_json(item) for item in items or ()]
-
-
-class MockSceneTextReader(_MockTool):
-    backend_id = "mock-scene-text"
 
     def read(self, image: ImageRef) -> list[SceneTextEvidence]:
-        items = self._lookup(CacheKey.scene_text(image.digest, self.backend_id))
+        items = self._lookup(CacheKey.scene_text, image.digest)
         return [evidence_from_json(item) for item in items or ()]
 
-
-class MockFactSearcher(_MockTool):
-    """Replays recorded snippet lines; :func:`fact_snippet_line` maps each back."""
-
-    backend_id = "mock-fact-search"
-
     def search(self, question: str, top_k: int) -> list[FactSnippet]:
-        fact = self._lookup(CacheKey.fact_search(question, top_k, self.backend_id))
-        if fact is None:
-            return []
-        return [FactSnippet("", line, "") for line in fact["snippets"]]
-
-
-class MockAttributeAnswerer(_MockTool):
-    backend_id = "mock-attribute"
+        """Recorded snippet lines; :func:`fact_snippet_line` maps each back."""
+        fact = self._lookup(CacheKey.fact_search, question, top_k)
+        return [] if fact is None else [FactSnippet("", line, "") for line in fact["snippets"]]
 
     def answer(self, image: ImageRef, question: str) -> AttributeEvidence:
-        stored = self._lookup(CacheKey.attribute(image.digest, question, self.backend_id))
+        stored = self._lookup(CacheKey.attribute, image.digest, question)
         answer = stored["answer"] if stored is not None else NONE_INFORMATION
         return AttributeEvidence(question=question, answer=answer)
+
+
+def mock_backend_set(store: DiskCache) -> ToolBackendSet:
+    """All four tools replaying one cache store."""
+    return ToolBackendSet(**{slot.name: Replay(store, REPLAY_IDS[slot.name])
+                             for slot in fields(ToolBackendSet)})
+
+
+# --- live clients ----------------------------------------------------------------
 
 
 class GatewayAttributeAnswerer:
@@ -276,30 +301,6 @@ class GatewayAttributeAnswerer:
         return answer_attribute(image, question, self._gateway)
 
 
-# --- null tool ---------------------------------------------------------------------
-
-
-class NullTool:
-    """Finds nothing, in every family: a tool slot switched off holds one."""
-
-    backend_id = "null"
-
-    def detect(self, image: ImageRef, labels: Sequence[str]) -> list[ObjectEvidence]:
-        return []
-
-    def read(self, image: ImageRef) -> list[SceneTextEvidence]:
-        return []
-
-    def search(self, question: str, top_k: int) -> list[FactSnippet]:
-        return []
-
-    def answer(self, image: ImageRef, question: str) -> AttributeEvidence:
-        return AttributeEvidence(question=question, answer=NONE_INFORMATION)
-
-
-# --- live HTTP clients -----------------------------------------------------------
-
-
 def _normalize_box(raw: Sequence[float], width: float | None, height: float | None) -> NormBox:
     x1, y1, x2, y2 = (float(v) for v in raw)
     if width and height:
@@ -309,12 +310,16 @@ def _normalize_box(raw: Sequence[float], width: float | None, height: float | No
 
 
 class _HttpToolClient(_HttpJsonClient):
+    """A live tool client; its backend id is ``<_id_prefix>:<endpoint>``."""
+
     _status_errors = {401: AuthFailure, 403: AuthFailure, 422: InvalidImage}
+    _id_prefix: str
 
     def __init__(self, endpoint: str, api_key: str | None = None,
                  session: requests.Session | None = None) -> None:
         headers = {"Authorization": f"Bearer {api_key}"} if api_key else {}
         super().__init__(endpoint, headers, session)
+        self.backend_id = f"{self._id_prefix}:{endpoint}"
 
 
 class HttpObjectDetector(_HttpToolClient):
@@ -325,10 +330,7 @@ class HttpObjectDetector(_HttpToolClient):
     boxes to fractions when the service reports image dimensions.
     """
 
-    def __init__(self, endpoint: str, api_key: str | None = None,
-                 session: requests.Session | None = None) -> None:
-        super().__init__(endpoint, api_key, session)
-        self.backend_id = f"detector:{endpoint}"
+    _id_prefix = "detector"
 
     def detect(self, image: ImageRef, labels: Sequence[str]) -> list[ObjectEvidence]:
         return self._post({
@@ -355,10 +357,7 @@ class HttpObjectDetector(_HttpToolClient):
 class HttpSceneTextReader(_HttpToolClient):
     """OCR service client; returns recognized lines with normalized boxes."""
 
-    def __init__(self, endpoint: str, api_key: str | None = None,
-                 session: requests.Session | None = None) -> None:
-        super().__init__(endpoint, api_key, session)
-        self.backend_id = f"scene-text:{endpoint}"
+    _id_prefix = "scene-text"
 
     def read(self, image: ImageRef) -> list[SceneTextEvidence]:
         return self._post({"image": image.to_json()}, self._lines)
@@ -378,6 +377,7 @@ class HttpFactSearcher(_HttpToolClient):
 
     # Search sends no image, so a 422 is not InvalidImage.
     _status_errors = {401: AuthFailure, 403: AuthFailure}
+    _id_prefix = "search"
 
     def __init__(self, api_key: str, endpoint: str = DEFAULT_SEARCH_ENDPOINT,
                  session: requests.Session | None = None) -> None:
@@ -385,7 +385,6 @@ class HttpFactSearcher(_HttpToolClient):
             raise AuthFailure("fact search requires an API key")
         super().__init__(endpoint, None, session)
         self._headers = {"X-API-KEY": api_key, "Content-Type": "application/json"}
-        self.backend_id = f"search:{endpoint}"
 
     def search(self, question: str, top_k: int) -> list[FactSnippet]:
         return self._post({"q": question}, lambda body: self._snippets(body, top_k))
@@ -403,12 +402,3 @@ class HttpFactSearcher(_HttpToolClient):
             ))
         return snippets
 
-
-def mock_backend_set(store: DiskCache) -> ToolBackendSet:
-    """All four tools replaying one cache store."""
-    return ToolBackendSet(
-        object_detector=MockObjectDetector(store),
-        attribute_answerer=MockAttributeAnswerer(store),
-        scene_text_reader=MockSceneTextReader(store),
-        fact_searcher=MockFactSearcher(store),
-    )

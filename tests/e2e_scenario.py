@@ -23,7 +23,7 @@ from pathlib import Path
 
 from halodet.bench import BenchmarkFile, save
 from halodet.cache import DiskCache
-from halodet.gateway import MockModelBackend, ModelGateway
+from halodet.gateway import ModelGateway
 from halodet.hashing import sha256_text
 from halodet.model import (
     AttributeEvidence,
@@ -41,12 +41,9 @@ from halodet.model import (
 from halodet.stages import DetectionMethod, SelfCheckDemo
 from halodet.model import Verdict
 from halodet.tools import (
+    REPLAY_IDS,
     FactSnippet,
-    MockAttributeAnswerer,
-    MockFactSearcher,
-    MockObjectDetector,
-    MockSceneTextReader,
-    NullTool,
+    Replay,
     ToolBackendSet,
 )
 
@@ -488,14 +485,14 @@ def demos_json() -> list[dict]:
 
 
 # --- recording backends ------------------------------------------------------------
-# Each carries the backend id of the mock that replays it, so the cache
-# entries a recording run writes are the entries the mocks look up.
+# Each carries the backend id of the replay that plays it back, so the cache
+# entries a recording run writes are the entries the replays look up.
 
 
 class RecordingModelBackend:
     """Answers from the scripts."""
 
-    backend_id = MockModelBackend.backend_id
+    backend_id = REPLAY_IDS["model"]
 
     def __init__(self, scripts: list[PairScript]) -> None:
         self._scripts = scripts
@@ -543,7 +540,7 @@ class RecordingModelBackend:
 
 
 class RecordingDetector:
-    backend_id = MockObjectDetector.backend_id
+    backend_id = REPLAY_IDS["object_detector"]
 
     def __init__(self, scripts: list[PairScript]) -> None:
         self._by_digest = {s.pair.image.digest: s for s in scripts}
@@ -553,7 +550,7 @@ class RecordingDetector:
 
 
 class RecordingReader:
-    backend_id = MockSceneTextReader.backend_id
+    backend_id = REPLAY_IDS["scene_text_reader"]
 
     def __init__(self, scripts: list[PairScript]) -> None:
         self._by_digest = {s.pair.image.digest: s for s in scripts}
@@ -563,7 +560,7 @@ class RecordingReader:
 
 
 class RecordingAnswerer:
-    backend_id = MockAttributeAnswerer.backend_id
+    backend_id = REPLAY_IDS["attribute_answerer"]
 
     def __init__(self, scripts: list[PairScript]) -> None:
         self._by_digest = {s.pair.image.digest: s for s in scripts}
@@ -574,7 +571,7 @@ class RecordingAnswerer:
 
 
 class RecordingSearcher:
-    backend_id = MockFactSearcher.backend_id
+    backend_id = REPLAY_IDS["fact_searcher"]
 
     def __init__(self, scripts: list[PairScript]) -> None:
         self._questions = {}
@@ -610,7 +607,7 @@ def materialize_fixtures(out_dir: str | Path) -> int:
         (DetectionMethod.UNIHD, backends, ()),
         (DetectionMethod.SELF_CHECK_0SHOT, backends, ()),
         (DetectionMethod.SELF_CHECK_2SHOT, backends, build_demos()),
-        *[(DetectionMethod.UNIHD, replace(backends, **{slot: NullTool()}), ())
+        *[(DetectionMethod.UNIHD, replace(backends, **{slot: Replay(None, "null")}), ())
           for slot in TOOL_SWITCHES.values()],
     ):
         outcome = run_batch(pairs, method, tools, gateway, cache=store, width=1,

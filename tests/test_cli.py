@@ -13,7 +13,7 @@ import store_records
 from halodet.cache import CacheKey, DiskCache
 from halodet.cli import main
 from halodet.config import TOOL_SWITCHES
-from halodet.tools import MockSceneTextReader
+from halodet.tools import REPLAY_IDS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -277,7 +277,7 @@ class TestFixtureStore:
         store_dir = tmp_path / "tampered-fixtures"
         shutil.copytree(scenario_dir / "mock", store_dir)
         car = e2e_scenario.image("car")
-        key = CacheKey.scene_text(car.digest, MockSceneTextReader.backend_id)
+        key = CacheKey.scene_text(car.digest, REPLAY_IDS["scene_text_reader"])
         assert DiskCache(store_dir).get(key)[0]
         [entry] = [r for r in store_records.records(store_dir) if r.digest == key.digest()]
         store_records.rewrite(entry, entry.body.decode().replace("worlld", "world"))

@@ -13,13 +13,7 @@ from halodet.config import (
     parse_config_file,
 )
 from halodet.errors import ConfigInvalid
-from halodet.tools import (
-    MockAttributeAnswerer,
-    MockFactSearcher,
-    MockObjectDetector,
-    MockSceneTextReader,
-    NullTool,
-)
+from halodet.tools import Replay
 
 
 def test_parse_flat_file(tmp_path):
@@ -154,20 +148,23 @@ def test_live_mode_requires_credentials(tmp_path):
 
 
 _MOCK_IDS = {
-    "object_detector": MockObjectDetector.backend_id,
-    "attribute_answerer": MockAttributeAnswerer.backend_id,
-    "scene_text_reader": MockSceneTextReader.backend_id,
-    "fact_searcher": MockFactSearcher.backend_id,
+    "model": "mock-model",
+    "object_detector": "mock-object-detector",
+    "attribute_answerer": "mock-attribute",
+    "scene_text_reader": "mock-scene-text",
+    "fact_searcher": "mock-fact-search",
 }
 
 
 @pytest.mark.parametrize("switch", list(TOOL_SWITCHES))
 def test_null_tool_selection(tmp_path, switch):
     config = RunConfig(backend="mock", fixtures=str(tmp_path), **{switch: "null"})
-    _, tools = build_backends(config, env={})
+    gateway, tools = build_backends(config, env={})
     slot = TOOL_SWITCHES[switch]
-    assert isinstance(getattr(tools, slot), NullTool)
-    assert tools.backend_ids() == {**_MOCK_IDS, slot: "null"}
+    assert isinstance(getattr(tools, slot), Replay)
+    # The run manifest's backend_ids map, as detect writes it.
+    assert {"model": gateway.backend.backend_id, **tools.backend_ids()} == \
+        {**_MOCK_IDS, slot: "null"}
 
 
 def test_load_demos(tmp_path):

@@ -17,7 +17,6 @@ from halodet.errors import (
 )
 from halodet.executor import run_detection
 from halodet.gateway import (
-    MockModelBackend,
     ModelGateway,
     ModelRequest,
     PurposeTag,
@@ -26,6 +25,7 @@ from halodet.gateway import (
 from halodet.model import Claim, ImageTextPair, TaskType
 from halodet.prompts import RenderedPrompt
 from halodet.stages import DetectionMethod
+from halodet.tools import REPLAY_IDS, Replay
 
 _VERDICT = '[{"claim1":"non-hallucination","reason":"ok"}]'
 
@@ -39,6 +39,10 @@ def _request(user: str = "claim1: x") -> ModelRequest:
 
 def _gateway(backend) -> ModelGateway:
     return ModelGateway(backend, sleep=lambda _: None)
+
+
+def _mock_model(store: DiskCache) -> Replay:
+    return Replay(store, REPLAY_IDS["model"])
 
 
 def _self_check(backend, sleep=lambda _: None):
@@ -107,22 +111,22 @@ class TestMockBackend:
     def test_fixture_lookup_and_determinism(self, tmp_path):
         request = _request("claim1: the fixture case")
         store = DiskCache(tmp_path)
-        store.put(CacheKey.model(request_digest(request), MockModelBackend.backend_id),
+        store.put(CacheKey.model(request_digest(request), REPLAY_IDS["model"]),
                   {"text": "pinned reply"})
-        gateway = _gateway(MockModelBackend(store))
+        gateway = _gateway(_mock_model(store))
         first = gateway.complete(request)
         second = gateway.complete(request)
         assert first.text == second.text == "pinned reply"
 
     def test_missing_fixture_is_an_error(self, tmp_path):
-        class CountingMock(MockModelBackend):
+        class CountingMock(Replay):
             invocations = 0
 
             def invoke(self, request):
                 self.invocations += 1
                 return super().invoke(request)
 
-        backend = CountingMock(DiskCache(tmp_path))
+        backend = CountingMock(DiskCache(tmp_path), REPLAY_IDS["model"])
         sleeps = []
         with pytest.raises(BackendError) as exc_info:
             _self_check(backend, sleep=sleeps.append)
@@ -133,12 +137,12 @@ class TestMockBackend:
     def test_tampered_fixture_raises(self, tmp_path):
         request = _request("claim1: tampered")
         store = DiskCache(tmp_path)
-        store.put(CacheKey.model(request_digest(request), MockModelBackend.backend_id),
+        store.put(CacheKey.model(request_digest(request), REPLAY_IDS["model"]),
                   {"text": "pinned reply"})
         [entry] = store_records.records(tmp_path)
         store_records.rewrite(entry, entry.body.decode().replace("pinned reply", "forged reply"))
         with pytest.raises(StoreCorrupt):
-            _gateway(MockModelBackend(store)).complete(request)
+            _gateway(_mock_model(store)).complete(request)
 
     def test_digest_depends_on_prompt_and_images(self):
         base = _request("same")

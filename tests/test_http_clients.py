@@ -15,11 +15,12 @@ from halodet.errors import (
     InvalidImage,
     PayloadTooLarge,
 )
-from halodet.gateway import HttpModelBackend, ModelRequest, PurposeTag
+from halodet.gateway import HttpModelBackend, ModelGateway, ModelRequest, PurposeTag
 from halodet.prompts import RenderedPrompt
 from halodet.tools import (
     DETECTOR_THRESHOLD,
     FactSnippet,
+    GatewayAttributeAnswerer,
     HttpFactSearcher,
     HttpObjectDetector,
     HttpSceneTextReader,
@@ -252,6 +253,26 @@ def test_tool_status_mapping(status, error):
         read_scene_text(reader, image_ref("a"))
 
 
+def test_live_backend_ids_are_pinned():
+    """A live backend id is the second half of each of its cache keys, so a
+    changed id would orphan every entry already in a user's cache."""
+    session = FakeSession(FakeResponse(500))
+    model = HttpModelBackend("https://model.example/v1", api_key="k", model="gpt-x",
+                             session=session)
+    assert model.backend_id == "gpt-x"
+    assert HttpModelBackend("https://model.example/v1", api_key="k",
+                            session=session).backend_id == "https://model.example/v1"
+    assert GatewayAttributeAnswerer(ModelGateway(model)).backend_id == "gateway:gpt-x"
+    assert HttpObjectDetector("https://det.example", session=session).backend_id == \
+        "detector:https://det.example"
+    assert HttpSceneTextReader("https://ocr.example", session=session).backend_id == \
+        "scene-text:https://ocr.example"
+    assert HttpFactSearcher("key", session=session).backend_id == \
+        "search:https://google.serper.dev/search"
+    assert HttpFactSearcher("key", endpoint="https://search.example",
+                            session=session).backend_id == "search:https://search.example"
+
+
 # --- opt-in live contract tests ------------------------------------------------------
 # The same family contracts the mocks satisfy, run against real endpoints.
 # Opt in with HALODET_LIVE_TESTS=1 plus the endpoint/key environment variables.
@@ -264,11 +285,12 @@ class TestLiveContracts:
         image_path = os.environ.get("HALODET_LIVE_IMAGE")
         if not endpoint or not image_path:
             pytest.skip("HALODET_DETECTOR_ENDPOINT / HALODET_LIVE_IMAGE not set")
+        from halodet.hashing import sha256_file
         from halodet.model import ImageRef, validate_norm_box
 
         detector = HttpObjectDetector(endpoint,
                                       api_key=os.environ.get("HALODET_TOOL_API_KEY"))
-        ref = ImageRef.from_file(image_path)
+        ref = ImageRef(image_path, sha256_file(image_path))
         out = detect_objects(detector, ref, ["person", "chair"])
         assert all(validate_norm_box(e.box) for e in out)
         assert all(e.label.lower() in {"person", "chair"} for e in out)

@@ -22,14 +22,14 @@ _OFFLINE_SCRIPT = """
 import sys, tempfile
 import halodet
 from halodet import cli
-from halodet.gateway import MockModelBackend
-from halodet.tools import NullTool, mock_backend_set
+from halodet.tools import REPLAY_IDS, Replay, mock_backend_set
 
 with tempfile.TemporaryDirectory() as tmp:
     store = halodet.DiskCache(tmp + "/store")
-    halodet.ModelGateway(MockModelBackend(store))
+    halodet.ModelGateway(Replay(store, REPLAY_IDS["model"]))
     assert mock_backend_set(store).fact_searcher.search("q", 3) == []
-    halodet.ToolBackendSet(NullTool(), NullTool(), NullTool(), NullTool())
+    null = Replay(None, "null")
+    halodet.ToolBackendSet(null, null, null, null)
     halodet.DiskCache(tmp + "/cache")
     code = cli.main(["stats", "--bench", "tests/fixtures/bench6.json"])
 assert code == 0, code

@@ -1,4 +1,4 @@
-"""Tool contracts: ordering, vocabulary filtering, evidence formatting, mocks."""
+"""Tool contracts: ordering, vocabulary filtering, evidence formatting, replay."""
 
 from __future__ import annotations
 
@@ -8,25 +8,24 @@ import pytest
 
 from conftest import ScriptedModelBackend, image_ref
 from halodet.cache import CacheKey, DiskCache
-from halodet.errors import InvalidImage
-from halodet.gateway import ModelGateway
+from halodet.errors import BackendError, InvalidImage
+from halodet.gateway import ModelGateway, ModelRequest
 from halodet.model import (
     AttributeEvidence,
     EvidenceBundle,
     FactEvidence,
+    ImageRef,
     NormBox,
     ObjectEvidence,
     SceneTextEvidence,
 )
+from halodet.prompts import RenderedPrompt
 from halodet.tools import (
     FACT_BLOCK_CHAR_LIMIT,
-    FactSnippet,
-    MockAttributeAnswerer,
-    MockFactSearcher,
-    MockObjectDetector,
-    MockSceneTextReader,
     NONE_INFORMATION,
-    NullTool,
+    REPLAY_IDS,
+    FactSnippet,
+    Replay,
     answer_attribute,
     detect_objects,
     fact_snippet_line,
@@ -118,7 +117,7 @@ class TestSceneText:
             read_scene_text(BrokenReader(), image_ref("broken"))
 
     def test_mock_no_text_means_empty(self, tmp_path):
-        reader = MockSceneTextReader(DiskCache(tmp_path))
+        reader = Replay(DiskCache(tmp_path), REPLAY_IDS["scene_text_reader"])
         assert read_scene_text(reader, image_ref("blank")) == []
 
 
@@ -144,19 +143,19 @@ class TestFactSearch:
     def test_provider_order_preserved(self, tmp_path):
         lines = [fact_snippet_line(s) for s in self._snippets(3)]
         store = DiskCache(tmp_path)
-        store.put(CacheKey.fact_search("q", 3, MockFactSearcher.backend_id),
+        store.put(CacheKey.fact_search("q", 3, REPLAY_IDS["fact_searcher"]),
                   FactEvidence("q", tuple(lines)).to_json())
-        out = search_facts(MockFactSearcher(store), "q", 3)
+        out = search_facts(Replay(store, REPLAY_IDS["fact_searcher"]), "q", 3)
         assert [fact_snippet_line(s) for s in out] == lines
         assert lines[0] == "title 0: snippet 0 (https://x/0)"
 
     def test_zero_hits(self, tmp_path):
-        searcher = MockFactSearcher(DiskCache(tmp_path))
+        searcher = Replay(DiskCache(tmp_path), REPLAY_IDS["fact_searcher"])
         assert search_facts(searcher, "unknown question", 3) == []
 
     def test_empty_question_rejected(self):
         with pytest.raises(ValueError):
-            search_facts(NullTool(), "", 3)
+            search_facts(Replay(None, "null"), "", 3)
 
 
 class TestAttributeAnswer:
@@ -179,9 +178,9 @@ class TestAttributeAnswer:
         ref = image_ref("a")
         store = DiskCache(tmp_path)
         store.put(CacheKey.attribute(ref.digest, "What color?",
-                                     MockAttributeAnswerer.backend_id),
+                                     REPLAY_IDS["attribute_answerer"]),
                   AttributeEvidence("What color?", "blue").to_json())
-        answerer = MockAttributeAnswerer(store)
+        answerer = Replay(store, REPLAY_IDS["attribute_answerer"])
         first = answerer.answer(ref, "What color?")
         second = answerer.answer(ref, "What color?")
         assert first == second == AttributeEvidence("What color?", "blue")
@@ -269,14 +268,51 @@ class TestFactSnippetLine:
         assert fact_snippet_line(FactSnippet("", "body", "")) == "body"
 
 
+_NO_DIGEST = ImageRef(path="images/a.jpg", digest="")
+
+# Per tool method: valid arguments first, then invalid ones, which a CacheKey
+# rejects (all but the empty search question, whose key still holds top_k).
+_TOOL_CALLS = {
+    "detect": [(image_ref("a"), ["x"]), (_NO_DIGEST, ["x"]), (image_ref("a"), [])],
+    "read": [(image_ref("a"),), (_NO_DIGEST,)],
+    "search": [("q", 3), ("", 3)],
+    "answer": [(image_ref("a"), "red?"), (image_ref("a"), ""), (_NO_DIGEST, "red?")],
+}
+
+
+def _nothing(method, args):
+    """What finding nothing returns: no items, or ``none information`` for an attribute."""
+    return AttributeEvidence(args[1], NONE_INFORMATION) if method == "answer" else []
+
+
 class TestNullTools:
+    """A tool slot switched off holds a replay with no store: it finds nothing
+    and builds no cache key, so it takes inputs that a key would reject."""
+
     def test_null_tools_return_empty(self):
-        tool = NullTool()
+        tool = Replay(None, "null")
         assert tool.backend_id == "null"
         assert tool.detect(image_ref("a"), ["x"]) == []
         assert tool.read(image_ref("a")) == []
         assert tool.search("q", 3) == []
         assert tool.answer(image_ref("a"), "red?") == AttributeEvidence("red?", NONE_INFORMATION)
+
+    @pytest.mark.parametrize("method", list(_TOOL_CALLS))
+    def test_no_store_finds_nothing_even_for_unkeyable_inputs(self, method):
+        tool = Replay(None, "null")
+        for args in _TOOL_CALLS[method]:
+            assert getattr(tool, method)(*args) == _nothing(method, args)
+
+    @pytest.mark.parametrize("method", list(_TOOL_CALLS))
+    def test_store_miss_finds_what_no_store_finds(self, tmp_path, method):
+        args = _TOOL_CALLS[method][0]
+        replay = Replay(DiskCache(tmp_path), "mock-any")
+        assert getattr(replay, method)(*args) == _nothing(method, args)
+
+    def test_no_store_model_request_is_an_error(self):
+        request = ModelRequest(prompt=RenderedPrompt(system="s", user="u"))
+        with pytest.raises(BackendError, match="no mock entry for request digest"):
+            Replay(None, "null").invoke(request)
 
 
 class TestMockKeys:
@@ -290,6 +326,6 @@ class TestMockKeys:
                CacheKey.object_detect(image_ref("b").digest, ["cat"], "d")
 
     def test_unknown_vocabulary_misses(self, tmp_path):
-        detector = MockObjectDetector(DiskCache(tmp_path))
+        detector = Replay(DiskCache(tmp_path), REPLAY_IDS["object_detector"])
         out = detect_objects(detector, image_ref("a"), ["zzz-nonexistent"])
         assert out == []
