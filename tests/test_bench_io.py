@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import image_ref
 from halodet.bench import (
@@ -548,3 +550,92 @@ class TestConvertPredictions:
         assert converted.claim.unverified_count == 1
         assert converted.segment.unverified_count == 1
         assert converted.response.unverified_count == 1
+
+
+@st.composite
+def _scored_pairs(draw):
+    """Pairs with and without segments, with the result each was judged by.
+
+    Each claim draws a gold label, a predicted label and an UNVERIFIED flag;
+    a segmented pair cuts its claims into contiguous segments.
+    """
+    pairs = []
+    for p in range(draw(st.integers(1, 6))):
+        n = draw(st.integers(1, 5))
+        golds = draw(st.lists(st.sampled_from([H, NH]), min_size=n, max_size=n))
+        preds = draw(st.lists(st.sampled_from([H, NH]), min_size=n, max_size=n))
+        flags = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        segments = None
+        if draw(st.booleans()):
+            cuts = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+            starts = [1] + [i for i, cut in enumerate(cuts, start=2) if cut]
+            bounds = list(zip(starts, starts[1:] + [n + 1]))
+            segments = tuple(
+                Segment(id=f"S{k}", text=f"segment {k}", claim_indices=tuple(range(lo, hi)))
+                for k, (lo, hi) in enumerate(bounds, start=1)
+            )
+        claims = tuple(
+            Claim(index=i, text=f"claim {i}", gold_label=gold,
+                  gold_categories=(frozenset({HallucinationCategory.FACT})
+                                   if gold is H else None))
+            for i, gold in enumerate(golds, start=1)
+        )
+        pair = ImageTextPair(id=f"p{p}", task=TaskType.VQA, image=image_ref(f"p{p}"),
+                             text="t", claims=claims, segments=segments)
+        verdicts = tuple(
+            Verdict(claim_index=i, label=pred, rationale="" if flag else f"judged {i}",
+                    parse_flags=frozenset({ParseFlag.UNVERIFIED}) if flag else frozenset())
+            for i, (pred, flag) in enumerate(zip(preds, flags), start=1)
+        )
+        result = DetectionResult(pair_id=pair.id, method=DetectionMethod.UNIHD,
+                                 verdicts=verdicts, plan=None, evidence=EvidenceBundle(),
+                                 degraded=any(flags), trace=())
+        pairs.append((pair, result))
+    return pairs
+
+
+def _any_h(labels) -> Label:
+    return H if H in labels else NH
+
+
+class TestConvertOracle:
+    @given(_scored_pairs())
+    def test_matches_brute_force_oracle(self, scored):
+        """Segment and response are H iff one of their claims is; unverified
+        counts are the flagged claims and the segments and pairs holding one."""
+        expected = {name: [] for name in (
+            "claim_preds", "claim_golds", "segment_preds", "segment_golds",
+            "response_preds", "response_golds", "claim_categories")}
+        claim_unverified = segment_unverified = response_unverified = 0
+        for pair, result in scored:
+            pred = {v.claim_index: v.label for v in result.verdicts}
+            flagged = {v.claim_index for v in result.verdicts
+                       if ParseFlag.UNVERIFIED in v.parse_flags}
+            gold = {c.index: c.gold_label for c in pair.claims}
+            for claim in pair.claims:
+                expected["claim_preds"].append(pred[claim.index])
+                expected["claim_golds"].append(claim.gold_label)
+                expected["claim_categories"].append(claim.gold_categories)
+            claim_unverified += len(flagged)
+            for segment in pair.segments or ():
+                expected["segment_preds"].append(_any_h([pred[i] for i in segment.claim_indices]))
+                expected["segment_golds"].append(_any_h([gold[i] for i in segment.claim_indices]))
+                segment_unverified += any(i in flagged for i in segment.claim_indices)
+            expected["response_preds"].append(_any_h(list(pred.values())))
+            expected["response_golds"].append(_any_h(list(gold.values())))
+            response_unverified += bool(flagged)
+
+        converted = convert_predictions([r for _, r in scored],
+                                        _bench([p for p, _ in scored]))
+        got = {
+            "claim_preds": converted.claim.preds, "claim_golds": converted.claim.golds,
+            "segment_preds": converted.segment.preds,
+            "segment_golds": converted.segment.golds,
+            "response_preds": converted.response.preds,
+            "response_golds": converted.response.golds,
+            "claim_categories": converted.claim_categories,
+        }
+        assert got == {name: tuple(values) for name, values in expected.items()}
+        assert (converted.claim.unverified_count, converted.segment.unverified_count,
+                converted.response.unverified_count) == (
+            claim_unverified, segment_unverified, response_unverified)

@@ -265,6 +265,23 @@ class TestFleissKappa:
             checked += 1
 
 
+    @given(st.data())
+    def test_total_on_every_valid_matrix(self, data):
+        """Defined on every valid matrix: exactly 1.0 iff every row is unanimous."""
+        n = data.draw(st.integers(2, 6))
+        n_cats = data.draw(st.integers(1, 4))
+        n_items = data.draw(st.integers(2, 8))
+        rows = []
+        for _ in range(n_items):
+            ratings = data.draw(st.lists(st.integers(0, n_cats - 1), min_size=n, max_size=n))
+            rows.append([ratings.count(j) for j in range(n_cats)])
+        value = fleiss_kappa(RatingsMatrix.from_lists(rows))
+        if all(max(row) == n for row in rows):
+            assert value == 1.0
+        else:
+            assert value < 1.0
+
+
 # --- per-category recall ----------------------------------------------------------------
 
 
@@ -333,3 +350,109 @@ class TestRendering:
         header, row = csv_text.strip().splitlines()
         assert header.startswith("level,h_precision")
         assert row.startswith("segment,100.00")
+
+
+# Three levels whose class scores differ in every column, with unverified
+# counts, so a swapped or mis-rounded column changes the bytes.
+GOLDEN_REPORTS = [
+    report([H, H, NH, H, NH, NH, H], [H, NH, NH, H, H, NH, NH], MetricLevel.CLAIM, 2),
+    report([H, H, NH, NH, NH, H], [H, H, H, H, NH, NH], MetricLevel.SEGMENT, 1),
+    report([H, NH, NH], [H, H, NH], MetricLevel.RESPONSE, 1),
+]
+GOLDEN_RECALL = {OBJ: 2 / 3, SCN: 0.5, HallucinationCategory.FACT: 1 / 3}
+
+GOLDEN_TABLE = """\
+Level        H-P    H-R   H-F1   NH-P    NH-R  NH-F1   Acc.  Avg.P  Avg.R  Mac.F1
+---------------------------------------------------------------------------------
+claim      50.00  66.67  57.14  66.67   50.00  57.14  57.14  58.33  58.33   57.14
+segment    66.67  50.00  57.14  33.33   50.00  40.00  50.00  50.00  50.00   48.57
+response  100.00  50.00  66.67  50.00  100.00  66.67  66.67  75.00  75.00   66.67"""
+
+GOLDEN_CSV = """\
+level,h_precision,h_recall,h_f1,nh_precision,nh_recall,nh_f1,accuracy,avg_precision,avg_recall,macro_f1,total,unverified_count
+claim,50.00,66.67,57.14,66.67,50.00,57.14,57.14,58.33,58.33,57.14,7,2
+segment,66.67,50.00,57.14,33.33,50.00,40.00,50.00,50.00,50.00,48.57,6,1
+response,100.00,50.00,66.67,50.00,100.00,66.67,66.67,75.00,75.00,66.67,3,1
+"""
+
+GOLDEN_JSON = """\
+{
+  "category_recall": {
+    "fact": 33.33,
+    "object": 66.67,
+    "scene-text": 50.0
+  },
+  "reports": [
+    {
+      "accuracy": 57.14,
+      "avg_precision": 58.33,
+      "avg_recall": 58.33,
+      "hallucinatory": {
+        "f1": 57.14,
+        "precision": 50.0,
+        "recall": 66.67
+      },
+      "level": "claim",
+      "macro_f1": 57.14,
+      "non_hallucinatory": {
+        "f1": 57.14,
+        "precision": 66.67,
+        "recall": 50.0
+      },
+      "total": 7,
+      "unverified_count": 2,
+      "zero_division": "0/0 -> 0"
+    },
+    {
+      "accuracy": 50.0,
+      "avg_precision": 50.0,
+      "avg_recall": 50.0,
+      "hallucinatory": {
+        "f1": 57.14,
+        "precision": 66.67,
+        "recall": 50.0
+      },
+      "level": "segment",
+      "macro_f1": 48.57,
+      "non_hallucinatory": {
+        "f1": 40.0,
+        "precision": 33.33,
+        "recall": 50.0
+      },
+      "total": 6,
+      "unverified_count": 1,
+      "zero_division": "0/0 -> 0"
+    },
+    {
+      "accuracy": 66.67,
+      "avg_precision": 75.0,
+      "avg_recall": 75.0,
+      "hallucinatory": {
+        "f1": 66.67,
+        "precision": 100.0,
+        "recall": 50.0
+      },
+      "level": "response",
+      "macro_f1": 66.67,
+      "non_hallucinatory": {
+        "f1": 66.67,
+        "precision": 50.0,
+        "recall": 100.0
+      },
+      "total": 3,
+      "unverified_count": 1,
+      "zero_division": "0/0 -> 0"
+    }
+  ]
+}"""
+
+
+class TestGoldenRendering:
+    def test_table_bytes(self):
+        assert render_table(GOLDEN_REPORTS) == GOLDEN_TABLE
+
+    def test_json_bytes(self):
+        assert render_json(GOLDEN_REPORTS, GOLDEN_RECALL) == GOLDEN_JSON
+
+    def test_csv_bytes(self):
+        assert render_csv(GOLDEN_REPORTS) == GOLDEN_CSV
