@@ -371,9 +371,11 @@ def convert_predictions(
 ) -> ConvertedPredictions:
     """Line up a run's verdicts against the benchmark's gold labels.
 
-    Segment-level vectors cover only pairs that carry segments; response
-    labels derive from segments when present and directly from claims
-    otherwise.
+    A pair's claims group into its segments, or into one group when it has
+    none; a group is hallucinatory iff one of its claims is, and a response
+    iff one of its groups is. Segment-level vectors cover only pairs that
+    carry segments. A segment counts as unverified when it holds an
+    unverified claim, and a response when its pair holds one.
     """
     by_id = {result.pair_id: result for result in results}
 
@@ -398,10 +400,8 @@ def convert_predictions(
                 f"pair {pair.id!r}: verdict indices {indices} do not match claims"
             )
         pair_pred = {v.claim_index: v.label for v in result.verdicts}
-        pair_unverified = {
-            v.claim_index: ParseFlag.UNVERIFIED in v.parse_flags
-            for v in result.verdicts
-        }
+        unverified = {v.claim_index for v in result.verdicts
+                      if ParseFlag.UNVERIFIED in v.parse_flags}
         pair_gold = {}
         for claim in pair.claims:
             if claim.gold_label is None:
@@ -410,27 +410,19 @@ def convert_predictions(
             claim_preds.append(pair_pred[claim.index])
             claim_golds.append(claim.gold_label)
             claim_cats.append(claim.gold_categories)
-            if pair_unverified[claim.index]:
-                claim_unverified += 1
+        claim_unverified += len(unverified)
 
+        groups = ([indices] if pair.segments is None
+                  else [segment.claim_indices for segment in pair.segments])
+        group_preds = [derive_segment_label([pair_pred[i] for i in g]) for g in groups]
+        group_golds = [derive_segment_label([pair_gold[i] for i in g]) for g in groups]
         if pair.segments is not None:
-            seg_pred_labels = []
-            seg_gold_labels = []
-            for segment in pair.segments:
-                indices = segment.claim_indices
-                seg_pred_labels.append(derive_segment_label([pair_pred[i] for i in indices]))
-                seg_gold_labels.append(derive_segment_label([pair_gold[i] for i in indices]))
-                if any(pair_unverified[i] for i in indices):
-                    segment_unverified += 1
-            segment_preds.extend(seg_pred_labels)
-            segment_golds.extend(seg_gold_labels)
-            response_preds.append(derive_response_label(seg_pred_labels))
-            response_golds.append(derive_response_label(seg_gold_labels))
-        else:
-            response_preds.append(derive_segment_label(list(pair_pred.values())))
-            response_golds.append(derive_segment_label(list(pair_gold.values())))
-        if any(pair_unverified.values()):
-            response_unverified += 1
+            segment_preds.extend(group_preds)
+            segment_golds.extend(group_golds)
+            segment_unverified += sum(not unverified.isdisjoint(g) for g in groups)
+        response_preds.append(derive_response_label(group_preds))
+        response_golds.append(derive_response_label(group_golds))
+        response_unverified += bool(unverified)
 
     return ConvertedPredictions(
         claim=AlignedLabels(tuple(claim_preds), tuple(claim_golds), claim_unverified),

@@ -123,10 +123,6 @@ class InvalidMatrix(MetricsError):
     """Ratings matrix violates its shape invariants."""
 
 
-class DegenerateMarginals(MetricsError):
-    """Chance agreement is 1 while observed agreement is not; kappa undefined."""
-
-
 class MissingCategoryTags(MetricsError):
     """A gold-hallucinatory claim carries no category tags."""
 

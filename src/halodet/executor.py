@@ -50,7 +50,6 @@ from .model import (
     FactEvidence,
     ImageTextPair,
     Verdict,
-    evidence_from_json,
     of_type,
     validate_pair,
     with_keys,
@@ -283,7 +282,7 @@ class _PairCalls:
             if violations:
                 raise ValueError(f"pair {pair.id!r} invalid: " + "; ".join(violations))
             if not pair.claims:
-                claims = extract_claims(pair.text, pair.task, self)
+                claims = extract_claims(pair.text, self)
                 self._pair = pair = replace(pair, claims=tuple(claims))
             if batch.method is DetectionMethod.UNIHD:
                 if batch.backends is None:
@@ -422,12 +421,8 @@ class _PairCalls:
         read = any(c.scene_text_questions for c in claims)
         scene_texts = result(_READ, None) if read else []
         facts = [result(_SEARCH, q) for c in claims for q in c.fact_questions]
-        return EvidenceBundle(
-            objects=tuple(map(evidence_from_json, objects)),
-            attributes=tuple(map(evidence_from_json, attributes)),
-            scene_texts=tuple(map(evidence_from_json, scene_texts)),
-            facts=tuple(map(evidence_from_json, facts)),
-        )
+        return EvidenceBundle.from_json({"objects": objects, "attributes": attributes,
+                                         "scene_texts": scene_texts, "facts": facts})
 
 
 # --- single-pair and batch drivers --------------------------------------------------

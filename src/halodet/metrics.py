@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
 from fractions import Fraction
+from operator import attrgetter
 from typing import Any, Mapping, Sequence
 
 from .errors import (
-    DegenerateMarginals,
     EmptyResponse,
     EmptySegment,
     InvalidMatrix,
@@ -45,7 +45,7 @@ def derive_segment_label(claim_labels: Sequence[Label]) -> Label:
     """A segment is hallucinatory iff it contains any hallucinatory claim."""
     if not claim_labels:
         raise EmptySegment("segment has no claim labels")
-    if any(label is Label.HALLUCINATORY for label in claim_labels):
+    if Label.HALLUCINATORY in claim_labels:
         return Label.HALLUCINATORY
     return Label.NON_HALLUCINATORY
 
@@ -54,7 +54,7 @@ def derive_response_label(segment_labels: Sequence[Label]) -> Label:
     """A response is hallucinatory iff it contains any hallucinatory segment."""
     if not segment_labels:
         raise EmptyResponse("response has no segment labels")
-    if any(label is Label.HALLUCINATORY for label in segment_labels):
+    if Label.HALLUCINATORY in segment_labels:
         return Label.HALLUCINATORY
     return Label.NON_HALLUCINATORY
 
@@ -71,32 +71,6 @@ class ClassCounts:
     def __post_init__(self) -> None:
         if min(self.tp, self.fp, self.fn) < 0:
             raise ValueError("counts must be non-negative")
-
-
-@dataclass(frozen=True)
-class ConfusionCounts:
-    hallucinatory: ClassCounts
-    non_hallucinatory: ClassCounts
-    total: int
-
-
-def count_confusion(preds: Sequence[Label], golds: Sequence[Label]) -> ConfusionCounts:
-    if len(preds) != len(golds):
-        raise LengthMismatch(f"{len(preds)} predictions vs {len(golds)} golds")
-    if not preds:
-        raise LengthMismatch("empty label vectors")
-    counts = {label: {"tp": 0, "fp": 0, "fn": 0} for label in Label}
-    for pred, gold in zip(preds, golds):
-        if pred is gold:
-            counts[pred]["tp"] += 1
-        else:
-            counts[pred]["fp"] += 1
-            counts[gold]["fn"] += 1
-    return ConfusionCounts(
-        hallucinatory=ClassCounts(**counts[Label.HALLUCINATORY]),
-        non_hallucinatory=ClassCounts(**counts[Label.NON_HALLUCINATORY]),
-        total=len(preds),
-    )
 
 
 @dataclass(frozen=True)
@@ -131,11 +105,8 @@ class MetricsReport:
 
     def to_json(self) -> dict[str, Any]:
         def cls(scores: PRF1) -> dict[str, float]:
-            return {
-                "precision": percent_value(scores.precision),
-                "recall": percent_value(scores.recall),
-                "f1": percent_value(scores.f1),
-            }
+            return {name: percent_value(getattr(scores, name))
+                    for name in ("precision", "recall", "f1")}
 
         return {
             "level": self.level.value,
@@ -158,19 +129,28 @@ def report(
     unverified_count: int = 0,
 ) -> MetricsReport:
     """Score aligned prediction/gold vectors at one granularity."""
-    confusion = count_confusion(preds, golds)
-    h = prf1(confusion.hallucinatory)
-    nh = prf1(confusion.non_hallucinatory)
-    matches = confusion.hallucinatory.tp + confusion.non_hallucinatory.tp
+    if len(preds) != len(golds):
+        raise LengthMismatch(f"{len(preds)} predictions vs {len(golds)} golds")
+    if not preds:
+        raise LengthMismatch("empty label vectors")
+    counts = {label: [0, 0, 0] for label in Label}  # per class: tp, fp, fn
+    for pred, gold in zip(preds, golds):
+        if pred is gold:
+            counts[pred][0] += 1
+        else:
+            counts[pred][1] += 1
+            counts[gold][2] += 1
+    h = prf1(ClassCounts(*counts[Label.HALLUCINATORY]))
+    nh = prf1(ClassCounts(*counts[Label.NON_HALLUCINATORY]))
     return MetricsReport(
         level=level,
         hallucinatory=h,
         non_hallucinatory=nh,
-        accuracy=matches / confusion.total,
+        accuracy=sum(tp for tp, _, _ in counts.values()) / len(preds),
         avg_precision=(h.precision + nh.precision) / 2,
         avg_recall=(h.recall + nh.recall) / 2,
         macro_f1=(h.f1 + nh.f1) / 2,
-        total=confusion.total,
+        total=len(preds),
         unverified_count=unverified_count,
     )
 
@@ -213,33 +193,29 @@ def fleiss_kappa(matrix: RatingsMatrix) -> float:
 
     Observed agreement averages, per item, the fraction of rater pairs that
     agree; expected agreement is the sum of squared category marginals.
-    Exact rational arithmetic keeps unanimity at exactly 1.0 and the
-    degenerate-marginals check sound.
+    Exact rational arithmetic keeps unanimity at exactly 1.0.
+
+    Kappa is defined on every valid matrix. Expected agreement is 1 only
+    when one category holds every rating; rows all sum to n, so each row is
+    then n in that column, observed agreement is 1 too, and the unanimity
+    return comes first.
     """
     matrix.validate()
     if len(matrix.rows) < 2:
         raise InvalidMatrix("need at least 2 items")
     n = matrix.n_raters
     n_items = len(matrix.rows)
-    n_categories = len(matrix.rows[0])
 
     per_item = [
         Fraction(sum(cell * cell for cell in row) - n, n * (n - 1))
         for row in matrix.rows
     ]
     observed = Fraction(sum(per_item), n_items)
-    marginals = [
-        Fraction(sum(row[j] for row in matrix.rows), n_items * n)
-        for j in range(n_categories)
-    ]
+    marginals = [Fraction(sum(column), n_items * n) for column in zip(*matrix.rows)]
     expected = sum(p * p for p in marginals)
 
     if observed == 1:
         return 1.0
-    if expected == 1:
-        raise DegenerateMarginals(
-            "all ratings fall in one category yet items disagree"
-        )
     return float((observed - expected) / (1 - expected))
 
 
@@ -287,32 +263,31 @@ def percent_value(value: float) -> float:
     return float(format_percent(value))
 
 
-_TABLE_COLUMNS = [
-    "Level", "H-P", "H-R", "H-F1", "NH-P", "NH-R", "NH-F1",
-    "Acc.", "Avg.P", "Avg.R", "Mac.F1",
-]
+# The score columns, in order: table header, CSV header, and the report field.
+_SCORE_COLUMNS = tuple((title, name, attrgetter(field)) for title, name, field in (
+    ("H-P", "h_precision", "hallucinatory.precision"),
+    ("H-R", "h_recall", "hallucinatory.recall"),
+    ("H-F1", "h_f1", "hallucinatory.f1"),
+    ("NH-P", "nh_precision", "non_hallucinatory.precision"),
+    ("NH-R", "nh_recall", "non_hallucinatory.recall"),
+    ("NH-F1", "nh_f1", "non_hallucinatory.f1"),
+    ("Acc.", "accuracy", "accuracy"),
+    ("Avg.P", "avg_precision", "avg_precision"),
+    ("Avg.R", "avg_recall", "avg_recall"),
+    ("Mac.F1", "macro_f1", "macro_f1"),
+))
 
 
-def _table_row(rep: MetricsReport) -> list[str]:
-    return [
-        rep.level.value,
-        format_percent(rep.hallucinatory.precision),
-        format_percent(rep.hallucinatory.recall),
-        format_percent(rep.hallucinatory.f1),
-        format_percent(rep.non_hallucinatory.precision),
-        format_percent(rep.non_hallucinatory.recall),
-        format_percent(rep.non_hallucinatory.f1),
-        format_percent(rep.accuracy),
-        format_percent(rep.avg_precision),
-        format_percent(rep.avg_recall),
-        format_percent(rep.macro_f1),
-    ]
+def _score_row(rep: MetricsReport) -> list[str]:
+    """The report's level, then its score columns as percentages."""
+    return [rep.level.value] + [format_percent(score(rep)) for _, _, score in _SCORE_COLUMNS]
 
 
 def render_table(reports: Sequence[MetricsReport]) -> str:
     """Aligned text table: per-class P/R/F1, then the averaged columns."""
-    rows = [_TABLE_COLUMNS] + [_table_row(rep) for rep in reports]
-    widths = [max(len(row[i]) for row in rows) for i in range(len(_TABLE_COLUMNS))]
+    header = ["Level"] + [title for title, _, _ in _SCORE_COLUMNS]
+    rows = [header] + [_score_row(rep) for rep in reports]
+    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
     lines = []
     for index, row in enumerate(rows):
         cells = [row[0].ljust(widths[0])]
@@ -339,12 +314,8 @@ def render_json(
 def render_csv(reports: Sequence[MetricsReport]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow([
-        "level", "h_precision", "h_recall", "h_f1",
-        "nh_precision", "nh_recall", "nh_f1",
-        "accuracy", "avg_precision", "avg_recall", "macro_f1",
-        "total", "unverified_count",
-    ])
+    writer.writerow(["level"] + [name for _, name, _ in _SCORE_COLUMNS]
+                    + ["total", "unverified_count"])
     for rep in reports:
-        writer.writerow(_table_row(rep)[:11] + [rep.total, rep.unverified_count])
+        writer.writerow(_score_row(rep) + [rep.total, rep.unverified_count])
     return buffer.getvalue()

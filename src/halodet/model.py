@@ -241,7 +241,7 @@ class FactEvidence:
 Evidence = Union[ObjectEvidence, AttributeEvidence, SceneTextEvidence, FactEvidence]
 
 # Per kind: the item's exact keys, and its decoder once they are checked.
-_EVIDENCE_DECODERS: dict[Any, tuple[frozenset[str], Callable[[dict[str, Any]], Evidence]]] = {
+_EVIDENCE_DECODERS: dict[str, tuple[frozenset[str], Callable[[dict[str, Any]], Evidence]]] = {
     "object": (frozenset({"kind", "label", "box"}), lambda d: ObjectEvidence(
         of_type(d["label"], str), NormBox.from_json(d["box"]))),
     "attribute": (frozenset({"kind", "question", "answer"}), lambda d: AttributeEvidence(
@@ -253,17 +253,8 @@ _EVIDENCE_DECODERS: dict[Any, tuple[frozenset[str], Callable[[dict[str, Any]], E
 }
 
 
-def evidence_from_json(data: dict[str, Any]) -> Evidence:
-    """Decode one evidence item by the exact keys of its kind."""
-    decoder = _EVIDENCE_DECODERS.get(data.get("kind"))
-    if decoder is None:
-        raise ValueError(f"unknown evidence kind: {data.get('kind')!r}")
-    keys, decode = decoder
-    return decode(with_keys(data, keys))
-
-
-def _evidence_family(kind: str, items: Any) -> tuple:
-    """Decode one bundle family; an item of another kind is a ValueError."""
+def decode_evidence(kind: str, items: Any) -> tuple:
+    """Decode a JSON list of ``kind`` evidence items; an item of another kind is a ValueError."""
     keys, decode = _EVIDENCE_DECODERS[kind]
     decoded = []
     for item in of_type(items, list):
@@ -293,10 +284,10 @@ class EvidenceBundle:
     @classmethod
     def from_json(cls, data: dict[str, Any]) -> "EvidenceBundle":
         with_keys(data, _BUNDLE_KEYS)
-        return cls(_evidence_family("object", data["objects"]),
-                   _evidence_family("attribute", data["attributes"]),
-                   _evidence_family("scene-text", data["scene_texts"]),
-                   _evidence_family("fact", data["facts"]))
+        return cls(decode_evidence("object", data["objects"]),
+                   decode_evidence("attribute", data["attributes"]),
+                   decode_evidence("scene-text", data["scene_texts"]),
+                   decode_evidence("fact", data["facts"]))
 
 
 _BUNDLE_KEYS = frozenset({"objects", "attributes", "scene_texts", "facts"})

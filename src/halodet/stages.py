@@ -196,7 +196,7 @@ def _dedup_lower(labels: Sequence[str]) -> tuple[str, ...]:
 # --- claim extraction ------------------------------------------------------------
 
 
-def extract_claims(pair_text: str, task: TaskType, gateway: Completer) -> list[Claim]:
+def extract_claims(pair_text: str, gateway: Completer) -> list[Claim]:
     """Derive ordered claims from a response (or, for text-to-image, a query).
 
     Benchmark runs skip this stage entirely: pre-annotated claims pass

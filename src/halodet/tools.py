@@ -35,7 +35,7 @@ from .model import (
     NormBox,
     ObjectEvidence,
     SceneTextEvidence,
-    evidence_from_json,
+    decode_evidence,
     validate_norm_box,
 )
 from .prompts import SupplementalId, render
@@ -264,11 +264,11 @@ class Replay:
 
     def detect(self, image: ImageRef, labels: Sequence[str]) -> list[ObjectEvidence]:
         items = self._lookup(CacheKey.object_detect, image.digest, labels)
-        return [evidence_from_json(item) for item in items or ()]
+        return list(decode_evidence("object", items or []))
 
     def read(self, image: ImageRef) -> list[SceneTextEvidence]:
         items = self._lookup(CacheKey.scene_text, image.digest)
-        return [evidence_from_json(item) for item in items or ()]
+        return list(decode_evidence("scene-text", items or []))
 
     def search(self, question: str, top_k: int) -> list[FactSnippet]:
         """Recorded snippet lines; :func:`fact_snippet_line` maps each back."""

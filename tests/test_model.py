@@ -28,7 +28,7 @@ from halodet.model import (
     TaskType,
     Verdict,
     claim_key,
-    evidence_from_json,
+    decode_evidence,
     parse_claim_key,
     validate_norm_box,
     validate_pair,
@@ -171,11 +171,20 @@ class TestEvidence:
             FactEvidence(question="Where is Huawei headquartered?", snippets=()),
         ]
         for item in items:
-            assert evidence_from_json(item.to_json()) == item
+            data = item.to_json()
+            assert decode_evidence(data["kind"], [data]) == (item,)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            evidence_from_json({"kind": "vibes", "label": "x"})
+            decode_evidence("object", [{"kind": "vibes", "label": "x",
+                                        "box": NormBox(0.0, 0.3, 0.9, 0.8).to_json()}])
+
+    def test_item_of_another_family_rejected(self):
+        box = NormBox(0.0, 0.3, 0.9, 0.8)
+        data = EvidenceBundle(scene_texts=(SceneTextEvidence("open", box),)).to_json()
+        data["objects"], data["scene_texts"] = data["scene_texts"], []
+        with pytest.raises(ValueError):
+            EvidenceBundle.from_json(data)
 
     def test_bundle_round_trip(self):
         bundle = EvidenceBundle(

@@ -199,20 +199,20 @@ def test_extract_claims_round_trip():
     gateway = table_gateway([
         ("claim extractor", '{"claim1":"A man rides.","claim2":"The bike is red."}'),
     ])
-    claims = extract_claims("A man rides a red bike.", TaskType.IMAGE_CAPTIONING, gateway)
+    claims = extract_claims("A man rides a red bike.", gateway)
     assert [c.index for c in claims] == [1, 2]
     assert claims[1].text == "The bike is red."
 
 
 def test_extract_claims_empty_text():
     with pytest.raises(EmptyExtraction):
-        extract_claims("   ", TaskType.IMAGE_CAPTIONING, gateway=None)
+        extract_claims("   ", gateway=None)
 
 
 def test_extract_claims_zero_claims():
     gateway = table_gateway([("claim extractor", "{}")])
     with pytest.raises(EmptyExtraction):
-        extract_claims("text", TaskType.VQA, gateway)
+        extract_claims("text", gateway)
 
 
 def test_formulate_queries_merges_and_routes():

@@ -325,6 +325,18 @@ class TestMockKeys:
         assert CacheKey.object_detect(image_ref("a").digest, ["cat"], "d") != \
                CacheKey.object_detect(image_ref("b").digest, ["cat"], "d")
 
+    def test_replayed_item_of_another_family_rejected(self, tmp_path):
+        store, ref = DiskCache(tmp_path), image_ref("a")
+        box = NormBox(0.0, 0.3, 0.9, 0.8)
+        store.put(CacheKey.object_detect(ref.digest, ["open"], REPLAY_IDS["object_detector"]),
+                  [SceneTextEvidence("open", box).to_json()])
+        store.put(CacheKey.scene_text(ref.digest, REPLAY_IDS["scene_text_reader"]),
+                  [ObjectEvidence("open", box).to_json()])
+        with pytest.raises(ValueError):
+            Replay(store, REPLAY_IDS["object_detector"]).detect(ref, ["open"])
+        with pytest.raises(ValueError):
+            Replay(store, REPLAY_IDS["scene_text_reader"]).read(ref)
+
     def test_unknown_vocabulary_misses(self, tmp_path):
         detector = Replay(DiskCache(tmp_path), REPLAY_IDS["object_detector"])
         out = detect_objects(detector, image_ref("a"), ["zzz-nonexistent"])
