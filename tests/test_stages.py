@@ -193,6 +193,124 @@ def _pair(n_claims: int = 2, task: TaskType = TaskType.IMAGE_CAPTIONING) -> Imag
                          text="some response text", claims=claims)
 
 
+# --- malformed replies ---------------------------------------------------------------
+
+
+def _verify_outcome(raw: str, n_claims: int) -> tuple[str, ...]:
+    """verify() over a reply that comes back the same on its retry: "unverified"
+    for each fallback verdict, "repaired" for each entry kept from the reply."""
+    gateway = table_gateway([("", raw)])
+    verdicts = verify(_pair(n_claims), EvidenceBundle(), gateway)
+    assert gateway.backend.calls == 2
+    assert [v.claim_index for v in verdicts] == list(range(1, n_claims + 1))
+    outcome = []
+    for v in verdicts:
+        if v.parse_flags == {ParseFlag.UNVERIFIED}:
+            assert (v.label, v.rationale) == (Label.NON_HALLUCINATORY, "")
+            outcome.append("unverified")
+        else:
+            assert v.parse_flags == {ParseFlag.REPAIRED} and v.rationale
+            outcome.append("repaired")
+    return tuple(outcome)
+
+
+def _read_reply(stage: str, raw: str, n_claims: int | None):
+    if stage == "formulate":
+        return parse_claim_query_map(raw, n_claims, FACT)
+    if stage == "extract":
+        return extract_claims("A man rides.", table_gateway([("claim extractor", raw)]))
+    if stage == "parse":
+        return parse_verdicts(raw, n_claims)
+    return _verify_outcome(raw, n_claims)
+
+
+_V1 = '{"claim1":"hallucination","reason":"r1"}'
+_V2 = '{"claim2":"non-hallucination","reason":"r2"}'
+_V3 = '{"claim3":"hallucination","reason":"r3"}'
+
+# (case, stage, reply, n_claims, the exact error class or the result);
+# extraction takes no claim count.
+MALFORMED_REPLIES = [
+    ("not JSON", "formulate", "no structure at all", 1, UnparseableModelOutput),
+    ("not JSON", "extract", "no structure at all", None, UnparseableModelOutput),
+    ("not JSON", "parse", "no structure at all", 1, UnparseableModelOutput),
+    ("not JSON", "verify", "no structure at all", 1, ("unverified",)),
+    ("not a mapping", "formulate", '["q"]', 1, UnparseableModelOutput),
+    ("not a mapping", "extract", '["A man rides."]', None, UnparseableModelOutput),
+    ("not a list", "parse", "42", 1, UnparseableModelOutput),
+    ("entry not a mapping", "parse", '["claim1"]', 1, UnparseableModelOutput),
+    ("entry not a mapping", "verify", '["claim1"]', 1, ("unverified",)),
+    ("bad claim key", "formulate", '{"claim1":["q"],"other":["x"]}', 1, UnparseableModelOutput),
+    ("bad claim key", "extract", '{"claim1":"A man.","other":"x"}', None,
+     UnparseableModelOutput),
+    ("bad claim key", "parse", '[{"claim_1":"hallucination","reason":"r"}]', 1,
+     UnparseableModelOutput),
+    ("no claim key", "parse", '[{"label":"hallucination","reason":"r"}]', 1,
+     UnparseableModelOutput),
+    ("bad claim key", "verify", '[{"claim_1":"hallucination","reason":"r"}]', 1,
+     ("unverified",)),
+    ("claim01", "formulate", '{"claim01":["q"]}', 1, UnparseableModelOutput),
+    ("claim01", "extract", '{"claim01":"A man."}', None, UnparseableModelOutput),
+    ("claim01", "parse", '[{"claim01":"hallucination","reason":"r"}]', 1,
+     UnparseableModelOutput),
+    ("claim01", "verify", '[{"claim01":"hallucination","reason":"r"}]', 1, ("unverified",)),
+    ("gap", "formulate", '{"claim1":["q"],"claim3":["q"]}', 3, ClaimCountMismatch),
+    ("gap", "extract", '{"claim1":"A.","claim3":"C."}', None, UnparseableModelOutput),
+    ("gap", "parse", f"[{_V1},{_V3}]", 3, ClaimCountMismatch),
+    ("gap", "verify", f"[{_V1},{_V3}]", 3, ("repaired", "unverified", "repaired")),
+    ("missing claim", "formulate", '{"claim1":["q"]}', 2, ClaimCountMismatch),
+    ("missing claim", "extract", '{"claim2":"B."}', None, UnparseableModelOutput),
+    ("missing claim", "parse", f"[{_V1}]", 2, ClaimCountMismatch),
+    ("missing claim", "verify", f"[{_V1}]", 2, ("repaired", "unverified")),
+    ("claim past the end", "formulate", '{"claim1":["q"],"claim2":["q"]}', 1,
+     ClaimCountMismatch),
+    ("claim past the end", "parse", f"[{_V1},{_V2}]", 1, ClaimCountMismatch),
+    ("claim past the end", "verify", f"[{_V1},{_V2}]", 1, ("repaired",)),
+    ("duplicate claim", "parse", f"[{_V1},{_V1}]", 1, ClaimCountMismatch),
+    ("duplicate claim", "verify", f"[{_V1},{_V1}]", 1, ("repaired",)),
+    ("extra field", "formulate", '{"claim1":["q"],"reason":"x"}', 1, UnparseableModelOutput),
+    ("extra field", "extract", '{"claim1":"A man.","reason":"x"}', None,
+     UnparseableModelOutput),
+    ("extra field", "parse", '[{"claim1":"hallucination","reason":"r","score":1}]', 1,
+     UnparseableModelOutput),
+    ("two claim keys", "parse",
+     '[{"claim1":"hallucination","claim2":"hallucination","reason":"r"}]', 2,
+     UnparseableModelOutput),
+    ("extra field", "verify", f'[{_V1[:-1]},"score":1}},{_V2}]', 2, ("unverified", "repaired")),
+    ("non-string entry", "formulate", '{"claim1":3}', 1, UnparseableModelOutput),
+    ("non-string item", "formulate", '{"claim1":["q",3]}', 1, UnparseableModelOutput),
+    ("unknown label", "parse", '[{"claim1":"maybe","reason":"r"}]', 1, UnknownLabel),
+    ("non-string label", "parse", '[{"claim1":true,"reason":"r"}]', 1, UnknownLabel),
+    ("unknown label", "verify", '[{"claim1":"maybe","reason":"r"}]', 1, ("unverified",)),
+    ("empty reason", "parse", '[{"claim1":"hallucination","reason":" "}]', 1,
+     UnparseableModelOutput),
+    ("missing reason", "parse", '[{"claim1":"hallucination"}]', 1, UnparseableModelOutput),
+    ("empty reason", "verify", '[{"claim1":"hallucination","reason":""}]', 1,
+     ("unverified",)),
+    ("zero claims", "formulate", "{}", 1, ClaimCountMismatch),
+    ("no claims asked", "formulate", "{}", 0, ValueError),
+    ("zero claims", "extract", "{}", None, EmptyExtraction),
+    ("zero claims", "parse", "[]", 1, ClaimCountMismatch),
+    ("no claims asked", "parse", "[]", 0, ValueError),
+    ("zero claims", "verify", "[]", 1, ("unverified",)),
+    ("claims all empty", "formulate", '{"claim1":["none"," "]}', 1, {1: []}),
+    ("claims all empty", "extract", '{"claim1":" ","claim2":""}', None, EmptyExtraction),
+    ("claims all empty", "parse", '[{"claim1":"","reason":""}]', 1, UnknownLabel),
+    ("claims all empty", "verify", '[{"claim1":"","reason":""}]', 1, ("unverified",)),
+]
+
+
+@pytest.mark.parametrize("case, stage, raw, n_claims, expected", MALFORMED_REPLIES,
+                         ids=[f"{stage}-{case}" for case, stage, *_ in MALFORMED_REPLIES])
+def test_a_malformed_reply_has_one_pinned_outcome(case, stage, raw, n_claims, expected):
+    if isinstance(expected, type):
+        with pytest.raises(expected) as exc_info:
+            _read_reply(stage, raw, n_claims)
+        assert type(exc_info.value) is expected
+    else:
+        assert _read_reply(stage, raw, n_claims) == expected
+
+
 
 
 def test_extract_claims_round_trip():
