@@ -59,7 +59,6 @@ from .stages import (
     SelfCheckDemo,
     ToolPlan,
     extract_claims,
-    formulate_queries,
     parse_claim_query_map,
     parse_verdicts,
     self_check,
@@ -121,7 +120,6 @@ __all__ = [
     "extract_claims",
     "fleiss_kappa",
     "format_evidence_sections",
-    "formulate_queries",
     "load",
     "parse_claim_query_map",
     "parse_verdicts",

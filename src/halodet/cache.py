@@ -97,6 +97,7 @@ class DiskCache:
                                 "layout (objects/); delete that directory and run again")
         self._segments = self.directory / "segments"  # made by the first put
         self._lock = threading.Lock()
+        self._stats_lock = threading.Lock()  # a read never waits on a write
         self._index: dict[str, tuple[str, int, int]] = {}  # digest -> (segment, offset, length)
         self._fds: dict[str, int] = {}  # segment -> descriptor, opened at first use
         self._writer: str | None = None  # this instance's segment, until a write fails
@@ -140,7 +141,7 @@ class DiskCache:
         return True, value
 
     def _count(self, hit: bool) -> None:
-        with self._lock:
+        with self._stats_lock:
             self.hits += hit
             self.misses += not hit
 
@@ -184,6 +185,7 @@ class DiskCache:
             self._writer = None
             for name in self._segment_names():
                 os.unlink(self._segments / name)
+        with self._stats_lock:
             self.hits = self.misses = 0
         (self.directory / "stats.json").unlink(missing_ok=True)
         return removed
@@ -195,10 +197,9 @@ class DiskCache:
         so runs sharing a cache directory neither collide nor lose counts.
         """
         stats_path = self.directory / "stats.json"
-        with self._lock:
+        with self._stats_lock:
             hits, misses = self.hits, self.misses
-            self.hits = 0
-            self.misses = 0
+            self.hits = self.misses = 0
         self.directory.mkdir(parents=True, exist_ok=True)
         with open(self.directory / "stats.lock", "a") as lock:
             fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes

@@ -5,11 +5,14 @@ formulation (whose replies are parsed into a :class:`ToolPlan`), and
 verification (whose replies are parsed into verdicts). The self-check
 baselines reuse the verdict machinery without any tool evidence.
 
-Every parser here is lenient about transport damage (fences, quotes,
-trailing commas; see :mod:`halodet.json_repair`) but strict about meaning:
-claim coverage, the binary label vocabulary, and per-claim rationales are
-enforced, and a reply that still fails after one retry degrades to
-explicitly flagged unverified verdicts rather than silently truncating.
+Each reply is decoded once, by :func:`_reply`, leniently about transport
+damage (fences, quotes, trailing commas; see :mod:`halodet.json_repair`);
+extraction and formulation replies share :func:`_claim_mapping`. The parsers
+are strict about meaning: claim coverage, the binary label vocabulary, and
+per-claim rationales are enforced, and a verification reply that still fails
+after one retry degrades to explicitly flagged unverified verdicts rather
+than silently truncating. The executor schedules a pair's four
+:func:`formulate` calls.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ from .model import (
     with_keys,
 )
 from .prompts import (
-    RenderedPrompt,
     SupplementalId,
     TemplateId,
     render,
@@ -58,6 +60,7 @@ _WIRE_LABELS = {
     "hallucination": Label.HALLUCINATORY,
     "non-hallucination": Label.NON_HALLUCINATORY,
 }
+_WIRE_NAMES = {label: wire for wire, label in _WIRE_LABELS.items()}
 
 
 class DetectionMethod(Enum):
@@ -129,12 +132,17 @@ def _is_none_marker(value: str) -> bool:
     return value.strip().lower() == "none"
 
 
-def _claim_mapping(raw: str, n_claims: int) -> dict[int, Any]:
-    """Decode a {"claimK": ...} reply and check it covers claims 1..n."""
+def _reply(raw: str) -> tuple[Any, bool]:
+    """Decode one model reply into ``(value, repaired)``."""
     try:
-        value, _ = loads_lenient(raw)
+        return loads_lenient(raw)
     except ValueError as exc:
         raise UnparseableModelOutput(str(exc)) from exc
+
+
+def _claim_mapping(raw: str) -> dict[int, Any]:
+    """Decode a {"claimK": ...} reply into its entries by claim index."""
+    value, _ = _reply(raw)
     if not isinstance(value, dict):
         raise UnparseableModelOutput(f"expected a mapping, got {type(value).__name__}")
     mapping: dict[int, Any] = {}
@@ -144,8 +152,6 @@ def _claim_mapping(raw: str, n_claims: int) -> dict[int, Any]:
         except ValueError as exc:
             raise UnparseableModelOutput(f"unexpected key {key!r}") from exc
         mapping[index] = entry
-    if set(mapping) != set(range(1, n_claims + 1)):
-        raise ClaimCountMismatch(n_claims, len(mapping))
     return mapping
 
 
@@ -161,7 +167,9 @@ def parse_claim_query_map(
     """
     if n_claims < 1:
         raise ValueError("n_claims must be >= 1")
-    mapping = _claim_mapping(raw, n_claims)
+    mapping = _claim_mapping(raw)
+    if set(mapping) != set(range(1, n_claims + 1)):
+        raise ClaimCountMismatch(n_claims, len(mapping))
     result: dict[int, list[str]] = {}
     for index in range(1, n_claims + 1):
         entry = mapping[index]
@@ -206,20 +214,12 @@ def extract_claims(pair_text: str, gateway: Completer) -> list[Claim]:
         raise EmptyExtraction("cannot extract claims from empty text")
     prompt = render(SupplementalId.EXTRACT_CLAIMS, {"text": pair_text})
     response = gateway.complete(ModelRequest(prompt=prompt, purpose_tag=PurposeTag.EXTRACT))
-    try:
-        value, _ = loads_lenient(response.text)
-    except ValueError as exc:
-        raise UnparseableModelOutput(str(exc)) from exc
-    if not isinstance(value, dict):
-        raise UnparseableModelOutput("claim extraction reply is not a mapping")
-    if not value:
+    mapping = _claim_mapping(response.text)
+    if not mapping:
         raise EmptyExtraction("model returned zero claims")
-    try:
-        indexed = sorted((parse_claim_key(str(k)), str(v)) for k, v in value.items())
-    except ValueError as exc:
-        raise UnparseableModelOutput(f"bad claim key in extraction reply: {exc}") from exc
-    if [i for i, _ in indexed] != list(range(1, len(indexed) + 1)):
+    if set(mapping) != set(range(1, len(mapping) + 1)):
         raise UnparseableModelOutput("extraction reply skips claim indices")
+    indexed = sorted((i, str(text)) for i, text in mapping.items())
     claims = [Claim(index=i, text=text) for i, text in indexed if text.strip()]
     if not claims:
         raise EmptyExtraction("model returned zero non-empty claims")
@@ -242,20 +242,18 @@ def formulate(
     pair: ImageTextPair,
     template: TemplateId,
     gateway: Completer,
-    objects: Sequence[str] = (),
-    claim_list: str | None = None,
+    objects: Sequence[str],
+    claim_list: str,
 ) -> dict[int, tuple[str, ...]]:
     """One query-formulation call, parsed and normalized.
 
     ``objects`` is the pair-level object vocabulary the attribute template
-    binds; ``claim_list`` is the rendered claim list, when the caller has it.
-    Object labels come back lowercased and deduplicated. Any error raised
-    carries a ``template_id`` attribute naming ``template``.
+    binds; ``claim_list`` is the pair's rendered claim list. Object labels
+    come back lowercased and deduplicated. Any error raised carries a
+    ``template_id`` attribute naming ``template``.
     """
     if not pair.claims:
         raise ValueError(f"pair {pair.id!r} has no claims")
-    if claim_list is None:
-        claim_list = render_claim_list([c.text for c in pair.claims])
     bindings = {"claims": claim_list}
     if template is TemplateId.ATTRIBUTE_QUERY:
         bindings["objects"] = render_object_string(objects)
@@ -287,23 +285,6 @@ def tool_plan(replies: Mapping[TemplateId, Mapping[int, tuple[str, ...]]]) -> To
         )
         for i in range(1, len(objects) + 1)
     ))
-
-
-def formulate_queries(pair: ImageTextPair, gateway: Completer) -> ToolPlan:
-    """Route every claim to the tools it needs.
-
-    Makes the four formulation calls one after another, in the order of
-    :data:`FORMULATION_KINDS`; the attribute prompt binds the object
-    vocabulary of the object reply. The first error stops the rest and
-    carries a ``template_id``. The executor makes the same calls
-    concurrently and reaches the same plan.
-    """
-    replies: dict[TemplateId, dict[int, tuple[str, ...]]] = {}
-    for template in FORMULATION_KINDS:
-        objects = (label_union(replies[TemplateId.OBJECT_QUERY].values())
-                   if template is TemplateId.ATTRIBUTE_QUERY else ())
-        replies[template] = formulate(pair, template, gateway, objects)
-    return tool_plan(replies)
 
 
 # --- verdict parsing -----------------------------------------------------------
@@ -338,6 +319,24 @@ def _parse_verdict_entry(entry: Any, n_claims: int, repaired: bool) -> Verdict:
     return Verdict(claim_index=index, label=label, rationale=reason, parse_flags=flags)
 
 
+def _verdict_entries(raw: str) -> tuple[list[Any], bool]:
+    """Decode a verification reply into its entries and its repaired flag."""
+    value, repaired = _reply(raw)
+    if isinstance(value, dict):
+        value = [value]
+    if not isinstance(value, list):
+        raise UnparseableModelOutput(f"expected a list, got {type(value).__name__}")
+    return value, repaired
+
+
+def _verdicts(entries: list[Any], n_claims: int, repaired: bool) -> list[Verdict]:
+    verdicts = [_parse_verdict_entry(entry, n_claims, repaired) for entry in entries]
+    by_index = {v.claim_index: v for v in verdicts}
+    if len(by_index) != len(verdicts) or set(by_index) != set(range(1, n_claims + 1)):
+        raise ClaimCountMismatch(n_claims, len(verdicts))
+    return [by_index[i] for i in range(1, n_claims + 1)]
+
+
 def parse_verdicts(raw: str, n_claims: int) -> list[Verdict]:
     """Parse a verification reply into one verdict per claim, in index order.
 
@@ -348,38 +347,20 @@ def parse_verdicts(raw: str, n_claims: int) -> list[Verdict]:
     """
     if n_claims < 1:
         raise ValueError("n_claims must be >= 1")
-    try:
-        value, repaired = loads_lenient(raw)
-    except ValueError as exc:
-        raise UnparseableModelOutput(str(exc)) from exc
-    if isinstance(value, dict):
-        value = [value]
-    if not isinstance(value, list):
-        raise UnparseableModelOutput(f"expected a list, got {type(value).__name__}")
-    verdicts = [_parse_verdict_entry(entry, n_claims, repaired) for entry in value]
-    by_index = {v.claim_index: v for v in verdicts}
-    if len(by_index) != len(verdicts) or set(by_index) != set(range(1, n_claims + 1)):
-        raise ClaimCountMismatch(n_claims, len(verdicts))
-    return [by_index[i] for i in range(1, n_claims + 1)]
+    entries, repaired = _verdict_entries(raw)
+    return _verdicts(entries, n_claims, repaired)
 
 
-def _salvage_verdicts(raw: str, n_claims: int) -> list[Verdict]:
+def _salvage_verdicts(entries: list[Any], n_claims: int) -> list[Verdict]:
     """Best-effort recovery after a failed parse: keep whatever entries are
     individually sound and fill the rest with flagged unverified fallbacks."""
     recovered: dict[int, Verdict] = {}
-    try:
-        value, _ = loads_lenient(raw)
-    except ValueError:
-        value = None
-    if isinstance(value, dict):
-        value = [value]
-    if isinstance(value, list):
-        for entry in value:
-            try:
-                verdict = _parse_verdict_entry(entry, n_claims, repaired=True)
-            except ParseError:
-                continue
-            recovered.setdefault(verdict.claim_index, verdict)
+    for entry in entries:
+        try:
+            verdict = _parse_verdict_entry(entry, n_claims, repaired=True)
+        except ParseError:
+            continue
+        recovered.setdefault(verdict.claim_index, verdict)
     fallback_flags = frozenset({ParseFlag.UNVERIFIED})
     return [
         recovered.get(i) or Verdict(
@@ -397,10 +378,12 @@ def _judge(request: ModelRequest, n_claims: int, gateway: Completer) -> list[Ver
         return parse_verdicts(response.text, n_claims)
     except ParseError:
         retried = gateway.complete(request)
-        try:
-            return parse_verdicts(retried.text, n_claims)
-        except ParseError:
-            return _salvage_verdicts(retried.text, n_claims)
+    entries: list[Any] = []  # none if the retried reply does not decode
+    try:
+        entries, repaired = _verdict_entries(retried.text)
+        return _verdicts(entries, n_claims, repaired)
+    except ParseError:
+        return _salvage_verdicts(entries, n_claims)
 
 
 def is_degraded(verdicts: Sequence[Verdict]) -> bool:
@@ -410,28 +393,19 @@ def is_degraded(verdicts: Sequence[Verdict]) -> bool:
 # --- verification -----------------------------------------------------------------
 
 
-def build_verification_prompt(
-    pair: ImageTextPair, evidence: EvidenceBundle
-) -> RenderedPrompt:
-    """Bind pooled evidence and the claim list into the direction's template."""
-    template = (
-        TemplateId.VERIFY_TEXT_TO_IMAGE
-        if pair.task is TaskType.TEXT_TO_IMAGE
-        else TemplateId.VERIFY_IMAGE_TO_TEXT
-    )
-    bindings = dict(format_evidence_sections(evidence))
-    bindings["claims"] = render_claim_list([c.text for c in pair.claims])
-    return render(template, bindings, [pair.image])
-
-
 def verify(
     pair: ImageTextPair, evidence: EvidenceBundle, gateway: Completer
 ) -> list[Verdict]:
-    """Judge the whole claim list in a single model call over pooled evidence."""
+    """Judge the whole claim list in a single model call over pooled evidence,
+    bound into the template of the pair's direction."""
     if not pair.claims:
         raise ValueError(f"pair {pair.id!r} has no claims")
-    prompt = build_verification_prompt(pair, evidence)
-    request = ModelRequest(prompt=prompt, purpose_tag=PurposeTag.VERIFY)
+    template = (TemplateId.VERIFY_TEXT_TO_IMAGE if pair.task is TaskType.TEXT_TO_IMAGE
+                else TemplateId.VERIFY_IMAGE_TO_TEXT)
+    bindings = dict(format_evidence_sections(evidence))
+    bindings["claims"] = render_claim_list([c.text for c in pair.claims])
+    request = ModelRequest(prompt=render(template, bindings, [pair.image]),
+                           purpose_tag=PurposeTag.VERIFY)
     return _judge(request, len(pair.claims), gateway)
 
 
@@ -452,12 +426,8 @@ class SelfCheckDemo:
 
 
 def _render_demo(demo: SelfCheckDemo) -> str:
-    wire = [
-        {claim_key(v.claim_index): (
-            "hallucination" if v.label is Label.HALLUCINATORY else "non-hallucination"
-        ), "reason": v.rationale}
-        for v in demo.verdicts
-    ]
+    wire = [{claim_key(v.claim_index): _WIRE_NAMES[v.label], "reason": v.rationale}
+            for v in demo.verdicts]
     return (
         "(Image Entered)\n"
         "Here is the claim list:\n"

@@ -100,6 +100,27 @@ def table_gateway(rules):
     return ModelGateway(TableBackend(rules), sleep=lambda _: None)
 
 
+def formulate_queries(pair, gateway):
+    """The sequential reference for the executor's formulation schedule.
+
+    Makes the four formulation calls one after another, in the order of
+    ``FORMULATION_KINDS``; the attribute prompt binds the object vocabulary
+    of the object reply. The first error stops the rest and carries a
+    ``template_id``. The executor makes the same calls concurrently and
+    must reach the same plan.
+    """
+    from halodet.prompts import TemplateId, render_claim_list
+    from halodet.stages import FORMULATION_KINDS, formulate, label_union, tool_plan
+
+    claim_list = render_claim_list([c.text for c in pair.claims])
+    replies = {}
+    for template in FORMULATION_KINDS:
+        objects = (label_union(replies[TemplateId.OBJECT_QUERY].values())
+                   if template is TemplateId.ATTRIBUTE_QUERY else ())
+        replies[template] = formulate(pair, template, gateway, objects, claim_list)
+    return tool_plan(replies)
+
+
 def image_ref(name: str) -> ImageRef:
     """Synthetic image identity: digest derived from the name, no file needed."""
     return ImageRef(path=f"images/{name}.jpg", digest=sha256_text(f"image-bytes:{name}"))

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import e2e_scenario
 import store_records
-from conftest import TableBackend, image_ref, table_gateway
+from conftest import TableBackend, formulate_queries, image_ref, table_gateway
 from halodet.cache import DiskCache
 from halodet.errors import (
     BackendUnavailable,
@@ -54,7 +54,7 @@ from halodet.model import (
     Verdict,
 )
 from halodet.prompts import TemplateId
-from halodet.stages import ClaimQueries, DetectionMethod, ToolPlan, formulate_queries
+from halodet.stages import ClaimQueries, DetectionMethod, ToolPlan
 from halodet.tools import FactSnippet, ToolBackendSet
 
 

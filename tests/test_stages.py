@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from conftest import image_ref, table_gateway
+from conftest import formulate_queries, image_ref, table_gateway
 from halodet.errors import (
     ClaimCountMismatch,
     EmptyExtraction,
@@ -27,7 +27,6 @@ from halodet.model import (
 from halodet.stages import (
     SelfCheckDemo,
     extract_claims,
-    formulate_queries,
     label_union,
     parse_claim_query_map,
     parse_verdicts,
