@@ -1,8 +1,11 @@
-"""Input decoding, corpus statistics, and result alignment.
+"""Input files, corpus statistics, and result alignment.
 
-Every JSON file ``detect`` reads is decoded here: benchmark files in the
+Every JSON file ``detect`` reads is read here: benchmark files in the
 versioned ``mhalubench.v1`` schema shipped under ``schema/``, bare single-pair
-files, and self-check demonstration files. Each check fails with a JSON pointer.
+files, and self-check demonstration files. Each record in them is decoded by
+its own ``from_json`` (see :mod:`halodet.model`), which rejects a key the
+schema does not list; this module adds the file envelope and the checks that
+span records. Every failed check raises SchemaViolation at a JSON pointer.
 Image digests are verified when the image files are actually present; metrics
 need no pixels, so a missing file just means digest-only mode.
 """
@@ -11,11 +14,10 @@ from __future__ import annotations
 
 import json
 import os
-import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable, TypeVar
 
 from .errors import (
     IndexMismatch,
@@ -27,26 +29,23 @@ from .executor import DetectionResult
 from .hashing import sha256_file
 from .metrics import derive_response_label, derive_segment_label
 from .model import (
-    Claim,
     HallucinationCategory,
     ImageRef,
     ImageTextPair,
     Label,
     ParseFlag,
-    Segment,
     TaskType,
-    Verdict,
-    pair_id_problem,
+    each,
+    invalid,
+    record,
+    typed,
     validate_pair,
+    within,
 )
 from .stages import SelfCheckDemo
 
 SCHEMA_VERSION = "mhalubench.v1"
-
-_DIGEST_RE = re.compile(r"[0-9a-f]{64}")
-_TASKS = {task.value: task for task in TaskType}
-_LABELS = {label.value: label for label in Label}
-_CATEGORIES = {category.value: category for category in HallucinationCategory}
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -54,6 +53,7 @@ class BenchmarkFile:
     version: str
     pairs: tuple[ImageTextPair, ...]
     provenance: dict[str, Any] = field(default_factory=dict)
+    _KEYS = frozenset({"version", "provenance", "pairs"})
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -71,160 +71,63 @@ def schema_document() -> dict[str, Any]:
     return json.loads(path.read_text("utf-8"))
 
 
-# --- decoding with pointer paths ------------------------------------------------
-# One walk checks each field and builds the value from it. A failed check raises
-# SchemaViolation at the JSON pointer made of ``at``; none is built otherwise.
-# ``gold`` is set for benchmark pairs, which need claims and gold labels.
-
-_At = tuple[str | int, ...]
+# --- reading input files ------------------------------------------------------
+# Each record decodes itself (see halodet.model); the checks here span records.
 
 
-def _violation(message: str, *at: str | int) -> SchemaViolation:
-    return SchemaViolation("/" + "/".join(map(str, at)), message)
-
-
-def _member(members: dict[str, Any], value: Any, *at: str | int) -> Any:
-    if not isinstance(value, str):
-        raise _violation("expected a string", *at)
-    if value not in members:
-        raise _violation(f"{value!r} is not one of {sorted(members)}", *at)
-    return members[value]
-
-
-def _text(value: Any, *at: str | int) -> str:
-    if not (isinstance(value, str) and value):
-        raise _violation("expected a non-empty string", *at)
-    return value
-
-
-def _read(path: Path) -> Any:
+def _checked(path: Path, decode: Callable[[Any], T]) -> T:
+    """``decode`` of the JSON in ``path``; a failed check is a SchemaViolation."""
     try:
-        return json.loads(path.read_text("utf-8"))
+        data = json.loads(path.read_text("utf-8"))
     except ValueError as exc:
         raise SchemaViolation("/", f"not valid JSON: {exc}") from exc
+    try:
+        return within(data, decode)
+    except ValueError as exc:
+        raise SchemaViolation(exc.pointer, exc.reason) from None  # type: ignore[attr-defined]
 
 
-def _image(data: Any, at: _At) -> ImageRef:
-    if not isinstance(data, dict):
-        raise _violation("expected an object", *at)
-    path, digest = _text(data.get("path"), *at, "path"), data.get("digest")
-    if not (isinstance(digest, str) and _DIGEST_RE.fullmatch(digest)):
-        raise _violation("expected a 64-hex sha256 digest", *at, "digest")
-    return ImageRef(path, digest)
-
-
-def _check_image_file(image: ImageRef, folder: Path, at: _At) -> None:
+def _check_image_file(image: ImageRef, folder: Path, *at: str | int) -> None:
     """Compare the digest with the image file's bytes when the file is present."""
     image_path = os.path.join(folder, image.path)
     if os.path.isfile(image_path):
         actual = sha256_file(image_path)
         if actual != image.digest:
-            raise _violation(f"file digest {actual} does not match recorded digest",
-                             *at, "digest")
+            raise invalid(f"file digest {actual} does not match recorded digest",
+                          *at, "digest")
 
 
-def _claim(data: Any, at: _At, gold: bool) -> Claim:
-    if not isinstance(data, dict):
-        raise _violation("expected an object", *at)
-    index = data.get("index")
-    if type(index) is not int:  # a JSON true or false is a bool, not an integer
-        raise _violation("expected an integer", *at, "index")
-    text, label = _text(data.get("text"), *at, "text"), None
-    if "gold_label" in data:
-        label = _member(_LABELS, data["gold_label"], *at, "gold_label")
-    elif gold:
-        raise _violation("benchmark claims need a gold label", *at, "gold_label")
-    categories = data.get("gold_categories")
-    if "gold_categories" in data:
-        if not isinstance(categories, list):
-            raise _violation("expected a list", *at, "gold_categories")
-        categories = frozenset([_member(_CATEGORIES, name, *at, "gold_categories", k)
-                                for k, name in enumerate(categories)])
-    segment_id = data.get("segment_id")
-    if "segment_id" in data and not isinstance(segment_id, str):
-        raise _violation("expected a string", *at, "segment_id")
-    return Claim(index, text, label, categories, segment_id)
-
-
-def _segment(data: Any, at: _At) -> Segment:
-    if not isinstance(data, dict):
-        raise _violation("expected an object", *at)
-    segment_id = _text(data.get("id"), *at, "id")
-    text, indices = data.get("text"), data.get("claim_indices")
-    if not isinstance(text, str):
-        raise _violation("expected a string", *at, "text")
-    if not (isinstance(indices, list) and indices):
-        raise _violation("expected a non-empty list", *at, "claim_indices")
-    for k, index in enumerate(indices):
-        if type(index) is not int:
-            raise _violation("expected an integer", *at, "claim_indices", k)
-    return Segment(segment_id, text, tuple(indices))
-
-
-def _pair(data: Any, at: _At, gold: bool) -> ImageTextPair:
-    if not isinstance(data, dict):
-        raise _violation("expected an object", *at)
-    pair_id = data.get("id")
-    if not isinstance(pair_id, str):
-        raise _violation("expected a string", *at, "id")
-    id_problem = pair_id_problem(pair_id)
-    if id_problem is not None:
-        raise _violation(id_problem, *at, "id")
-    task = _member(_TASKS, data.get("task"), *at, "task")
-    image = _image(data.get("image"), (*at, "image"))
-    text, claims = _text(data.get("text"), *at, "text"), data.get("claims", [])
-    if not (isinstance(claims, list) and (claims or not gold)):
-        raise _violation("expected a non-empty list" if gold else "expected a list",
-                         *at, "claims")
-    claims = tuple([_claim(item, (*at, "claims", j), gold) for j, item in enumerate(claims)])
-    segments = data.get("segments")
-    if "segments" in data:
-        if not isinstance(segments, list):
-            raise _violation("expected a list", *at, "segments")
-        segments = tuple([_segment(item, (*at, "segments", j))
-                          for j, item in enumerate(segments)])
-    return ImageTextPair(pair_id, task, image, text, claims, segments)
-
-
-def _checked_pair(data: Any, at: _At, folder: Path, gold: bool) -> ImageTextPair:
-    """Walk one pair, check its invariants, then its image file if present."""
-    pair = _pair(data, at, gold)
+def _checked_pair(data: Any, folder: Path, gold: bool) -> ImageTextPair:
+    """Decode one pair, check its invariants, then its image file if present."""
+    pair = ImageTextPair.from_json(data, gold)
     violations = validate_pair(pair)
     if violations:
-        raise _violation("; ".join(violations), *at)
-    _check_image_file(pair.image, folder, (*at, "image"))
+        raise invalid("; ".join(violations))
+    _check_image_file(pair.image, folder, "image")
     return pair
 
 
 def _benchmark(data: Any, folder: Path) -> BenchmarkFile:
-    if not isinstance(data, dict):
-        raise _violation("expected an object")
+    if type(data) is not dict:
+        raise invalid("expected an object")
     version = data.get("version")
-    if not isinstance(version, str) or version != SCHEMA_VERSION:
+    if version != SCHEMA_VERSION:
         raise UnsupportedVersion(str(version))
-    pairs_json = data.get("pairs")
-    if not isinstance(pairs_json, list):
-        raise _violation("expected a list", "pairs")
-    provenance = data.get("provenance", {})
-    if not isinstance(provenance, dict):
-        raise _violation("expected an object", "provenance")
-
-    pairs = []
-    seen_ids: set[str] = set()
-    for i, pair_json in enumerate(pairs_json):
-        pair = _checked_pair(pair_json, ("pairs", i), folder, gold=True)
-        if pair.id in seen_ids:
-            raise _violation(f"duplicate pair id {pair.id!r}", "pairs", i, "id")
-        seen_ids.add(pair.id)
-        pairs.append(pair)
-
-    return BenchmarkFile(version=version, pairs=tuple(pairs), provenance=dict(provenance))
+    record(data, BenchmarkFile._KEYS)
+    provenance = typed(data.get("provenance", {}), dict, "provenance")
+    pairs = each(data.get("pairs"), lambda pair: _checked_pair(pair, folder, gold=True),
+                 "pairs")
+    first_of: dict[str, int] = {}
+    for i, pair in enumerate(pairs):
+        if first_of.setdefault(pair.id, i) != i:
+            raise invalid(f"duplicate pair id {pair.id!r}", "pairs", i, "id")
+    return BenchmarkFile(version=version, pairs=pairs, provenance=dict(provenance))
 
 
 def load(path: str | Path) -> BenchmarkFile:
     """Load and fully validate one benchmark file, and each image file present."""
     path = Path(path)
-    return _benchmark(_read(path), path.parent)
+    return _checked(path, lambda data: _benchmark(data, path.parent))
 
 
 def save(bench: BenchmarkFile, path: str | Path) -> None:
@@ -241,45 +144,28 @@ def load_detection_input(path: str | Path) -> tuple[ImageTextPair, ...]:
     every check a benchmark pair gets, but may omit claims and gold labels.
     """
     path = Path(path)
-    data = _read(path)
-    if isinstance(data, dict) and "version" in data:
-        return _benchmark(data, path.parent).pairs
-    return (_checked_pair(data, (), path.parent, gold=False),)
 
+    def pairs(data: Any) -> tuple[ImageTextPair, ...]:
+        if isinstance(data, dict) and "version" in data:
+            return _benchmark(data, path.parent).pairs
+        return (_checked_pair(data, path.parent, gold=False),)
 
-def _demo_verdict(data: Any, at: _At, index: int) -> Verdict:
-    if not isinstance(data, dict):
-        raise _violation("expected an object", *at)
-    label = _member(_LABELS, data.get("label"), *at, "label")
-    return Verdict(index, label, _text(data.get("reason"), *at, "reason"))
+    return _checked(path, pairs)
 
 
 def load_demos(path: str | Path) -> list[SelfCheckDemo]:
-    """Read the two worked demonstrations that 2-shot self-check shows the model.
-
-    The file holds a list of two objects, each an ``image`` reference, a
-    non-empty list of ``claims`` and one ``{"label", "reason"}`` verdict per claim.
-    """
+    """Read the two worked demonstrations that 2-shot self-check shows the model."""
     path = Path(path)
-    data = _read(path)
-    if not (isinstance(data, list) and len(data) == 2):
-        raise _violation("expected a list of exactly 2 demonstrations")
-    demos = []
-    for i, entry in enumerate(data):
-        if not isinstance(entry, dict):
-            raise _violation("expected an object", i)
-        image = _image(entry.get("image"), (i, "image"))
-        _check_image_file(image, path.parent, (i, "image"))
-        claims, verdicts = entry.get("claims"), entry.get("verdicts")
-        if not (isinstance(claims, list) and claims):
-            raise _violation("expected a non-empty list", i, "claims")
-        claims = tuple([_text(claim, i, "claims", j) for j, claim in enumerate(claims)])
-        if not (isinstance(verdicts, list) and len(verdicts) == len(claims)):
-            raise _violation("expected a list with one verdict per claim", i, "verdicts")
-        verdicts = tuple([_demo_verdict(item, (i, "verdicts", j), j + 1)
-                          for j, item in enumerate(verdicts)])
-        demos.append(SelfCheckDemo(image, claims, verdicts))
-    return demos
+
+    def demos(data: Any) -> list[SelfCheckDemo]:
+        if not (type(data) is list and len(data) == 2):
+            raise invalid("expected a list of exactly 2 demonstrations")
+        decoded = each(data, SelfCheckDemo.from_json)
+        for i, demo in enumerate(decoded):
+            _check_image_file(demo.image, path.parent, i, "image")
+        return list(decoded)
+
+    return _checked(path, demos)
 
 
 # --- corpus statistics ---------------------------------------------------------------

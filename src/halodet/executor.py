@@ -50,9 +50,13 @@ from .model import (
     FactEvidence,
     ImageTextPair,
     Verdict,
-    of_type,
+    each,
+    invalid,
+    member,
+    record,
+    typed,
     validate_pair,
-    with_keys,
+    within,
 )
 from .prompts import TemplateId, render_claim_list, template_digests
 from .stages import (
@@ -116,6 +120,7 @@ class DetectionResult:
     evidence: EvidenceBundle
     degraded: bool
     trace: tuple[TraceRecord, ...]
+    _KEYS = frozenset({"pair_id", "method", "plan", "evidence", "verdicts", "degraded"})
 
     def payload_json(self) -> dict[str, Any]:
         """The deterministic part, written to the per-pair result file.
@@ -131,6 +136,20 @@ class DetectionResult:
             "verdicts": [v.to_json() for v in self.verdicts],
             "degraded": self.degraded,
         }
+
+    @classmethod
+    def from_payload(cls, data: Any) -> "DetectionResult":
+        """Read back what ``payload_json`` wrote; the trace is left empty."""
+        record(data, cls._KEYS)
+        if "plan" not in data:  # the one value that may be null
+            raise invalid("expected an object or null", "plan")
+        plan = data["plan"]
+        return cls(typed(data.get("pair_id"), str, "pair_id"),
+                   member(data.get("method"), DetectionMethod, "method"),
+                   each(data.get("verdicts"), Verdict.from_json, "verdicts"),
+                   None if plan is None else within(plan, ToolPlan.from_json, "plan"),
+                   within(data.get("evidence"), EvidenceBundle.from_json, "evidence"),
+                   typed(data.get("degraded"), bool, "degraded"), ())
 
 
 @dataclass(frozen=True)
@@ -596,30 +615,15 @@ def _utc_now() -> str:
 def load_result_payload(path: str | Path) -> DetectionResult:
     """Read one per-pair result file back into a DetectionResult (no trace).
 
-    Every record is read by its exact keys. A file that is not JSON, or has
-    a record with a key missing, an unknown key or a value of the wrong
-    type, raises ResultFileInvalid naming the file.
+    A file that does not decode raises ResultFileInvalid naming the file and,
+    unless the file is not JSON, the JSON pointer of the value at fault.
     """
+    with open(path, "rb") as file:
+        raw = file.read()
     try:
-        with open(path, "rb") as file:
-            data = with_keys(json.loads(file.read()), _RESULT_KEYS)
-        plan = data["plan"]
-        return DetectionResult(
-            of_type(data["pair_id"], str),
-            DetectionMethod(data["method"]),
-            tuple(map(Verdict.from_json, data["verdicts"])),
-            ToolPlan.from_json(plan) if plan is not None else None,
-            EvidenceBundle.from_json(data["evidence"]),
-            of_type(data["degraded"], bool),
-            (),
-        )
-    except KeyError as exc:
-        raise ResultFileInvalid(str(path), f"missing key {exc}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ResultFileInvalid(str(path), f"cannot decode: {exc}") from exc
-
-
-_RESULT_KEYS = frozenset({"pair_id", "method", "plan", "evidence", "verdicts", "degraded"})
+        return within(json.loads(raw), DetectionResult.from_payload)
+    except ValueError as exc:  # "<pointer>: <reason>", or why it is not JSON
+        raise ResultFileInvalid(str(path), str(exc)) from exc
 
 
 def load_run_results(run_dir: str | Path) -> list[DetectionResult]:

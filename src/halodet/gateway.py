@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Protocol, TypeVar
 
 from .errors import AuthFailure, BackendUnavailable, PayloadTooLarge
 from .hashing import sha256_json
+from .model import typed
 from .prompts import RenderedPrompt
 
 if TYPE_CHECKING:
@@ -166,13 +167,6 @@ class _HttpJsonClient:
         self._headers = headers
         self._session = session if session is not None else _requests().Session()
 
-    @staticmethod
-    def _string(value: Any) -> str:
-        """A string field of a reply body, never ``str(None)``."""
-        if not isinstance(value, str):
-            raise TypeError(f"expected a string, got {value!r}")
-        return value
-
     def _post(self, payload: dict, parse: Callable[[Any], T]) -> T:
         try:
             response = self._session.post(
@@ -224,4 +218,4 @@ class HttpModelBackend(_HttpJsonClient):
             "images": [ref.to_json() for ref in request.prompt.attachments],
             "temperature": TEMPERATURE,
             "max_output_tokens": MAX_OUTPUT_TOKENS,
-        }, lambda body: self._string(body["text"]))
+        }, lambda body: typed(body["text"], str, "text"))

@@ -1,10 +1,11 @@
-"""Domain types shared by every pipeline stage.
+"""Domain types shared by every pipeline stage, and the one checked decoder of their JSON.
 
 Pairs, claims, segments, labels, evidence, and verdicts are immutable value
-objects with canonical JSON encodings. The input files that hold pairs are
-decoded and checked by :mod:`halodet.bench`; the decoders here read back what
-a run wrote (verdicts and evidence). Enum vocabularies and JSON types are
-closed: decoding rejects anything outside them instead of coercing.
+objects with canonical JSON encodings. Each record's ``from_json`` sits beside
+its ``to_json`` and reads through the checked-decode helpers below, for input
+files (:mod:`halodet.bench`) and result files (:mod:`halodet.executor`) alike.
+Keys, enum vocabularies and JSON types are closed: anything outside them raises
+ValueError naming the JSON pointer of the value, instead of being coerced.
 
 Pair-level structural invariants are checked by :func:`validate_pair`, which
 returns the violations as data rather than raising, so that malformed inputs
@@ -16,8 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Union
-
+from typing import Any, Callable, TypeVar, Union
 
 
 class TaskType(Enum):
@@ -43,10 +43,6 @@ class ParseFlag(Enum):
     UNVERIFIED = "unverified"
 
 
-# Decoders look a label up here before calling Label, which costs ten times more.
-_LABELS = {label.value: label for label in Label}
-
-
 def claim_key(index: int) -> str:
     """Canonical per-claim key: "claim" + decimal index, no padding."""
     if index < 1:
@@ -67,29 +63,95 @@ def parse_claim_key(key: str) -> int:
     return index
 
 
+# --- checked decoding ------------------------------------------------------------
+# A failed check raises ValueError at the JSON pointer of the value (``key`` is
+# None for a value read on its own); ``within`` and ``each`` put a nested value's
+# key in front on the way out, so a pointer is built only on failure. An optional
+# key may be left out; a required key left out reads as null.
+
+T = TypeVar("T")
+E = TypeVar("E", bound=Enum)
 _NUMBER, _STRING = frozenset({float, int}), frozenset({str})
+_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer",
+          bool: "a boolean"}
 
 
-def of_type(value: Any, kind: type) -> Any:
-    """``value`` if its type is exactly ``kind``, as in decoded JSON (true is no int)."""
-    if type(value) is not kind:
-        raise TypeError(f"expected {kind.__name__}, got {value!r}")
-    return value
+def invalid(message: str, *at: str | int | None) -> ValueError:
+    """A decode error at the JSON pointer made of ``at``."""
+    return _under(ValueError(message), at)
 
 
-def with_keys(data: Any, keys: frozenset[str]) -> dict[str, Any]:
-    """``data`` if it is a JSON object with exactly ``keys``, none missing and none more."""
-    if type(data) is not dict or data.keys() != keys:
-        got = sorted(data) if type(data) is dict else data
-        raise ValueError(f"expected an object with keys {sorted(keys)}, got {got!r}")
+def _under(error: ValueError, at: tuple[str | int | None, ...]) -> ValueError:
+    """``error`` with ``at`` put in front of its JSON pointer, which leads its text."""
+    if not hasattr(error, "reason"):  # first seen: raised by invalid() or inside a decoder
+        error.reason, error.at = str(error), ()  # type: ignore[attr-defined]
+    error.at = at = (*(t for t in at if t is not None), *error.at)  # type: ignore[attr-defined]
+    error.pointer = pointer = "/" + "/".join(  # type: ignore[attr-defined]
+        str(token).replace("~", "~0").replace("/", "~1") for token in at)
+    error.args = (f"{pointer}: {error.reason}",)  # type: ignore[attr-defined]
+    return error
+
+
+def within(value: Any, decode: Callable[[Any], T], key: str | None = None) -> T:
+    """``decode(value)``, its decode errors moved under ``key``."""
+    try:
+        return decode(value)
+    except ValueError as error:
+        _under(error, (key,))
+        raise
+
+
+def each(value: Any, decode: Callable[[Any], T], key: str | None = None,
+         non_empty: bool = False) -> tuple[T, ...]:
+    """The items of the JSON list ``value`` decoded; item k's errors move under ``key``/k."""
+    if type(value) is not list or (non_empty and not value):
+        raise invalid("expected a non-empty list" if non_empty else "expected a list", key)
+    if not value:
+        return ()
+    decoded: list[T] = []
+    try:
+        for item in value:
+            decoded.append(decode(item))
+    except ValueError as error:
+        _under(error, (key, len(decoded)))
+        raise
+    return tuple(decoded)
+
+
+def record(data: Any, keys: frozenset[str], kind: str | None = None) -> dict[str, Any]:
+    """``data`` if it is a JSON object with no key outside ``keys`` and, given
+    ``kind``, with that ``"kind"``: an item of another family is a ValueError."""
+    if type(data) is not dict:
+        raise invalid("expected an object")
+    if kind is not None and data.get("kind") != kind:
+        raise invalid(f"expected kind {kind!r}, got {data.get('kind')!r}", "kind")
+    if not keys.issuperset(data):
+        raise invalid("unknown key", next(key for key in data if key not in keys))
     return data
 
 
-def string_tuple(value: Any) -> tuple[str, ...]:
+def typed(value: Any, kind: type, key: str | None = None, non_empty: bool = False) -> Any:
+    """``value`` if its type is exactly ``kind``, as in decoded JSON (true is no int)."""
+    if type(value) is not kind or (non_empty and not value):
+        expected = _KINDS[kind].replace(" ", " non-empty ", 1 if non_empty else 0)
+        raise invalid(f"expected {expected}", key)
+    return value
+
+
+def strings(value: Any, key: str | None = None) -> tuple[str, ...]:
     """A JSON list of strings, as a tuple."""
-    if type(value) is not list or not _STRING.issuperset(map(type, value)):
-        raise TypeError(f"expected a list of strings, got {value!r}")
-    return tuple(value)
+    if type(value) is list and _STRING.issuperset(map(type, value)):
+        return tuple(value)
+    return each(value, lambda item: typed(item, str), key)
+
+
+def member(value: Any, enum: type[E], key: str | None = None) -> E:
+    """The member of ``enum`` whose value is the JSON string ``value``."""
+    found = enum._value2member_map_.get(value) if type(value) is str else None
+    if found is None:
+        raise invalid(f"{value!r} is not one of {sorted(enum._value2member_map_)}"
+                      if type(value) is str else "expected a string", key)
+    return found  # type: ignore[return-value]
 
 
 @dataclass(frozen=True)
@@ -102,9 +164,18 @@ class ImageRef:
 
     path: str
     digest: str
+    _KEYS = frozenset({"path", "digest"})
 
     def to_json(self) -> dict[str, Any]:
         return {"path": self.path, "digest": self.digest}
+
+    @classmethod
+    def from_json(cls, data: Any) -> "ImageRef":
+        record(data, cls._KEYS)
+        path, digest = typed(data.get("path"), str, "path", non_empty=True), data.get("digest")
+        if type(digest) is not str or not re.fullmatch("[0-9a-f]{64}", digest):
+            raise invalid("expected a 64-hex sha256 digest", "digest")
+        return cls(path, digest)
 
 
 @dataclass(frozen=True)
@@ -115,20 +186,19 @@ class NormBox:
     y1: float
     x2: float
     y2: float
+    _KEYS = frozenset({"x1", "y1", "x2", "y2"})
 
     def to_json(self) -> dict[str, float]:
         return {"x1": self.x1, "y1": self.y1, "x2": self.x2, "y2": self.y2}
 
     @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "NormBox":
-        with_keys(data, _BOX_KEYS)
-        coords = (data["x1"], data["y1"], data["x2"], data["y2"])
+    def from_json(cls, data: Any) -> "NormBox":
+        record(data, cls._KEYS)
+        coords = (data.get("x1"), data.get("y1"), data.get("x2"), data.get("y2"))
         if not _NUMBER.issuperset(map(type, coords)):
-            raise TypeError(f"expected numbers, got {coords!r}")
+            raise invalid("expected a number", next(
+                key for key in ("x1", "y1", "x2", "y2") if type(data.get(key)) not in _NUMBER))
         return cls(*map(float, coords))
-
-
-_BOX_KEYS = frozenset({"x1", "y1", "x2", "y2"})
 
 
 def validate_norm_box(box: NormBox) -> bool:
@@ -145,6 +215,7 @@ class Claim:
     gold_label: Label | None = None
     gold_categories: frozenset[HallucinationCategory] | None = None
     segment_id: str | None = None
+    _KEYS = frozenset({"index", "text", "gold_label", "gold_categories", "segment_id"})
 
     def to_json(self) -> dict[str, Any]:
         data: dict[str, Any] = {"index": self.index, "text": self.text}
@@ -156,6 +227,27 @@ class Claim:
             data["segment_id"] = self.segment_id
         return data
 
+    @classmethod
+    def from_json(cls, data: Any, gold: bool = False) -> "Claim":
+        """A claim; with ``gold`` (a benchmark claim) its gold label is required."""
+        record(data, cls._KEYS)
+        index = typed(data.get("index"), int, "index")
+        text, label, categories = typed(data.get("text"), str, "text", non_empty=True), None, None
+        if "gold_label" in data:
+            label = member(data["gold_label"], Label, "gold_label")
+        elif gold:
+            raise invalid("benchmark claims need a gold label", "gold_label")
+        if "gold_categories" in data:
+            names = each(data["gold_categories"],
+                         lambda name: member(name, HallucinationCategory), "gold_categories")
+            for k, name in enumerate(names):
+                if name in names[:k]:
+                    raise invalid(f"duplicate category {name.value!r}", "gold_categories", k)
+            categories = frozenset(names)
+        if "segment_id" in data:
+            typed(data["segment_id"], str, "segment_id")
+        return cls(index, text, label, categories, data.get("segment_id"))
+
 
 @dataclass(frozen=True)
 class Segment:
@@ -164,9 +256,18 @@ class Segment:
     id: str
     text: str
     claim_indices: tuple[int, ...]
+    _KEYS = frozenset({"id", "text", "claim_indices"})
 
     def to_json(self) -> dict[str, Any]:
         return {"id": self.id, "text": self.text, "claim_indices": list(self.claim_indices)}
+
+    @classmethod
+    def from_json(cls, data: Any) -> "Segment":
+        record(data, cls._KEYS)
+        return cls(typed(data.get("id"), str, "id", non_empty=True),
+                   typed(data.get("text"), str, "text"),
+                   each(data.get("claim_indices"), lambda index: typed(index, int),
+                        "claim_indices", non_empty=True))
 
 
 @dataclass(frozen=True)
@@ -183,6 +284,7 @@ class ImageTextPair:
     text: str
     claims: tuple[Claim, ...] = ()
     segments: tuple[Segment, ...] | None = None
+    _KEYS = frozenset({"id", "task", "image", "text", "claims", "segments"})
 
     def to_json(self) -> dict[str, Any]:
         data: dict[str, Any] = {
@@ -196,6 +298,21 @@ class ImageTextPair:
             data["segments"] = [s.to_json() for s in self.segments]
         return data
 
+    @classmethod
+    def from_json(cls, data: Any, gold: bool = False) -> "ImageTextPair":
+        """A pair, unchecked by :func:`validate_pair`; ``gold`` requires gold-labelled claims."""
+        record(data, cls._KEYS)
+        pair_id = typed(data.get("id"), str, "id")
+        if (id_problem := pair_id_problem(pair_id)) is not None:
+            raise invalid(id_problem, "id")
+        return cls(pair_id, member(data.get("task"), TaskType, "task"),
+                   within(data.get("image"), ImageRef.from_json, "image"),
+                   typed(data.get("text"), str, "text", non_empty=True),
+                   each(data.get("claims", None if gold else []),
+                        lambda claim: Claim.from_json(claim, gold), "claims", non_empty=gold),
+                   each(data["segments"], Segment.from_json, "segments")
+                   if "segments" in data else None)
+
 
 # --- evidence -------------------------------------------------------------
 
@@ -204,27 +321,48 @@ class ImageTextPair:
 class ObjectEvidence:
     label: str
     box: NormBox
+    _KEYS = frozenset({"kind", "label", "box"})
 
     def to_json(self) -> dict[str, Any]:
         return {"kind": "object", "label": self.label, "box": self.box.to_json()}
+
+    @classmethod
+    def from_json(cls, data: Any) -> "ObjectEvidence":
+        record(data, cls._KEYS, "object")
+        return cls(typed(data.get("label"), str, "label"),
+                   within(data.get("box"), NormBox.from_json, "box"))
 
 
 @dataclass(frozen=True)
 class AttributeEvidence:
     question: str
     answer: str
+    _KEYS = frozenset({"kind", "question", "answer"})
 
     def to_json(self) -> dict[str, Any]:
         return {"kind": "attribute", "question": self.question, "answer": self.answer}
+
+    @classmethod
+    def from_json(cls, data: Any) -> "AttributeEvidence":
+        record(data, cls._KEYS, "attribute")
+        return cls(typed(data.get("question"), str, "question"),
+                   typed(data.get("answer"), str, "answer"))
 
 
 @dataclass(frozen=True)
 class SceneTextEvidence:
     text: str
     box: NormBox
+    _KEYS = frozenset({"kind", "text", "box"})
 
     def to_json(self) -> dict[str, Any]:
         return {"kind": "scene-text", "text": self.text, "box": self.box.to_json()}
+
+    @classmethod
+    def from_json(cls, data: Any) -> "SceneTextEvidence":
+        record(data, cls._KEYS, "scene-text")
+        return cls(typed(data.get("text"), str, "text"),
+                   within(data.get("box"), NormBox.from_json, "box"))
 
 
 @dataclass(frozen=True)
@@ -233,35 +371,19 @@ class FactEvidence:
 
     question: str
     snippets: tuple[str, ...]
+    _KEYS = frozenset({"kind", "question", "snippets"})
 
     def to_json(self) -> dict[str, Any]:
         return {"kind": "fact", "question": self.question, "snippets": list(self.snippets)}
 
+    @classmethod
+    def from_json(cls, data: Any) -> "FactEvidence":
+        record(data, cls._KEYS, "fact")
+        return cls(typed(data.get("question"), str, "question"),
+                   strings(data.get("snippets"), "snippets"))
+
 
 Evidence = Union[ObjectEvidence, AttributeEvidence, SceneTextEvidence, FactEvidence]
-
-# Per kind: the item's exact keys, and its decoder once they are checked.
-_EVIDENCE_DECODERS: dict[str, tuple[frozenset[str], Callable[[dict[str, Any]], Evidence]]] = {
-    "object": (frozenset({"kind", "label", "box"}), lambda d: ObjectEvidence(
-        of_type(d["label"], str), NormBox.from_json(d["box"]))),
-    "attribute": (frozenset({"kind", "question", "answer"}), lambda d: AttributeEvidence(
-        of_type(d["question"], str), of_type(d["answer"], str))),
-    "scene-text": (frozenset({"kind", "text", "box"}), lambda d: SceneTextEvidence(
-        of_type(d["text"], str), NormBox.from_json(d["box"]))),
-    "fact": (frozenset({"kind", "question", "snippets"}), lambda d: FactEvidence(
-        of_type(d["question"], str), string_tuple(d["snippets"]))),
-}
-
-
-def decode_evidence(kind: str, items: Any) -> tuple:
-    """Decode a JSON list of ``kind`` evidence items; an item of another kind is a ValueError."""
-    keys, decode = _EVIDENCE_DECODERS[kind]
-    decoded = []
-    for item in of_type(items, list):
-        if with_keys(item, keys)["kind"] != kind:
-            raise ValueError(f"expected {kind!r} evidence, got kind {item['kind']!r}")
-        decoded.append(decode(item))
-    return tuple(decoded)
 
 
 @dataclass(frozen=True)
@@ -272,6 +394,7 @@ class EvidenceBundle:
     attributes: tuple[AttributeEvidence, ...] = ()
     scene_texts: tuple[SceneTextEvidence, ...] = ()
     facts: tuple[FactEvidence, ...] = ()
+    _KEYS = frozenset({"objects", "attributes", "scene_texts", "facts"})
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -282,15 +405,13 @@ class EvidenceBundle:
         }
 
     @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "EvidenceBundle":
-        with_keys(data, _BUNDLE_KEYS)
-        return cls(decode_evidence("object", data["objects"]),
-                   decode_evidence("attribute", data["attributes"]),
-                   decode_evidence("scene-text", data["scene_texts"]),
-                   decode_evidence("fact", data["facts"]))
-
-
-_BUNDLE_KEYS = frozenset({"objects", "attributes", "scene_texts", "facts"})
+    def from_json(cls, data: Any) -> "EvidenceBundle":
+        """A bundle; an item in the list of another family is a ValueError."""
+        record(data, cls._KEYS)
+        return cls(each(data.get("objects"), ObjectEvidence.from_json, "objects"),
+                   each(data.get("attributes"), AttributeEvidence.from_json, "attributes"),
+                   each(data.get("scene_texts"), SceneTextEvidence.from_json, "scene_texts"),
+                   each(data.get("facts"), FactEvidence.from_json, "facts"))
 
 
 # --- verdicts ----------------------------------------------------------------
@@ -309,6 +430,7 @@ class Verdict:
     label: Label
     rationale: str
     parse_flags: frozenset[ParseFlag] = field(default_factory=frozenset)
+    _KEYS = frozenset({"claim_index", "label", "rationale", "parse_flags"})
 
     def __post_init__(self) -> None:
         if self.claim_index < 1:
@@ -325,15 +447,13 @@ class Verdict:
         }
 
     @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "Verdict":
-        with_keys(data, _VERDICT_KEYS)
-        return cls(of_type(data["claim_index"], int),
-                   _LABELS.get(data["label"]) or Label(data["label"]),
-                   of_type(data["rationale"], str),
-                   frozenset(map(ParseFlag, string_tuple(data["parse_flags"]))))
-
-
-_VERDICT_KEYS = frozenset({"claim_index", "label", "rationale", "parse_flags"})
+    def from_json(cls, data: Any) -> "Verdict":
+        record(data, cls._KEYS)
+        return cls(typed(data.get("claim_index"), int, "claim_index"),
+                   member(data.get("label"), Label, "label"),
+                   typed(data.get("rationale"), str, "rationale"),
+                   frozenset(each(data.get("parse_flags"), lambda flag: member(flag, ParseFlag),
+                                  "parse_flags")))
 
 
 # --- validation ----------------------------------------------------------------

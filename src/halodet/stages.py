@@ -18,7 +18,7 @@ than silently truncating. The executor schedules a pair's four
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -43,9 +43,14 @@ from .model import (
     TaskType,
     Verdict,
     claim_key,
+    each,
+    invalid,
+    member,
     parse_claim_key,
-    string_tuple,
-    with_keys,
+    record,
+    strings,
+    typed,
+    within,
 )
 from .prompts import (
     SupplementalId,
@@ -77,6 +82,19 @@ class ClaimQueries:
     attribute_questions: tuple[str, ...] = ()
     scene_text_questions: tuple[str, ...] = ()
     fact_questions: tuple[str, ...] = ()
+    _NAMES = ("object_labels", "attribute_questions", "scene_text_questions", "fact_questions")
+    _KEYS = frozenset(_NAMES)
+
+    def to_json(self) -> dict[str, Any]:
+        return {name: list(getattr(self, name)) for name in self._NAMES}
+
+    @classmethod
+    def from_json(cls, data: Any) -> "ClaimQueries":
+        record(data, cls._KEYS)
+        return cls(strings(data.get("object_labels"), "object_labels"),
+                   strings(data.get("attribute_questions"), "attribute_questions"),
+                   strings(data.get("scene_text_questions"), "scene_text_questions"),
+                   strings(data.get("fact_questions"), "fact_questions"))
 
 
 @dataclass(frozen=True)
@@ -86,34 +104,14 @@ class ToolPlan:
     per_claim: tuple[ClaimQueries, ...]
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            claim_key(i): {
-                "object_labels": list(q.object_labels),
-                "attribute_questions": list(q.attribute_questions),
-                "scene_text_questions": list(q.scene_text_questions),
-                "fact_questions": list(q.fact_questions),
-            }
-            for i, q in enumerate(self.per_claim, start=1)
-        }
+        return {claim_key(i): q.to_json() for i, q in enumerate(self.per_claim, start=1)}
 
     @classmethod
-    def from_json(cls, data: Mapping[str, Any]) -> "ToolPlan":
-        # n keys that include claim1..claimn are exactly those keys.
-        try:
-            entries = [with_keys(data[claim_key(i)], _QUERY_KEYS)
-                       for i in range(1, len(data) + 1)]
-        except KeyError:
-            raise ValueError("plan does not cover claims 1..n exactly once") from None
-        return cls(tuple([
-            ClaimQueries(string_tuple(v["object_labels"]),
-                         string_tuple(v["attribute_questions"]),
-                         string_tuple(v["scene_text_questions"]),
-                         string_tuple(v["fact_questions"]))
-            for v in entries
-        ]))
-
-
-_QUERY_KEYS = frozenset(f.name for f in fields(ClaimQueries))
+    def from_json(cls, data: Any) -> "ToolPlan":
+        # n keys, none outside claim1..claimn: each of those is there once.
+        keys = [claim_key(i) for i in range(1, len(data) + 1)] if type(data) is dict else []
+        record(data, frozenset(keys))
+        return cls(tuple([within(data[key], ClaimQueries.from_json, key) for key in keys]))
 
 
 def label_union(per_claim_labels: Iterable[Sequence[str]]) -> list[str]:
@@ -145,14 +143,10 @@ def _claim_mapping(raw: str) -> dict[int, Any]:
     value, _ = _reply(raw)
     if not isinstance(value, dict):
         raise UnparseableModelOutput(f"expected a mapping, got {type(value).__name__}")
-    mapping: dict[int, Any] = {}
-    for key, entry in value.items():
-        try:
-            index = parse_claim_key(str(key))
-        except ValueError as exc:
-            raise UnparseableModelOutput(f"unexpected key {key!r}") from exc
-        mapping[index] = entry
-    return mapping
+    try:
+        return {parse_claim_key(str(key)): entry for key, entry in value.items()}
+    except ValueError as exc:
+        raise UnparseableModelOutput(str(exc)) from exc
 
 
 def parse_claim_query_map(
@@ -173,16 +167,11 @@ def parse_claim_query_map(
     result: dict[int, list[str]] = {}
     for index in range(1, n_claims + 1):
         entry = mapping[index]
-        if isinstance(entry, str):
-            items = [] if _is_none_marker(entry) else [entry]
-        elif isinstance(entry, list):
-            if any(not isinstance(item, str) for item in entry):
-                raise UnparseableModelOutput(f"{claim_key(index)}: non-string entry")
-            items = [item for item in entry if not _is_none_marker(item)]
-        else:
-            raise UnparseableModelOutput(
-                f"{claim_key(index)}: expected string or list, got {type(entry).__name__}"
-            )
+        try:
+            items = [entry] if isinstance(entry, str) else strings(entry, claim_key(index))
+        except ValueError as exc:
+            raise UnparseableModelOutput(str(exc)) from exc
+        items = [item for item in items if not _is_none_marker(item)]
         if kind is HallucinationCategory.OBJECT:
             labels: list[str] = []
             for item in items:
@@ -219,8 +208,10 @@ def extract_claims(pair_text: str, gateway: Completer) -> list[Claim]:
         raise EmptyExtraction("model returned zero claims")
     if set(mapping) != set(range(1, len(mapping) + 1)):
         raise UnparseableModelOutput("extraction reply skips claim indices")
-    indexed = sorted((i, str(text)) for i, text in mapping.items())
-    claims = [Claim(index=i, text=text) for i, text in indexed if text.strip()]
+    for index, text in mapping.items():
+        if not isinstance(text, str):
+            raise UnparseableModelOutput(f"{claim_key(index)}: expected a string")
+    claims = [Claim(index=i, text=text) for i, text in sorted(mapping.items()) if text.strip()]
     if not claims:
         raise EmptyExtraction("model returned zero non-empty claims")
     return claims
@@ -419,10 +410,30 @@ class SelfCheckDemo:
     image: ImageRef
     claims: tuple[str, ...]
     verdicts: tuple[Verdict, ...]
+    _KEYS = frozenset({"image", "claims", "verdicts"})
 
     def __post_init__(self) -> None:
         if len(self.claims) != len(self.verdicts):
             raise ValueError("demo needs one verdict per claim")
+
+    @classmethod
+    def from_json(cls, data: Any) -> "SelfCheckDemo":
+        """A demonstration with one ``{"label", "reason"}`` judgment per claim."""
+        record(data, cls._KEYS)
+        image = within(data.get("image"), ImageRef.from_json, "image")
+        claims = each(data.get("claims"), lambda claim: typed(claim, str, non_empty=True),
+                      "claims", non_empty=True)
+        verdicts = data.get("verdicts")
+        if type(verdicts) is not list or len(verdicts) != len(claims):
+            raise invalid("expected a list with one verdict per claim", "verdicts")
+        judged = each(verdicts, _judgment, "verdicts")
+        return cls(image, claims, tuple(Verdict(k, *j) for k, j in enumerate(judged, 1)))
+
+
+def _judgment(data: Any) -> tuple[Label, str]:
+    record(data, frozenset({"label", "reason"}))
+    return (member(data.get("label"), Label, "label"),
+            typed(data.get("reason"), str, "reason", non_empty=True))
 
 
 def _render_demo(demo: SelfCheckDemo) -> str:

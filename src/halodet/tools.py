@@ -31,11 +31,14 @@ from .gateway import (
 from .model import (
     AttributeEvidence,
     EvidenceBundle,
+    FactEvidence,
     ImageRef,
     NormBox,
     ObjectEvidence,
     SceneTextEvidence,
-    decode_evidence,
+    each,
+    record,
+    typed,
     validate_norm_box,
 )
 from .prompts import SupplementalId, render
@@ -260,24 +263,26 @@ class Replay:
                 f"no mock entry for request digest {digest} "
                 f"(purpose {request.purpose_tag.value})"
             )
-        return stored["text"]
+        return typed(record(stored, frozenset({"text"})).get("text"), str, "text")
 
     def detect(self, image: ImageRef, labels: Sequence[str]) -> list[ObjectEvidence]:
         items = self._lookup(CacheKey.object_detect, image.digest, labels)
-        return list(decode_evidence("object", items or []))
+        return list(each(items or [], ObjectEvidence.from_json))
 
     def read(self, image: ImageRef) -> list[SceneTextEvidence]:
         items = self._lookup(CacheKey.scene_text, image.digest)
-        return list(decode_evidence("scene-text", items or []))
+        return list(each(items or [], SceneTextEvidence.from_json))
 
     def search(self, question: str, top_k: int) -> list[FactSnippet]:
         """Recorded snippet lines; :func:`fact_snippet_line` maps each back."""
         fact = self._lookup(CacheKey.fact_search, question, top_k)
-        return [] if fact is None else [FactSnippet("", line, "") for line in fact["snippets"]]
+        return [] if fact is None else [
+            FactSnippet("", line, "") for line in FactEvidence.from_json(fact).snippets]
 
     def answer(self, image: ImageRef, question: str) -> AttributeEvidence:
         stored = self._lookup(CacheKey.attribute, image.digest, question)
-        answer = stored["answer"] if stored is not None else NONE_INFORMATION
+        answer = (AttributeEvidence.from_json(stored).answer if stored is not None
+                  else NONE_INFORMATION)
         return AttributeEvidence(question=question, answer=answer)
 
 
@@ -348,7 +353,7 @@ class HttpObjectDetector(_HttpToolClient):
             if score < DETECTOR_THRESHOLD:
                 continue
             results.append(ObjectEvidence(
-                label=self._string(det["label"]),
+                label=typed(det["label"], str, "label"),
                 box=_normalize_box(det["box"], width, height),
             ))
         return results
@@ -366,7 +371,7 @@ class HttpSceneTextReader(_HttpToolClient):
         width = body.get("image_width")
         height = body.get("image_height")
         return [
-            SceneTextEvidence(text=self._string(line["text"]),
+            SceneTextEvidence(text=typed(line["text"], str, "text"),
                               box=_normalize_box(line["box"], width, height))
             for line in body.get("lines", [])
         ]
@@ -392,13 +397,13 @@ class HttpFactSearcher(_HttpToolClient):
     def _snippets(self, body: dict, top_k: int) -> list[FactSnippet]:
         snippets = []
         for hit in body.get("organic", [])[:top_k]:
-            text = self._string(hit.get("snippet", "")).strip()
+            text = typed(hit.get("snippet", ""), str, "snippet").strip()
             if not text:
                 continue
             snippets.append(FactSnippet(
-                title=self._string(hit.get("title", "")),
+                title=typed(hit.get("title", ""), str, "title"),
                 snippet=text,
-                source_url=self._string(hit.get("link", "")),
+                source_url=typed(hit.get("link", ""), str, "link"),
             ))
         return snippets
 

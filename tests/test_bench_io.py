@@ -8,17 +8,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import e2e_scenario
 from conftest import image_ref
 from halodet.bench import (
     BenchmarkFile,
     convert_predictions,
     load,
+    load_demos,
     load_detection_input,
     save,
     schema_document,
     stats,
 )
 from halodet.errors import (
+    HalodetError,
     IndexMismatch,
     MissingPrediction,
     SchemaViolation,
@@ -29,6 +32,7 @@ from halodet.model import (
     Claim,
     EvidenceBundle,
     HallucinationCategory,
+    ImageRef,
     ImageTextPair,
     Label,
     ParseFlag,
@@ -384,6 +388,11 @@ SINGLE_PAIR_REJECTIONS = [
     _single("claim-indices-not-contiguous",
             [("/claims/1/index", 3), ("/claims/1/segment_id", _DELETE)], "/",
             "non-contiguous claim indices: [1, 3]"),
+    _single("pair-extra-key", [("/answer", "yes")], "/answer", "unknown key"),
+    _single("image-extra-key", [("/image/size", 1024)], "/image/size", "unknown key"),
+    _single("claim-extra-key", [("/claims/1/score", 1)], "/claims/1/score", "unknown key"),
+    _single("duplicate-categories", [("/claims/0/gold_categories", ["fact", "fact"])],
+            "/claims/0/gold_categories/1", "duplicate category 'fact'"),
 ]
 
 
@@ -429,6 +438,98 @@ class TestSinglePairInput:
             load_detection_input(pair_path)
         assert exc_info.value.path == "/image/digest"
         assert "does not match recorded digest" in str(exc_info.value)
+
+
+_SEGMENTS = _bench_pair("a", [H, NH]).to_json()["segments"]
+
+# Edits the shipped schema forbids: a key it does not list, at each object level,
+# and a category listed twice. bench.load must reject each where the schema does.
+SCHEMA_REJECTIONS = [
+    pytest.param([("/comment", "x")], "/comment", id="file-extra-key"),
+    pytest.param([(f"{_P}/answer", "yes")], f"{_P}/answer", id="pair-extra-key"),
+    pytest.param([(f"{_P}/segments", _DELETE), (f"{_P}/segmnets", _SEGMENTS)],
+                 f"{_P}/segmnets", id="misspelled-segments"),
+    pytest.param([(f"{_P}/image/size", 1024)], f"{_P}/image/size", id="image-extra-key"),
+    pytest.param([(f"{_P}/image/a~b", 1)], f"{_P}/image/a~0b", id="escaped-extra-key"),
+    pytest.param([(f"{_C0}/confidence", 0.9)], f"{_C0}/confidence", id="claim-extra-key"),
+    pytest.param([(f"{_S1}/note", "")], f"{_S1}/note", id="segment-extra-key"),
+]
+
+
+class TestSchemaRejections:
+    @pytest.mark.parametrize("edits, pointer", SCHEMA_REJECTIONS)
+    def test_an_unknown_key_is_rejected_at_its_pointer(self, tmp_path, edits, pointer):
+        self._both_reject(tmp_path, _edited(edits), f"{pointer}: unknown key")
+
+    def test_a_category_listed_twice_is_rejected(self, tmp_path):
+        document = _edited([(f"{_C0}/gold_categories", ["object", "fact", "object"])])
+        self._both_reject(tmp_path, document,
+                          f"{_C0}/gold_categories/2: duplicate category 'object'")
+
+    @staticmethod
+    def _both_reject(tmp_path, document, expected):
+        bench_path = tmp_path / "bench.json"
+        bench_path.write_text(document)
+        with pytest.raises(SchemaViolation) as exc_info:
+            load(bench_path)
+        assert str(exc_info.value) == expected
+        jsonschema = pytest.importorskip("jsonschema")
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(json.loads(document), schema_document())
+
+    @pytest.mark.parametrize("path, value, pointer", [
+        ((0, "note"), "x", "/0/note"),
+        ((1, "image", "size"), 1, "/1/image/size"),
+        ((1, "verdicts", 0, "score"), 1, "/1/verdicts/0/score"),
+    ], ids=["entry", "image", "verdict"])
+    def test_a_demos_file_with_an_unknown_key_is_rejected(self, tmp_path, path, value,
+                                                          pointer):
+        demos = e2e_scenario.demos_json()
+        node = demos
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        demos_path = tmp_path / "demos.json"
+        demos_path.write_text(json.dumps(demos))
+        with pytest.raises(SchemaViolation) as exc_info:
+            load_demos(demos_path)
+        assert str(exc_info.value) == f"{pointer}: unknown key"
+
+
+# The schema's object definitions and the record that decodes each.
+_RECORDS = {"pair": ImageTextPair, "image": ImageRef, "claim": Claim, "segment": Segment}
+
+
+class TestSchemaDrift:
+    def test_each_record_reads_the_keys_the_schema_lists(self):
+        schema = schema_document()
+        assert BenchmarkFile._KEYS == set(schema["properties"])
+        assert set(_RECORDS) == set(schema["$defs"])
+        for name, record in _RECORDS.items():
+            assert record._KEYS == set(schema["$defs"][name]["properties"]), name
+
+    @pytest.mark.parametrize("at, definition", [
+        ("", None), (_P, "pair"), (f"{_P}/image", "image"), (_C0, "claim"), (_S1, "segment"),
+    ], ids=["file", "pair", "image", "claim", "segment"])
+    def test_a_key_may_be_left_out_iff_the_schema_does_not_require_it(self, tmp_path, at,
+                                                                      definition):
+        schema = schema_document()
+        node = schema if definition is None else schema["$defs"][definition]
+        bench_path = tmp_path / "bench.json"
+        for key in node["properties"]:
+            edits = [(f"{at}/{key}", _DELETE)]
+            if key == "segments":  # the claims name their segments
+                edits += [(f"{_P}/claims/{j}/segment_id", _DELETE) for j in (0, 1)]
+            bench_path.write_text(_edited(edits))
+            if key not in node["required"]:
+                assert load(bench_path).pairs, key
+                continue
+            with pytest.raises(HalodetError) as exc_info:
+                load(bench_path)
+            if key == "version":
+                assert type(exc_info.value) is UnsupportedVersion
+            else:
+                assert exc_info.value.path == f"{at}/{key}", key
 
 
 class TestSchemaDocument:

@@ -385,8 +385,10 @@ class TestEvaluate:
     def test_an_undecodable_result_file_is_a_one_line_error(self, run_dir, tmp_path,
                                                             capsys, edit):
         error = self._evaluate_edited(run_dir, tmp_path, capsys, "i2t-beach.json", edit)
-        assert error["error"] == "ResultFileInvalid"
-        assert error["message"].startswith(str(tmp_path / "edited" / "i2t-beach.json"))
+        assert error == {
+            "error": "ResultFileInvalid",
+            "message": f"{tmp_path / 'edited' / 'i2t-beach.json'}: /verdicts: expected a list",
+        }
 
     def test_a_result_file_naming_another_pair_is_rejected(self, run_dir, tmp_path,
                                                            capsys):

@@ -552,29 +552,42 @@ class TestRunDir:
                            facts=(FactEvidence("Where is Huawei based?", ("Shenzhen",)),)),
             False, ())
 
-    @pytest.mark.parametrize("edit", [
-        lambda p: p["verdicts"][0].update(claim_index=True),
-        lambda p: p["verdicts"][0].update(rationale=None),
-        lambda p: p.update(degraded="no"),
-        lambda p: p["evidence"]["objects"][0].update(label=None),
-        lambda p: p["evidence"]["objects"][0]["box"].update(x1=True),
-        lambda p: p["evidence"]["facts"][0].update(snippets="Shenzhen"),
-        lambda p: p["plan"]["claim1"].update(object_labels="dog"),
-        lambda p: p["evidence"].pop("objects"),
-        lambda p: p.pop("plan"),
-        lambda p: p["verdicts"][0].pop("parse_flags"),
-        lambda p: p.update(extra=1),
-        lambda p: p["plan"]["claim1"].update(extra=1),
-        lambda p: p["evidence"]["objects"][0].update(extra=1),
-        lambda p: p["evidence"]["objects"][0]["box"].update(x3=0.9),
-        lambda p: p["evidence"].update(extra=[]),
-        lambda p: p["verdicts"][0].update(extra=1),
-    ], ids=["claim-index-true", "rationale-null", "degraded-string", "label-null",
-            "box-coordinate-true", "snippets-string", "plan-labels-string",
-            "objects-missing", "plan-missing", "parse-flags-missing", "result-extra-key",
-            "plan-claim-extra-key", "object-extra-key", "box-extra-key",
-            "evidence-extra-key", "verdict-extra-key"])
-    def test_a_value_of_the_wrong_type_is_rejected(self, tmp_path, edit):
+    @pytest.mark.parametrize("edit, pointer, message", [
+        pytest.param(lambda p: p["verdicts"][0].update(claim_index=True),
+                     "/verdicts/0/claim_index", "expected an integer", id="claim-index-true"),
+        pytest.param(lambda p: p["verdicts"][0].update(rationale=None),
+                     "/verdicts/0/rationale", "expected a string", id="rationale-null"),
+        pytest.param(lambda p: p.update(degraded="no"),
+                     "/degraded", "expected a boolean", id="degraded-string"),
+        pytest.param(lambda p: p["evidence"]["objects"][0].update(label=None),
+                     "/evidence/objects/0/label", "expected a string", id="label-null"),
+        pytest.param(lambda p: p["evidence"]["objects"][0]["box"].update(x1=True),
+                     "/evidence/objects/0/box/x1", "expected a number",
+                     id="box-coordinate-true"),
+        pytest.param(lambda p: p["evidence"]["facts"][0].update(snippets="Shenzhen"),
+                     "/evidence/facts/0/snippets", "expected a list", id="snippets-string"),
+        pytest.param(lambda p: p["plan"]["claim1"].update(object_labels="dog"),
+                     "/plan/claim1/object_labels", "expected a list", id="plan-labels-string"),
+        pytest.param(lambda p: p["evidence"].pop("objects"),
+                     "/evidence/objects", "expected a list", id="objects-missing"),
+        pytest.param(lambda p: p.pop("plan"),
+                     "/plan", "expected an object or null", id="plan-missing"),
+        pytest.param(lambda p: p["verdicts"][0].pop("parse_flags"),
+                     "/verdicts/0/parse_flags", "expected a list", id="parse-flags-missing"),
+        pytest.param(lambda p: p.update(extra=1),
+                     "/extra", "unknown key", id="result-extra-key"),
+        pytest.param(lambda p: p["plan"]["claim1"].update(extra=1),
+                     "/plan/claim1/extra", "unknown key", id="plan-claim-extra-key"),
+        pytest.param(lambda p: p["evidence"]["objects"][0].update(extra=1),
+                     "/evidence/objects/0/extra", "unknown key", id="object-extra-key"),
+        pytest.param(lambda p: p["evidence"]["objects"][0]["box"].update(x3=0.9),
+                     "/evidence/objects/0/box/x3", "unknown key", id="box-extra-key"),
+        pytest.param(lambda p: p["evidence"].update(extra=[]),
+                     "/evidence/extra", "unknown key", id="evidence-extra-key"),
+        pytest.param(lambda p: p["verdicts"][0].update(extra=1),
+                     "/verdicts/0/extra", "unknown key", id="verdict-extra-key"),
+    ])
+    def test_a_value_of_the_wrong_type_is_rejected(self, tmp_path, edit, pointer, message):
         result = self._edge_case_result()
         run_dir = write_run_dir(tmp_path, "run", BatchOutcome([result], []),
                                 DetectionMethod.UNIHD, {})
@@ -586,6 +599,41 @@ class TestRunDir:
         with pytest.raises(ResultFileInvalid) as exc_info:
             load_run_results(run_dir)
         assert exc_info.value.path == str(path)
+        assert str(exc_info.value) == f"{path}: {pointer}: {message}"
+
+    @pytest.mark.parametrize("edit, pointer, message", [
+        (lambda p: p["plan"].update(claim3=p["plan"].pop("claim1")), "/plan/claim3",
+         "unknown key"),
+        (lambda p: p["evidence"]["objects"].append(
+            {"kind": "scene-text", "text": "x", "box": p["evidence"]["objects"][0]["box"]}),
+         "/evidence/objects/1/kind", "expected kind 'object', got 'scene-text'"),
+        (lambda p: p["verdicts"][0].update(claim_index=0), "/verdicts/0",
+         "claim_index must be >= 1, got 0"),
+        (lambda p: p["verdicts"][0].update(parse_flags=["repaired", "fixed"]),
+         "/verdicts/0/parse_flags/1", "'fixed' is not one of ['repaired', 'unverified']"),
+        (lambda p: p.update(pair_id="p/1~"), None, "holds pair 'p/1~'"),
+        (lambda p: p.clear(), "/plan", "expected an object or null"),
+    ], ids=["plan-skips-a-claim", "item-of-another-family", "verdict-invariant",
+            "unknown-parse-flag", "another-pair", "empty-object"])
+    def test_every_decode_error_names_its_pointer(self, tmp_path, edit, pointer, message):
+        result = self._edge_case_result()
+        run_dir = write_run_dir(tmp_path, "run", BatchOutcome([result], []),
+                                DetectionMethod.UNIHD, {})
+        path = run_dir / "p1.json"
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ResultFileInvalid) as exc_info:
+            load_run_results(run_dir)
+        where = message if pointer is None else f"{pointer}: {message}"
+        assert str(exc_info.value) == f"{path}: {where}"
+
+    def test_a_file_that_is_not_json_is_rejected(self, tmp_path):
+        path = tmp_path / "p1.json"
+        path.write_text("{")
+        with pytest.raises(ResultFileInvalid) as exc_info:
+            load_result_payload(path)
+        assert str(exc_info.value).startswith(f"{path}: Expecting property name")
 
 
 # --- call scheduling ---------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -11,7 +12,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import image_ref
-from halodet.bench import SCHEMA_VERSION, load_detection_input
+from halodet.bench import SCHEMA_VERSION, load, load_detection_input
+from halodet.errors import SchemaViolation
+from halodet.executor import DetectionResult
 from halodet.model import (
     AttributeEvidence,
     Claim,
@@ -28,11 +31,12 @@ from halodet.model import (
     TaskType,
     Verdict,
     claim_key,
-    decode_evidence,
     parse_claim_key,
+    within,
     validate_norm_box,
     validate_pair,
 )
+from halodet.stages import ClaimQueries, DetectionMethod, ToolPlan
 
 
 class TestEnums:
@@ -171,13 +175,12 @@ class TestEvidence:
             FactEvidence(question="Where is Huawei headquartered?", snippets=()),
         ]
         for item in items:
-            data = item.to_json()
-            assert decode_evidence(data["kind"], [data]) == (item,)
+            assert type(item).from_json(item.to_json()) == item
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            decode_evidence("object", [{"kind": "vibes", "label": "x",
-                                        "box": NormBox(0.0, 0.3, 0.9, 0.8).to_json()}])
+        with pytest.raises(ValueError, match="^/kind: expected kind 'object', got 'vibes'$"):
+            ObjectEvidence.from_json({"kind": "vibes", "label": "x",
+                                      "box": NormBox(0.0, 0.3, 0.9, 0.8).to_json()})
 
     def test_item_of_another_family_rejected(self):
         box = NormBox(0.0, 0.3, 0.9, 0.8)
@@ -253,3 +256,93 @@ def test_segments_partition_claims(pair):
     covered = [i for segment in pair.segments for i in segment.claim_indices]
     assert sorted(covered) == list(range(1, len(pair.claims) + 1))
     assert len(covered) == len(set(covered))
+
+
+# --- decoders: round trips, and one unknown key at any object level ---------------
+
+_words = st.text(max_size=12)
+_word_tuples = st.lists(_words, max_size=3).map(tuple)
+_boxes = st.builds(NormBox, *[st.floats(0, 1)] * 4)
+_evidence = st.one_of(
+    st.builds(ObjectEvidence, _words, _boxes),
+    st.builds(AttributeEvidence, _words, _words),
+    st.builds(SceneTextEvidence, _words, _boxes),
+    st.builds(FactEvidence, _words, _word_tuples),
+)
+
+
+@st.composite
+def results(draw) -> DetectionResult:
+    n = draw(st.integers(min_value=1, max_value=4))
+    queries = st.builds(ClaimQueries, _word_tuples, _word_tuples, _word_tuples, _word_tuples)
+    plan = draw(st.none() | st.lists(queries, min_size=n, max_size=n).map(
+        lambda per_claim: ToolPlan(tuple(per_claim))))
+    items = draw(st.lists(_evidence, max_size=6))
+    bundle = EvidenceBundle(*(tuple(item for item in items if type(item) is family)
+                              for family in (ObjectEvidence, AttributeEvidence,
+                                             SceneTextEvidence, FactEvidence)))
+    verdicts = tuple(
+        Verdict(i, draw(_labels), draw(_texts), draw(st.frozensets(st.sampled_from(ParseFlag))))
+        for i in range(1, n + 1))
+    return DetectionResult(draw(st.uuids()).hex, draw(st.sampled_from(DetectionMethod)),
+                           verdicts, plan, bundle, draw(st.booleans()), ())
+
+
+def _objects(node, at=""):
+    """(JSON pointer, object) for every object in ``node``, the outermost first."""
+    if isinstance(node, dict):
+        yield at, node
+        children = node.items()
+    else:
+        children = enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _objects(child, f"{at}/{str(key).replace('~', '~0').replace('/', '~1')}")
+
+
+def _unknown_key(data, node):
+    # Any key the object lacks; in a plan, claimN for the next N would be a claim.
+    return data.draw(_words.filter(
+        lambda key: key not in node and not re.fullmatch(r"claim[1-9][0-9]*", key)))
+
+
+@given(_evidence)
+def test_evidence_json_round_trip(item):
+    assert type(item).from_json(item.to_json()) == item
+
+
+@given(pairs())
+def test_gold_pair_decodes_its_own_json(pair):
+    assert ImageTextPair.from_json(pair.to_json(), gold=True) == pair
+
+
+@given(results())
+def test_result_payload_round_trip(result):
+    payload = json.loads(json.dumps(result.payload_json()))
+    assert DetectionResult.from_payload(payload) == result
+
+
+@given(results(), st.data())
+def test_an_unknown_key_in_a_result_is_rejected_at_its_pointer(result, data):
+    payload = json.loads(json.dumps(result.payload_json()))
+    at, node = data.draw(st.sampled_from(list(_objects(payload))))
+    key = _unknown_key(data, node)
+    node[key] = None
+    with pytest.raises(ValueError) as exc_info:
+        within(payload, DetectionResult.from_payload)
+    escaped = key.replace("~", "~0").replace("/", "~1")
+    assert str(exc_info.value) == f"{at}/{escaped}: unknown key"
+
+
+@given(pairs(), st.data())
+def test_an_unknown_key_in_a_benchmark_file_is_rejected_at_its_pointer(pair, data):
+    document = {"version": SCHEMA_VERSION, "pairs": [pair.to_json()]}
+    at, node = data.draw(st.sampled_from(list(_objects(document))))
+    key = _unknown_key(data, node)
+    node[key] = None
+    with tempfile.TemporaryDirectory() as folder:
+        bench_path = Path(folder, "bench.json")
+        bench_path.write_text(json.dumps(document))
+        with pytest.raises(SchemaViolation) as exc_info:
+            load(bench_path)
+    escaped = key.replace("~", "~0").replace("/", "~1")
+    assert str(exc_info.value) == f"{at}/{escaped}: unknown key"

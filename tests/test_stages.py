@@ -294,6 +294,11 @@ MALFORMED_REPLIES = [
     ("zero claims", "verify", "[]", 1, ("unverified",)),
     ("claims all empty", "formulate", '{"claim1":["none"," "]}', 1, {1: []}),
     ("claims all empty", "extract", '{"claim1":" ","claim2":""}', None, EmptyExtraction),
+    ("null claim", "extract", '{"claim1":null}', None, UnparseableModelOutput),
+    ("list claim", "extract", '{"claim1":"A man.","claim2":["x"]}', None,
+     UnparseableModelOutput),
+    ("number claim", "extract", '{"claim1":"A man.","claim2":"B.","claim3":7}', None,
+     UnparseableModelOutput),
     ("claims all empty", "parse", '[{"claim1":"","reason":""}]', 1, UnknownLabel),
     ("claims all empty", "verify", '[{"claim1":"","reason":""}]', 1, ("unverified",)),
 ]
