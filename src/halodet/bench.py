@@ -201,17 +201,11 @@ class CorpusStats:
 
     def render_text(self) -> str:
         data = self.to_json()
-        lines = [
-            f"pairs: {self.n_pairs}   claims: {self.n_claims}   segments: {self.n_segments}",
-            "task counts:",
-        ]
-        lines += [f"  {k}: {v}" for k, v in data["task_counts"].items()]
-        lines.append("claims per pair:")
-        lines += [f"  {k}: {v}" for k, v in data["claims_per_pair"].items()]
-        lines.append("gold labels:")
-        lines += [f"  {k}: {v}" for k, v in data["label_counts"].items()]
-        lines.append("categories over hallucinatory claims:")
-        lines += [f"  {k}: {v}" for k, v in data["category_counts"].items()]
+        lines = [f"pairs: {self.n_pairs}   claims: {self.n_claims}   segments: {self.n_segments}"]
+        for title, key in (("task counts", "task_counts"), ("claims per pair", "claims_per_pair"),
+                           ("gold labels", "label_counts"),
+                           ("categories over hallucinatory claims", "category_counts")):
+            lines += [f"{title}:", *(f"  {k}: {v}" for k, v in data[key].items())]
         return "\n".join(lines)
 
 

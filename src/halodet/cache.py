@@ -25,10 +25,12 @@ from typing import Any, Iterable
 
 from .errors import ConfigInvalid, StoreCorrupt
 from .hashing import sha256_json
+from .model import record, typed
 
 _KEY_FIELDS = ("tool_kind", "canonical_query", "image_digest", "backend_id")
 # Tool kinds whose queries are about an image; their keys must carry one.
 _IMAGE_BOUND_KINDS = frozenset({"object-detect", "scene-text", "attribute"})
+_STATS = ("hits", "misses")  # the counts stats.json holds, in the order written
 
 
 @dataclass(frozen=True)
@@ -212,12 +214,16 @@ class DiskCache:
 
     def persisted_stats(self) -> dict[str, int]:
         """The persisted totals; a missing file, or one that is not a mapping
-        of counts, reads as zero."""
+        of non-negative integer counts, reads as zero."""
         try:
-            data = json.loads((self.directory / "stats.json").read_text("utf-8"))
-            return {"hits": int(data.get("hits", 0)), "misses": int(data.get("misses", 0))}
-        except (FileNotFoundError, ValueError, TypeError, AttributeError):
-            return {"hits": 0, "misses": 0}
+            data = record(json.loads((self.directory / "stats.json").read_text("utf-8")),
+                          frozenset(_STATS))
+            totals = {key: typed(data.get(key, 0), int, key) for key in _STATS}
+            if min(totals.values()) >= 0:
+                return totals
+        except (FileNotFoundError, ValueError, RecursionError):
+            pass
+        return dict.fromkeys(_STATS, 0)
 
 
 def _close_all(fds: dict[str, int]) -> None:

@@ -102,14 +102,9 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 
 def _reports(converted: bench_io.ConvertedPredictions) -> list[MetricsReport]:
-    reports = [report(converted.claim.preds, converted.claim.golds,
-                      MetricLevel.CLAIM, converted.claim.unverified_count)]
-    if converted.segment.preds:
-        reports.append(report(converted.segment.preds, converted.segment.golds,
-                              MetricLevel.SEGMENT, converted.segment.unverified_count))
-    reports.append(report(converted.response.preds, converted.response.golds,
-                          MetricLevel.RESPONSE, converted.response.unverified_count))
-    return reports
+    """One report per level; the segment level only when some pair has segments."""
+    return [report(x.preds, x.golds, level, x.unverified_count) for level in MetricLevel
+            if (x := getattr(converted, level.value)).preds or level is not MetricLevel.SEGMENT]
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:

@@ -57,7 +57,6 @@ class ModelRequest:
 @dataclass(frozen=True)
 class ModelResponse:
     text: str
-    backend_id: str
 
 
 def request_digest(request: ModelRequest) -> str:
@@ -112,7 +111,7 @@ class ModelGateway:
     def complete(self, request: ModelRequest) -> ModelResponse:
         """One backend call; its text comes back verbatim apart from a trailing
         whitespace strip."""
-        response = ModelResponse(self.backend.invoke(request).rstrip(), self.backend.backend_id)
+        response = ModelResponse(self.backend.invoke(request).rstrip())
         self._log(request, response)
         return response
 
@@ -127,7 +126,7 @@ class ModelGateway:
             "attachments": [ref.to_json() for ref in request.prompt.attachments],
             "temperature": TEMPERATURE,
             "max_output_tokens": MAX_OUTPUT_TOKENS,
-            "backend_id": response.backend_id,
+            "backend_id": self.backend.backend_id,
             "text": response.text,
         }
         line = json.dumps(record, ensure_ascii=False)
@@ -151,7 +150,7 @@ class _HttpJsonClient:
 
     ``requests`` loads on first use, so offline runs never import it. A
     transport failure, or a body that is not JSON or that ``parse`` cannot
-    read (``_string`` rejects a field that is null or not a string), raises
+    read (``typed`` rejects a field that is null or not a string), raises
     BackendUnavailable; a status other than 200 raises its
     ``_status_errors`` class, else BackendUnavailable (a 429 rate limit
     among them, since it heals). Each call waits at most ``timeout``

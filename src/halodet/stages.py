@@ -211,7 +211,8 @@ def extract_claims(pair_text: str, gateway: Completer) -> list[Claim]:
     for index, text in mapping.items():
         if not isinstance(text, str):
             raise UnparseableModelOutput(f"{claim_key(index)}: expected a string")
-    claims = [Claim(index=i, text=text) for i, text in sorted(mapping.items()) if text.strip()]
+    texts = [text for _, text in sorted(mapping.items()) if text.strip()]
+    claims = [Claim(index=i, text=text) for i, text in enumerate(texts, start=1)]
     if not claims:
         raise EmptyExtraction("model returned zero non-empty claims")
     return claims
@@ -364,17 +365,14 @@ def _salvage_verdicts(entries: list[Any], n_claims: int) -> list[Verdict]:
 
 def _judge(request: ModelRequest, n_claims: int, gateway: Completer) -> list[Verdict]:
     """One verdict-producing model call with one retry, then flagged fallback."""
-    response = gateway.complete(request)
-    try:
-        return parse_verdicts(response.text, n_claims)
-    except ParseError:
-        retried = gateway.complete(request)
-    entries: list[Any] = []  # none if the retried reply does not decode
-    try:
-        entries, repaired = _verdict_entries(retried.text)
-        return _verdicts(entries, n_claims, repaired)
-    except ParseError:
-        return _salvage_verdicts(entries, n_claims)
+    for _ in range(2):
+        entries: list[Any] = []  # none if the reply does not decode
+        try:
+            entries, repaired = _verdict_entries(gateway.complete(request).text)
+            return _verdicts(entries, n_claims, repaired)
+        except ParseError:
+            pass
+    return _salvage_verdicts(entries, n_claims)
 
 
 def is_degraded(verdicts: Sequence[Verdict]) -> bool:

@@ -16,7 +16,7 @@ text blocks the verification prompts bind; empty families render exactly
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Any, Callable, Protocol, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Protocol, Sequence, TypeVar
 
 from .cache import CacheKey, DiskCache
 from .errors import AuthFailure, BackendError, InvalidImage
@@ -55,6 +55,7 @@ FACT_BLOCK_CHAR_LIMIT = 2000
 DETECTOR_THRESHOLD = 0.35
 FACT_TOP_K = 3
 DEFAULT_SEARCH_ENDPOINT = "https://google.serper.dev/search"
+_Boxed = TypeVar("_Boxed", ObjectEvidence, SceneTextEvidence)
 
 
 @dataclass(frozen=True)
@@ -124,15 +125,9 @@ def detect_objects(
     if not image.digest:
         raise InvalidImage("image reference carries no digest")
     wanted = {label.lower() for label in labels}
-    results = []
-    for item in detector.detect(image, list(labels)):
-        if item.label.lower() not in wanted:
-            continue
-        if not validate_norm_box(item.box):
-            raise ValueError(f"detector returned an invalid box: {item.box}")
-        results.append(item)
-    unique = sorted(set(results), key=lambda e: (e.label, e.box.x1, e.box.y1))
-    return unique
+    return _checked([item for item in detector.detect(image, list(labels))
+                     if item.label.lower() in wanted],
+                    "detector", lambda e: (e.label, e.box.x1, e.box.y1))
 
 
 def answer_attribute(
@@ -152,12 +147,16 @@ def read_scene_text(reader: SceneTextReader, image: ImageRef) -> list[SceneTextE
     """Read scene text; items sorted top-to-bottom then left-to-right."""
     if not image.digest:
         raise InvalidImage("image reference carries no digest")
-    results = []
-    for item in reader.read(image):
+    return _checked(list(reader.read(image)), "scene-text reader",
+                    lambda e: (e.box.y1, e.box.x1, e.text))
+
+
+def _checked(items: list[_Boxed], backend: str, key: Callable[[_Boxed], Any]) -> list[_Boxed]:
+    """``items`` with every box checked, deduplicated and sorted by ``key``."""
+    for item in items:
         if not validate_norm_box(item.box):
-            raise ValueError(f"scene-text reader returned an invalid box: {item.box}")
-        results.append(item)
-    return sorted(set(results), key=lambda e: (e.box.y1, e.box.x1, e.text))
+            raise ValueError(f"{backend} returned an invalid box: {item.box}")
+    return sorted(set(items), key=key)
 
 
 def search_facts(searcher: FactSearcher, question: str, top_k: int) -> list[FactSnippet]:
@@ -306,8 +305,10 @@ class GatewayAttributeAnswerer:
         return answer_attribute(image, question, self._gateway)
 
 
-def _normalize_box(raw: Sequence[float], width: float | None, height: float | None) -> NormBox:
+def _normalize_box(raw: Sequence[float], body: dict) -> NormBox:
+    """``raw`` as fractions of the image size, when ``body`` reports it in pixels."""
     x1, y1, x2, y2 = (float(v) for v in raw)
+    width, height = body.get("image_width"), body.get("image_height")
     if width and height:
         x1, x2 = x1 / width, x2 / width
         y1, y2 = y1 / height, y2 / height
@@ -345,8 +346,6 @@ class HttpObjectDetector(_HttpToolClient):
         }, self._detections)
 
     def _detections(self, body: dict) -> list[ObjectEvidence]:
-        width = body.get("image_width")
-        height = body.get("image_height")
         results = []
         for det in body.get("detections", []):
             score = float(det.get("score", 1.0))
@@ -354,7 +353,7 @@ class HttpObjectDetector(_HttpToolClient):
                 continue
             results.append(ObjectEvidence(
                 label=typed(det["label"], str, "label"),
-                box=_normalize_box(det["box"], width, height),
+                box=_normalize_box(det["box"], body),
             ))
         return results
 
@@ -368,11 +367,9 @@ class HttpSceneTextReader(_HttpToolClient):
         return self._post({"image": image.to_json()}, self._lines)
 
     def _lines(self, body: dict) -> list[SceneTextEvidence]:
-        width = body.get("image_width")
-        height = body.get("image_height")
         return [
             SceneTextEvidence(text=typed(line["text"], str, "text"),
-                              box=_normalize_box(line["box"], width, height))
+                              box=_normalize_box(line["box"], body))
             for line in body.get("lines", [])
         ]
 

@@ -91,6 +91,15 @@ class TestDiskCache:
         with pytest.raises(StoreCorrupt):
             cache.get(_key())
 
+    def test_a_record_under_another_keys_digest_is_corrupt(self, tmp_path):
+        cache = DiskCache(tmp_path)
+        cache.put(_key(), {"x": 1})
+        [segment] = (tmp_path / "segments").iterdir()
+        segment.write_bytes(segment.read_bytes().replace(
+            _key().digest().encode(), _key("another").digest().encode()))
+        with pytest.raises(StoreCorrupt, match="the record names another key"):
+            cache.get(_key())
+
     def test_corrupt_read_counts_as_a_miss(self, tmp_path):
         cache = DiskCache(tmp_path)
         cache.put(_key(), {"x": 1})
@@ -125,7 +134,11 @@ class TestDiskCache:
         stats = second.persisted_stats()
         assert stats == {"hits": 2, "misses": 1}
 
-    @pytest.mark.parametrize("body", ["5", "null", "[]", '{"hits": "a"}', "{torn"])
+    @pytest.mark.parametrize("body", [
+        "5", "null", "[]", '{"hits": "a"}', "{torn", '{"hits": 1e999}',
+        "[" * 100_000 + "]" * 100_000, '{"hits": "7"}', '{"hits": true}', '{"hits": 2.9}',
+        '{"hits": -3}',
+    ], ids=lambda body: "list-nested-100000-deep" if len(body) > 100 else None)
     def test_malformed_stats_file_counts_as_zero(self, tmp_path, body):
         cache = DiskCache(tmp_path)
         (tmp_path / "stats.json").write_text(body)

@@ -62,6 +62,16 @@ class TestDetect:
         assert "manifest.json" in names and "errors.json" in names
         assert sum(1 for n in names if n not in ("manifest.json", "errors.json")) == 6
 
+    def test_a_malformed_stats_file_keeps_a_finished_run(self, scenario_dir, tmp_path,
+                                                         capsys):
+        (tmp_path / "cache").mkdir()
+        (tmp_path / "cache" / "stats.json").write_text('{"hits": 1e999}')
+        assert main(_detect_args(scenario_dir, tmp_path, "r1")) == 0
+        assert "6 pairs ok, 0 failed" in capsys.readouterr().out
+        assert len(list((tmp_path / "r1").glob("*.json"))) == 8
+        stats = DiskCache(tmp_path / "cache").persisted_stats()
+        assert stats["hits"] + stats["misses"] > 0
+
     def test_a_mock_run_opens_its_fixture_store_once(self, scenario_dir, tmp_path,
                                                     monkeypatch):
         opened = []
@@ -336,6 +346,20 @@ class TestEvaluate:
         ])
         assert code == 0
         assert target.read_text().startswith("level,h_precision")
+
+    def test_a_benchmark_without_category_tags_has_no_recall_section(self, run_dir,
+                                                                     tmp_path, capsys):
+        bench = json.loads((FIXTURES / "bench6.json").read_text())
+        for pair in bench["pairs"]:
+            for claim in pair["claims"]:
+                claim.pop("gold_categories", None)
+        untagged = tmp_path / "untagged.json"
+        untagged.write_text(json.dumps(bench))
+        code = main(["evaluate", "--bench", str(untagged), "--results", str(run_dir)])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "Mac.F1" in out
+        assert "per-category recall" not in out
 
     def test_misaligned_results_exit_one(self, run_dir, tmp_path, capsys):
         import shutil

@@ -147,6 +147,36 @@ def test_live_mode_requires_credentials(tmp_path):
     assert "HALODET_MODEL_API_KEY" in str(exc_info.value)
 
 
+def _config_file(folder, text):
+    path = folder / "run.cfg"
+    path.write_text(text)
+    return path
+
+
+_LIVE = {"backend": "live", "model_endpoint": "https://model.example",
+         "ocr_endpoint": "https://ocr.example"}
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda tmp: build_config(_config_file(tmp, 'out = "a\\q"\n'), env={}),
+     "bad string literal"),
+    (lambda tmp: build_config(env={"HALODET_BACKEND": "remote"}), "backend must be one of"),
+    (lambda tmp: build_config(env={"HALODET_FACT_TOOL": "off", "HALODET_FIXTURES": str(tmp)}),
+     "fact_tool must be one of"),
+    (lambda tmp: build_backends(RunConfig(fixtures=str(tmp / "missing")), env={}),
+     "fixture directory not found"),
+    (lambda tmp: build_backends(RunConfig(**_LIVE), env={"HALODET_MODEL_API_KEY": "k"}),
+     "live tools need detector_endpoint and ocr_endpoint"),
+    (lambda tmp: build_backends(RunConfig(**_LIVE, detector_endpoint="https://det.example"),
+                                env={"HALODET_MODEL_API_KEY": "k"}),
+     "live fact search needs HALODET_SEARCH_API_KEY set"),
+], ids=["bad-string-literal", "unknown-backend", "unknown-tool-mode", "missing-fixtures",
+        "live-without-detector", "live-without-search-key"])
+def test_each_bad_setting_is_config_invalid(tmp_path, build, message):
+    with pytest.raises(ConfigInvalid, match=message):
+        build(tmp_path)
+
+
 _MOCK_IDS = {
     "model": "mock-model",
     "object_detector": "mock-object-detector",

@@ -460,6 +460,16 @@ class TestRunBatch:
             run_batch([pairs[0], pairs[0]], DetectionMethod.UNIHD, _backends(),
                       self._gateway())
 
+    def test_a_width_below_one_is_rejected(self):
+        with pytest.raises(ConfigInvalid, match="width must be >= 1, got 0"):
+            run_batch(_simple_pairs(1), DetectionMethod.UNIHD, _backends(), self._gateway(),
+                      width=0)
+
+    def test_unihd_without_tool_backends_fails_each_pair(self):
+        outcome = run_batch(_simple_pairs(2), DetectionMethod.UNIHD, None, self._gateway())
+        assert [(f.pair_id, f.error_type, f.message) for f in outcome.failures] == [
+            (f"pair-{i}", "ConfigInvalid", "unihd requires tool backends") for i in range(2)]
+
     def test_width_invariance(self):
         pairs = _simple_pairs(5)
         dumps = []

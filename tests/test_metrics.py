@@ -240,6 +240,16 @@ class TestFleissKappa:
         with pytest.raises(InvalidMatrix):
             fleiss_kappa(RatingsMatrix.from_lists([[2, 1]]))
 
+    @pytest.mark.parametrize("rows, message", [
+        ([], "matrix has no rows"),
+        ([[2, 1], [3]], "rows must share one non-zero category count"),
+        ([[], []], "rows must share one non-zero category count"),
+        ([[3, -1], [1, 1]], "cell counts must be non-negative"),
+    ])
+    def test_a_malformed_matrix_is_rejected(self, rows, message):
+        with pytest.raises(InvalidMatrix, match=message):
+            RatingsMatrix.from_lists(rows).validate()
+
     def test_range_and_oracle_on_random_matrices(self):
         rng = random.Random(99)
         checked = 0

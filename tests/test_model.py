@@ -126,6 +126,14 @@ class TestValidatePair:
         violations = validate_pair(pair)
         assert any("assigned to both" in v for v in violations)
 
+    def test_duplicate_segment_id(self, simple_pair):
+        from dataclasses import replace
+
+        segments = (Segment(id="S1", text="a", claim_indices=(1, 2)),
+                    Segment(id="S1", text="b", claim_indices=(3,)))
+        violations = validate_pair(replace(simple_pair, segments=segments))
+        assert "duplicate segment id 'S1'" in violations
+
     def test_uncovered_claim(self, simple_pair):
         from dataclasses import replace
 

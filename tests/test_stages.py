@@ -294,6 +294,8 @@ MALFORMED_REPLIES = [
     ("zero claims", "verify", "[]", 1, ("unverified",)),
     ("claims all empty", "formulate", '{"claim1":["none"," "]}', 1, {1: []}),
     ("claims all empty", "extract", '{"claim1":" ","claim2":""}', None, EmptyExtraction),
+    ("one blank claim", "extract", '{"claim1":" ","claim2":"B."}', None, [Claim(1, "B.")]),
+    ("one object", "parse", _V1, 1, [Verdict(1, Label.HALLUCINATORY, "r1")]),
     ("null claim", "extract", '{"claim1":null}', None, UnparseableModelOutput),
     ("list claim", "extract", '{"claim1":"A man.","claim2":["x"]}', None,
      UnparseableModelOutput),

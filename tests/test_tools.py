@@ -25,6 +25,7 @@ from halodet.tools import (
     NONE_INFORMATION,
     REPLAY_IDS,
     FactSnippet,
+    GatewayAttributeAnswerer,
     Replay,
     answer_attribute,
     detect_objects,
@@ -95,6 +96,19 @@ class TestDetectObjects:
         with pytest.raises(ValueError):
             detect_objects(_ListDetector(items), image_ref("a"), ["cat"])
 
+    def test_an_invalid_box_names_the_detector(self):
+        items = [ObjectEvidence("cat", NormBox(0.9, 0.1, 0.2, 0.2))]
+        with pytest.raises(ValueError) as exc_info:
+            detect_objects(_ListDetector(items), image_ref("a"), ["cat"])
+        assert str(exc_info.value) == ("detector returned an invalid box: "
+                                       "NormBox(x1=0.9, y1=0.1, x2=0.2, y2=0.2)")
+
+    def test_an_unrequested_label_is_dropped_before_its_box_is_checked(self):
+        items = [ObjectEvidence("dog", NormBox(0.9, 0.1, 0.2, 0.2)),
+                 ObjectEvidence("cat", NormBox(0.1, 0.1, 0.2, 0.2))]
+        out = detect_objects(_ListDetector(items), image_ref("a"), ["cat"])
+        assert out == [items[1]]
+
 
 class TestSceneText:
     def test_reading_order_sort(self):
@@ -105,6 +119,13 @@ class TestSceneText:
         ]
         out = read_scene_text(_ListReader(items), image_ref("a"))
         assert [e.text for e in out] == ["left", "right", "below"]
+
+    def test_an_invalid_box_names_the_reader(self):
+        items = [SceneTextEvidence("EXIT", NormBox(0.1, 0.5, 0.4, 0.5))]
+        with pytest.raises(ValueError) as exc_info:
+            read_scene_text(_ListReader(items), image_ref("a"))
+        assert str(exc_info.value) == ("scene-text reader returned an invalid box: "
+                                       "NormBox(x1=0.1, y1=0.5, x2=0.4, y2=0.5)")
 
     def test_mock_scripted_invalid_image(self):
         class BrokenReader:
@@ -173,6 +194,13 @@ class TestAttributeAnswer:
     def test_empty_question_rejected(self):
         with pytest.raises(ValueError):
             answer_attribute(image_ref("a"), "", gateway=None)
+
+    def test_the_live_answerer_asks_its_gateway(self):
+        gateway = ModelGateway(ScriptedModelBackend(["It is blue."]), sleep=lambda _: None)
+        answerer = GatewayAttributeAnswerer(gateway)
+        assert answerer.answer(image_ref("a"), "What color?") == \
+            AttributeEvidence("What color?", "It is blue.")
+        assert gateway.backend.calls == 1
 
     def test_mock_determinism(self, tmp_path):
         ref = image_ref("a")
