@@ -8,6 +8,8 @@ response-level predictions against gold labels with per-class P/R/F1,
 accuracy, macro-F1, annotator agreement, and per-category recall.
 """
 
+from types import ModuleType as _ModuleType
+
 from .bench import BenchmarkFile, convert_predictions, load, save, stats
 from .cache import CacheKey, DiskCache
 from .errors import HalodetError
@@ -76,67 +78,6 @@ from .tools import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BenchmarkFile",
-    "BatchOutcome",
-    "CacheKey",
-    "Claim",
-    "ClaimQueries",
-    "DetectionMethod",
-    "DetectionResult",
-    "DiskCache",
-    "Evidence",
-    "EvidenceBundle",
-    "FactSnippet",
-    "HallucinationCategory",
-    "HalodetError",
-    "ImageRef",
-    "ImageTextPair",
-    "Label",
-    "MetricLevel",
-    "MetricsReport",
-    "ModelGateway",
-    "ModelRequest",
-    "ModelResponse",
-    "NormBox",
-    "ParseFlag",
-    "PurposeTag",
-    "RatingsMatrix",
-    "RenderedPrompt",
-    "Segment",
-    "SelfCheckDemo",
-    "SupplementalId",
-    "TaskType",
-    "TemplateId",
-    "ToolBackendSet",
-    "ToolPlan",
-    "TraceRecord",
-    "Verdict",
-    "answer_attribute",
-    "convert_predictions",
-    "derive_response_label",
-    "derive_segment_label",
-    "detect_objects",
-    "extract_claims",
-    "fleiss_kappa",
-    "format_evidence_sections",
-    "load",
-    "parse_claim_query_map",
-    "parse_verdicts",
-    "per_category_recall",
-    "prf1",
-    "read_scene_text",
-    "render",
-    "render_claim_list",
-    "report",
-    "run_batch",
-    "run_detection",
-    "save",
-    "search_facts",
-    "self_check",
-    "stats",
-    "validate_norm_box",
-    "validate_pair",
-    "verify",
-    "write_run_dir",
-]
+# Every public name bound above, and nothing else, is exported.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

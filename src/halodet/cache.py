@@ -13,6 +13,7 @@ new records show on reopen.
 
 from __future__ import annotations
 
+import contextlib
 import fcntl
 import json
 import os
@@ -107,7 +108,10 @@ class DiskCache:
         weakref.finalize(self, _close_all, self._fds)
         self.hits = self.misses = 0
         for name in self._segment_names():
-            data, start = (self._segments / name).read_bytes(), 0
+            try:
+                data, start = (self._segments / name).read_bytes(), 0
+            except FileNotFoundError:  # removed since the listing: its entries miss
+                continue
             while (end := data.find(b"\n", start)) >= 0:  # a torn tail has no newline
                 self._index[data[start:start + 64].decode("latin-1")] = (name, start, end - start)
                 start = end + 1
@@ -176,7 +180,11 @@ class DiskCache:
 
     def total_bytes(self) -> int:
         """Bytes of every segment, superseded records included."""
-        return sum(os.path.getsize(self._segments / name) for name in self._segment_names())
+        total = 0
+        for name in self._segment_names():
+            with contextlib.suppress(FileNotFoundError):  # removed since the listing
+                total += os.path.getsize(self._segments / name)
+        return total
 
     def clear(self) -> int:
         """Remove every segment; returns how many entries were removed."""
@@ -186,7 +194,7 @@ class DiskCache:
             self._index.clear()
             self._writer = None
             for name in self._segment_names():
-                os.unlink(self._segments / name)
+                (self._segments / name).unlink(missing_ok=True)
         with self._stats_lock:
             self.hits = self.misses = 0
         (self.directory / "stats.json").unlink(missing_ok=True)

@@ -14,25 +14,21 @@ class HalodetError(Exception):
 # --- prompt rendering ---------------------------------------------------
 
 
-class TemplateError(HalodetError):
-    """Base class for template storage and rendering failures."""
-
-
-class TemplateIntegrityError(TemplateError):
+class TemplateIntegrityError(HalodetError):
     """A stored template file does not match its pinned digest."""
 
 
-class EmptyClaims(TemplateError):
+class EmptyClaims(HalodetError):
     """A claim list to render was empty."""
 
 
-class MissingSlot(TemplateError):
+class MissingSlot(HalodetError):
     def __init__(self, name: str):
         super().__init__(f"template slot not bound: {name!r}")
         self.name = name
 
 
-class UnknownSlot(TemplateError):
+class UnknownSlot(HalodetError):
     def __init__(self, name: str):
         super().__init__(f"binding does not match any template slot: {name!r}")
         self.name = name
@@ -103,27 +99,23 @@ class StoreCorrupt(HalodetError):
 # --- metrics ---------------------------------------------------------------
 
 
-class MetricsError(HalodetError):
-    """Base class for metric computation failures."""
-
-
-class EmptySegment(MetricsError):
+class EmptySegment(HalodetError):
     """Segment label requested for an empty claim-label list."""
 
 
-class EmptyResponse(MetricsError):
+class EmptyResponse(HalodetError):
     """Response label requested for an empty segment-label list."""
 
 
-class LengthMismatch(MetricsError):
+class LengthMismatch(HalodetError):
     """Prediction and gold vectors differ in length."""
 
 
-class InvalidMatrix(MetricsError):
+class InvalidMatrix(HalodetError):
     """Ratings matrix violates its shape invariants."""
 
 
-class MissingCategoryTags(MetricsError):
+class MissingCategoryTags(HalodetError):
     """A gold-hallucinatory claim carries no category tags."""
 
 

@@ -46,6 +46,7 @@ from .errors import BackendUnavailable, ConfigInvalid, ResultFileInvalid, StoreC
 from .gateway import ModelGateway, ModelRequest, ModelResponse, request_digest
 from .hashing import sha256_json, sha256_text
 from .model import (
+    RUN_FILE_STEMS,
     EvidenceBundle,
     FactEvidence,
     ImageTextPair,
@@ -549,8 +550,6 @@ def run_batch(
         if exc is not None and exc.__traceback__ is not None:
             exc.__traceback__ = None
             chain += (exc.__cause__, exc.__context__)
-    for failure in failures:
-        logger.warning("pair %s failed: %s", failure.pair_id, failure.message)
     if cache is not None:
         try:
             cache.flush_stats()
@@ -628,10 +627,11 @@ def load_run_results(run_dir: str | Path) -> list[DetectionResult]:
     """Load every ``<pair-id>.json`` file; one that holds another pair is invalid."""
     results = []
     for name in sorted(os.listdir(run_dir)):
-        if name.endswith(".json") and name not in ("manifest.json", "errors.json"):
+        stem = name[:-5]
+        if name.endswith(".json") and stem not in RUN_FILE_STEMS:
             path = os.path.join(run_dir, name)
             result = load_result_payload(path)
-            if result.pair_id != name[:-5]:
+            if result.pair_id != stem:
                 raise ResultFileInvalid(path, f"holds pair {result.pair_id!r}")
             results.append(result)
     return results

@@ -166,7 +166,7 @@ class RatingsMatrix:
 
     @classmethod
     def from_lists(cls, rows: Sequence[Sequence[int]]) -> "RatingsMatrix":
-        return cls(rows=tuple(tuple(int(cell) for cell in row) for row in rows))
+        return cls(rows=tuple(tuple(row) for row in rows))
 
     @property
     def n_raters(self) -> int:
@@ -178,6 +178,8 @@ class RatingsMatrix:
         widths = {len(row) for row in self.rows}
         if len(widths) != 1 or 0 in widths:
             raise InvalidMatrix("rows must share one non-zero category count")
+        if any(type(cell) is not int for row in self.rows for cell in row):  # bool too
+            raise InvalidMatrix("cell counts must be integers")
         if any(cell < 0 for row in self.rows for cell in row):
             raise InvalidMatrix("cell counts must be non-negative")
         n = self.n_raters

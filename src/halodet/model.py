@@ -459,17 +459,17 @@ class Verdict:
 # --- validation ----------------------------------------------------------------
 
 
-# A pair id names its result file in the run directory, next to these two;
-# a run id, checked by ``RunConfig``, names the run directory.
+# A pair id names its result file in the run directory, beside the run's own
+# files (these stems); a run id, checked by ``RunConfig``, names the run directory.
 NAME_RE = re.compile(r"[A-Za-z0-9._-]+")
-_RESERVED_PAIR_IDS = frozenset({"manifest", "errors"})
+RUN_FILE_STEMS = frozenset({"manifest", "errors"})
 
 
 def pair_id_problem(pair_id: str) -> str | None:
     """Why ``pair_id`` cannot name a result file, or None if it can."""
     if not NAME_RE.fullmatch(pair_id):
         return f"pair id {pair_id!r} must match {NAME_RE.pattern}"
-    if pair_id in _RESERVED_PAIR_IDS:
+    if pair_id in RUN_FILE_STEMS:
         return f"pair id {pair_id!r} is reserved for the run's own {pair_id}.json"
     return None
 

@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import EmptyClaims, MissingSlot, TemplateIntegrityError, UnknownSlot
 from .hashing import sha256_bytes
-from .model import ImageRef
+from .model import ImageRef, claim_key
 
 
 class TemplateId(Enum):
@@ -140,7 +140,7 @@ def render_claim_list(claims: Sequence[str]) -> str:
     """Format claims as "claimK: <text>" lines, K counting from 1."""
     if not claims:
         raise EmptyClaims("cannot render an empty claim list")
-    return "\n".join(f"claim{i}: {text}" for i, text in enumerate(claims, start=1))
+    return "\n".join(f"{claim_key(i)}: {text}" for i, text in enumerate(claims, start=1))
 
 
 def render_object_string(labels: Iterable[str]) -> str:

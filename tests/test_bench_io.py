@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -636,6 +637,13 @@ class TestConvertPredictions:
         result = _result(pair, [H, NH])
         with pytest.raises(IndexMismatch):
             convert_predictions([result], _bench([pair]))
+
+    def test_a_claim_without_a_gold_label_cannot_be_scored(self):
+        pair = _bench_pair("a", [H, NH])
+        unlabeled = dataclasses.replace(pair.claims[1], gold_label=None)
+        pair = dataclasses.replace(pair, claims=(pair.claims[0], unlabeled))
+        with pytest.raises(IndexMismatch, match="pair 'a': claim 2 has no gold label"):
+            convert_predictions([_result(pair, [H, NH])], _bench([pair]))
 
     def test_unverified_counts_surface(self):
         pair = _bench_pair("a", [H, NH])

@@ -297,6 +297,21 @@ class TestSegmentLog:
             assert store.get(_key("next")) == (True, 2)
             assert store.get(_key("kept")) == (True, "old")
 
+    def test_a_short_write_abandons_its_segment(self, tmp_path, monkeypatch):
+        cache = DiskCache(tmp_path)
+        cache.put(_key("earlier"), 1)
+        real_write = os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[:-1]))
+        with pytest.raises(OSError, match="short write to cache segment"):
+            cache.put(_key("torn"), 2)
+        monkeypatch.undo()
+        cache.put(_key("next"), 3)
+        assert len(list((tmp_path / "segments").iterdir())) == 2
+        for store in (cache, DiskCache(tmp_path)):
+            assert store.get(_key("earlier")) == (True, 1)
+            assert store.get(_key("next")) == (True, 3)
+        assert DiskCache(tmp_path).get(_key("torn")) == (False, None)
+
     def test_the_last_put_of_a_key_wins_after_a_reopen(self, tmp_path):
         cache = DiskCache(tmp_path)
         cache.put(_key(), "first reply")
@@ -328,6 +343,23 @@ class TestSegmentLog:
             hit, value = cache.get(store_records.key(f"shared-{i}"))
             assert hit and value["i"] == i
         assert cache.entry_count() == 5 * count
+
+    def test_a_segment_gone_before_it_is_read_opens_as_absent(self, tmp_path):
+        (tmp_path / "segments").mkdir()
+        (tmp_path / "segments" / "1-2-ab.log").symlink_to(tmp_path / "removed.log")
+        cache = DiskCache(tmp_path)
+        assert (cache.entry_count(), cache.total_bytes()) == (0, 0)
+        assert cache.get(_key()) == (False, None)
+
+    def test_a_clear_whose_listed_segment_is_gone_returns(self, tmp_path, monkeypatch):
+        cache = DiskCache(tmp_path)
+        cache.put(_key(), 1)
+        listed = cache._segment_names()
+        DiskCache(tmp_path).clear()  # another store clears between listing and unlink
+        monkeypatch.setattr(cache, "_segment_names", lambda: listed)
+        assert cache.total_bytes() == 0
+        assert cache.clear() == 1
+        assert cache.entry_count() == 0
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
     def test_dropped_stores_close_their_segments(self, tmp_path):

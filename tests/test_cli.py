@@ -4,6 +4,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import shutil
+import subprocess
+import sys
+from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
@@ -16,6 +21,7 @@ from halodet.config import TOOL_SWITCHES
 from halodet.tools import REPLAY_IDS
 
 FIXTURES = Path(__file__).parent / "fixtures"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -191,6 +197,17 @@ class TestDetect:
         assert error["message"].startswith(f"{pointer}: ")
         assert not (tmp_path / "res").exists()
 
+    def test_a_run_without_a_run_id_is_named_by_its_utc_start(self, scenario_dir, tmp_path,
+                                                              capsys):
+        args = _detect_args(scenario_dir, tmp_path, "unused")
+        del args[args.index("--run-id"):args.index("--run-id") + 2]
+        before = datetime.now(timezone.utc).replace(tzinfo=None)
+        assert main(args) == 0
+        [run_dir] = [path for path in tmp_path.iterdir() if path.name != "cache"]
+        started = datetime.strptime(run_dir.name, "run-%Y%m%d-%H%M%S-%f")
+        assert before <= started <= datetime.now(timezone.utc).replace(tzinfo=None)
+        assert (run_dir / "manifest.json").exists()
+
     def test_duplicate_run_id_rejected(self, scenario_dir, tmp_path, capsys):
         assert main(_detect_args(scenario_dir, tmp_path, "dup")) == 0
         code = main(_detect_args(scenario_dir, tmp_path, "dup"))
@@ -257,6 +274,30 @@ class TestDetect:
         written = json.loads((tmp_path / "partial" / "errors.json").read_text())
         assert [e["pair_id"] for e in written] == ["i2t-huawei"]
         assert (tmp_path / "partial" / "i2t-beach.json").exists()
+
+    def test_a_failed_pair_writes_only_json_lines_to_stderr(self, scenario_dir, tmp_path):
+        # Outside pytest no log capture hides a plain-text line.
+        broken = tmp_path / "broken-fixtures"
+        shutil.copytree(scenario_dir / "mock", broken)
+        [huawei] = [s for s in e2e_scenario.build_scripts() if s.pair.id == "i2t-huawei"]
+        replies = {huawei.object_reply, huawei.attribute_reply, huawei.scene_reply,
+                   huawei.fact_reply}
+
+        def formulation(record):
+            entry = record.json()
+            return entry["key"]["tool_kind"] == "model" and entry["value"]["text"] in replies
+
+        assert store_records.drop(broken, formulation) == 4
+        proc = subprocess.run([
+            sys.executable, "-m", "halodet.cli", "detect",
+            "--bench", str(FIXTURES / "bench6.json"),
+            "--backend", "mock", "--fixtures", str(broken),
+            "--out", str(tmp_path), "--run-id", "partial", "--no-cache",
+        ], cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        errors = [json.loads(line) for line in proc.stderr.splitlines()]
+        assert [e["pair_id"] for e in errors] == ["i2t-huawei"]
 
 
 class TestFixtureStore:
@@ -485,6 +526,14 @@ class TestStatsAndCache:
         assert capsys.readouterr().out == "cleared 1 entries\n"
         assert not list((tmp_path / "cache").rglob("*.log"))
         assert not (tmp_path / "cache" / "stats.json").exists()
+
+    def test_cache_stat_reads_a_vanished_segment_as_absent(self, tmp_path, capsys):
+        segments = tmp_path / "cache" / "segments"
+        segments.mkdir(parents=True)
+        (segments / "1-2-ab.log").symlink_to(segments / "removed.log")
+        assert main(["cache", "stat", "--cache-dir", str(tmp_path / "cache")]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "entries": 0, "bytes": 0, "hits": 0, "misses": 0}
 
 
 class TestOldCacheLayout:

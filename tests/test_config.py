@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import socket
+
 import pytest
 
 from halodet.bench import load_demos
@@ -175,6 +177,24 @@ _LIVE = {"backend": "live", "model_endpoint": "https://model.example",
 def test_each_bad_setting_is_config_invalid(tmp_path, build, message):
     with pytest.raises(ConfigInvalid, match=message):
         build(tmp_path)
+
+
+def test_live_mode_builds_the_live_backends_without_a_call(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("building the backends opened a connection")
+
+    monkeypatch.setattr(socket.socket, "connect", refuse)
+    config = RunConfig(**_LIVE, detector_endpoint="https://det.example", model_name="gpt-x",
+                       search_endpoint="https://search.example")
+    gateway, tools = build_backends(config, env={"HALODET_MODEL_API_KEY": "k",
+                                                 "HALODET_SEARCH_API_KEY": "s"})
+    assert {"model": gateway.backend.backend_id, **tools.backend_ids()} == {
+        "model": "gpt-x",
+        "object_detector": "detector:https://det.example",
+        "attribute_answerer": "gateway:gpt-x",
+        "scene_text_reader": "scene-text:https://ocr.example",
+        "fact_searcher": "search:https://search.example",
+    }
 
 
 _MOCK_IDS = {

@@ -149,6 +149,10 @@ class TestHttpFactSearcher:
         with pytest.raises(BackendUnavailable):
             search_facts(searcher, "q", 3)
 
+    def test_missing_key_rejected_up_front(self):
+        with pytest.raises(AuthFailure, match="fact search requires an API key"):
+            HttpFactSearcher("")
+
     def test_api_key_header(self):
         session = FakeSession(FakeResponse(200, {"organic": []}))
         HttpFactSearcher("secret", session=session).search("q", 3)

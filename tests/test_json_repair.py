@@ -57,3 +57,21 @@ def test_unsalvageable_input_raises():
 def test_bare_numbers_in_lists_survive():
     value, _ = loads_lenient("[1]")
     assert value == [1]
+
+
+@pytest.mark.parametrize("item, value", [("true", True), ("null", None), ("2.5", 2.5)])
+def test_a_bare_literal_or_number_item_is_not_quoted(item, value):
+    parsed, repaired = loads_lenient(f'{{"a": [{item}], "b": [What color is it?]}}')
+    assert parsed == {"a": [value], "b": ["What color is it?"]}
+    assert repaired is True
+
+
+def test_an_escaped_quote_does_not_end_a_string_in_prose():
+    value, repaired = loads_lenient('Result: {"claim1": "a \\"}\\" sign"} as asked')
+    assert value == {"claim1": 'a "}" sign'}
+    assert repaired is True
+
+
+def test_a_block_that_never_closes_is_rejected():
+    with pytest.raises(ValueError):
+        loads_lenient('Result: {"claim1": "none"')

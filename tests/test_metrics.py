@@ -125,6 +125,11 @@ class TestPrf1:
         scores = prf1(ClassCounts(0, 0, 0))
         assert (scores.precision, scores.recall, scores.f1) == (0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("counts", [(-1, 0, 0), (0, -1, 0), (0, 0, -1)])
+    def test_a_negative_count_is_rejected(self, counts):
+        with pytest.raises(ValueError, match="counts must be non-negative"):
+            ClassCounts(*counts)
+
     def test_published_row_f1_from_p_and_r(self):
         # Harmonic mean of the recorded P/R must land on the recorded F1.
         p, r = 0.8254, 0.8529
@@ -245,6 +250,9 @@ class TestFleissKappa:
         ([[2, 1], [3]], "rows must share one non-zero category count"),
         ([[], []], "rows must share one non-zero category count"),
         ([[3, -1], [1, 1]], "cell counts must be non-negative"),
+        ([[2.9, 0.1], [1.5, 1.5]], "cell counts must be integers"),
+        ([["2", "1"], [True, 2]], "cell counts must be integers"),
+        ([[1, 1], [True, 1]], "cell counts must be integers"),
     ])
     def test_a_malformed_matrix_is_rejected(self, rows, message):
         with pytest.raises(InvalidMatrix, match=message):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import re
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -67,6 +68,10 @@ class TestClaimKeys:
     def test_rejects_non_keys(self, bad):
         with pytest.raises(ValueError):
             parse_claim_key(bad)
+
+    def test_an_index_below_one_has_no_key(self):
+        with pytest.raises(ValueError, match="claim index must be >= 1, got 0"):
+            claim_key(0)
 
 
 class TestNormBox:
@@ -152,6 +157,16 @@ class TestValidatePair:
         pair = replace(simple_pair, claims=(tagged,) + simple_pair.claims[1:])
         violations = validate_pair(pair)
         assert any("non-hallucinatory claim" in v for v in violations)
+
+    @pytest.mark.parametrize("edit, violation", [
+        (lambda pair: {"text": ""}, "empty pair text"),
+        (lambda pair: {"claims": (replace(pair.claims[0], text=""),) + pair.claims[1:]},
+         "claim 1: empty text"),
+        (lambda pair: {"segments": pair.segments + (Segment("S3", "", ()),)},
+         "segment 'S3': empty claim list"),
+    ])
+    def test_an_empty_text_or_segment_is_a_violation(self, simple_pair, edit, violation):
+        assert violation in validate_pair(replace(simple_pair, **edit(simple_pair)))
 
 
 class TestVerdictInvariants:

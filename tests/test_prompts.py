@@ -19,6 +19,7 @@ from halodet import prompts
 from halodet.errors import EmptyClaims, MissingSlot, TemplateIntegrityError, UnknownSlot
 from halodet.hashing import sha256_bytes
 from halodet.prompts import (
+    RenderedPrompt,
     SupplementalId,
     TemplateId,
     render,
@@ -49,6 +50,11 @@ class TestClaimList:
     def test_empty_list_rejected(self):
         with pytest.raises(EmptyClaims):
             render_claim_list([])
+
+    @pytest.mark.parametrize("system, user", [("", "u"), ("s", "")])
+    def test_a_prompt_needs_system_and_user_text(self, system, user):
+        with pytest.raises(ValueError, match="system and user text must be non-empty"):
+            RenderedPrompt(system=system, user=user)
 
     @given(st.lists(st.text(alphabet="abc xyz", min_size=1), min_size=1, max_size=30))
     def test_line_count_and_prefixes(self, texts):

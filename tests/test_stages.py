@@ -24,9 +24,11 @@ from halodet.model import (
     ParseFlag,
     TaskType,
 )
+from halodet.prompts import TemplateId
 from halodet.stages import (
     SelfCheckDemo,
     extract_claims,
+    formulate,
     label_union,
     parse_claim_query_map,
     parse_verdicts,
@@ -481,6 +483,22 @@ def test_self_check_2shot_binds_demos_and_images():
 def test_self_check_rejects_other_shot_counts():
     with pytest.raises(ValueError):
         self_check(_pair(1), 1, gateway=None)
+
+
+@pytest.mark.parametrize("stage", [
+    lambda pair: formulate(pair, TemplateId.OBJECT_QUERY, None, (), "claim1: x"),
+    lambda pair: verify(pair, EvidenceBundle(), None),
+    lambda pair: self_check(pair, 0, None),
+])
+def test_a_pair_with_no_claims_is_refused_before_any_call(stage):
+    with pytest.raises(ValueError, match="pair 'p1' has no claims"):
+        stage(_pair(0))
+
+
+def test_a_demo_needs_one_verdict_per_claim():
+    demo = _demo("d1")
+    with pytest.raises(ValueError, match="demo needs one verdict per claim"):
+        SelfCheckDemo(demo.image, demo.claims + ("A third claim.",), demo.verdicts)
 
 
 @pytest.mark.parametrize("key", ["claims", "claim01", "claim_1"])

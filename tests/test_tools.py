@@ -369,3 +369,20 @@ class TestMockKeys:
         detector = Replay(DiskCache(tmp_path), REPLAY_IDS["object_detector"])
         out = detect_objects(detector, image_ref("a"), ["zzz-nonexistent"])
         assert out == []
+
+
+class TestFamilyPreconditions:
+    """What each family operation refuses before it calls its backend."""
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda tool: detect_objects(tool, _NO_DIGEST, ["x"]), InvalidImage, "no digest"),
+        (lambda tool: read_scene_text(tool, _NO_DIGEST), InvalidImage, "no digest"),
+        (lambda tool: search_facts(tool, "q", 0), ValueError, "top_k must be >= 1"),
+    ])
+    def test_a_bad_input_is_refused(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call(Replay(None, "null"))
+
+    def test_a_snippet_needs_text(self):
+        with pytest.raises(ValueError, match="snippet must be non-empty"):
+            FactSnippet("title", "", "https://x/0")
