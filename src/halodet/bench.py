@@ -63,14 +63,6 @@ class BenchmarkFile:
         }
 
 
-def schema_document() -> dict[str, Any]:
-    """The shipped JSON Schema for the benchmark format."""
-    from importlib import resources
-
-    path = resources.files("halodet") / "schema" / f"{SCHEMA_VERSION}.json"
-    return json.loads(path.read_text("utf-8"))
-
-
 # --- reading input files ------------------------------------------------------
 # Each record decodes itself (see halodet.model); the checks here span records.
 
@@ -79,7 +71,7 @@ def _checked(path: Path, decode: Callable[[Any], T]) -> T:
     """``decode`` of the JSON in ``path``; a failed check is a SchemaViolation."""
     try:
         data = json.loads(path.read_text("utf-8"))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise SchemaViolation("/", f"not valid JSON: {exc}") from exc
     try:
         return within(data, decode)

@@ -8,15 +8,15 @@ its segments in name (creation) order without parsing JSON, and creates
 nothing; a later record of a key wins. A get is a dict lookup plus, on a hit,
 one ``os.pread``; a put is one ``os.write``. A torn tail (no final newline) is
 never indexed, and a write that fails abandons its segment. Other processes'
-new records show on reopen.
+new records show on reopen. Hit and miss counts are appended to ``stats.log``.
 """
 
 from __future__ import annotations
 
 import contextlib
-import fcntl
 import json
 import os
+import re
 import threading
 import time
 import weakref
@@ -26,12 +26,12 @@ from typing import Any, Iterable
 
 from .errors import ConfigInvalid, StoreCorrupt
 from .hashing import sha256_json
-from .model import record, typed
 
 _KEY_FIELDS = ("tool_kind", "canonical_query", "image_digest", "backend_id")
 # Tool kinds whose queries are about an image; their keys must carry one.
 _IMAGE_BOUND_KINDS = frozenset({"object-detect", "scene-text", "attribute"})
-_STATS = ("hits", "misses")  # the counts stats.json holds, in the order written
+# A whole stats.log line: two counts, short enough that int() always reads them.
+_STATS_LINE = re.compile(rb"^([0-9]{1,18}) ([0-9]{1,18})\n", re.MULTILINE)
 
 
 @dataclass(frozen=True)
@@ -140,7 +140,7 @@ class DiskCache:
             value = record["value"]
             if sha256_json(value) != record["value_sha256"]:
                 raise ValueError("the value failed its integrity check")
-        except (OSError, ValueError, KeyError, TypeError) as exc:  # TypeError: not an object
+        except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
             self._count(hit=False)
             raise StoreCorrupt(f"unreadable cache record {digest} in {name}: {exc}") from exc
         self._count(hit=True)
@@ -187,7 +187,7 @@ class DiskCache:
         return total
 
     def clear(self) -> int:
-        """Remove every segment; returns how many entries were removed."""
+        """Remove every segment and ``stats.log``; returns how many entries were removed."""
         with self._lock:
             removed = len(self._index)
             _close_all(self._fds)
@@ -197,41 +197,32 @@ class DiskCache:
                 (self._segments / name).unlink(missing_ok=True)
         with self._stats_lock:
             self.hits = self.misses = 0
-        (self.directory / "stats.json").unlink(missing_ok=True)
+        (self.directory / "stats.log").unlink(missing_ok=True)
         return removed
 
     def flush_stats(self) -> None:
-        """Fold this instance's hit/miss counters into the persisted totals.
-
-        The read-modify-write holds an exclusive ``flock`` on ``stats.lock``,
-        so runs sharing a cache directory neither collide nor lose counts.
-        """
-        stats_path = self.directory / "stats.json"
+        """Append this instance's hit/miss counters to ``stats.log`` as one
+        ``<hits> <misses>`` line, in one ``O_APPEND`` write, so runs sharing a
+        cache directory neither collide nor lose counts."""
         with self._stats_lock:
-            hits, misses = self.hits, self.misses
+            line = f"{self.hits} {self.misses}\n".encode()
             self.hits = self.misses = 0
         self.directory.mkdir(parents=True, exist_ok=True)
-        with open(self.directory / "stats.lock", "a") as lock:
-            fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
-            totals = self.persisted_stats()
-            totals["hits"] += hits
-            totals["misses"] += misses
-            tmp = stats_path.with_name(f"stats.{os.getpid()}.{threading.get_ident()}.tmp")
-            tmp.write_text(json.dumps(totals) + "\n", "utf-8")
-            os.replace(tmp, stats_path)
+        fd = os.open(self.directory / "stats.log", os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        try:
+            os.write(fd, line)
+        finally:
+            os.close(fd)
 
     def persisted_stats(self) -> dict[str, int]:
-        """The persisted totals; a missing file, or one that is not a mapping
-        of non-negative integer counts, reads as zero."""
+        """The sums of ``stats.log``; a line that is not exactly two counts of
+        1-18 ASCII digits and a newline (a torn or garbled one) adds nothing."""
         try:
-            data = record(json.loads((self.directory / "stats.json").read_text("utf-8")),
-                          frozenset(_STATS))
-            totals = {key: typed(data.get(key, 0), int, key) for key in _STATS}
-            if min(totals.values()) >= 0:
-                return totals
-        except (FileNotFoundError, ValueError, RecursionError):
-            pass
-        return dict.fromkeys(_STATS, 0)
+            lines = _STATS_LINE.findall((self.directory / "stats.log").read_bytes())
+        except FileNotFoundError:
+            lines = []
+        return {"hits": sum(int(hits) for hits, _ in lines),
+                "misses": sum(int(misses) for _, misses in lines)}
 
 
 def _close_all(fds: dict[str, int]) -> None:

@@ -14,11 +14,12 @@ import sys
 from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NoReturn
 
 from . import bench as bench_io
 from .cache import DiskCache
 from .config import BACKENDS, RunConfig, build_backends, build_config
-from .errors import HalodetError, MissingCategoryTags, MissingDemonstrations
+from .errors import ConfigInvalid, HalodetError, MissingCategoryTags, MissingDemonstrations
 from .executor import load_run_results, run_batch, write_run_dir
 from .metrics import (
     MetricLevel,
@@ -173,8 +174,15 @@ def cmd_cache(args: argparse.Namespace) -> int:
 # --- parser ------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error, so it exits 1 with one JSON line (subparsers share the class)."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ConfigInvalid(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="halodet",
         description="Tool-augmented multimodal hallucination detection and evaluation.",
     )
@@ -197,7 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     detect.add_argument("--cache-dir", dest="cache_dir", help="cache directory")
     detect.add_argument("--demos", help="self-check demonstrations JSON file")
     detect.add_argument("--request-log", dest="request_log",
-                        help="append every model request/reply to this JSONL file")
+                        help="append each request sent to the model backend, with its "
+                             "reply, to this JSONL file (cached replies are not sent)")
     detect.add_argument("--config", help="flat key = value config file")
     detect.set_defaults(func=cmd_detect)
 
@@ -223,8 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (HalodetError, OSError, ValueError) as exc:
         return _fail(exc)

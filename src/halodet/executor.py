@@ -174,10 +174,6 @@ class BatchOutcome:
     results: list[DetectionResult]
     failures: list[PairFailure]
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
 
 class _PairCalls:
     """One pair of a run: every backend call it makes, through one cache-and-trace path.
@@ -187,14 +183,14 @@ class _PairCalls:
     docstring. ``_finish``, run by the task that finishes last, merges the
     tool results by plan position, never in completion order, and verifies.
 
-    Each call returns the JSON form the cache stores: ``{"text": ...}`` for
-    a model reply, the ``to_json()`` evidence for a tool. A pair's model
-    requests are all distinct, so a repeated one is the retry of a reply its
-    stage could not parse: it skips the cache read, and its reply replaces
-    the cached one. Tool results live in one dict keyed by ``(stage,
-    query)``, so a question repeated within a pair is asked once. Only the
-    thread holding a stage's reply claims that stage's keys, so no claim
-    races another; each task then fills in its own key.
+    The cache holds each call's ``to_json()`` form; a model call returns it
+    read back through ``ModelResponse.from_json``, a tool call as is. A
+    pair's model requests are all distinct, so a repeated one is the retry
+    of a reply its stage could not parse: it skips the cache read, and its
+    reply replaces the cached one. Tool results live in one dict keyed by
+    ``(stage, query)``, so a question repeated within a pair is asked once.
+    Only the thread holding a stage's reply claims that stage's keys, so no
+    claim races another; each task then fills in its own key.
     """
 
     def __init__(self, pair: ImageTextPair, position: int, batch: _Batch) -> None:
@@ -248,10 +244,12 @@ class _PairCalls:
                 except OSError as exc:
                     logger.warning("cache write failed, reply kept: %s", exc)
         model = key.tool_kind == "model"
+        if model:  # checked like a tool item, whether cached or just computed
+            value = ModelResponse.from_json(value)
         record = TraceRecord(
             stage=stage,
             input_digest=key.canonical_query if model else key.digest(),
-            output_digest=sha256_text(value["text"]) if model else sha256_json(value),
+            output_digest=sha256_text(value.text) if model else sha256_json(value),
             duration_ms=max(0, round((time.monotonic() - started) * 1000)),
             cache_hit=hit,
             attempts=attempts,
@@ -270,12 +268,9 @@ class _PairCalls:
             retry = digest in self._seen
             self._seen.add(digest)
         backend_id = self._batch.gateway.backend.backend_id
-        value = self._call(
+        return self._call(
             f"model:{request.purpose_tag.value}", CacheKey.model(digest, backend_id),
-            lambda: {"text": self._batch.gateway.complete(request).text},
-            read=not retry,
-        )
-        return ModelResponse(value["text"])
+            lambda: self._batch.gateway.complete(request).to_json(), read=not retry)
 
     # --- the UniHD schedule
 
@@ -394,7 +389,7 @@ class _PairCalls:
             return []
         image, detector = self._pair.image, self._batch.backends.object_detector
         return self._tool(
-            _DETECT, labels,
+            _DETECT, None,
             lambda: CacheKey.object_detect(image.digest, labels, detector.backend_id),
             lambda: [e.to_json() for e in detect_objects(detector, image, labels)],
         )
@@ -425,20 +420,18 @@ class _PairCalls:
         )
 
     def evidence(self, plan: ToolPlan) -> EvidenceBundle:
-        """Merge the tool results by plan position; the first error in merge order is raised."""
-        def result(stage: str, query: Any) -> Any:
-            value = self._tools[(stage, query)]
+        """Merge the tool results by plan position; the first error in merge order is
+        raised. Detection and scene text, asked at most once a pair, are empty if not asked."""
+        def result(value: Any) -> Any:
             if isinstance(value, Exception):
                 raise value
             return value
 
-        claims = plan.per_claim
-        labels = tuple(label_union(c.object_labels for c in claims))
-        objects = result(_DETECT, labels) if labels else []
-        attributes = [result(_ANSWER, q) for c in claims for q in c.attribute_questions]
-        read = any(c.scene_text_questions for c in claims)
-        scene_texts = result(_READ, None) if read else []
-        facts = [result(_SEARCH, q) for c in claims for q in c.fact_questions]
+        tools, claims = self._tools, plan.per_claim
+        objects = result(tools.get((_DETECT, None), []))
+        attributes = [result(tools[(_ANSWER, q)]) for c in claims for q in c.attribute_questions]
+        scene_texts = result(tools.get((_READ, None), []))
+        facts = [result(tools[(_SEARCH, q)]) for c in claims for q in c.fact_questions]
         return EvidenceBundle.from_json({"objects": objects, "attributes": attributes,
                                          "scene_texts": scene_texts, "facts": facts})
 
@@ -619,7 +612,7 @@ def load_result_payload(path: str | Path) -> DetectionResult:
         raw = file.read()
     try:
         return within(json.loads(raw), DetectionResult.from_payload)
-    except ValueError as exc:  # "<pointer>: <reason>", or why it is not JSON
+    except (ValueError, RecursionError) as exc:  # "<pointer>: <reason>", or why not JSON
         raise ResultFileInvalid(str(path), str(exc)) from exc
 
 

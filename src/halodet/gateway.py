@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Protocol, TypeVar
 
 from .errors import AuthFailure, BackendUnavailable, PayloadTooLarge
 from .hashing import sha256_json
-from .model import typed
+from .model import record, typed
 from .prompts import RenderedPrompt
 
 if TYPE_CHECKING:
@@ -57,6 +57,14 @@ class ModelRequest:
 @dataclass(frozen=True)
 class ModelResponse:
     text: str
+    _KEYS = frozenset({"text"})
+
+    def to_json(self) -> dict[str, Any]:
+        return {"text": self.text}
+
+    @classmethod
+    def from_json(cls, data: Any) -> ModelResponse:
+        return cls(typed(record(data, cls._KEYS).get("text"), str, "text"))
 
 
 def request_digest(request: ModelRequest) -> str:
@@ -93,8 +101,10 @@ class Completer(Protocol):
 class ModelGateway:
     """One backend and its request log, safe for concurrent calls.
 
-    ``sleep`` is how the executor waits between retries of a call, so a test
-    can skip the waits.
+    The log records each request sent to the backend, with its reply; a
+    reply served from the run cache is never sent, so a warm run logs
+    nothing. ``sleep`` is how the executor waits between retries of a call,
+    so a test can skip the waits.
     """
 
     def __init__(
@@ -179,7 +189,7 @@ class _HttpJsonClient:
             raise error(f"{self.endpoint} returned {status}")
         try:
             return parse(response.json())
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
             raise BackendUnavailable(
                 f"{self.endpoint} returned a malformed body: {exc!r}"
             ) from exc

@@ -78,7 +78,7 @@ def _extract_block(text: str) -> str | None:
 def _try_parse(text: str) -> Any:
     try:
         return json.loads(text)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):  # RecursionError: nested too deeply
         pass
     try:
         # Tolerates single quotes and Python-style literals; safe for
@@ -100,7 +100,7 @@ def loads_lenient(text: str) -> tuple[Any, bool]:
     """
     try:
         return json.loads(text), False
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):
         pass
 
     candidates = []

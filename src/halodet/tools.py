@@ -24,6 +24,7 @@ from .gateway import (
     Completer,
     ModelGateway,
     ModelRequest,
+    ModelResponse,
     PurposeTag,
     _HttpJsonClient,
     request_digest,
@@ -37,7 +38,6 @@ from .model import (
     ObjectEvidence,
     SceneTextEvidence,
     each,
-    record,
     typed,
     validate_norm_box,
 )
@@ -262,7 +262,7 @@ class Replay:
                 f"no mock entry for request digest {digest} "
                 f"(purpose {request.purpose_tag.value})"
             )
-        return typed(record(stored, frozenset({"text"})).get("text"), str, "text")
+        return ModelResponse.from_json(stored).text
 
     def detect(self, image: ImageRef, labels: Sequence[str]) -> list[ObjectEvidence]:
         items = self._lookup(CacheKey.object_detect, image.digest, labels)

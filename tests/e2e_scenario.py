@@ -612,7 +612,7 @@ def materialize_fixtures(out_dir: str | Path) -> int:
     ):
         outcome = run_batch(pairs, method, tools, gateway, cache=store, width=1,
                             demonstrations=demos)
-        if not outcome.ok:
+        if outcome.failures:
             failures = [(f.pair_id, f.message) for f in outcome.failures]
             raise AssertionError(f"scenario replay failed: {failures}")
     return store.entry_count()

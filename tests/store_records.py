@@ -82,3 +82,11 @@ def write_keys(directory: str, writer: int, count: int) -> None:
     for i in range(count):
         cache.put(key(f"writer{writer}-{i}"), {"writer": writer, "i": i})
         cache.put(key(f"shared-{i}"), {"writer": writer, "i": i})
+
+
+def flush_hits(directory: str, count: int) -> None:
+    """Flush one hit ``count`` times; the target of the multi-process stats test."""
+    cache = DiskCache(directory)
+    for _ in range(count):
+        cache.hits = 1
+        cache.flush_stats()

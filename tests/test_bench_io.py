@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from importlib import resources
 
 import pytest
 from hypothesis import given
@@ -18,7 +19,6 @@ from halodet.bench import (
     load_demos,
     load_detection_input,
     save,
-    schema_document,
     stats,
 )
 from halodet.errors import (
@@ -42,6 +42,13 @@ from halodet.model import (
     Verdict,
 )
 from halodet.stages import DetectionMethod
+
+
+def schema_document() -> dict:
+    """The JSON Schema shipped in the package for the benchmark format."""
+    schema = resources.files("halodet") / "schema" / "mhalubench.v1.json"
+    return json.loads(schema.read_text("utf-8"))
+
 
 H = Label.HALLUCINATORY
 NH = Label.NON_HALLUCINATORY
@@ -748,3 +755,14 @@ class TestConvertOracle:
         assert (converted.claim.unverified_count, converted.segment.unverified_count,
                 converted.response.unverified_count) == (
             claim_unverified, segment_unverified, response_unverified)
+
+
+@pytest.mark.parametrize("read", [load, load_demos, load_detection_input],
+                         ids=["load", "load_demos", "load_detection_input"])
+def test_json_nested_too_deeply_is_a_schema_violation(tmp_path, read):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 5000 + "]" * 5000)
+    with pytest.raises(SchemaViolation) as raised:
+        read(path)
+    assert raised.value.path == "/"
+    assert raised.value.reason.startswith("not valid JSON: maximum recursion depth")

@@ -113,6 +113,15 @@ class TestDiskCache:
         cache.flush_stats()
         assert cache.persisted_stats() == {"hits": 0, "misses": len(bodies)}
 
+    def test_a_record_nested_too_deeply_is_corrupt(self, tmp_path):
+        cache = DiskCache(tmp_path)
+        cache.put(_key(), "x" * 6000)
+        [entry] = store_records.records(tmp_path)
+        store_records.rewrite(entry, "[" * 5000)
+        with pytest.raises(StoreCorrupt, match="unreadable cache record"):
+            cache.get(_key())
+        assert (cache.hits, cache.misses) == (0, 1)
+
     def test_entry_count_bytes_and_clear(self, tmp_path):
         cache = DiskCache(tmp_path)
         for i in range(4):
@@ -137,16 +146,61 @@ class TestDiskCache:
     @pytest.mark.parametrize("body", [
         "5", "null", "[]", '{"hits": "a"}', "{torn", '{"hits": 1e999}',
         "[" * 100_000 + "]" * 100_000, '{"hits": "7"}', '{"hits": true}', '{"hits": 2.9}',
-        '{"hits": -3}',
+        '{"hits": -3}', "-3 1", "2.9 1", "1e9 1", "1 2 3", " 1 2", "1  2", "1\t2", "1 2\r",
+        "\u0661 2", "1" * 19 + " 1", pytest.param("9" * 5000 + " 1", id="5000-digit-count"),
     ], ids=lambda body: "list-nested-100000-deep" if len(body) > 100 else None)
     def test_malformed_stats_file_counts_as_zero(self, tmp_path, body):
+        # A bad line between good ones loses only its own counts.
+        (tmp_path / "stats.log").write_bytes(b"3 4\n" + body.encode() + b"\n5 6\n")
         cache = DiskCache(tmp_path)
-        (tmp_path / "stats.json").write_text(body)
-        assert cache.persisted_stats() == {"hits": 0, "misses": 0}
+        assert cache.persisted_stats() == {"hits": 8, "misses": 10}
         cache.put(_key(), {"x": 1})
         cache.get(_key())
         cache.flush_stats()
-        assert cache.persisted_stats() == {"hits": 1, "misses": 0}
+        assert cache.persisted_stats() == {"hits": 9, "misses": 10}
+
+    def test_one_flush_appends_one_line(self, tmp_path):
+        cache = DiskCache(tmp_path)
+        cache.put(_key(), 1)
+        cache.get(_key())
+        cache.get(_key("missing"))
+        cache.flush_stats()
+        assert (tmp_path / "stats.log").read_bytes() == b"1 1\n"
+        cache.get(_key())
+        cache.flush_stats()
+        assert (tmp_path / "stats.log").read_bytes() == b"1 1\n1 0\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["segments", "stats.log"]
+
+    def test_a_torn_last_line_adds_nothing(self, tmp_path):
+        (tmp_path / "stats.log").write_bytes(b"3 4\n5 6")
+        cache = DiskCache(tmp_path)
+        assert cache.persisted_stats() == {"hits": 3, "misses": 4}
+        # The next flush lands on the torn line, so its counts are lost too.
+        cache.hits = 1
+        cache.flush_stats()
+        assert (tmp_path / "stats.log").read_bytes() == b"3 4\n5 61 0\n"
+        assert cache.persisted_stats() == {"hits": 3, "misses": 4}
+
+    def test_a_legacy_stats_json_is_ignored(self, tmp_path):
+        (tmp_path / "stats.json").write_text('{"hits": 5, "misses": 7}\n')
+        (tmp_path / "stats.lock").write_text("")
+        cache = DiskCache(tmp_path)
+        assert cache.persisted_stats() == {"hits": 0, "misses": 0}
+        cache.get(_key())
+        cache.flush_stats()
+        assert cache.persisted_stats() == {"hits": 0, "misses": 1}
+        cache.clear()
+        assert (tmp_path / "stats.json").read_text() == '{"hits": 5, "misses": 7}\n'
+        assert (tmp_path / "stats.lock").read_text() == ""
+
+    def test_clear_removes_the_stats_log(self, tmp_path):
+        cache = DiskCache(tmp_path)
+        cache.get(_key())
+        cache.flush_stats()
+        assert (tmp_path / "stats.log").exists()
+        cache.clear()
+        assert not (tmp_path / "stats.log").exists()
+        assert cache.persisted_stats() == {"hits": 0, "misses": 0}
 
     def test_overwrite_same_key(self, tmp_path):
         cache = DiskCache(tmp_path)
@@ -343,6 +397,18 @@ class TestSegmentLog:
             hit, value = cache.get(store_records.key(f"shared-{i}"))
             assert hit and value["i"] == i
         assert cache.entry_count() == 5 * count
+
+    def test_flushing_processes_share_one_stats_log(self, tmp_path):
+        context = multiprocessing.get_context("spawn")
+        flushers = [context.Process(target=store_records.flush_hits, args=(str(tmp_path), 300))
+                    for _ in range(4)]
+        for flusher in flushers:
+            flusher.start()
+        for flusher in flushers:
+            flusher.join(timeout=60)
+            assert flusher.exitcode == 0
+        assert DiskCache(tmp_path).persisted_stats() == {"hits": 1200, "misses": 0}
+        assert (tmp_path / "stats.log").read_bytes() == b"1 0\n" * 1200
 
     def test_a_segment_gone_before_it_is_read_opens_as_absent(self, tmp_path):
         (tmp_path / "segments").mkdir()

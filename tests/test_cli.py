@@ -71,7 +71,7 @@ class TestDetect:
     def test_a_malformed_stats_file_keeps_a_finished_run(self, scenario_dir, tmp_path,
                                                          capsys):
         (tmp_path / "cache").mkdir()
-        (tmp_path / "cache" / "stats.json").write_text('{"hits": 1e999}')
+        (tmp_path / "cache" / "stats.log").write_text('{"hits": 1e999}\n')
         assert main(_detect_args(scenario_dir, tmp_path, "r1")) == 0
         assert "6 pairs ok, 0 failed" in capsys.readouterr().out
         assert len(list((tmp_path / "r1").glob("*.json"))) == 8
@@ -525,7 +525,7 @@ class TestStatsAndCache:
         assert main(["cache", "clear", "--cache-dir", str(tmp_path / "cache")]) == 0
         assert capsys.readouterr().out == "cleared 1 entries\n"
         assert not list((tmp_path / "cache").rglob("*.log"))
-        assert not (tmp_path / "cache" / "stats.json").exists()
+        assert not (tmp_path / "cache" / "stats.log").exists()
 
     def test_cache_stat_reads_a_vanished_segment_as_absent(self, tmp_path, capsys):
         segments = tmp_path / "cache" / "segments"
@@ -563,6 +563,50 @@ class TestOldCacheLayout:
         assert main(args) == 1
         self._one_error_line(capsys, old_store)
         assert not (tmp_path / "old-layout").exists()
+
+
+class TestUsageErrors:
+    """A usage error exits 1, the code for a configuration error, with one JSON line."""
+
+    @pytest.mark.parametrize("argv", [
+        ["detect", "--method", "bogus"],
+        ["detect", "--width", "abc"],
+        [],
+        ["evaluate", "--bench", str(FIXTURES / "bench6.json")],
+    ], ids=["unknown-method", "non-integer-width", "no-command", "evaluate-without-results"])
+    def test_a_usage_error_is_a_one_line_config_error(self, argv, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert json.loads(line)["error"] == "ConfigInvalid"
+        assert captured.out == ""
+
+
+class TestJsonNestedTooDeeply:
+    """JSON nested past the decoder's recursion limit is an input error, not a crash."""
+
+    def _one_error(self, argv, capsys):
+        assert main(argv) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        return json.loads(line)
+
+    def test_stats_and_detect_reject_the_bench_file(self, scenario_dir, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 5000)
+        for argv in (["stats", "--bench", str(deep)],
+                     _detect_args(scenario_dir, tmp_path, "deep", "--bench", str(deep))):
+            error = self._one_error(argv, capsys)
+            assert error["error"] == "SchemaViolation"
+            assert error["message"].startswith("/: not valid JSON: maximum recursion depth")
+
+    def test_evaluate_rejects_the_result_file(self, run_dir, tmp_path, capsys):
+        edited = tmp_path / "edited"
+        shutil.copytree(run_dir, edited)
+        (edited / "i2t-beach.json").write_text("[" * 5000)
+        error = self._one_error(["evaluate", "--bench", str(FIXTURES / "bench6.json"),
+                                 "--results", str(edited)], capsys)
+        assert error["error"] == "ResultFileInvalid"
+        assert error["message"].startswith(f"{edited / 'i2t-beach.json'}: maximum recursion")
 
 
 class TestHelp:

@@ -21,7 +21,13 @@ from hypothesis import strategies as st
 
 import e2e_scenario
 import store_records
-from conftest import TableBackend, formulate_queries, image_ref, table_gateway
+from conftest import (
+    ScriptedModelBackend,
+    TableBackend,
+    formulate_queries,
+    image_ref,
+    table_gateway,
+)
 from halodet.cache import DiskCache
 from halodet.errors import (
     BackendUnavailable,
@@ -40,6 +46,7 @@ from halodet.executor import (
     write_run_dir,
 )
 from halodet.gateway import ModelGateway, PurposeTag
+from halodet.hashing import sha256_json
 from halodet.model import (
     Claim,
     EvidenceBundle,
@@ -237,6 +244,14 @@ class TestRunDetectionUnihd:
         assert len(result.verdicts) == 1
 
 
+# A stored model reply of the wrong shape, and the error it fails its pair with.
+_MALFORMED_MODEL_VALUES = [
+    ({"text": 5}, "/text: expected a string"),
+    ([], "/: expected an object"),
+    ({"text": "x", "extra": 1}, "/extra: unknown key"),
+]
+
+
 class TestCacheContract:
     def test_warm_run_hits_everywhere_and_skips_backends(self, tmp_path):
         cache = DiskCache(tmp_path / "cache")
@@ -320,6 +335,24 @@ class TestCacheContract:
         assert calls == 0
         assert third_bytes == cold_bytes
 
+    @pytest.mark.parametrize("value, error", _MALFORMED_MODEL_VALUES,
+                             ids=["text-not-a-string", "not-an-object", "extra-key"])
+    def test_a_cached_model_reply_is_checked(self, tmp_path, value, error):
+        # The record keeps a correct digest, so the cache serves the value as is.
+        def run():
+            return run_batch([_athlete_pair()], DetectionMethod.UNIHD,
+                             _backends(detections=_ATHLETE_DETECTIONS),
+                             table_gateway(_ATHLETE_RULES), cache=DiskCache(tmp_path), width=1)
+
+        assert run().failures == []
+        for record in store_records.records(tmp_path):
+            entry = record.json()
+            if entry["key"]["tool_kind"] == "model":
+                entry.update(value=value, value_sha256=sha256_json(value))
+                store_records.rewrite(record, json.dumps(entry, separators=(",", ":")))
+        [failure] = run().failures
+        assert (failure.error_type, failure.message) == ("ValueError", error)
+
     def test_a_failed_cache_write_does_not_fail_a_pair(self, tmp_path):
         class FullDisk(DiskCache):
             def put(self, key, value):
@@ -335,7 +368,7 @@ class TestCacheContract:
                 raise OSError(errno.EROFS, "Read-only file system")
 
         outcome = _scenario_run(ReadOnlyStats(tmp_path / "cache"))
-        assert outcome.ok
+        assert not outcome.failures
         assert len(outcome.results) == 6
 
 
@@ -410,7 +443,7 @@ class TestRunBatch:
         outcome = run_batch(pairs, DetectionMethod.UNIHD, _backends(), self._gateway(),
                             width=2)
         assert [r.pair_id for r in outcome.results] == ["pair-0", "pair-1", "pair-2"]
-        assert outcome.ok
+        assert not outcome.failures
 
     def test_unparseable_verify_reply_degrades_without_failing(self):
         pairs = _simple_pairs(3)
@@ -429,6 +462,16 @@ class TestRunBatch:
         degraded = [r for r in outcome.results if r.degraded]
         assert [r.pair_id for r in degraded] == ["pair-1"]
         assert ParseFlag.UNVERIFIED in degraded[0].verdicts[0].parse_flags
+
+    def test_a_reply_nested_too_deeply_is_retried_then_degrades(self):
+        # A model looping on "[" up to its token cap: retried once, like any garbage.
+        backend = ScriptedModelBackend(["[" * 5000, "[" * 5000])
+        outcome = run_batch(_simple_pairs(1), DetectionMethod.SELF_CHECK_0SHOT, _backends(),
+                            ModelGateway(backend, sleep=lambda _: None))
+        assert (outcome.failures, backend.calls) == ([], 2)
+        [result] = outcome.results
+        assert result.degraded
+        assert ParseFlag.UNVERIFIED in result.verdicts[0].parse_flags
 
     def test_hard_failure_becomes_error_record(self):
         pairs = _simple_pairs(3)
@@ -452,7 +495,7 @@ class TestRunBatch:
         assert [r.pair_id for r in outcome.results] == ["pair-0", "pair-2"]
         assert [f.pair_id for f in outcome.failures] == ["pair-1"]
         assert outcome.failures[0].error_type == "RuntimeError"
-        assert not outcome.ok
+        assert outcome.failures
 
     def test_duplicate_ids_rejected(self):
         pairs = _simple_pairs(2)
@@ -646,6 +689,14 @@ class TestRunDir:
         assert str(exc_info.value).startswith(f"{path}: Expecting property name")
 
 
+    def test_a_file_nested_too_deeply_is_rejected(self, tmp_path):
+        path = tmp_path / "p1.json"
+        path.write_text("[" * 5000)
+        with pytest.raises(ResultFileInvalid) as exc_info:
+            load_result_payload(path)
+        assert str(exc_info.value).startswith(f"{path}: maximum recursion depth")
+
+
 # --- call scheduling ---------------------------------------------------------------
 
 
@@ -793,7 +844,7 @@ class TestCallScheduling:
         width = 2
         outcome = run_batch(_simple_pairs(40), DetectionMethod.UNIHD, backends, gateway,
                             width=width)
-        assert outcome.ok
+        assert not outcome.failures
         assert _tool_calls(backends) == 40 * 4
         assert len(started) <= width + width * 10
 
@@ -906,7 +957,7 @@ class TestPairsInFlight:
         backends.object_detector = flight
         outcome = run_batch(pairs, DetectionMethod.UNIHD, backends,
                             ModelGateway(flight, sleep=lambda _: None), width=width)
-        assert outcome.ok
+        assert not outcome.failures
         assert not +flight.calls
         assert flight.peak == width
 
@@ -934,7 +985,7 @@ class TestPairsInFlight:
             sys.setswitchinterval(interval)
         assert not worker.is_alive()
         [outcome] = outcomes
-        assert outcome.ok
+        assert not outcome.failures
         assert [r.pair_id for r in outcome.results] == [pair.id for pair in pairs]
         assert _tool_calls(backends) == 40 * 4
 
@@ -1089,7 +1140,7 @@ def _payloads(outcome):
 class TestCompletionOrderShaker:
     def _run(self, shaker, cache):
         outcome = _scenario_run(cache, shaker)
-        assert outcome.ok
+        assert not outcome.failures
         return _payloads(outcome)
 
     def test_payloads_and_call_counts_ignore_completion_order(self, tmp_path):
@@ -1256,7 +1307,7 @@ class TestPoolSubmissions:
         pairs = _simple_pairs(5)
         outcome = run_batch(pairs, DetectionMethod.UNIHD,
                             _backends(detections=_ATHLETE_DETECTIONS), gateway, width=2)
-        assert outcome.ok
+        assert not outcome.failures
         # Each pair once, alone in its submit; a call task that carried a
         # pair would show up here as a second submit of it.
         handed = [carried for carried in submits if carried]
@@ -1384,7 +1435,7 @@ class TestGeneratedReplies:
                                 width=width)
         finally:
             sys.setswitchinterval(interval)
-        assert outcome.ok
+        assert not outcome.failures
 
         expected = collections.Counter()
         for (pair, _), result in zip(generated, outcome.results):

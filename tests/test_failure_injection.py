@@ -133,7 +133,7 @@ class TestFailureInjection:
     def test_one_failed_call_touches_only_its_pair(self, tmp_path, width):
         clean_injector = _Injector(None, 0, None, False)
         clean, clean_dir = _run(tmp_path, "clean", width, clean_injector)
-        assert clean.ok and len(clean.results) == len(_SCRIPTS)
+        assert not clean.failures and len(clean.results) == len(_SCRIPTS)
         clean_traces = json.loads((clean_dir / "manifest.json").read_text())["traces"]
         assert set(clean_injector.counts) == {*_BACKENDS, "get", "put"}
 

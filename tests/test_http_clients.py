@@ -187,6 +187,14 @@ def test_transport_error_is_backend_unavailable(call, error):
     assert raised.value.__cause__ is error
 
 
+@pytest.mark.parametrize("call", list(_CALLS.values()), ids=list(_CALLS))
+def test_a_body_nested_too_deeply_is_backend_unavailable(call):
+    response = requests.Response()
+    response.status_code, response._content = 200, b"[" * 5000
+    with pytest.raises(BackendUnavailable, match="malformed body"):
+        call(FakeSession(response))
+
+
 # A JSON body each client cannot read: a field it needs is missing or mistyped.
 _WRONG_KEYS = {
     "model": {"reply": "x"},

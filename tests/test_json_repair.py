@@ -75,3 +75,11 @@ def test_an_escaped_quote_does_not_end_a_string_in_prose():
 def test_a_block_that_never_closes_is_rejected():
     with pytest.raises(ValueError):
         loads_lenient('Result: {"claim1": "none"')
+
+
+@pytest.mark.parametrize("text", ["[" * 5000, "[" * 5000 + "]" * 5000, '{"a":' * 5000],
+                         ids=["unclosed", "closed", "objects"])
+def test_json_nested_too_deeply_is_not_json(text):
+    # json.loads raises RecursionError, not ValueError, past about 1,000 levels.
+    with pytest.raises(ValueError, match="not JSON"):
+        loads_lenient(text)

@@ -9,7 +9,7 @@ import pytest
 from conftest import ScriptedModelBackend, image_ref
 from halodet.cache import CacheKey, DiskCache
 from halodet.errors import BackendError, InvalidImage
-from halodet.gateway import ModelGateway, ModelRequest
+from halodet.gateway import ModelGateway, ModelRequest, request_digest
 from halodet.model import (
     AttributeEvidence,
     EvidenceBundle,
@@ -364,6 +364,19 @@ class TestMockKeys:
             Replay(store, REPLAY_IDS["object_detector"]).detect(ref, ["open"])
         with pytest.raises(ValueError):
             Replay(store, REPLAY_IDS["scene_text_reader"]).read(ref)
+
+    @pytest.mark.parametrize("value, error", [
+        ({"text": 5}, "/text: expected a string"),
+        ([], "/: expected an object"),
+        ({"text": "x", "extra": 1}, "/extra: unknown key"),
+    ], ids=["text-not-a-string", "not-an-object", "extra-key"])
+    def test_a_replayed_model_reply_is_checked(self, tmp_path, value, error):
+        request = ModelRequest(prompt=RenderedPrompt(system="s", user="u"))
+        store = DiskCache(tmp_path)
+        store.put(CacheKey.model(request_digest(request), REPLAY_IDS["model"]), value)
+        with pytest.raises(ValueError) as raised:
+            Replay(store, REPLAY_IDS["model"]).invoke(request)
+        assert str(raised.value) == error
 
     def test_unknown_vocabulary_misses(self, tmp_path):
         detector = Replay(DiskCache(tmp_path), REPLAY_IDS["object_detector"])
