@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Protocol, TypeVar
+from urllib.parse import urlsplit
 
 from .errors import AuthFailure, BackendUnavailable, PayloadTooLarge
 from .hashing import sha256_json
@@ -29,7 +30,7 @@ from .model import record, typed
 from .prompts import RenderedPrompt
 
 if TYPE_CHECKING:
-    import requests
+    import http.client
 
 T = TypeVar("T")
 
@@ -148,51 +149,77 @@ class ModelGateway:
 # --- live backend ----------------------------------------------------------------
 
 
-def _requests():
-    """The HTTP stack, imported on first use so offline runs never load it."""
-    import requests
-
-    return requests
-
-
 class _HttpJsonClient:
-    """Base of the live clients: one JSON POST per call.
+    """Base of the live clients: one JSON POST per call, on a kept-alive connection.
 
-    ``requests`` loads on first use, so offline runs never import it. A
-    transport failure, or a body that is not JSON or that ``parse`` cannot
-    read (``typed`` rejects a field that is null or not a string), raises
-    BackendUnavailable; a status other than 200 raises its
-    ``_status_errors`` class, else BackendUnavailable (a 429 rate limit
-    among them, since it heals). Each call waits at most ``timeout``
-    seconds for a reply.
+    ``http.client``, and with it ssl, loads on the first call. A call takes an
+    idle connection or opens one, and gives it back once the reply is read
+    whole, so no connection serves two calls at once. Only a request that
+    finds a reused connection closed is sent again, once. A transport
+    failure, or a body that is not JSON or that ``parse`` cannot read
+    (``typed`` rejects a field that is null or not a string), raises
+    BackendUnavailable; a status other than 200 raises its ``_status_errors``
+    class, else BackendUnavailable (a 3xx among them, and a 429 rate limit,
+    since it heals). Each connect and each read waits at most ``timeout`` s.
     """
 
     timeout = 30.0
     _status_errors: Mapping[int, type[Exception]] = {401: AuthFailure, 403: AuthFailure}
 
-    def __init__(self, endpoint: str, headers: dict[str, str],
-                 session: requests.Session | None) -> None:
+    def __init__(self, endpoint: str, headers: dict[str, str]) -> None:
         self.endpoint = endpoint
-        self._headers = headers
-        self._session = session if session is not None else _requests().Session()
+        self._url = url = urlsplit(endpoint)
+        self._target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        self._headers = {"Content-Type": "application/json", **headers}
+        self._idle: list[http.client.HTTPConnection] = []
+        self._idle_lock = threading.Lock()
 
     def _post(self, payload: dict, parse: Callable[[Any], T]) -> T:
+        import http.client
+
+        body = json.dumps(payload).encode()
+        with self._idle_lock:
+            idle = connection = self._idle.pop() if self._idle else None
         try:
-            response = self._session.post(
-                self.endpoint, json=payload, headers=self._headers, timeout=self.timeout
-            )
-        except _requests().RequestException as exc:  # evaluated only when post raises
+            while True:
+                connection = connection or self._connect()
+                try:
+                    connection.request("POST", self._target, body, self._headers)
+                    response = connection.getresponse()
+                    break
+                except ConnectionError:
+                    if connection is not idle:
+                        raise
+                    # The server closed it while idle, before any reply byte: send once more.
+                    connection.close()
+                    connection = None
+            status, data = response.status, response.read()
+        except (OSError, ValueError, http.client.HTTPException) as exc:
+            if connection is not None:
+                connection.close()
             raise BackendUnavailable(f"{self.endpoint} unreachable: {exc}") from exc
-        status = response.status_code
+        if not response.will_close:  # else http.client has closed it
+            with self._idle_lock:
+                self._idle.append(connection)
         if status != 200:
             error = self._status_errors.get(status, BackendUnavailable)
             raise error(f"{self.endpoint} returned {status}")
         try:
-            return parse(response.json())
+            return parse(json.loads(data))
         except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
             raise BackendUnavailable(
                 f"{self.endpoint} returned a malformed body: {exc!r}"
             ) from exc
+
+    def _connect(self) -> http.client.HTTPConnection:
+        """A new connection; HTTPS checks certificates against the system CA store."""
+        import http.client
+
+        kind = {"http": http.client.HTTPConnection,
+                "https": http.client.HTTPSConnection}.get(self._url.scheme)
+        if kind is None:
+            raise ValueError(f"unsupported URL scheme {self._url.scheme!r}")
+        return kind(self._url.netloc, timeout=self.timeout)
 
 
 class HttpModelBackend(_HttpJsonClient):
@@ -206,16 +233,10 @@ class HttpModelBackend(_HttpJsonClient):
     timeout = 60.0
     _status_errors = {401: AuthFailure, 403: AuthFailure, 413: PayloadTooLarge}
 
-    def __init__(
-        self,
-        endpoint: str,
-        api_key: str,
-        model: str = "",
-        session: requests.Session | None = None,
-    ) -> None:
+    def __init__(self, endpoint: str, api_key: str, model: str = "") -> None:
         if not api_key:
             raise AuthFailure("model backend requires an API key")
-        super().__init__(endpoint, {"Authorization": f"Bearer {api_key}"}, session)
+        super().__init__(endpoint, {"Authorization": f"Bearer {api_key}"})
         self.model = model
         self.backend_id = model or endpoint
 

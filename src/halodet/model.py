@@ -138,6 +138,13 @@ def typed(value: Any, kind: type, key: str | None = None, non_empty: bool = Fals
     return value
 
 
+def number(value: Any, key: str | None = None) -> float:
+    """``value`` as a float if it is a JSON number (true is no number, nor is "1")."""
+    if type(value) not in _NUMBER:
+        raise invalid("expected a number", key)
+    return float(value)
+
+
 def strings(value: Any, key: str | None = None) -> tuple[str, ...]:
     """A JSON list of strings, as a tuple."""
     if type(value) is list and _STRING.issuperset(map(type, value)):
@@ -194,11 +201,7 @@ class NormBox:
     @classmethod
     def from_json(cls, data: Any) -> "NormBox":
         record(data, cls._KEYS)
-        coords = (data.get("x1"), data.get("y1"), data.get("x2"), data.get("y2"))
-        if not _NUMBER.issuperset(map(type, coords)):
-            raise invalid("expected a number", next(
-                key for key in ("x1", "y1", "x2", "y2") if type(data.get(key)) not in _NUMBER))
-        return cls(*map(float, coords))
+        return cls(*(number(data.get(key), key) for key in ("x1", "y1", "x2", "y2")))
 
 
 def validate_norm_box(box: NormBox) -> bool:

@@ -16,7 +16,7 @@ text blocks the verification prompts bind; empty families render exactly
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Any, Callable, Protocol, Sequence, TypeVar
+from typing import Any, Callable, Protocol, Sequence, TypeVar
 
 from .cache import CacheKey, DiskCache
 from .errors import AuthFailure, BackendError, InvalidImage
@@ -38,13 +38,11 @@ from .model import (
     ObjectEvidence,
     SceneTextEvidence,
     each,
+    number,
     typed,
     validate_norm_box,
 )
 from .prompts import SupplementalId, render
-
-if TYPE_CHECKING:
-    import requests
 
 NONE_INFORMATION = "none information"
 
@@ -305,10 +303,10 @@ class GatewayAttributeAnswerer:
         return answer_attribute(image, question, self._gateway)
 
 
-def _normalize_box(raw: Sequence[float], body: dict) -> NormBox:
+def _normalize_box(raw: Any, body: dict) -> NormBox:
     """``raw`` as fractions of the image size, when ``body`` reports it in pixels."""
-    x1, y1, x2, y2 = (float(v) for v in raw)
-    width, height = body.get("image_width"), body.get("image_height")
+    x1, y1, x2, y2 = each(raw, number, "box")
+    width, height = (number(body.get(key, 0), key) for key in ("image_width", "image_height"))
     if width and height:
         x1, x2 = x1 / width, x2 / width
         y1, y2 = y1 / height, y2 / height
@@ -316,15 +314,13 @@ def _normalize_box(raw: Sequence[float], body: dict) -> NormBox:
 
 
 class _HttpToolClient(_HttpJsonClient):
-    """A live tool client; its backend id is ``<_id_prefix>:<endpoint>``."""
+    """A live image tool client; its backend id is ``<_id_prefix>:<endpoint>``."""
 
     _status_errors = {401: AuthFailure, 403: AuthFailure, 422: InvalidImage}
     _id_prefix: str
 
-    def __init__(self, endpoint: str, api_key: str | None = None,
-                 session: requests.Session | None = None) -> None:
-        headers = {"Authorization": f"Bearer {api_key}"} if api_key else {}
-        super().__init__(endpoint, headers, session)
+    def __init__(self, endpoint: str, api_key: str | None = None) -> None:
+        super().__init__(endpoint, {"Authorization": f"Bearer {api_key}"} if api_key else {})
         self.backend_id = f"{self._id_prefix}:{endpoint}"
 
 
@@ -348,8 +344,7 @@ class HttpObjectDetector(_HttpToolClient):
     def _detections(self, body: dict) -> list[ObjectEvidence]:
         results = []
         for det in body.get("detections", []):
-            score = float(det.get("score", 1.0))
-            if score < DETECTOR_THRESHOLD:
+            if number(det.get("score", 1.0), "score") < DETECTOR_THRESHOLD:
                 continue
             results.append(ObjectEvidence(
                 label=typed(det["label"], str, "label"),
@@ -374,19 +369,15 @@ class HttpSceneTextReader(_HttpToolClient):
         ]
 
 
-class HttpFactSearcher(_HttpToolClient):
-    """Web-search client speaking the serper.dev request/response shape."""
+class HttpFactSearcher(_HttpJsonClient):
+    """Web-search client speaking the serper.dev shape; it sends no image, so a 422
+    is BackendUnavailable, not InvalidImage."""
 
-    # Search sends no image, so a 422 is not InvalidImage.
-    _status_errors = {401: AuthFailure, 403: AuthFailure}
-    _id_prefix = "search"
-
-    def __init__(self, api_key: str, endpoint: str = DEFAULT_SEARCH_ENDPOINT,
-                 session: requests.Session | None = None) -> None:
+    def __init__(self, api_key: str, endpoint: str = DEFAULT_SEARCH_ENDPOINT) -> None:
         if not api_key:
             raise AuthFailure("fact search requires an API key")
-        super().__init__(endpoint, None, session)
-        self._headers = {"X-API-KEY": api_key, "Content-Type": "application/json"}
+        super().__init__(endpoint, {"X-API-KEY": api_key})
+        self.backend_id = f"search:{endpoint}"
 
     def search(self, question: str, top_k: int) -> list[FactSnippet]:
         return self._post({"q": question}, lambda body: self._snippets(body, top_k))

@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import json
 import os
+import threading
+import time
+from dataclasses import dataclass
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Any, Callable
 
 import pytest
 
@@ -148,3 +154,92 @@ def simple_pair() -> ImageTextPair:
             Segment(id="S2", text="past a bakery.", claim_indices=(3,)),
         ),
     )
+
+
+# --- loopback HTTP server ------------------------------------------------------------
+
+
+@dataclass
+class Reply:
+    """One scripted response of the loopback server."""
+
+    body: Any = None  # sent as JSON, unless it is bytes
+    status: int = 200
+    delay: float = 0.0  # seconds slept before replying
+    close: bool = False  # close the connection after replying, without saying so
+    short: bool = False  # announce one byte more than is sent, then close
+
+
+class LoopbackServer(ThreadingHTTPServer):
+    """A keep-alive HTTP/1.1 server on 127.0.0.1 that answers POSTs by script.
+
+    Each POST is answered by the next entry of ``script``, or by ``respond``
+    called with the decoded request body once the script is used up (by
+    default the echo ``{"text": "echo <user>"}``). It records every request
+    in ``requests`` and counts the connections it accepts in ``connections``.
+    """
+
+    daemon_threads = True
+
+    def __init__(self) -> None:
+        super().__init__(("127.0.0.1", 0), _LoopbackHandler)
+        self.url = f"http://127.0.0.1:{self.server_port}/v1"
+        self.script: list[Reply] = []
+        self.respond: Callable[[Any], Reply] = lambda sent: Reply(
+            {"text": f"echo {sent['user']}"})
+        self.requests: list[dict[str, Any]] = []
+        self.connections = 0
+        self._lock = threading.Lock()
+
+    def next_reply(self, request: dict[str, Any]) -> Reply:
+        with self._lock:
+            self.requests.append(request)
+            if self.script:
+                return self.script.pop(0)
+        return self.respond(request["json"])
+
+    def handle_error(self, request, client_address) -> None:
+        pass  # a client that gave up on a delayed reply is expected
+
+
+class _LoopbackHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"  # keep-alive unless a reply closes
+    server: LoopbackServer
+
+    def setup(self) -> None:
+        super().setup()
+        with self.server._lock:
+            self.server.connections += 1
+
+    def do_POST(self) -> None:
+        sent = self.rfile.read(int(self.headers["Content-Length"]))
+        reply = self.server.next_reply({"path": self.path, "headers": dict(self.headers),
+                                        "json": json.loads(sent)})
+        time.sleep(reply.delay)
+        body = reply.body if isinstance(reply.body, bytes) else json.dumps(reply.body).encode()
+        head = (f"HTTP/1.1 {reply.status} Scripted\r\n"
+                "Content-Type: application/json\r\n"
+                f"Content-Length: {len(body) + reply.short}\r\n\r\n")
+        # Head and body in one send: written in two, the second waits on the
+        # client's delayed ACK under Nagle's algorithm, about 44 ms a call.
+        self.wfile.write(head.encode() + body)
+        self.close_connection = reply.close or reply.short
+
+    def log_message(self, *args) -> None:
+        pass
+
+
+@pytest.fixture
+def loopback():
+    """A LoopbackServer for one test. It polls for shutdown every 10 ms, not the
+    default 0.5 s, so that tearing it down takes no noticeable time."""
+    server = LoopbackServer()
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()

@@ -1,27 +1,33 @@
-"""The HTTP stack loads only when a live client is built."""
+"""The HTTP stack loads only on a live client's first call."""
 
 from __future__ import annotations
 
-import json
 import os
 import subprocess
 import sys
-import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
-import pytest
-
+from conftest import Reply, image_ref
 from halodet.gateway import HttpModelBackend, ModelRequest, PurposeTag
 from halodet.prompts import RenderedPrompt
-from halodet.tools import HttpFactSearcher, HttpObjectDetector, HttpSceneTextReader
+from halodet.tools import (
+    HttpFactSearcher,
+    HttpObjectDetector,
+    HttpSceneTextReader,
+    detect_objects,
+    read_scene_text,
+    search_facts,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
 _OFFLINE_SCRIPT = """
 import sys, tempfile
+sys.path.insert(0, "tests")
+import e2e_scenario
 import halodet
 from halodet import cli
+from halodet.gateway import HttpModelBackend
 from halodet.tools import REPLAY_IDS, Replay, mock_backend_set
 
 with tempfile.TemporaryDirectory() as tmp:
@@ -30,15 +36,26 @@ with tempfile.TemporaryDirectory() as tmp:
     assert mock_backend_set(store).fact_searcher.search("q", 3) == []
     null = Replay(None, "null")
     halodet.ToolBackendSet(null, null, null, null)
-    halodet.DiskCache(tmp + "/cache")
-    code = cli.main(["stats", "--bench", "tests/fixtures/bench6.json"])
-assert code == 0, code
-assert "requests" not in sys.modules, "offline path imported requests"
+    HttpModelBackend("https://model.example/v1", api_key="k")  # built, never called
+    e2e_scenario.materialize_fixtures(tmp + "/mock")
+    bench = "tests/fixtures/bench6.json"
+    for args in (
+        ["detect", "--bench", bench, "--backend", "mock", "--fixtures", tmp + "/mock",
+         "--out", tmp, "--run-id", "r", "--cache-dir", tmp + "/cache"],
+        ["evaluate", "--bench", bench, "--results", tmp + "/r"],
+        ["stats", "--bench", bench],
+        ["cache", "stat", "--cache-dir", tmp + "/cache"],
+    ):
+        code = cli.main(args)
+        assert code == 0, (args[0], code)
+for name in ("requests", "http.client", "ssl"):
+    assert name not in sys.modules, f"offline path imported {name}"
 print("offline ok")
 """
 
 
 def test_offline_path_never_imports_requests():
+    """Nor http.client and ssl, which the first live call loads."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", _OFFLINE_SCRIPT], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=60)
@@ -46,43 +63,14 @@ def test_offline_path_never_imports_requests():
     assert proc.stdout.strip().endswith("offline ok")
 
 
-class _JsonHandler(BaseHTTPRequestHandler):
-    def do_POST(self):
-        length = int(self.headers["Content-Length"])
-        sent = json.loads(self.rfile.read(length))
-        body = json.dumps({"text": f"echo {sent['user']}"}).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture
-def local_endpoint(monkeypatch):
-    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
-    server = HTTPServer(("127.0.0.1", 0), _JsonHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield f"http://127.0.0.1:{server.server_port}/v1"
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
-        assert not thread.is_alive()
-
-
-def test_live_client_without_session_gets_a_working_one(local_endpoint):
-    import requests
-
-    backend = HttpModelBackend(local_endpoint, api_key="k")
+def test_a_live_client_from_its_endpoint_and_key_completes_a_call(loopback):
+    loopback.script = [Reply({"text": "echo hello"}), Reply({"detections": []}),
+                       Reply({"lines": []}), Reply({"organic": [{"snippet": "s"}]})]
     request = ModelRequest(prompt=RenderedPrompt(system="s", user="hello"),
                            purpose_tag=PurposeTag.VERIFY)
-    assert backend.invoke(request) == "echo hello"
-    for client in (backend, HttpObjectDetector(local_endpoint),
-                   HttpSceneTextReader(local_endpoint), HttpFactSearcher("key")):
-        assert isinstance(client._session, requests.Session)
+    assert HttpModelBackend(loopback.url, api_key="k").invoke(request) == "echo hello"
+    assert detect_objects(HttpObjectDetector(loopback.url), image_ref("a"), ["cat"]) == []
+    assert read_scene_text(HttpSceneTextReader(loopback.url), image_ref("a")) == []
+    [hit] = search_facts(HttpFactSearcher("key", endpoint=loopback.url), "q", 3)
+    assert hit.snippet == "s"
+    assert len(loopback.requests) == 4
