@@ -32,6 +32,8 @@ _KEY_FIELDS = ("tool_kind", "canonical_query", "image_digest", "backend_id")
 _IMAGE_BOUND_KINDS = frozenset({"object-detect", "scene-text", "attribute"})
 # A whole stats.log line: two counts, short enough that int() always reads them.
 _STATS_LINE = re.compile(rb"^([0-9]{1,18}) ([0-9]{1,18})\n", re.MULTILINE)
+# The most snippets one fact question keeps, in every run; each fact-search key carries it.
+FACT_TOP_K = 3
 
 
 @dataclass(frozen=True)
@@ -78,8 +80,8 @@ class CacheKey:
         return cls("attribute", question.strip(), image_digest, backend_id)
 
     @classmethod
-    def fact_search(cls, question: str, top_k: int, backend_id: str) -> CacheKey:
-        return cls("fact-search", f"{question.strip()} [top_k={top_k}]", "", backend_id)
+    def fact_search(cls, question: str, backend_id: str) -> CacheKey:
+        return cls("fact-search", f"{question.strip()} [top_k={FACT_TOP_K}]", "", backend_id)
 
     @classmethod
     def model(cls, request_digest: str, backend_id: str) -> CacheKey:

@@ -36,7 +36,7 @@ import random
 import threading
 import time
 from concurrent.futures import Executor, ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -74,7 +74,6 @@ from .stages import (
     verify,
 )
 from .tools import (
-    FACT_TOP_K,
     ToolBackendSet,
     detect_objects,
     fact_snippet_line,
@@ -159,6 +158,7 @@ class PairFailure:
     error_type: str
     message: str
     trace: tuple[TraceRecord, ...]
+    error: Exception = field(compare=False, repr=False)  # not written; run_detection raises it
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -313,15 +313,16 @@ class _PairCalls:
         self._finish()
 
     def _finish(self) -> None:
-        """The pair's continuation: formulation errors in the order of
-        ``FORMULATION_KINDS``, then the first tool error in merge order, else
-        the verdicts; either way the outcome goes to the batch."""
+        """The pair's continuation: the first formulation error in the order of
+        ``FORMULATION_KINDS``, tagged with its ``template_id``, then the first tool
+        error in merge order, else the verdicts; either way the outcome goes to the batch."""
         pair, method = self._pair, self._batch.method
         try:
             if method is DetectionMethod.UNIHD:
                 for template in FORMULATION_KINDS:
-                    if template in self._failures:
-                        raise self._failures[template]
+                    if error := self._failures.get(template):
+                        error.template_id = template  # type: ignore[attr-defined]
+                        raise error
                 plan = tool_plan(self._replies)
                 evidence = self.evidence(plan)
                 verdicts = verify(pair, evidence, self)
@@ -335,9 +336,9 @@ class _PairCalls:
                                     is_degraded(verdicts), self.trace()))
 
     def _store(self, outcome: DetectionResult | Exception) -> None:
-        if isinstance(outcome, Exception):
-            # So failure records can show which stages did complete.
-            outcome.completed_trace = self.trace()  # type: ignore[attr-defined]
+        if isinstance(outcome, Exception):  # recorded with the stages that did complete
+            outcome = PairFailure(self._pair.id, type(outcome).__name__, str(outcome),
+                                  self.trace(), outcome)
         # No call is left; an error kept here would tie a cycle through its traceback.
         self._tools, self._failures, self._replies = {}, {}, {}
         self._batch.store(self._position, outcome)
@@ -413,10 +414,9 @@ class _PairCalls:
         searcher = self._batch.backends.fact_searcher
         return self._tool(
             _SEARCH, question,
-            lambda: CacheKey.fact_search(question, FACT_TOP_K, searcher.backend_id),
+            lambda: CacheKey.fact_search(question, searcher.backend_id),
             lambda: FactEvidence(question=question, snippets=tuple(
-                fact_snippet_line(s) for s in search_facts(searcher, question, FACT_TOP_K)
-            )).to_json(),
+                fact_snippet_line(s) for s in search_facts(searcher, question))).to_json(),
         )
 
     def evidence(self, plan: ToolPlan) -> EvidenceBundle:
@@ -445,7 +445,7 @@ class _Batch:
 
     A pair is admitted by submitting its first task with the pair as its
     argument; the task that finishes a pair admits the next. ``outcomes``
-    holds each pair's result or exception, in input order.
+    holds each pair's result or failure record, in input order.
     """
 
     pairs: Sequence[ImageTextPair]
@@ -456,13 +456,13 @@ class _Batch:
     demonstrations: Sequence[SelfCheckDemo]
 
     def __post_init__(self) -> None:
-        self.outcomes: list[DetectionResult | Exception | None] = [None] * len(self.pairs)
+        self.outcomes: list[DetectionResult | PairFailure | None] = [None] * len(self.pairs)
         self.pool: Executor | None = None
         self._lock = threading.Lock()  # guards _admitted and _finished
         self._admitted = self._finished = 0
         self._done = threading.Event()
 
-    def run(self, width: int) -> list[DetectionResult | Exception | None]:
+    def run(self, width: int) -> BatchOutcome:
         if self.pairs:
             # Per pair in flight: its first task, the 2 pooled formulation
             # calls and up to 8 tool calls.
@@ -471,7 +471,8 @@ class _Batch:
                 for _ in range(width):
                     self._admit()
                 self._done.wait()
-        return self.outcomes
+        return BatchOutcome([o for o in self.outcomes if isinstance(o, DetectionResult)],
+                            [o for o in self.outcomes if isinstance(o, PairFailure)])
 
     def _admit(self) -> None:
         with self._lock:
@@ -482,7 +483,7 @@ class _Batch:
     def _start(self, position: int, pair: ImageTextPair) -> None:
         _PairCalls(pair, position, self).run()
 
-    def store(self, position: int, outcome: DetectionResult | Exception) -> None:
+    def store(self, position: int, outcome: DetectionResult | PairFailure) -> None:
         self.outcomes[position] = outcome
         self._admit()  # a submit, so the stack does not grow from pair to pair
         with self._lock:
@@ -505,10 +506,10 @@ def run_detection(
     unannotated pair goes through the extraction stage first. The self-check
     methods never touch tool backends and carry empty evidence.
     """
-    [outcome] = _Batch([pair], method, backends, gateway, cache, demonstrations).run(width=1)
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    outcome = _Batch([pair], method, backends, gateway, cache, demonstrations).run(width=1)
+    for failure in outcome.failures:
+        raise failure.error
+    return outcome.results[0]
 
 
 def run_batch(
@@ -531,13 +532,10 @@ def run_batch(
     if len(set(ids)) != len(ids):
         raise ConfigInvalid("pair ids must be unique within a batch")
 
-    outcomes = _Batch(pairs, method, backends, gateway, cache, demonstrations).run(width)
-    results = [outcome for outcome in outcomes if isinstance(outcome, DetectionResult)]
-    failures = [PairFailure(pair.id, type(exc).__name__, str(exc), exc.completed_trace)
-                for pair, exc in zip(pairs, outcomes) if isinstance(exc, Exception)]
+    outcome = _Batch(pairs, method, backends, gateway, cache, demonstrations).run(width)
     # A failure keeps its type, message and trace. Tracebacks go, along each
     # cause and context: their frames hold the pair's calls, which hold them.
-    chain = [exc for exc in outcomes if isinstance(exc, Exception)]
+    chain = [failure.error for failure in outcome.failures]
     while chain:
         exc = chain.pop()
         if exc is not None and exc.__traceback__ is not None:
@@ -548,7 +546,7 @@ def run_batch(
             cache.flush_stats()
         except OSError as exc:
             logger.warning("cache stats not saved: %s", exc)
-    return BatchOutcome(results=results, failures=failures)
+    return outcome
 
 
 # --- run directory ---------------------------------------------------------------

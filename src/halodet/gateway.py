@@ -161,6 +161,8 @@ class _HttpJsonClient:
     BackendUnavailable; a status other than 200 raises its ``_status_errors``
     class, else BackendUnavailable (a 3xx among them, and a 429 rate limit,
     since it heals). Each connect and each read waits at most ``timeout`` s.
+    An endpoint without an http or https scheme or without a host is a
+    ValueError when the client is built.
     """
 
     timeout = 30.0
@@ -169,6 +171,8 @@ class _HttpJsonClient:
     def __init__(self, endpoint: str, headers: dict[str, str]) -> None:
         self.endpoint = endpoint
         self._url = url = urlsplit(endpoint)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"endpoint {endpoint!r} is not an http or https URL with a host")
         self._target = (url.path or "/") + (f"?{url.query}" if url.query else "")
         self._headers = {"Content-Type": "application/json", **headers}
         self._idle: list[http.client.HTTPConnection] = []
@@ -216,9 +220,7 @@ class _HttpJsonClient:
         import http.client
 
         kind = {"http": http.client.HTTPConnection,
-                "https": http.client.HTTPSConnection}.get(self._url.scheme)
-        if kind is None:
-            raise ValueError(f"unsupported URL scheme {self._url.scheme!r}")
+                "https": http.client.HTTPSConnection}[self._url.scheme]
         return kind(self._url.netloc, timeout=self.timeout)
 
 

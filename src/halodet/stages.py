@@ -241,8 +241,7 @@ def formulate(
 
     ``objects`` is the pair-level object vocabulary the attribute template
     binds; ``claim_list`` is the pair's rendered claim list. Object labels
-    come back lowercased and deduplicated. Any error raised carries a
-    ``template_id`` attribute naming ``template``.
+    come back lowercased and deduplicated.
     """
     if not pair.claims:
         raise ValueError(f"pair {pair.id!r} has no claims")
@@ -250,15 +249,10 @@ def formulate(
     if template is TemplateId.ATTRIBUTE_QUERY:
         bindings["objects"] = render_object_string(objects)
     normalize = _dedup_lower if template is TemplateId.OBJECT_QUERY else tuple
-    try:
-        response = gateway.complete(ModelRequest(
-            prompt=render(template, bindings), purpose_tag=PurposeTag.QUERY_FORMULATE,
-        ))
-        parsed = parse_claim_query_map(response.text, len(pair.claims),
-                                       FORMULATION_KINDS[template])
-    except Exception as exc:
-        exc.template_id = template  # type: ignore[attr-defined]
-        raise
+    response = gateway.complete(ModelRequest(
+        prompt=render(template, bindings), purpose_tag=PurposeTag.QUERY_FORMULATE,
+    ))
+    parsed = parse_claim_query_map(response.text, len(pair.claims), FORMULATION_KINDS[template])
     return {i: normalize(queries) for i, queries in parsed.items()}
 
 

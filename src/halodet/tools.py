@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Any, Callable, Protocol, Sequence, TypeVar
 
-from .cache import CacheKey, DiskCache
+from .cache import FACT_TOP_K, CacheKey, DiskCache
 from .errors import AuthFailure, BackendError, InvalidImage
 from .gateway import (
     Completer,
@@ -48,10 +48,8 @@ NONE_INFORMATION = "none information"
 
 # One fact block is clipped here after formatting; a marker shows the cut.
 FACT_BLOCK_CHAR_LIMIT = 2000
-# Fixed for every run: the live detector drops detections scored below this, and each
-# fact question keeps at most this many snippets (the fact-search key carries it).
+# Fixed for every run: the live detector drops detections scored below this.
 DETECTOR_THRESHOLD = 0.35
-FACT_TOP_K = 3
 DEFAULT_SEARCH_ENDPOINT = "https://google.serper.dev/search"
 _Boxed = TypeVar("_Boxed", ObjectEvidence, SceneTextEvidence)
 
@@ -157,13 +155,11 @@ def _checked(items: list[_Boxed], backend: str, key: Callable[[_Boxed], Any]) ->
     return sorted(set(items), key=key)
 
 
-def search_facts(searcher: FactSearcher, question: str, top_k: int) -> list[FactSnippet]:
-    """Search one fact question; at most top_k hits, provider order kept."""
+def search_facts(searcher: FactSearcher, question: str) -> list[FactSnippet]:
+    """Search one fact question; at most FACT_TOP_K hits, provider order kept."""
     if not question:
         raise ValueError("question must be non-empty")
-    if top_k < 1:
-        raise ValueError("top_k must be >= 1")
-    return list(searcher.search(question, top_k))[:top_k]
+    return list(searcher.search(question, FACT_TOP_K))[:FACT_TOP_K]
 
 
 # --- evidence formatting -----------------------------------------------------
@@ -271,8 +267,8 @@ class Replay:
         return list(each(items or [], SceneTextEvidence.from_json))
 
     def search(self, question: str, top_k: int) -> list[FactSnippet]:
-        """Recorded snippet lines; :func:`fact_snippet_line` maps each back."""
-        fact = self._lookup(CacheKey.fact_search, question, top_k)
+        """The lines recorded at ``FACT_TOP_K``; :func:`fact_snippet_line` maps each back."""
+        fact = self._lookup(CacheKey.fact_search, question)
         return [] if fact is None else [
             FactSnippet("", line, "") for line in FactEvidence.from_json(fact).snippets]
 

@@ -111,9 +111,10 @@ def formulate_queries(pair, gateway):
 
     Makes the four formulation calls one after another, in the order of
     ``FORMULATION_KINDS``; the attribute prompt binds the object vocabulary
-    of the object reply. The first error stops the rest and carries a
-    ``template_id``. The executor makes the same calls concurrently and
-    must reach the same plan.
+    of the object reply. The first error stops the rest and is tagged with
+    its ``template_id`` here, as ``executor._PairCalls._finish`` tags the
+    error it picks. The executor makes the same calls concurrently and must
+    reach the same plan.
     """
     from halodet.prompts import TemplateId, render_claim_list
     from halodet.stages import FORMULATION_KINDS, formulate, label_union, tool_plan
@@ -123,7 +124,11 @@ def formulate_queries(pair, gateway):
     for template in FORMULATION_KINDS:
         objects = (label_union(replies[TemplateId.OBJECT_QUERY].values())
                    if template is TemplateId.ATTRIBUTE_QUERY else ())
-        replies[template] = formulate(pair, template, gateway, objects, claim_list)
+        try:
+            replies[template] = formulate(pair, template, gateway, objects, claim_list)
+        except Exception as exc:
+            exc.template_id = template
+            raise
     return tool_plan(replies)
 
 

@@ -72,7 +72,7 @@ def drop(directory: str | Path, doomed: Callable[[Record], bool]) -> int:
 
 
 def key(query: str) -> CacheKey:
-    return CacheKey.fact_search(query, 3, "mock")
+    return CacheKey.fact_search(query, "mock")
 
 
 def write_keys(directory: str, writer: int, count: int) -> None:

@@ -2,8 +2,8 @@
 
 The benchmark scripts under ``benchmarks/`` import halodet by name and
 subclass ``DiskCache`` and ``ModelGateway``. They are parsed here, never
-imported, so a change that removes or reshapes what they use fails this
-suite before it fails a benchmark run.
+imported, so a change that removes or reshapes what they use, or a call
+they make, fails this suite before it fails a benchmark run.
 """
 
 from __future__ import annotations
@@ -108,3 +108,49 @@ def test_the_shapes_above_cover_every_override():
         ("DiskCache", "__init__"), ("DiskCache", "get"), ("DiskCache", "put"),
         ("ModelGateway", "__init__"), ("ModelGateway", "complete"),
     }
+
+
+def _halodet_calls() -> list[tuple[str, int, str, ast.Call]]:
+    """(script, line, callee, call) for each call of a halodet name from a benchmark script.
+
+    A callee is a name imported from halodet, ``halodet.X``, or an attribute
+    of a halodet module imported by name (``bench.load``).
+    """
+    calls = []
+    for script, tree in _trees().items():
+        imported = {local: ".".join(source) for local, source in _imports(tree).items()}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func, callee = node.func, None
+            if isinstance(func, ast.Name) and func.id in imported:
+                callee = imported[func.id]
+            elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+                owner = imported.get(func.value.id)
+                if func.value.id == "halodet":
+                    callee = f"halodet.{func.attr}"
+                elif owner is not None and inspect.ismodule(_resolve(owner)):
+                    callee = f"{owner}.{func.attr}"
+            if callee is not None:
+                calls.append((script, node.lineno, callee, node))
+    return calls
+
+
+def test_each_call_into_halodet_binds_to_its_signature():
+    """A renamed or removed parameter, or a new required one, fails here, not in a
+    benchmark run. Positional arguments bind by count, so a swap of two is not seen."""
+    bound, unbound = [], []
+    for script, line, callee, call in _halodet_calls():
+        if any(isinstance(arg, ast.Starred) for arg in call.args) or any(
+                keyword.arg is None for keyword in call.keywords):
+            continue  # *args or **kwargs: the count is not known before the run
+        try:
+            inspect.signature(_resolve(callee)).bind(
+                *call.args, **{keyword.arg: keyword.value for keyword in call.keywords})
+        except TypeError as exc:
+            unbound.append(f"{script}:{line}: {callee}: {exc}")
+        else:
+            bound.append(callee)
+    assert unbound == []
+    assert {"halodet.executor.run_batch", "halodet.executor.write_run_dir",
+            "halodet.cache.CacheKey", "halodet.bench.load_detection_input"} <= set(bound)

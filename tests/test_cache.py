@@ -60,13 +60,16 @@ class TestCacheKey:
             CacheKey.attribute(image("huawei"), " What color is the phone? ",
                                "mock-attribute"):
                 "b90876a5fc1bf6a0d1dfbf7a851482d61a83c33baef326339ea922f8594fd7f8",
-            CacheKey.fact_search("Huawei company", 3, "mock-fact-search"):
+            CacheKey.fact_search("Huawei company", "mock-fact-search"):
                 "e5fc5098126ae451e6fd5adfe4f83e6be936e5154816fb7593a164182878832b",
             CacheKey.model(request_digest(request), "mock-model"):
                 "ebf71fe3b757038e9fa8dcdc92bb7733c7d3ff389a3981cf4076bc174fca21eb",
         }
         for key, digest in pinned.items():
             assert key.digest() == digest, key
+        # The fixed search depth stays in the query, so stores recorded with it still hit.
+        assert CacheKey.fact_search(" Huawei company ", "b").canonical_query == (
+            "Huawei company [top_k=3]")
 
 
 class TestDiskCache:

@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import shutil
+import socket
 import subprocess
 import sys
 from datetime import datetime, timezone
@@ -235,6 +236,29 @@ class TestDetect:
         (line,) = capsys.readouterr().err.splitlines()
         assert json.loads(line)["error"] == "FileExistsError"
         assert not (tmp_path / "cache").exists()  # no reply was put, so no call made
+
+    @pytest.mark.parametrize("endpoint", ["model.example/v1", "http://:34887/v1"],
+                             ids=["no-scheme", "no-host"])
+    def test_a_live_endpoint_the_clients_cannot_speak_fails_before_any_pair(
+            self, tmp_path, capsys, monkeypatch, endpoint):
+        def refuse(*args):
+            raise AssertionError("a pair ran")
+
+        monkeypatch.setattr(socket.socket, "connect", refuse)
+        for key, value in (("MODEL_API_KEY", "k"), ("SEARCH_API_KEY", "s"),
+                           ("MODEL_ENDPOINT", endpoint),
+                           ("DETECTOR_ENDPOINT", "https://det.example"),
+                           ("OCR_ENDPOINT", "https://ocr.example")):
+            monkeypatch.setenv(f"HALODET_{key}", value)
+        assert main(["detect", "--bench", str(FIXTURES / "bench6.json"), "--backend", "live",
+                     "--out", str(tmp_path / "out"), "--run-id", "r1",
+                     "--cache-dir", str(tmp_path / "cache")]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line) == {
+            "error": "ValueError",
+            "message": f"endpoint {endpoint!r} is not an http or https URL with a host"}
+        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "cache").exists()
 
     def test_no_cache_matches_cached_run(self, scenario_dir, tmp_path):
         assert main(_detect_args(scenario_dir, tmp_path, "cached")) == 0
@@ -513,7 +537,7 @@ class TestStatsAndCache:
 
     def test_a_key_written_twice_is_one_entry(self, tmp_path, capsys):
         cache = DiskCache(tmp_path / "cache")
-        key = CacheKey.fact_search("Huawei company", 3, "mock-fact-search")
+        key = CacheKey.fact_search("Huawei company", "mock-fact-search")
         cache.put(key, {"snippets": ["first"]})
         cache.put(key, {"snippets": ["second"]})
         assert main(["cache", "stat", "--cache-dir", str(tmp_path / "cache")]) == 0

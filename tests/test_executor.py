@@ -30,6 +30,8 @@ from conftest import (
 )
 from halodet.cache import DiskCache
 from halodet.errors import (
+    AuthFailure,
+    BackendError,
     BackendUnavailable,
     ConfigInvalid,
     InvalidImage,
@@ -589,6 +591,36 @@ class TestRunDir:
         stages = [record["stage"] for record in error["trace"]]
         assert stages == ["model:query-formulate"] * 4
 
+    def test_pairs_failing_with_one_shared_error_each_keep_their_own_trace(self, tmp_path):
+        # Each pair's claims are extracted, then its judgement raises the one
+        # error instance both pairs share.
+        shared = BackendError("model gone")
+
+        class ExtractThenFail:
+            backend_id = "extract-then-fail"
+
+            def invoke(self, request):
+                if request.purpose_tag is PurposeTag.EXTRACT:
+                    return '{"claim1": "A thing is claimed."}'
+                raise shared
+
+        def run(pairs):
+            return run_batch(pairs, DetectionMethod.SELF_CHECK_0SHOT, None,
+                             ModelGateway(ExtractThenFail(), sleep=lambda _: None), width=2)
+
+        pairs = [replace(pair, claims=()) for pair in _simple_pairs(2)]
+        alone = [run([pair]).failures[0] for pair in pairs]
+        outcome = run(pairs)
+        together = outcome.failures
+        assert [failure.trace for failure in together] == [failure.trace for failure in alone]
+        assert [[r.stage for r in failure.trace] for failure in together] == [
+            ["model:extract"], ["model:extract"]]
+        assert alone[0].trace != alone[1].trace
+        assert all(failure.error is shared for failure in together)
+        run_dir = write_run_dir(tmp_path, "shared", outcome, DetectionMethod.SELF_CHECK_0SHOT, {})
+        assert json.loads((run_dir / "errors.json").read_text()) == [
+            failure.to_json() for failure in alone]
+
     def test_existing_run_dir_rejected(self, tmp_path):
         outcome = run_batch([], DetectionMethod.UNIHD, _backends(), table_gateway([]))
         write_run_dir(tmp_path, "dup", outcome, DetectionMethod.UNIHD, {})
@@ -1013,6 +1045,25 @@ class TestFormulationErrorOrder:
                           _timed_gateway(rules, clock))
         assert exc_info.value.template_id is surfaced
         assert clock.in_flight == 0
+
+    def test_one_error_raised_by_two_formulations_is_tagged_as_the_one_surfaced(self):
+        # The scene-text formulation raises the same instance after the object one.
+        shared = AuthFailure("key revoked")
+
+        class SharedError(TableBackend):
+            def invoke(self, request):
+                prompt = request.prompt.system + request.prompt.user
+                if "questions about scene text" in prompt:
+                    time.sleep(0.1)
+                if "object extractor" in prompt or "questions about scene text" in prompt:
+                    raise shared
+                return super().invoke(request)
+
+        with pytest.raises(AuthFailure) as exc_info:
+            run_detection(_athlete_pair(), DetectionMethod.UNIHD, _backends(),
+                          ModelGateway(SharedError(_ATHLETE_RULES), sleep=lambda _: None))
+        assert exc_info.value is shared
+        assert shared.template_id is TemplateId.OBJECT_QUERY
 
     def test_replies_after_a_failure_are_not_handed_on(self):
         rules = [

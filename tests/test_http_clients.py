@@ -127,7 +127,7 @@ class TestHttpFactSearcher:
             {"title": "Empty", "snippet": "", "link": "https://c"},
         ]})]
         searcher = HttpFactSearcher("key", endpoint=loopback.url)
-        out = search_facts(searcher, "Where is Huawei headquartered?", 3)
+        out = search_facts(searcher, "Where is Huawei headquartered?")
         assert [s.title for s in out] == ["Huawei", "More"]
         assert out[0].source_url == "https://a"
         assert loopback.requests[0]["json"] == {"q": "Where is Huawei headquartered?"}
@@ -136,7 +136,7 @@ class TestHttpFactSearcher:
         # A rate limit heals, so it maps to the class the executor retries.
         loopback.script = [Reply(status=429)]
         with pytest.raises(BackendUnavailable):
-            search_facts(HttpFactSearcher("key", endpoint=loopback.url), "q", 3)
+            search_facts(HttpFactSearcher("key", endpoint=loopback.url), "q")
 
     def test_missing_key_rejected_up_front(self):
         with pytest.raises(AuthFailure, match="fact search requires an API key"):
@@ -153,7 +153,7 @@ class TestHttpFactSearcher:
     def test_non_json_body_is_backend_unavailable(self, loopback):
         loopback.script = [Reply(b"<html>not json</html>")]
         with pytest.raises(BackendUnavailable, match="malformed body"):
-            search_facts(HttpFactSearcher("key", endpoint=loopback.url), "q", 3)
+            search_facts(HttpFactSearcher("key", endpoint=loopback.url), "q")
 
 
 # Each live client built on an endpoint, and one call through it.
@@ -167,7 +167,7 @@ _CALLS = {
     "model": lambda client: client.invoke(_request()),
     "detector": lambda client: detect_objects(client, image_ref("a"), ["cat"]),
     "scene-text": lambda client: read_scene_text(client, image_ref("a")),
-    "search": lambda client: search_facts(client, "q", 3),
+    "search": lambda client: search_facts(client, "q"),
 }
 
 
@@ -304,9 +304,11 @@ def test_a_redirect_is_backend_unavailable_and_not_followed(status, loopback):
     assert len(loopback.requests) == 1
 
 
-def test_an_unsupported_scheme_is_backend_unavailable():
-    with pytest.raises(BackendUnavailable, match="unsupported URL scheme 'ftp'"):
-        _call("model", "ftp://model.example/v1")
+def test_an_endpoint_without_an_http_scheme_or_a_host_is_refused_when_built():
+    for url in ("ftp://model.example/v1", "model.example/v1", "http://:34887/v1", "https:///v1"):
+        for client in _CLIENTS.values():
+            with pytest.raises(ValueError, match="is not an http or https URL with a host"):
+                client(url)
 
 
 def test_https_verifies_certificates(loopback):
@@ -451,6 +453,6 @@ class TestLiveContracts:
         if not api_key:
             pytest.skip("HALODET_SEARCH_API_KEY not set")
         searcher = HttpFactSearcher(api_key)
-        out = search_facts(searcher, "Where is the Eiffel Tower located?", 3)
+        out = search_facts(searcher, "Where is the Eiffel Tower located?")
         assert len(out) <= 3
         assert all(s.snippet for s in out)

@@ -71,6 +71,6 @@ def test_a_live_client_from_its_endpoint_and_key_completes_a_call(loopback):
     assert HttpModelBackend(loopback.url, api_key="k").invoke(request) == "echo hello"
     assert detect_objects(HttpObjectDetector(loopback.url), image_ref("a"), ["cat"]) == []
     assert read_scene_text(HttpSceneTextReader(loopback.url), image_ref("a")) == []
-    [hit] = search_facts(HttpFactSearcher("key", endpoint=loopback.url), "q", 3)
+    [hit] = search_facts(HttpFactSearcher("key", endpoint=loopback.url), "q")
     assert hit.snippet == "s"
     assert len(loopback.requests) == 4

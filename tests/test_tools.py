@@ -22,6 +22,7 @@ from halodet.model import (
 from halodet.prompts import RenderedPrompt
 from halodet.tools import (
     FACT_BLOCK_CHAR_LIMIT,
+    FACT_TOP_K,
     NONE_INFORMATION,
     REPLAY_IDS,
     FactSnippet,
@@ -155,28 +156,29 @@ class TestFactSearch:
                 self.items = items
 
             def search(self, question, top_k):
+                self.top_k = top_k
                 return list(self.items)
 
         provider = Provider(self._snippets(5))
-        assert len(search_facts(provider, "q", 3)) == 3
-        assert search_facts(provider, "q", 1) == self._snippets(1)
+        assert search_facts(provider, "q") == self._snippets(FACT_TOP_K)
+        assert provider.top_k == FACT_TOP_K == 3
 
     def test_provider_order_preserved(self, tmp_path):
         lines = [fact_snippet_line(s) for s in self._snippets(3)]
         store = DiskCache(tmp_path)
-        store.put(CacheKey.fact_search("q", 3, REPLAY_IDS["fact_searcher"]),
+        store.put(CacheKey.fact_search("q", REPLAY_IDS["fact_searcher"]),
                   FactEvidence("q", tuple(lines)).to_json())
-        out = search_facts(Replay(store, REPLAY_IDS["fact_searcher"]), "q", 3)
+        out = search_facts(Replay(store, REPLAY_IDS["fact_searcher"]), "q")
         assert [fact_snippet_line(s) for s in out] == lines
         assert lines[0] == "title 0: snippet 0 (https://x/0)"
 
     def test_zero_hits(self, tmp_path):
         searcher = Replay(DiskCache(tmp_path), REPLAY_IDS["fact_searcher"])
-        assert search_facts(searcher, "unknown question", 3) == []
+        assert search_facts(searcher, "unknown question") == []
 
     def test_empty_question_rejected(self):
         with pytest.raises(ValueError):
-            search_facts(Replay(None, "null"), "", 3)
+            search_facts(Replay(None, "null"), "")
 
 
 class TestAttributeAnswer:
@@ -390,7 +392,6 @@ class TestFamilyPreconditions:
     @pytest.mark.parametrize("call, error, message", [
         (lambda tool: detect_objects(tool, _NO_DIGEST, ["x"]), InvalidImage, "no digest"),
         (lambda tool: read_scene_text(tool, _NO_DIGEST), InvalidImage, "no digest"),
-        (lambda tool: search_facts(tool, "q", 0), ValueError, "top_k must be >= 1"),
     ])
     def test_a_bad_input_is_refused(self, call, error, message):
         with pytest.raises(error, match=message):
