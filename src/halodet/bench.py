@@ -5,7 +5,8 @@ versioned ``mhalubench.v1`` schema shipped under ``schema/``, bare single-pair
 files, and self-check demonstration files. Each record in them is decoded by
 its own ``from_json`` (see :mod:`halodet.model`), which rejects a key the
 schema does not list; this module adds the file envelope and the checks that
-span records. Every failed check raises SchemaViolation at a JSON pointer.
+span records. Every failed check raises SchemaViolation naming the file and
+a JSON pointer.
 Image digests are verified when the image files are actually present; metrics
 need no pixels, so a missing file just means digest-only mode.
 """
@@ -72,11 +73,12 @@ def _checked(path: Path, decode: Callable[[Any], T]) -> T:
     try:
         data = json.loads(path.read_text("utf-8"))
     except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
-        raise SchemaViolation("/", f"not valid JSON: {exc}") from exc
+        raise SchemaViolation(str(path), "/", f"not valid JSON: {exc}") from exc
     try:
         return within(data, decode)
     except ValueError as exc:
-        raise SchemaViolation(exc.pointer, exc.reason) from None  # type: ignore[attr-defined]
+        pointer, reason = exc.pointer, exc.reason  # type: ignore[attr-defined]
+        raise SchemaViolation(str(path), pointer, reason) from None
 
 
 def _check_image_file(image: ImageRef, folder: Path, *at: str | int) -> None:

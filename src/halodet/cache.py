@@ -8,7 +8,8 @@ its segments in name (creation) order without parsing JSON, and creates
 nothing; a later record of a key wins. A get is a dict lookup plus, on a hit,
 one ``os.pread``; a put is one ``os.write``. A torn tail (no final newline) is
 never indexed, and a write that fails abandons its segment. Other processes'
-new records show on reopen. Hit and miss counts are appended to ``stats.log``.
+new records show on reopen. Each run appends its hit and miss counts to
+``stats.log``.
 """
 
 from __future__ import annotations
@@ -102,13 +103,11 @@ class DiskCache:
                                 "layout (objects/); delete that directory and run again")
         self._segments = self.directory / "segments"  # made by the first put
         self._lock = threading.Lock()
-        self._stats_lock = threading.Lock()  # a read never waits on a write
         self._index: dict[str, tuple[str, int, int]] = {}  # digest -> (segment, offset, length)
         self._fds: dict[str, int] = {}  # segment -> descriptor, opened at first use
         self._writer: str | None = None  # this instance's segment, until a write fails
         self._end = 0  # the length of that segment
         weakref.finalize(self, _close_all, self._fds)
-        self.hits = self.misses = 0
         for name in self._segment_names():
             try:
                 data, start = (self._segments / name).read_bytes(), 0
@@ -123,11 +122,10 @@ class DiskCache:
 
     def get(self, key: CacheKey) -> tuple[bool, Any]:
         """Look up a key; returns (hit, value). A tampered record, or one of any
-        unreadable shape, counts as a miss, then raises StoreCorrupt."""
+        unreadable shape, raises StoreCorrupt."""
         digest = key.digest()
         entry = self._index.get(digest)
         if entry is None:
-            self._count(hit=False)
             return False, None
         name, offset, length = entry
         try:
@@ -143,15 +141,8 @@ class DiskCache:
             if sha256_json(value) != record["value_sha256"]:
                 raise ValueError("the value failed its integrity check")
         except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
-            self._count(hit=False)
             raise StoreCorrupt(f"unreadable cache record {digest} in {name}: {exc}") from exc
-        self._count(hit=True)
         return True, value
-
-    def _count(self, hit: bool) -> None:
-        with self._stats_lock:
-            self.hits += hit
-            self.misses += not hit
 
     def put(self, key: CacheKey, value: Any) -> None:
         encoded = json.dumps({"key": {name: getattr(key, name) for name in _KEY_FIELDS},
@@ -197,24 +188,16 @@ class DiskCache:
             self._writer = None
             for name in self._segment_names():
                 (self._segments / name).unlink(missing_ok=True)
-        with self._stats_lock:
-            self.hits = self.misses = 0
         (self.directory / "stats.log").unlink(missing_ok=True)
         return removed
 
-    def flush_stats(self) -> None:
-        """Append this instance's hit/miss counters to ``stats.log`` as one
-        ``<hits> <misses>`` line, in one ``O_APPEND`` write, so runs sharing a
-        cache directory neither collide nor lose counts."""
-        with self._stats_lock:
-            line = f"{self.hits} {self.misses}\n".encode()
-            self.hits = self.misses = 0
+    def flush_stats(self, hits: int, misses: int) -> None:
+        """Append one run's counts to ``stats.log`` as one ``<hits> <misses>``
+        line, in one unbuffered ``O_APPEND`` write, so runs sharing a cache
+        directory neither collide nor lose counts."""
         self.directory.mkdir(parents=True, exist_ok=True)
-        fd = os.open(self.directory / "stats.log", os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
-        try:
-            os.write(fd, line)
-        finally:
-            os.close(fd)
+        with open(self.directory / "stats.log", "ab", buffering=0) as log:
+            log.write(f"{hits} {misses}\n".encode())
 
     def persisted_stats(self) -> dict[str, int]:
         """The sums of ``stats.log``; a line that is not exactly two counts of

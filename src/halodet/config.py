@@ -42,6 +42,10 @@ TOOL_API_KEY_ENV = "HALODET_TOOL_API_KEY"
 _LINE_RE = re.compile(
     r'^\s*([A-Za-z_][A-Za-z0-9_]*)\s*=\s*("(?:[^"\\]|\\.)*"|[^"#\s][^"#]*?)\s*(?:#.*)?$'
 )
+# Integers are ASCII digits with an optional sign; int() alone also reads "1_0" and "٣".
+_INT = r"[+-]?[0-9]+"
+_INT_RE = re.compile(_INT)
+_NUMBER_RE = re.compile(rf"{_INT}(\.[0-9]+)?([eE]{_INT})?")
 
 
 def parse_config_file(path: str | Path) -> dict[str, Any]:
@@ -72,14 +76,8 @@ def _parse_scalar(raw: str, where: str) -> Any:
             raise ConfigInvalid(f"{where}: bad string literal {raw}") from exc
     if raw in ("true", "false"):
         return raw == "true"
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        pass
+    if number := _NUMBER_RE.fullmatch(raw):
+        return float(raw) if number[1] or number[2] else int(raw)
     raise ConfigInvalid(f"{where}: unquoted value {raw!r} (strings need quotes)")
 
 
@@ -197,10 +195,11 @@ def _checked(key: str, value: Any, where: str = "") -> Any:
 
 
 def _parsed(variable: str, raw: str, kind: type) -> Any:
-    try:
-        return _BOOLS[raw.lower()] if kind is bool else kind(raw)
-    except (KeyError, ValueError):
-        raise ConfigInvalid(f"{variable} must be {kind.__name__}, got {raw!r}") from None
+    if kind is bool and raw.lower() in _BOOLS:
+        return _BOOLS[raw.lower()]
+    if kind is str or kind is int and _INT_RE.fullmatch(raw.strip()):
+        return kind(raw)
+    raise ConfigInvalid(f"{variable} must be {kind.__name__}, got {raw!r}")
 
 
 # --- wiring ----------------------------------------------------------------------

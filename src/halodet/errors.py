@@ -123,9 +123,9 @@ class MissingCategoryTags(HalodetError):
 
 
 class SchemaViolation(HalodetError):
-    def __init__(self, path: str, message: str):
-        super().__init__(f"{path}: {message}")
-        self.path = path
+    def __init__(self, file: str, path: str, message: str):
+        super().__init__(f"{file}: {path}: {message}")
+        self.path = path  # the JSON pointer in ``file``
         self.reason = message
 
 

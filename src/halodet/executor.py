@@ -209,12 +209,12 @@ class _PairCalls:
               read: bool = True) -> Any:
         """Serve ``key`` from the cache or ``compute``; record one trace entry.
 
-        A corrupt entry is a miss, which the put then overwrites. A miss
-        retries ``compute`` while it raises BackendUnavailable, waiting
-        through the gateway's ``sleep``; any other error is final. The reply
-        is put once, after the attempt that succeeded; a failed put is
-        logged and the reply used. With ``read`` false the cache read is
-        skipped; the reply is written anyway.
+        Each read counts in the batch; a corrupt entry is a miss, which the
+        put then overwrites. A miss retries ``compute`` while it raises
+        BackendUnavailable, waiting through the gateway's ``sleep``; any other
+        error is final. The reply is put once, after the attempt that succeeded;
+        a failed put is logged and the reply used. With ``read`` false the cache
+        read is skipped, uncounted; the reply is written anyway.
         """
         started = time.monotonic()
         hit, value, cache, attempts = False, None, self._batch.cache, 0
@@ -223,6 +223,7 @@ class _PairCalls:
                 hit, value = cache.get(key)
             except StoreCorrupt as exc:
                 logger.warning("recomputing: %s", exc)
+            self._batch.count(hit)
         if not hit:
             while True:
                 attempts += 1
@@ -458,8 +459,8 @@ class _Batch:
     def __post_init__(self) -> None:
         self.outcomes: list[DetectionResult | PairFailure | None] = [None] * len(self.pairs)
         self.pool: Executor | None = None
-        self._lock = threading.Lock()  # guards _admitted and _finished
-        self._admitted = self._finished = 0
+        self._lock = threading.Lock()  # guards _admitted, _finished, hits and misses
+        self._admitted = self._finished = self.hits = self.misses = 0
         self._done = threading.Event()
 
     def run(self, width: int) -> BatchOutcome:
@@ -471,6 +472,11 @@ class _Batch:
                 for _ in range(width):
                     self._admit()
                 self._done.wait()
+        if self.cache is not None:
+            try:
+                self.cache.flush_stats(self.hits, self.misses)
+            except OSError as exc:
+                logger.warning("cache stats not saved: %s", exc)
         return BatchOutcome([o for o in self.outcomes if isinstance(o, DetectionResult)],
                             [o for o in self.outcomes if isinstance(o, PairFailure)])
 
@@ -482,6 +488,11 @@ class _Batch:
 
     def _start(self, position: int, pair: ImageTextPair) -> None:
         _PairCalls(pair, position, self).run()
+
+    def count(self, hit: bool) -> None:
+        with self._lock:
+            self.hits += hit
+            self.misses += not hit
 
     def store(self, position: int, outcome: DetectionResult | PairFailure) -> None:
         self.outcomes[position] = outcome
@@ -541,11 +552,6 @@ def run_batch(
         if exc is not None and exc.__traceback__ is not None:
             exc.__traceback__ = None
             chain += (exc.__cause__, exc.__context__)
-    if cache is not None:
-        try:
-            cache.flush_stats()
-        except OSError as exc:
-            logger.warning("cache stats not saved: %s", exc)
     return outcome
 
 

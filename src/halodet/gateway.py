@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -177,6 +178,7 @@ class _HttpJsonClient:
         self._headers = {"Content-Type": "application/json", **headers}
         self._idle: list[http.client.HTTPConnection] = []
         self._idle_lock = threading.Lock()
+        weakref.finalize(self, _close_all, self._idle)  # a dropped client closes its sockets
 
     def _post(self, payload: dict, parse: Callable[[Any], T]) -> T:
         import http.client
@@ -222,6 +224,11 @@ class _HttpJsonClient:
         kind = {"http": http.client.HTTPConnection,
                 "https": http.client.HTTPSConnection}[self._url.scheme]
         return kind(self._url.netloc, timeout=self.timeout)
+
+
+def _close_all(connections: list[http.client.HTTPConnection]) -> None:
+    for connection in connections:
+        connection.close()
 
 
 class HttpModelBackend(_HttpJsonClient):

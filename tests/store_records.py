@@ -88,5 +88,4 @@ def flush_hits(directory: str, count: int) -> None:
     """Flush one hit ``count`` times; the target of the multi-process stats test."""
     cache = DiskCache(directory)
     for _ in range(count):
-        cache.hits = 1
-        cache.flush_stats()
+        cache.flush_stats(1, 0)

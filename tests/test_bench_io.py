@@ -353,7 +353,8 @@ class TestRejections:
             load(bench_path)
         assert type(exc_info.value) is error
         assert getattr(exc_info.value, "path", None) == path
-        assert str(exc_info.value) == (message if path is None else f"{path}: {message}")
+        assert str(exc_info.value) == (
+            message if path is None else f"{bench_path}: {path}: {message}")
 
     @pytest.mark.parametrize("pointer, value, message", [
         (f"{_P}/image/digest", _DIGEST_A + "\n", "expected a 64-hex sha256 digest"),
@@ -365,7 +366,7 @@ class TestRejections:
         bench_path.write_text(_edited([(pointer, value)]))
         with pytest.raises(SchemaViolation) as exc_info:
             load(bench_path)
-        assert str(exc_info.value) == f"{pointer}: {message}"
+        assert str(exc_info.value) == f"{bench_path}: {pointer}: {message}"
 
     def test_the_unedited_document_loads(self, tmp_path):
         bench_path = tmp_path / "bench.json"
@@ -411,7 +412,7 @@ class TestSinglePairInput:
         pair_path.write_text(document)
         with pytest.raises(SchemaViolation) as exc_info:
             load_detection_input(pair_path)
-        assert str(exc_info.value) == f"{path}: {message}"
+        assert str(exc_info.value) == f"{pair_path}: {path}: {message}"
 
     def test_the_unedited_pair_loads(self, tmp_path):
         pair_path = tmp_path / "pair.json"
@@ -480,7 +481,7 @@ class TestSchemaRejections:
         bench_path.write_text(document)
         with pytest.raises(SchemaViolation) as exc_info:
             load(bench_path)
-        assert str(exc_info.value) == expected
+        assert str(exc_info.value) == f"{bench_path}: {expected}"
         jsonschema = pytest.importorskip("jsonschema")
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(json.loads(document), schema_document())
@@ -501,7 +502,7 @@ class TestSchemaRejections:
         demos_path.write_text(json.dumps(demos))
         with pytest.raises(SchemaViolation) as exc_info:
             load_demos(demos_path)
-        assert str(exc_info.value) == f"{pointer}: unknown key"
+        assert str(exc_info.value) == f"{demos_path}: {pointer}: unknown key"
 
 
 # The schema's object definitions and the record that decodes each.

@@ -12,16 +12,30 @@ import threading
 import pytest
 
 import store_records
+from conftest import image_ref, table_gateway
 from halodet.cache import CacheKey, DiskCache
 from halodet.errors import ConfigInvalid, StoreCorrupt
+from halodet.executor import run_detection
 from halodet.gateway import ModelRequest, request_digest
 from halodet.hashing import sha256_text
+from halodet.model import Claim, ImageTextPair, TaskType
 from halodet.prompts import RenderedPrompt
+from halodet.stages import DetectionMethod
 
 
 def _key(query: str = "where is it?") -> CacheKey:
     return CacheKey(tool_kind="fact-search", canonical_query=query,
                     image_digest="", backend_id="mock")
+
+
+def _one_read_run(cache: DiskCache, reason: str = "ok") -> None:
+    """A zero-shot self-check of a one-claim pair: one cache read and, on a
+    miss, one model call, whose reply is put; the run appends its counts."""
+    pair = ImageTextPair(id="cat", task=TaskType.VQA, image=image_ref("cat"),
+                         text="A cat.", claims=(Claim(index=1, text="There is a cat."),))
+    reply = json.dumps([{"claim1": "non-hallucination", "reason": reason}])
+    run_detection(pair, DetectionMethod.SELF_CHECK_0SHOT, None,
+                  table_gateway([("hallucination judger", reply)]), cache)
 
 
 class TestCacheKey:
@@ -103,18 +117,18 @@ class TestDiskCache:
         with pytest.raises(StoreCorrupt, match="the record names another key"):
             cache.get(_key())
 
-    def test_corrupt_read_counts_as_a_miss(self, tmp_path):
+    def test_corrupt_read_counts_as_a_miss(self, tmp_path, caplog):
         cache = DiskCache(tmp_path)
-        cache.put(_key(), {"x": 1})
-        [entry] = store_records.records(tmp_path)
-        # A torn write, then valid JSON that is not an entry object.
+        _one_read_run(cache)
+        # A torn write, then valid JSON that is not an entry object; each
+        # run reads the record the run before it put, and recomputes it.
         bodies = ["{torn", "[]", '"x"', "null"]
         for body in bodies:
-            store_records.rewrite(entry, body)
-            with pytest.raises(StoreCorrupt):
-                cache.get(_key())
-        cache.flush_stats()
-        assert cache.persisted_stats() == {"hits": 0, "misses": len(bodies)}
+            store_records.rewrite(store_records.records(tmp_path)[-1], body)
+            _one_read_run(cache)
+        assert len([r for r in caplog.records
+                    if r.getMessage().startswith("recomputing: unreadable")]) == len(bodies)
+        assert (tmp_path / "stats.log").read_bytes() == b"0 1\n" * (1 + len(bodies))
 
     def test_a_record_nested_too_deeply_is_corrupt(self, tmp_path):
         cache = DiskCache(tmp_path)
@@ -123,7 +137,11 @@ class TestDiskCache:
         store_records.rewrite(entry, "[" * 5000)
         with pytest.raises(StoreCorrupt, match="unreadable cache record"):
             cache.get(_key())
-        assert (cache.hits, cache.misses) == (0, 1)
+        # A run that reads such a record counts a miss.
+        _one_read_run(cache, reason="x" * 6000)
+        store_records.rewrite(store_records.records(tmp_path)[-1], "[" * 5000)
+        _one_read_run(cache)
+        assert (tmp_path / "stats.log").read_bytes() == b"0 1\n0 1\n"
 
     def test_entry_count_bytes_and_clear(self, tmp_path):
         cache = DiskCache(tmp_path)
@@ -135,14 +153,9 @@ class TestDiskCache:
         assert cache.entry_count() == 0
 
     def test_stats_accumulate_across_instances(self, tmp_path):
-        cache = DiskCache(tmp_path)
-        cache.put(_key(), 1)
-        cache.get(_key())
-        cache.get(_key("missing"))
-        cache.flush_stats()
+        DiskCache(tmp_path).flush_stats(1, 1)
         second = DiskCache(tmp_path)
-        second.get(_key())
-        second.flush_stats()
+        second.flush_stats(1, 0)
         stats = second.persisted_stats()
         assert stats == {"hits": 2, "misses": 1}
 
@@ -157,30 +170,23 @@ class TestDiskCache:
         (tmp_path / "stats.log").write_bytes(b"3 4\n" + body.encode() + b"\n5 6\n")
         cache = DiskCache(tmp_path)
         assert cache.persisted_stats() == {"hits": 8, "misses": 10}
-        cache.put(_key(), {"x": 1})
-        cache.get(_key())
-        cache.flush_stats()
+        cache.flush_stats(1, 0)
         assert cache.persisted_stats() == {"hits": 9, "misses": 10}
 
     def test_one_flush_appends_one_line(self, tmp_path):
         cache = DiskCache(tmp_path)
-        cache.put(_key(), 1)
-        cache.get(_key())
-        cache.get(_key("missing"))
-        cache.flush_stats()
+        cache.flush_stats(1, 1)
         assert (tmp_path / "stats.log").read_bytes() == b"1 1\n"
-        cache.get(_key())
-        cache.flush_stats()
+        cache.flush_stats(1, 0)
         assert (tmp_path / "stats.log").read_bytes() == b"1 1\n1 0\n"
-        assert sorted(path.name for path in tmp_path.iterdir()) == ["segments", "stats.log"]
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["stats.log"]
 
     def test_a_torn_last_line_adds_nothing(self, tmp_path):
         (tmp_path / "stats.log").write_bytes(b"3 4\n5 6")
         cache = DiskCache(tmp_path)
         assert cache.persisted_stats() == {"hits": 3, "misses": 4}
         # The next flush lands on the torn line, so its counts are lost too.
-        cache.hits = 1
-        cache.flush_stats()
+        cache.flush_stats(1, 0)
         assert (tmp_path / "stats.log").read_bytes() == b"3 4\n5 61 0\n"
         assert cache.persisted_stats() == {"hits": 3, "misses": 4}
 
@@ -189,8 +195,7 @@ class TestDiskCache:
         (tmp_path / "stats.lock").write_text("")
         cache = DiskCache(tmp_path)
         assert cache.persisted_stats() == {"hits": 0, "misses": 0}
-        cache.get(_key())
-        cache.flush_stats()
+        cache.flush_stats(0, 1)
         assert cache.persisted_stats() == {"hits": 0, "misses": 1}
         cache.clear()
         assert (tmp_path / "stats.json").read_text() == '{"hits": 5, "misses": 7}\n'
@@ -198,8 +203,7 @@ class TestDiskCache:
 
     def test_clear_removes_the_stats_log(self, tmp_path):
         cache = DiskCache(tmp_path)
-        cache.get(_key())
-        cache.flush_stats()
+        cache.flush_stats(0, 1)
         assert (tmp_path / "stats.log").exists()
         cache.clear()
         assert not (tmp_path / "stats.log").exists()
@@ -260,16 +264,17 @@ class TestDiskCache:
     def test_flush_stats_creates_the_directory(self, tmp_path):
         cache = DiskCache(tmp_path / "new")
         assert not (tmp_path / "new").exists()
-        cache.get(_key())
-        cache.flush_stats()
+        cache.flush_stats(0, 1)
         assert DiskCache(tmp_path / "new").persisted_stats() == {"hits": 0, "misses": 1}
 
     def test_missing_key_counts_one_miss_and_creates_nothing(self, tmp_path):
         cache = DiskCache(tmp_path)
         before = sorted(tmp_path.rglob("*"))
         assert cache.get(_key("never stored")) == (False, None)
-        assert (cache.hits, cache.misses) == (0, 1)
         assert sorted(tmp_path.rglob("*")) == before
+        # A run that finds no entry counts a miss.
+        _one_read_run(cache)
+        assert (tmp_path / "stats.log").read_bytes() == b"0 1\n"
 
     def test_failed_put_leaves_no_temp_file(self, tmp_path, monkeypatch):
         cache = DiskCache(tmp_path)
@@ -297,8 +302,7 @@ class TestDiskCache:
             start.wait()
             try:
                 for _ in range(300):
-                    cache.hits = 1
-                    cache.flush_stats()
+                    cache.flush_stats(1, 0)
             except Exception as exc:  # noqa: BLE001 - collected for the assertion
                 errors.append(exc)
 

@@ -195,8 +195,31 @@ class TestDetect:
         (line,) = capsys.readouterr().err.splitlines()
         error = json.loads(line)
         assert error["error"] == "SchemaViolation"
-        assert error["message"].startswith(f"{pointer}: ")
+        assert error["message"].startswith(f"{path}: {pointer}: ")
         assert not (tmp_path / "res").exists()
+
+    @pytest.mark.parametrize("bad", ["bench", "demos"])
+    def test_a_schema_violation_names_the_file_at_fault(self, scenario_dir, tmp_path, capsys,
+                                                        bad):
+        bench = json.loads((FIXTURES / "bench6.json").read_text())
+        demos = e2e_scenario.demos_json()
+        if bad == "bench":
+            bench["pairs"][0]["image"]["digest"] = "0" * 63
+        else:
+            demos[0]["image"]["digest"] = "0" * 63
+        files = {"bench": tmp_path / "b.json", "demos": tmp_path / "d.json"}
+        files["bench"].write_text(json.dumps(bench))
+        files["demos"].write_text(json.dumps(demos))
+        args = _detect_args(scenario_dir, tmp_path, "sc2", "--method", "selfcheck2",
+                            "--demos", str(files["demos"]))
+        args[args.index("--bench") + 1] = str(files["bench"])
+        assert main(args) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        pointer = "/pairs/0/image/digest" if bad == "bench" else "/0/image/digest"
+        assert json.loads(line) == {
+            "error": "SchemaViolation",
+            "message": f"{files[bad]}: {pointer}: expected a 64-hex sha256 digest"}
+        assert not (tmp_path / "sc2").exists()
 
     def test_a_run_without_a_run_id_is_named_by_its_utc_start(self, scenario_dir, tmp_path,
                                                               capsys):
@@ -519,6 +542,20 @@ class TestStatsAndCache:
         assert stat["entries"] == backend_calls
         assert stat["misses"] >= stat["entries"]
 
+    def test_each_run_appends_its_own_counts(self, scenario_dir, tmp_path, capsys):
+        # A cold and a warm UniHD run, then selfcheck2, into one cache; the
+        # fixture store they replay counts nothing.
+        fixture_stats = (scenario_dir / "mock" / "stats.log").read_bytes()
+        for run_id, extra in (("cold", ()), ("warm", ()), ("sc2", (
+                "--method", "selfcheck2", "--demos", str(FIXTURES / "demos.json")))):
+            assert main(_detect_args(scenario_dir, tmp_path, run_id, *extra)) == 0
+        assert (tmp_path / "cache" / "stats.log").read_bytes() == b"0 45\n45 0\n0 6\n"
+        assert (scenario_dir / "mock" / "stats.log").read_bytes() == fixture_stats
+        capsys.readouterr()
+        assert main(["cache", "stat", "--cache-dir", str(tmp_path / "cache")]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "entries": 51, "bytes": 26058, "hits": 45, "misses": 51}
+
     def test_cache_stat_on_a_missing_directory_creates_nothing(self, tmp_path, capsys):
         missing = tmp_path / "missing"
         assert main(["cache", "stat", "--cache-dir", str(missing)]) == 0
@@ -621,7 +658,7 @@ class TestJsonNestedTooDeeply:
                      _detect_args(scenario_dir, tmp_path, "deep", "--bench", str(deep))):
             error = self._one_error(argv, capsys)
             assert error["error"] == "SchemaViolation"
-            assert error["message"].startswith("/: not valid JSON: maximum recursion depth")
+            assert error["message"].startswith(f"{deep}: /: not valid JSON: maximum recursion")
 
     def test_evaluate_rejects_the_result_file(self, run_dir, tmp_path, capsys):
         edited = tmp_path / "edited"

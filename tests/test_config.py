@@ -113,13 +113,30 @@ def test_a_file_value_of_the_wrong_type_is_rejected(tmp_path, line):
     assert str(exc_info.value).startswith(f"{config_file}: {key} must be ")
 
 
+@pytest.mark.parametrize("line", ["width = \u0661\u0662", "width = 1_2"],
+                         ids=["arabic-indic-digits", "underscore"])
+def test_a_file_integer_is_ascii_digits(tmp_path, line):
+    config_file = tmp_path / "run.cfg"
+    config_file.write_text(f'fixtures = "{tmp_path}"\n{line}\n', "utf-8")
+    with pytest.raises(ConfigInvalid) as exc_info:
+        build_config(config_file, env={})
+    assert str(exc_info.value).startswith(f"{config_file}:2: unquoted value ")
+
+
 @pytest.mark.parametrize("variable, raw", [
     ("HALODET_WIDTH", "2.5"), ("HALODET_CACHE", "flase"), ("HALODET_CACHE", ""),
+    ("HALODET_WIDTH", "\u0663"), ("HALODET_WIDTH", "1_0"),
 ])
 def test_an_environment_value_of_the_wrong_type_is_rejected(tmp_path, variable, raw):
     with pytest.raises(ConfigInvalid) as exc_info:
         build_config(env={variable: raw, "HALODET_FIXTURES": str(tmp_path)})
     assert str(exc_info.value).startswith(f"{variable} must be ")
+
+
+@pytest.mark.parametrize("raw", ["7", " 7\n", "+7"], ids=["plain", "spaced", "signed"])
+def test_an_environment_integer_may_carry_a_sign_and_surrounding_space(tmp_path, raw):
+    env = {"HALODET_WIDTH": raw, "HALODET_FIXTURES": str(tmp_path)}
+    assert build_config(env=env).width == 7
 
 
 @pytest.mark.parametrize("raw, value", [

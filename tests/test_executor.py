@@ -366,12 +366,46 @@ class TestCacheContract:
 
     def test_a_failed_stats_flush_keeps_the_batch(self, tmp_path):
         class ReadOnlyStats(DiskCache):
-            def flush_stats(self):
+            def flush_stats(self, hits, misses):
                 raise OSError(errno.EROFS, "Read-only file system")
 
         outcome = _scenario_run(ReadOnlyStats(tmp_path / "cache"))
         assert not outcome.failures
         assert len(outcome.results) == 6
+
+    def test_each_run_detection_call_appends_its_own_counts(self, tmp_path):
+        # Each call is a run of one pair. Its reads used to be counted on the
+        # cache and never flushed, so stats.log stayed absent.
+        cache = DiskCache(tmp_path / "cache")
+        pairs, backends, gateway = _scenario()
+        for _ in range(2):
+            for pair in pairs:
+                run_detection(pair, DetectionMethod.UNIHD, backends, gateway, cache)
+        lines = (tmp_path / "cache" / "stats.log").read_text().splitlines()
+        assert lines[:6] == ["0 6", "0 7", "0 10", "0 7", "0 7", "0 8"]
+        assert lines[6:] == ["6 0", "7 0", "10 0", "7 0", "7 0", "8 0"]
+        assert DiskCache(tmp_path / "cache").persisted_stats() == {"hits": 45, "misses": 45}
+
+    def test_reads_counted_on_many_threads_lose_none(self, tmp_path):
+        cache = DiskCache(tmp_path / "cache")
+        verdict = '[{"claim1":"non-hallucination","reason":"ok"}]'
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so a lost update shows
+        try:
+            for _ in range(2):
+                outcome = run_batch(_simple_pairs(300), DetectionMethod.SELF_CHECK_0SHOT, None,
+                                    table_gateway([("hallucination judger", verdict)]), cache,
+                                    width=16)
+                assert not outcome.failures
+        finally:
+            sys.setswitchinterval(interval)
+        assert (tmp_path / "cache" / "stats.log").read_bytes() == b"0 300\n300 0\n"
+
+    def test_an_empty_batch_appends_zero_counts(self, tmp_path):
+        cache = DiskCache(tmp_path / "cache")
+        assert run_batch([], DetectionMethod.UNIHD, None, table_gateway([]), cache) == \
+            BatchOutcome([], [])
+        assert (tmp_path / "cache" / "stats.log").read_bytes() == b"0 0\n"
 
 
 class TestSingleFlight:
@@ -1168,8 +1202,8 @@ class _SearchDown:
         return types.SimpleNamespace(backend_id=backend.backend_id, search=search)
 
 
-def _scenario_run(cache, shaker=None):
-    """The six-pair scenario through ``run_batch`` at width 4, optionally shaken."""
+def _scenario(shaker=None):
+    """The six-pair scenario's pairs, tools and gateway, optionally shaken."""
     wrap = shaker.wrap if shaker is not None else lambda backend, method: backend
     scripts = e2e_scenario.build_scripts()
     backends = ToolBackendSet(
@@ -1179,8 +1213,13 @@ def _scenario_run(cache, shaker=None):
         fact_searcher=wrap(e2e_scenario.RecordingSearcher(scripts), "search"),
     )
     model = wrap(e2e_scenario.RecordingModelBackend(scripts), "invoke")
-    return run_batch([s.pair for s in scripts], DetectionMethod.UNIHD, backends,
-                     ModelGateway(model, sleep=lambda _: None), cache=cache, width=4)
+    return [s.pair for s in scripts], backends, ModelGateway(model, sleep=lambda _: None)
+
+
+def _scenario_run(cache, shaker=None):
+    """The six-pair scenario through ``run_batch`` at width 4, optionally shaken."""
+    pairs, backends, gateway = _scenario(shaker)
+    return run_batch(pairs, DetectionMethod.UNIHD, backends, gateway, cache=cache, width=4)
 
 
 def _payloads(outcome):

@@ -368,4 +368,4 @@ def test_an_unknown_key_in_a_benchmark_file_is_rejected_at_its_pointer(pair, dat
         with pytest.raises(SchemaViolation) as exc_info:
             load(bench_path)
     escaped = key.replace("~", "~0").replace("/", "~1")
-    assert str(exc_info.value) == f"{at}/{escaped}: unknown key"
+    assert str(exc_info.value) == f"{bench_path}: {at}/{escaped}: unknown key"
