@@ -24,7 +24,6 @@ from .executor import load_run_results, run_batch, write_run_dir
 from .metrics import (
     MetricLevel,
     MetricsReport,
-    format_percent,
     per_category_recall,
     render_csv,
     render_json,
@@ -57,7 +56,6 @@ def cmd_detect(args: argparse.Namespace) -> int:
     # Each flag whose dest names a RunConfig field sets that field.
     names = {f.name for f in fields(RunConfig)}
     flag_values = {name: value for name, value in vars(args).items() if name in names}
-    flag_values["cache"] = False if args.no_cache else None
     config = build_config(args.config, flag_values)
     if not config.bench:
         raise HalodetError("detect needs --bench")
@@ -122,13 +120,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         recall = None
 
     if args.format == "table":
-        output = render_table(reports)
-        if recall:
-            lines = ["", "per-category recall (hallucinatory claims):"]
-            lines += [f"  {category.value}: {format_percent(value)}"
-                      for category, value in sorted(recall.items(),
-                                                    key=lambda kv: kv[0].value)]
-            output += "\n".join(lines)
+        output = render_table(reports, recall)
     elif args.format == "json":
         output = render_json(reports, recall)
     else:
@@ -156,7 +148,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
-    cache = DiskCache(args.cache_dir)
+    cache = DiskCache(build_config(flag_values={"cache_dir": args.cache_dir}).cache_dir)
     if args.action == "clear":
         removed = cache.clear()
         print(f"cleared {removed} entries")
@@ -198,9 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     detect.add_argument("--out",
                         help=f"parent directory for run output (default {RunConfig.out})")
     detect.add_argument("--run-id", dest="run_id", help="run directory name")
-    detect.add_argument("--width", type=int,
-                        help=f"parallel pairs (default {RunConfig.width})")
-    detect.add_argument("--no-cache", action="store_true",
+    detect.add_argument("--width", help=f"parallel pairs (default {RunConfig.width})")
+    detect.add_argument("--no-cache", dest="cache", action="store_const", const="false",
                         help="bypass the response cache")
     detect.add_argument("--cache-dir", dest="cache_dir", help="cache directory")
     detect.add_argument("--demos", help="self-check demonstrations JSON file")
@@ -225,7 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     cache = sub.add_parser("cache", help="inspect or clear the response cache")
     cache.add_argument("action", choices=["stat", "clear"])
-    cache.add_argument("--cache-dir", dest="cache_dir", default=RunConfig.cache_dir)
+    cache.add_argument("--cache-dir", dest="cache_dir",
+                       help=f"cache directory (default $HALODET_CACHE_DIR, "
+                            f"else {RunConfig.cache_dir})")
     cache.set_defaults(func=cmd_cache)
 
     return parser

@@ -127,10 +127,6 @@ class RunConfig:
             raise ConfigInvalid(f"unknown method {self.method!r}")
         if self.backend not in BACKENDS:
             raise ConfigInvalid(f"backend must be one of {BACKENDS}, got {self.backend!r}")
-        if self.backend == "mock" and not self.fixtures:
-            raise ConfigInvalid("mock backend needs --fixtures")
-        if self.backend == "live" and not self.model_endpoint:
-            raise ConfigInvalid("live backend needs model_endpoint")
         for name in TOOL_SWITCHES:
             if getattr(self, name) not in _TOOL_MODES:
                 raise ConfigInvalid(f"{name} must be one of {_TOOL_MODES}")
@@ -151,14 +147,14 @@ _BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0"
 
 def build_config(
     file_path: str | Path | None = None,
-    flag_values: dict[str, Any] | None = None,
+    flag_values: dict[str, str | None] | None = None,
     env: dict[str, str] | None = None,
 ) -> RunConfig:
     """Layer file, environment, and flags into one validated RunConfig.
 
-    A file or flag value must already have its field's type (a bool is no
-    int); an environment string is parsed by it. Anything else is
-    ConfigInvalid, naming the key or the variable.
+    A file value must already have its field's type (a bool is no int); an
+    environment or flag string is parsed by it. Anything else is
+    ConfigInvalid, naming the key, the variable or the flag.
     """
     env = dict(os.environ) if env is None else env
     merged: dict[str, Any] = {}
@@ -169,7 +165,12 @@ def build_config(
                 raise ConfigInvalid(
                     f"{key}: secrets must come from the environment, not config files"
                 )
-            merged[key] = _checked(key, value, f"{file_path}: ")
+            kind = _FIELD_TYPES.get(key)
+            if kind is None:
+                raise ConfigInvalid(f"{file_path}: unknown config key {key!r}")
+            if type(value) is not kind:
+                raise ConfigInvalid(f"{file_path}: {key} must be {kind.__name__}, got {value!r}")
+            merged[key] = value
 
     for name, kind in _FIELD_TYPES.items():
         env_key = ENV_PREFIX + name.upper()
@@ -178,28 +179,19 @@ def build_config(
 
     for key, value in (flag_values or {}).items():
         if value is not None:
-            merged[key] = _checked(key, value)
+            merged[key] = _parsed("--" + key.replace("_", "-"), value, _FIELD_TYPES[key])
 
     config = RunConfig(**merged)
     config.validate()
     return config
 
 
-def _checked(key: str, value: Any, where: str = "") -> Any:
-    kind = _FIELD_TYPES.get(key)
-    if kind is None:
-        raise ConfigInvalid(f"{where}unknown config key {key!r}")
-    if type(value) is not kind:
-        raise ConfigInvalid(f"{where}{key} must be {kind.__name__}, got {value!r}")
-    return value
-
-
-def _parsed(variable: str, raw: str, kind: type) -> Any:
+def _parsed(source: str, raw: str, kind: type) -> Any:
     if kind is bool and raw.lower() in _BOOLS:
         return _BOOLS[raw.lower()]
     if kind is str or kind is int and _INT_RE.fullmatch(raw.strip()):
         return kind(raw)
-    raise ConfigInvalid(f"{variable} must be {kind.__name__}, got {raw!r}")
+    raise ConfigInvalid(f"{source} must be {kind.__name__}, got {raw!r}")
 
 
 # --- wiring ----------------------------------------------------------------------
@@ -216,12 +208,16 @@ def build_backends(config: RunConfig, env: dict[str, str] | None = None
     env = dict(os.environ) if env is None else env
     request_log = config.request_log or None
     if config.backend == "mock":
+        if not config.fixtures:
+            raise ConfigInvalid("mock backend needs --fixtures")
         if not Path(config.fixtures).is_dir():
             raise ConfigInvalid(f"fixture directory not found: {config.fixtures}")
         store = DiskCache(config.fixtures)
         gateway = ModelGateway(Replay(store, REPLAY_IDS["model"]), request_log=request_log)
         tools = mock_backend_set(store)
     else:
+        if not config.model_endpoint:
+            raise ConfigInvalid("live backend needs model_endpoint")
         api_key = env.get(MODEL_API_KEY_ENV, "")
         search_key = env.get(SEARCH_API_KEY_ENV, "")
         tool_key = env.get(TOOL_API_KEY_ENV) or None

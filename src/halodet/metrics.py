@@ -21,7 +21,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
 from fractions import Fraction
 from operator import attrgetter
-from typing import Any, Mapping, Sequence
+from typing import Any, ClassVar, Mapping, Sequence
 
 from .errors import (
     EmptyResponse,
@@ -101,25 +101,17 @@ class MetricsReport:
     macro_f1: float
     total: int
     unverified_count: int = 0
-    zero_division: str = ZERO_DIVISION_CONVENTION
+    zero_division: ClassVar[str] = ZERO_DIVISION_CONVENTION
 
     def to_json(self) -> dict[str, Any]:
-        def cls(scores: PRF1) -> dict[str, float]:
-            return {name: percent_value(getattr(scores, name))
-                    for name in ("precision", "recall", "f1")}
-
-        return {
-            "level": self.level.value,
-            "hallucinatory": cls(self.hallucinatory),
-            "non_hallucinatory": cls(self.non_hallucinatory),
-            "accuracy": percent_value(self.accuracy),
-            "avg_precision": percent_value(self.avg_precision),
-            "avg_recall": percent_value(self.avg_recall),
-            "macro_f1": percent_value(self.macro_f1),
-            "total": self.total,
-            "unverified_count": self.unverified_count,
-            "zero_division": self.zero_division,
-        }
+        payload: dict[str, Any] = {"level": self.level.value}
+        for _, _, field in _SCORE_COLUMNS:
+            group, _, name = field.rpartition(".")
+            target = payload.setdefault(group, {}) if group else payload
+            target[name] = percent_value(attrgetter(field)(self))
+        payload.update(total=self.total, unverified_count=self.unverified_count,
+                       zero_division=self.zero_division)
+        return payload
 
 
 def report(
@@ -265,8 +257,9 @@ def percent_value(value: float) -> float:
     return float(format_percent(value))
 
 
-# The score columns, in order: table header, CSV header, and the report field.
-_SCORE_COLUMNS = tuple((title, name, attrgetter(field)) for title, name, field in (
+# The score columns, in order: table header, CSV header, and the report field;
+# the JSON nests a dotted field under its class.
+_SCORE_COLUMNS = (
     ("H-P", "h_precision", "hallucinatory.precision"),
     ("H-R", "h_recall", "hallucinatory.recall"),
     ("H-F1", "h_f1", "hallucinatory.f1"),
@@ -277,16 +270,25 @@ _SCORE_COLUMNS = tuple((title, name, attrgetter(field)) for title, name, field i
     ("Avg.P", "avg_precision", "avg_precision"),
     ("Avg.R", "avg_recall", "avg_recall"),
     ("Mac.F1", "macro_f1", "macro_f1"),
-))
+)
 
 
 def _score_row(rep: MetricsReport) -> list[str]:
     """The report's level, then its score columns as percentages."""
-    return [rep.level.value] + [format_percent(score(rep)) for _, _, score in _SCORE_COLUMNS]
+    return [rep.level.value] + [format_percent(attrgetter(field)(rep))
+                                for _, _, field in _SCORE_COLUMNS]
 
 
-def render_table(reports: Sequence[MetricsReport]) -> str:
-    """Aligned text table: per-class P/R/F1, then the averaged columns."""
+def _by_category(recall: Mapping[HallucinationCategory, float]) -> list[tuple[str, float]]:
+    """Category name and recall, in name order."""
+    return sorted((category.value, value) for category, value in recall.items())
+
+
+def render_table(
+    reports: Sequence[MetricsReport],
+    category_recall: Mapping[HallucinationCategory, float] | None = None,
+) -> str:
+    """Aligned text table: per-class P/R/F1, the averaged columns, then any category recall."""
     header = ["Level"] + [title for title, _, _ in _SCORE_COLUMNS]
     rows = [header] + [_score_row(rep) for rep in reports]
     widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
@@ -297,6 +299,10 @@ def render_table(reports: Sequence[MetricsReport]) -> str:
         lines.append("  ".join(cells).rstrip())
         if index == 0:
             lines.append("-" * len(lines[0]))
+    if category_recall:
+        lines.append("per-category recall (hallucinatory claims):")
+        lines += [f"  {name}: {format_percent(value)}"
+                  for name, value in _by_category(category_recall)]
     return "\n".join(lines)
 
 
@@ -307,9 +313,7 @@ def render_json(
     payload: dict[str, Any] = {"reports": [rep.to_json() for rep in reports]}
     if category_recall is not None:
         payload["category_recall"] = {
-            category.value: percent_value(value)
-            for category, value in sorted(category_recall.items(), key=lambda kv: kv[0].value)
-        }
+            name: percent_value(value) for name, value in _by_category(category_recall)}
     return json.dumps(payload, indent=2, sort_keys=True)
 
 

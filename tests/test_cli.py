@@ -113,6 +113,14 @@ class TestDetect:
                                     "message": f"{config_file}: width must be int, got 2.5"}
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("width", ["\u0663", "1_0"], ids=["arabic-indic-digit", "underscore"])
+    def test_an_integer_flag_is_ascii_digits(self, scenario_dir, tmp_path, capsys, width):
+        assert main(_detect_args(scenario_dir, tmp_path, "r1", "--width", width)) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert json.loads(line) == {"error": "ConfigInvalid",
+                                    "message": f"--width must be int, got {width!r}"}
+        assert not (tmp_path / "r1").exists()
+
     def test_selfcheck2_without_demos(self, scenario_dir, tmp_path, capsys):
         code = main(_detect_args(scenario_dir, tmp_path, "x",
                                  "--method", "selfcheck2"))
@@ -399,7 +407,98 @@ def run_dir(scenario_dir, tmp_path_factory) -> Path:
     return out / "eval-run"
 
 
+def _untagged_bench(tmp_path: Path) -> Path:
+    """The six-pair bench with every claim's category tags removed."""
+    bench = json.loads((FIXTURES / "bench6.json").read_text())
+    for pair in bench["pairs"]:
+        for claim in pair["claims"]:
+            claim.pop("gold_categories", None)
+    untagged = tmp_path / "untagged.json"
+    untagged.write_text(json.dumps(bench))
+    return untagged
+
+
+_SCORE_TABLE = """\
+Level        H-P     H-R    H-F1    NH-P    NH-R   NH-F1    Acc.   Avg.P   Avg.R  Mac.F1
+----------------------------------------------------------------------------------------
+claim     100.00  100.00  100.00  100.00  100.00  100.00  100.00  100.00  100.00  100.00
+segment   100.00  100.00  100.00  100.00  100.00  100.00  100.00  100.00  100.00  100.00
+response  100.00  100.00  100.00  100.00  100.00  100.00  100.00  100.00  100.00  100.00
+"""
+
+_RECALL_BLOCK = """\
+per-category recall (hallucinatory claims):
+  attribute: 100.00
+  fact: 100.00
+  object: 100.00
+  scene-text: 100.00
+"""
+
+_JSON_RECALL = """\
+  "category_recall": {
+    "attribute": 100.0,
+    "fact": 100.0,
+    "object": 100.0,
+    "scene-text": 100.0
+  },
+"""
+
+
+def _json_report(level: str, total: int) -> str:
+    return f"""\
+    {{
+      "accuracy": 100.0,
+      "avg_precision": 100.0,
+      "avg_recall": 100.0,
+      "hallucinatory": {{
+        "f1": 100.0,
+        "precision": 100.0,
+        "recall": 100.0
+      }},
+      "level": "{level}",
+      "macro_f1": 100.0,
+      "non_hallucinatory": {{
+        "f1": 100.0,
+        "precision": 100.0,
+        "recall": 100.0
+      }},
+      "total": {total},
+      "unverified_count": 0,
+      "zero_division": "0/0 -> 0"
+    }}"""
+
+
+_JSON_REPORTS = ('  "reports": [\n'
+                 + ",\n".join(_json_report(level, total) for level, total in
+                              (("claim", 15), ("segment", 10), ("response", 6)))
+                 + "\n  ]\n}\n")
+
+_CSV = """\
+level,h_precision,h_recall,h_f1,nh_precision,nh_recall,nh_f1,accuracy,avg_precision,avg_recall,macro_f1,total,unverified_count
+claim,100.00,100.00,100.00,100.00,100.00,100.00,100.00,100.00,100.00,100.00,15,0
+segment,100.00,100.00,100.00,100.00,100.00,100.00,100.00,100.00,100.00,100.00,10,0
+response,100.00,100.00,100.00,100.00,100.00,100.00,100.00,100.00,100.00,100.00,6,0
+
+"""
+
+# The exact stdout of evaluate over the six-pair run, per bench and format.
+_EVALUATE_STDOUT = {
+    ("tagged", "table"): _SCORE_TABLE + _RECALL_BLOCK,
+    ("tagged", "json"): "{\n" + _JSON_RECALL + _JSON_REPORTS,
+    ("tagged", "csv"): _CSV,
+    ("untagged", "table"): _SCORE_TABLE,
+    ("untagged", "json"): "{\n" + _JSON_REPORTS,
+}
+
+
 class TestEvaluate:
+
+    @pytest.mark.parametrize("bench, fmt", sorted(_EVALUATE_STDOUT))
+    def test_stdout_is_pinned(self, run_dir, tmp_path, capsys, bench, fmt):
+        path = FIXTURES / "bench6.json" if bench == "tagged" else _untagged_bench(tmp_path)
+        assert main(["evaluate", "--bench", str(path), "--results", str(run_dir),
+                     "--format", fmt]) == 0
+        assert capsys.readouterr().out == _EVALUATE_STDOUT[bench, fmt]
 
     def test_table_output_all_perfect(self, run_dir, capsys):
         code = main([
@@ -556,6 +655,26 @@ class TestStatsAndCache:
         assert json.loads(capsys.readouterr().out) == {
             "entries": 51, "bytes": 26058, "hits": 45, "misses": 51}
 
+    def test_cache_reads_the_directory_detect_uses(self, scenario_dir, tmp_path, capsys,
+                                                   monkeypatch):
+        store = tmp_path / "cache"
+        assert main(_detect_args(scenario_dir, tmp_path, "r1")) == 0
+        cwd = tmp_path / "cwd"
+        DiskCache(cwd / ".halodet-cache").put(
+            CacheKey.fact_search("Huawei company", "mock-fact-search"), {"snippets": []})
+        monkeypatch.chdir(cwd)
+        monkeypatch.setenv("HALODET_CACHE_DIR", str(store))
+        capsys.readouterr()
+        assert main(["cache", "stat"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "entries": 45, "bytes": DiskCache(store).total_bytes(), "hits": 0, "misses": 45}
+        assert main(["cache", "stat", "--cache-dir", ".halodet-cache"]) == 0
+        assert json.loads(capsys.readouterr().out)["entries"] == 1
+        assert main(["cache", "clear"]) == 0
+        assert capsys.readouterr().out == "cleared 45 entries\n"
+        assert DiskCache(store).entry_count() == 0
+        assert DiskCache(cwd / ".halodet-cache").entry_count() == 1
+
     def test_cache_stat_on_a_missing_directory_creates_nothing(self, tmp_path, capsys):
         missing = tmp_path / "missing"
         assert main(["cache", "stat", "--cache-dir", str(missing)]) == 0
@@ -687,9 +806,9 @@ class TestHelp:
         from halodet.cli import build_parser
 
         dests = set(vars(build_parser().parse_args(["detect"])))
-        assert dests - {"command", "func", "config", "no_cache"} == {
+        assert dests - {"command", "func", "config"} == {
             "bench", "method", "backend", "fixtures", "out", "run_id", "width",
-            "cache_dir", "demos", "request_log",
+            "cache", "cache_dir", "demos", "request_log",
         }
         log = tmp_path / "requests.jsonl"
         assert main(_detect_args(

@@ -80,7 +80,7 @@ def test_precedence_flags_over_env_over_file(tmp_path):
     config_file.write_text('width = 2\nfixtures = "from-file"\nbench = "b.json"\n')
     config = build_config(
         config_file,
-        flag_values={"width": 9},
+        flag_values={"width": "9"},
         env={"HALODET_WIDTH": "5", "HALODET_FIXTURES": str(tmp_path)},
     )
     assert config.width == 9                 # flag wins
@@ -152,10 +152,10 @@ def test_validation_rules():
         RunConfig(width=0).validate()
     with pytest.raises(ConfigInvalid):
         RunConfig(method="magic", fixtures="x").validate()
-    with pytest.raises(ConfigInvalid):
-        RunConfig(backend="mock", fixtures="").validate()
-    with pytest.raises(ConfigInvalid):
-        RunConfig(backend="live", model_endpoint="").validate()
+    with pytest.raises(ConfigInvalid, match="mock backend needs --fixtures"):
+        build_backends(RunConfig(backend="mock", fixtures=""), env={})
+    with pytest.raises(ConfigInvalid, match="live backend needs model_endpoint"):
+        build_backends(RunConfig(backend="live", model_endpoint=""), env={})
     RunConfig(backend="mock", fixtures="dir").validate()
 
 
