@@ -123,6 +123,8 @@ class RunConfig:
                                 "other than . and ..")
         if self.width < 1:
             raise ConfigInvalid(f"width must be >= 1, got {self.width}")
+        if not self.cache_dir:  # it would be the working directory
+            raise ConfigInvalid("cache_dir must not be empty")
         if self.method not in {m.value for m in DetectionMethod}:
             raise ConfigInvalid(f"unknown method {self.method!r}")
         if self.backend not in BACKENDS:
@@ -187,9 +189,10 @@ def build_config(
 
 
 def _parsed(source: str, raw: str, kind: type) -> Any:
-    if kind is bool and raw.lower() in _BOOLS:
-        return _BOOLS[raw.lower()]
-    if kind is str or kind is int and _INT_RE.fullmatch(raw.strip()):
+    word = raw.strip().lower()  # a string value keeps its bytes
+    if kind is bool and word in _BOOLS:
+        return _BOOLS[word]
+    if kind is str or kind is int and _INT_RE.fullmatch(word):
         return kind(raw)
     raise ConfigInvalid(f"{source} must be {kind.__name__}, got {raw!r}")
 

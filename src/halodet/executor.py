@@ -17,9 +17,10 @@ that finishes a pair's last call verifies the pair and admits the next one.
 No thread waits on another; the caller waits once, for the whole batch.
 
 Each pair owns one call object, ``_PairCalls``, through which every model
-and tool call of the pair passes. Whatever the family, a call reads the
-cache, calls its backend on a miss, writes the reply back and leaves one
-trace record. A backend call that raises BackendUnavailable is tried up to
+and tool call of the pair passes; its ``_drive`` loop makes every model
+call a stage yields. Whatever the family, a call reads the cache, calls its
+backend on a miss, writes the reply back and leaves one trace record. A
+backend call that raises BackendUnavailable is tried up to
 ``RETRY_ATTEMPTS`` (3) times, waiting 1 s and then 2 s, each wait jittered
 by ±10%: full exponential backoff with jitter, after M. Brooker,
 "Exponential Backoff And Jitter" (2015). Identical mock runs are
@@ -43,7 +44,7 @@ from typing import Any, Callable, Sequence
 
 from .cache import CacheKey, DiskCache
 from .errors import BackendUnavailable, ConfigInvalid, ResultFileInvalid, StoreCorrupt
-from .gateway import ModelGateway, ModelRequest, ModelResponse, request_digest
+from .gateway import ModelGateway, ModelResponse, request_digest
 from .hashing import sha256_json, sha256_text
 from .model import (
     RUN_FILE_STEMS,
@@ -64,6 +65,7 @@ from .stages import (
     FORMULATION_KINDS,
     DetectionMethod,
     SelfCheckDemo,
+    Stage,
     ToolPlan,
     extract_claims,
     formulate,
@@ -178,28 +180,25 @@ class BatchOutcome:
 class _PairCalls:
     """One pair of a run: every backend call it makes, through one cache-and-trace path.
 
-    ``complete`` is the gateway face the stages call. ``run`` is the pair's
-    first task and ``_run`` places the tasks by the rule in the module
+    ``_drive`` runs a stage, making each model call it yields. ``run`` is the
+    pair's first task and ``_run`` places the tasks by the rule in the module
     docstring. ``_finish``, run by the task that finishes last, merges the
     tool results by plan position, never in completion order, and verifies.
 
     The cache holds each call's ``to_json()`` form; a model call returns it
-    read back through ``ModelResponse.from_json``, a tool call as is. A
-    pair's model requests are all distinct, so a repeated one is the retry
-    of a reply its stage could not parse: it skips the cache read, and its
-    reply replaces the cached one. Tool results live in one dict keyed by
-    ``(stage, query)``, so a question repeated within a pair is asked once.
-    Only the thread holding a stage's reply claims that stage's keys, so no
-    claim races another; each task then fills in its own key.
+    read back through ``ModelResponse.from_json``, a tool call as is. Tool
+    results live in one dict keyed by ``(stage, query)``, so a question
+    repeated within a pair is asked once. Only the thread holding a stage's
+    reply claims that stage's keys, so no claim races another; each task then
+    fills in its own key.
     """
 
     def __init__(self, pair: ImageTextPair, position: int, batch: _Batch) -> None:
         self._pair = pair
         self._position = position
         self._batch = batch
-        self._lock = threading.Lock()  # guards _records, _seen and _pending
+        self._lock = threading.Lock()  # guards _records and _pending
         self._records: list[TraceRecord] = []
-        self._seen: set[str] = set()
         self._pending = 0  # tasks made and not yet finished
         self._tools: dict[tuple[str, Any], Any] = {}  # a result or its error
         self._replies: dict[TemplateId, dict[int, tuple[str, ...]]] = {}
@@ -263,15 +262,20 @@ class _PairCalls:
         """The records in a stable order, read once no call of the pair is left running."""
         return tuple(sorted(self._records, key=lambda r: (r.stage, r.input_digest)))
 
-    def complete(self, request: ModelRequest) -> ModelResponse:
-        digest = request_digest(request)
-        with self._lock:
-            retry = digest in self._seen
-            self._seen.add(digest)
-        backend_id = self._batch.gateway.backend.backend_id
-        return self._call(
-            f"model:{request.purpose_tag.value}", CacheKey.model(digest, backend_id),
-            lambda: self._batch.gateway.complete(request).to_json(), read=not retry)
+    def _drive(self, stage: Stage[Any]) -> Any:
+        """Run ``stage`` to its value, making each model call it yields. A request
+        that is the one it yielded last retries a reply it could not parse: that
+        call skips the cache read, and its reply replaces the cached one."""
+        gateway, request, last = self._batch.gateway, next(stage), None
+        while True:
+            response = self._call(
+                f"model:{request.purpose_tag.value}",
+                CacheKey.model(request_digest(request), gateway.backend.backend_id),
+                lambda: gateway.complete(request).to_json(), read=request is not last)
+            try:
+                request, last = stage.send(response.text), request
+            except StopIteration as stop:
+                return stop.value
 
     # --- the UniHD schedule
 
@@ -298,7 +302,7 @@ class _PairCalls:
             if violations:
                 raise ValueError(f"pair {pair.id!r} invalid: " + "; ".join(violations))
             if not pair.claims:
-                claims = extract_claims(pair.text, self)
+                claims = self._drive(extract_claims(pair.text))
                 self._pair = pair = replace(pair, claims=tuple(claims))
             if batch.method is DetectionMethod.UNIHD:
                 if batch.backends is None:
@@ -326,11 +330,11 @@ class _PairCalls:
                         raise error
                 plan = tool_plan(self._replies)
                 evidence = self.evidence(plan)
-                verdicts = verify(pair, evidence, self)
+                verdicts = self._drive(verify(pair, evidence))
             else:
                 plan, evidence = None, EvidenceBundle()
                 shots = 0 if method is DetectionMethod.SELF_CHECK_0SHOT else 2
-                verdicts = self_check(pair, shots, self, self._batch.demonstrations)
+                verdicts = self._drive(self_check(pair, shots, self._batch.demonstrations))
         except Exception as exc:  # noqa: BLE001 - the pair's outcome
             return self._store(exc)
         self._store(DetectionResult(pair.id, method, tuple(verdicts), plan, evidence,
@@ -349,7 +353,7 @@ class _PairCalls:
         def task() -> list[_Task]:
             # A task never raises: an error it let out would leave the pair unfinished.
             try:
-                queries = formulate(pair, template, self, objects, claim_list)
+                queries = self._drive(formulate(pair, template, objects, claim_list))
                 if self._failures:
                     return []  # a reply after a failure makes nothing ready
                 self._replies[template] = queries

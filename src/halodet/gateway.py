@@ -92,14 +92,6 @@ class ModelBackend(Protocol):
     def invoke(self, request: ModelRequest) -> str: ...
 
 
-class Completer(Protocol):
-    """What a stage needs to make its model calls. The executor hands it a
-    pair's call object, which caches, retries and traces each call; a bare
-    ModelGateway makes one backend call and retries nothing."""
-
-    def complete(self, request: ModelRequest) -> ModelResponse: ...
-
-
 class ModelGateway:
     """One backend and its request log, safe for concurrent calls.
 

@@ -11,8 +11,9 @@ extraction and formulation replies share :func:`_claim_mapping`. The parsers
 are strict about meaning: claim coverage, the binary label vocabulary, and
 per-claim rationales are enforced, and a verification reply that still fails
 after one retry degrades to explicitly flagged unverified verdicts rather
-than silently truncating. The executor schedules a pair's four
-:func:`formulate` calls.
+than silently truncating. Each stage is a generator, a ``Stage``: it yields
+its ``ModelRequest`` and is sent back the reply's text. The executor drives
+every stage, and schedules a pair's four :func:`formulate` calls.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Generator, Iterable, Mapping, Sequence, TypeVar
 
 from .errors import (
     ClaimCountMismatch,
@@ -30,7 +31,7 @@ from .errors import (
     UnknownLabel,
     UnparseableModelOutput,
 )
-from .gateway import Completer, ModelRequest, PurposeTag
+from .gateway import ModelRequest, PurposeTag
 from .json_repair import loads_lenient
 from .model import (
     Claim,
@@ -66,6 +67,9 @@ _WIRE_LABELS = {
     "non-hallucination": Label.NON_HALLUCINATORY,
 }
 _WIRE_NAMES = {label: wire for wire, label in _WIRE_LABELS.items()}
+
+T = TypeVar("T")
+Stage = Generator[ModelRequest, str, T]  # sent each reply's text; returns a T
 
 
 class DetectionMethod(Enum):
@@ -193,7 +197,7 @@ def _dedup_lower(labels: Sequence[str]) -> tuple[str, ...]:
 # --- claim extraction ------------------------------------------------------------
 
 
-def extract_claims(pair_text: str, gateway: Completer) -> list[Claim]:
+def extract_claims(pair_text: str) -> Stage[list[Claim]]:
     """Derive ordered claims from a response (or, for text-to-image, a query).
 
     Benchmark runs skip this stage entirely: pre-annotated claims pass
@@ -202,8 +206,8 @@ def extract_claims(pair_text: str, gateway: Completer) -> list[Claim]:
     if not pair_text.strip():
         raise EmptyExtraction("cannot extract claims from empty text")
     prompt = render(SupplementalId.EXTRACT_CLAIMS, {"text": pair_text})
-    response = gateway.complete(ModelRequest(prompt=prompt, purpose_tag=PurposeTag.EXTRACT))
-    mapping = _claim_mapping(response.text)
+    reply = yield ModelRequest(prompt=prompt, purpose_tag=PurposeTag.EXTRACT)
+    mapping = _claim_mapping(reply)
     if not mapping:
         raise EmptyExtraction("model returned zero claims")
     if set(mapping) != set(range(1, len(mapping) + 1)):
@@ -233,10 +237,9 @@ FORMULATION_KINDS = {
 def formulate(
     pair: ImageTextPair,
     template: TemplateId,
-    gateway: Completer,
     objects: Sequence[str],
     claim_list: str,
-) -> dict[int, tuple[str, ...]]:
+) -> Stage[dict[int, tuple[str, ...]]]:
     """One query-formulation call, parsed and normalized.
 
     ``objects`` is the pair-level object vocabulary the attribute template
@@ -249,10 +252,10 @@ def formulate(
     if template is TemplateId.ATTRIBUTE_QUERY:
         bindings["objects"] = render_object_string(objects)
     normalize = _dedup_lower if template is TemplateId.OBJECT_QUERY else tuple
-    response = gateway.complete(ModelRequest(
+    reply = yield ModelRequest(
         prompt=render(template, bindings), purpose_tag=PurposeTag.QUERY_FORMULATE,
-    ))
-    parsed = parse_claim_query_map(response.text, len(pair.claims), FORMULATION_KINDS[template])
+    )
+    parsed = parse_claim_query_map(reply, len(pair.claims), FORMULATION_KINDS[template])
     return {i: normalize(queries) for i, queries in parsed.items()}
 
 
@@ -357,12 +360,12 @@ def _salvage_verdicts(entries: list[Any], n_claims: int) -> list[Verdict]:
     ]
 
 
-def _judge(request: ModelRequest, n_claims: int, gateway: Completer) -> list[Verdict]:
-    """One verdict-producing model call with one retry, then flagged fallback."""
+def _judge(request: ModelRequest, n_claims: int) -> Stage[list[Verdict]]:
+    """One verdict call, retried once with the same request, then flagged fallback."""
     for _ in range(2):
         entries: list[Any] = []  # none if the reply does not decode
         try:
-            entries, repaired = _verdict_entries(gateway.complete(request).text)
+            entries, repaired = _verdict_entries((yield request))
             return _verdicts(entries, n_claims, repaired)
         except ParseError:
             pass
@@ -376,9 +379,7 @@ def is_degraded(verdicts: Sequence[Verdict]) -> bool:
 # --- verification -----------------------------------------------------------------
 
 
-def verify(
-    pair: ImageTextPair, evidence: EvidenceBundle, gateway: Completer
-) -> list[Verdict]:
+def verify(pair: ImageTextPair, evidence: EvidenceBundle) -> Stage[list[Verdict]]:
     """Judge the whole claim list in a single model call over pooled evidence,
     bound into the template of the pair's direction."""
     if not pair.claims:
@@ -389,7 +390,7 @@ def verify(
     bindings["claims"] = render_claim_list([c.text for c in pair.claims])
     request = ModelRequest(prompt=render(template, bindings, [pair.image]),
                            purpose_tag=PurposeTag.VERIFY)
-    return _judge(request, len(pair.claims), gateway)
+    return (yield from _judge(request, len(pair.claims)))
 
 
 # --- self-check baselines ------------------------------------------------------------
@@ -443,9 +444,8 @@ def _render_demo(demo: SelfCheckDemo) -> str:
 def self_check(
     pair: ImageTextPair,
     shots: int,
-    gateway: Completer,
     demonstrations: Sequence[SelfCheckDemo] = (),
-) -> list[Verdict]:
+) -> Stage[list[Verdict]]:
     """Baseline detection with no tool evidence, 0-shot or 2-shot."""
     if shots not in (0, 2):
         raise ValueError(f"shots must be 0 or 2, got {shots}")
@@ -468,4 +468,4 @@ def self_check(
             images,
         )
     request = ModelRequest(prompt=prompt, purpose_tag=PurposeTag.SELF_CHECK)
-    return _judge(request, len(pair.claims), gateway)
+    return (yield from _judge(request, len(pair.claims)))

@@ -21,7 +21,6 @@ from typing import Any, Callable, Protocol, Sequence, TypeVar
 from .cache import FACT_TOP_K, CacheKey, DiskCache
 from .errors import AuthFailure, BackendError, InvalidImage
 from .gateway import (
-    Completer,
     ModelGateway,
     ModelRequest,
     ModelResponse,
@@ -127,7 +126,7 @@ def detect_objects(
 
 
 def answer_attribute(
-    image: ImageRef, question: str, gateway: Completer
+    image: ImageRef, question: str, gateway: ModelGateway
 ) -> AttributeEvidence:
     """Ask the underlying model one attribute question about the image."""
     if not question:

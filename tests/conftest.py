@@ -106,15 +106,37 @@ def table_gateway(rules):
     return ModelGateway(TableBackend(rules), sleep=lambda _: None)
 
 
+def drive(stage, replies):
+    """Run a stage to its value, answering each model request it yields.
+
+    ``replies`` is a list of reply texts, used in order, or a callable from a
+    request to its reply text. Returns the stage's value and the requests it
+    yielded, in order.
+    """
+    texts = None if callable(replies) else list(replies)
+    requests, reply = [], None
+    while True:
+        try:
+            request = stage.send(reply)
+        except StopIteration as stop:
+            return stop.value, requests
+        requests.append(request)
+        if texts is None:
+            reply = replies(request)
+        else:
+            assert texts, f"no reply left for {request.purpose_tag.value}"
+            reply = texts.pop(0)
+
+
 def formulate_queries(pair, gateway):
     """The sequential reference for the executor's formulation schedule.
 
-    Makes the four formulation calls one after another, in the order of
-    ``FORMULATION_KINDS``; the attribute prompt binds the object vocabulary
-    of the object reply. The first error stops the rest and is tagged with
-    its ``template_id`` here, as ``executor._PairCalls._finish`` tags the
-    error it picks. The executor makes the same calls concurrently and must
-    reach the same plan.
+    Makes the four formulation calls one after another through ``gateway``,
+    in the order of ``FORMULATION_KINDS``; the attribute prompt binds the
+    object vocabulary of the object reply. The first error stops the rest and
+    is tagged with its ``template_id`` here, as ``executor._PairCalls._finish``
+    tags the error it picks. The executor makes the same calls concurrently
+    and must reach the same plan.
     """
     from halodet.prompts import TemplateId, render_claim_list
     from halodet.stages import FORMULATION_KINDS, formulate, label_union, tool_plan
@@ -125,7 +147,8 @@ def formulate_queries(pair, gateway):
         objects = (label_union(replies[TemplateId.OBJECT_QUERY].values())
                    if template is TemplateId.ATTRIBUTE_QUERY else ())
         try:
-            replies[template] = formulate(pair, template, gateway, objects, claim_list)
+            replies[template], _ = drive(formulate(pair, template, objects, claim_list),
+                                         lambda request: gateway.complete(request).text)
         except Exception as exc:
             exc.template_id = template
             raise

@@ -675,6 +675,18 @@ class TestStatsAndCache:
         assert DiskCache(store).entry_count() == 0
         assert DiskCache(cwd / ".halodet-cache").entry_count() == 1
 
+    def test_an_empty_cache_dir_is_refused_not_the_working_directory(
+            self, tmp_path, capsys, monkeypatch):
+        segment = tmp_path / "segments" / "x.log"
+        segment.parent.mkdir()
+        segment.write_text("kept\n")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("HALODET_CACHE_DIR", "")
+        assert main(["cache", "clear"]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ConfigInvalid", "message": "cache_dir must not be empty"}
+        assert segment.read_text() == "kept\n"
+
     def test_cache_stat_on_a_missing_directory_creates_nothing(self, tmp_path, capsys):
         missing = tmp_path / "missing"
         assert main(["cache", "stat", "--cache-dir", str(missing)]) == 0

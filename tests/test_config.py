@@ -141,6 +141,7 @@ def test_an_environment_integer_may_carry_a_sign_and_surrounding_space(tmp_path,
 
 @pytest.mark.parametrize("raw, value", [
     ("true", True), ("yes", True), ("1", True), ("false", False), ("no", False), ("0", False),
+    (" true ", True), ("\tNo\n", False),
 ])
 def test_an_environment_bool_takes_six_spellings(tmp_path, raw, value):
     config = build_config(env={"HALODET_CACHE": raw, "HALODET_FIXTURES": str(tmp_path)})

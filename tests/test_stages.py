@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from conftest import formulate_queries, image_ref, table_gateway
+from conftest import TableBackend, drive, formulate_queries, image_ref, table_gateway
 from halodet.errors import (
     ClaimCountMismatch,
     EmptyExtraction,
@@ -185,7 +185,7 @@ class TestParseVerdicts:
         assert [v.claim_index for v in verdicts] == [1, 2]
 
 
-# --- stage functions against a scripted mock gateway ---------------------------------
+# --- stage functions driven by scripted replies ---------------------------------------
 
 
 def _pair(n_claims: int = 2, task: TaskType = TaskType.IMAGE_CAPTIONING) -> ImageTextPair:
@@ -200,9 +200,8 @@ def _pair(n_claims: int = 2, task: TaskType = TaskType.IMAGE_CAPTIONING) -> Imag
 def _verify_outcome(raw: str, n_claims: int) -> tuple[str, ...]:
     """verify() over a reply that comes back the same on its retry: "unverified"
     for each fallback verdict, "repaired" for each entry kept from the reply."""
-    gateway = table_gateway([("", raw)])
-    verdicts = verify(_pair(n_claims), EvidenceBundle(), gateway)
-    assert gateway.backend.calls == 2
+    verdicts, requests = drive(verify(_pair(n_claims), EvidenceBundle()), lambda _: raw)
+    assert len(requests) == 2
     assert [v.claim_index for v in verdicts] == list(range(1, n_claims + 1))
     outcome = []
     for v in verdicts:
@@ -219,7 +218,8 @@ def _read_reply(stage: str, raw: str, n_claims: int | None):
     if stage == "formulate":
         return parse_claim_query_map(raw, n_claims, FACT)
     if stage == "extract":
-        return extract_claims("A man rides.", table_gateway([("claim extractor", raw)]))
+        return drive(extract_claims("A man rides."),
+                     TableBackend([("claim extractor", raw)]).invoke)[0]
     if stage == "parse":
         return parse_verdicts(raw, n_claims)
     return _verify_outcome(raw, n_claims)
@@ -322,23 +322,23 @@ def test_a_malformed_reply_has_one_pinned_outcome(case, stage, raw, n_claims, ex
 
 
 def test_extract_claims_round_trip():
-    gateway = table_gateway([
+    table = TableBackend([
         ("claim extractor", '{"claim1":"A man rides.","claim2":"The bike is red."}'),
     ])
-    claims = extract_claims("A man rides a red bike.", gateway)
+    claims, _ = drive(extract_claims("A man rides a red bike."), table.invoke)
     assert [c.index for c in claims] == [1, 2]
     assert claims[1].text == "The bike is red."
 
 
 def test_extract_claims_empty_text():
     with pytest.raises(EmptyExtraction):
-        extract_claims("   ", gateway=None)
+        drive(extract_claims("   "), [])
 
 
 def test_extract_claims_zero_claims():
-    gateway = table_gateway([("claim extractor", "{}")])
+    table = TableBackend([("claim extractor", "{}")])
     with pytest.raises(EmptyExtraction):
-        extract_claims("text", gateway)
+        drive(extract_claims("text"), table.invoke)
 
 
 def test_formulate_queries_merges_and_routes():
@@ -405,10 +405,9 @@ def test_formulate_queries_tags_failing_template():
 def test_verify_picks_template_by_direction():
     reply = json.dumps([{"claim1": "non-hallucination", "reason": "fine"},
                         {"claim2": "non-hallucination", "reason": "fine"}])
-    gateway = table_gateway([("", reply)])
-    verify(_pair(2, TaskType.VQA), EvidenceBundle(), gateway)
-    verify(_pair(2, TaskType.TEXT_TO_IMAGE), EvidenceBundle(), gateway)
-    seen = [r.prompt.user.split("\n", 1)[0] for r in gateway.backend.requests]
+    _, first = drive(verify(_pair(2, TaskType.VQA), EvidenceBundle()), [reply])
+    _, second = drive(verify(_pair(2, TaskType.TEXT_TO_IMAGE), EvidenceBundle()), [reply])
+    seen = [r.prompt.user.split("\n", 1)[0] for r in first + second]
     assert "Multimodal Large Language Models" in seen[0]
     assert "human prompts" in seen[1]
 
@@ -416,17 +415,17 @@ def test_verify_picks_template_by_direction():
 def test_verify_empty_evidence_renders_none_information():
     reply = json.dumps([{"claim1": "non-hallucination", "reason": "fine"},
                         {"claim2": "non-hallucination", "reason": "fine"}])
-    gateway = table_gateway([("", reply)])
-    verdicts = verify(_pair(2), EvidenceBundle(), gateway)
-    input_section = gateway.backend.requests[0].prompt.user.split("<Input>:")[1]
+    verdicts, requests = drive(verify(_pair(2), EvidenceBundle()), [reply])
+    input_section = requests[0].prompt.user.split("<Input>:")[1]
     assert input_section.count("none information") == 4
     assert all(v.label is Label.NON_HALLUCINATORY for v in verdicts)
 
 
 def test_verify_degrades_after_retry():
-    gateway = table_gateway([("", "still not json, twice")])
-    verdicts = verify(_pair(2), EvidenceBundle(), gateway)
-    assert gateway.backend.calls == 2
+    verdicts, requests = drive(verify(_pair(2), EvidenceBundle()),
+                               lambda _: "still not json, twice")
+    assert len(requests) == 2
+    assert requests[1] is requests[0]  # the retry is the same request
     assert len(verdicts) == 2
     assert all(v.label is Label.NON_HALLUCINATORY for v in verdicts)
     assert all(ParseFlag.UNVERIFIED in v.parse_flags for v in verdicts)
@@ -435,8 +434,7 @@ def test_verify_degrades_after_retry():
 def test_verify_salvages_partial_entries():
     broken = ('[{"claim1":"hallucination","reason":"solid"},'
               '{"claim2":"maybe","reason":"bad label"}]')
-    gateway = table_gateway([("", broken)])
-    verdicts = verify(_pair(2), EvidenceBundle(), gateway)
+    verdicts, _ = drive(verify(_pair(2), EvidenceBundle()), lambda _: broken)
     assert verdicts[0].label is Label.HALLUCINATORY
     assert ParseFlag.REPAIRED in verdicts[0].parse_flags
     assert ParseFlag.UNVERIFIED in verdicts[1].parse_flags
@@ -456,24 +454,24 @@ def _demo(name: str) -> SelfCheckDemo:
 def test_self_check_0shot():
     reply = json.dumps([{"claim1": "hallucination", "reason": "conflict"},
                         {"claim2": "non-hallucination", "reason": "fine"}])
-    gateway = table_gateway([("no external tool evidence", reply)])
-    verdicts = self_check(_pair(2), 0, gateway)
+    table = TableBackend([("no external tool evidence", reply)])
+    verdicts, _ = drive(self_check(_pair(2), 0), table.invoke)
     assert [v.label for v in verdicts] == [Label.HALLUCINATORY, Label.NON_HALLUCINATORY]
-    again = self_check(_pair(2), 0, gateway)
+    again, _ = drive(self_check(_pair(2), 0), table.invoke)
     assert again == verdicts
 
 
 def test_self_check_2shot_requires_demos():
     with pytest.raises(MissingDemonstrations):
-        self_check(_pair(2), 2, gateway=table_gateway([]), demonstrations=[_demo("d1")])
+        drive(self_check(_pair(2), 2, demonstrations=[_demo("d1")]), [])
 
 
 def test_self_check_2shot_binds_demos_and_images():
     reply = json.dumps([{"claim1": "non-hallucination", "reason": "fine"},
                         {"claim2": "non-hallucination", "reason": "fine"}])
-    gateway = table_gateway([("", reply)])
-    self_check(_pair(2), 2, gateway, demonstrations=[_demo("d1"), _demo("d2")])
-    prompt = gateway.backend.requests[0].prompt
+    _, requests = drive(self_check(_pair(2), 2, demonstrations=[_demo("d1"), _demo("d2")]),
+                        [reply])
+    prompt = requests[0].prompt
     assert "Here are two complete examples:" in prompt.user
     assert prompt.user.count("(Image Entered)") == 3
     assert "The dog is brown." in prompt.user
@@ -482,17 +480,17 @@ def test_self_check_2shot_binds_demos_and_images():
 
 def test_self_check_rejects_other_shot_counts():
     with pytest.raises(ValueError):
-        self_check(_pair(1), 1, gateway=None)
+        drive(self_check(_pair(1), 1), [])
 
 
 @pytest.mark.parametrize("stage", [
-    lambda pair: formulate(pair, TemplateId.OBJECT_QUERY, None, (), "claim1: x"),
-    lambda pair: verify(pair, EvidenceBundle(), None),
-    lambda pair: self_check(pair, 0, None),
+    lambda pair: formulate(pair, TemplateId.OBJECT_QUERY, (), "claim1: x"),
+    lambda pair: verify(pair, EvidenceBundle()),
+    lambda pair: self_check(pair, 0),
 ])
 def test_a_pair_with_no_claims_is_refused_before_any_call(stage):
     with pytest.raises(ValueError, match="pair 'p1' has no claims"):
-        stage(_pair(0))
+        drive(stage(_pair(0)), [])
 
 
 def test_a_demo_needs_one_verdict_per_claim():
